@@ -101,7 +101,8 @@ def run_sweep() -> tuple[Table, list[dict]]:
 
 
 def session_row() -> dict:
-    """End-to-end context: preprocess + DNN, fused vs interpreted."""
+    """End-to-end context: ``FunctionalSession.execute`` (kernel + DNN)
+    against the serial oracle loop (per-image ``dag.execute`` + DNN)."""
     dag = PreprocessingDAG.from_ops(
         serving_pipeline_ops(input_size=INPUT_SIZE, crop_size=CROP_SIZE)
     )
@@ -109,14 +110,17 @@ def session_row() -> dict:
                               seed=1)
     requests = [InferenceRequest(image_id=f"bench/{i}", payload=payload)
                 for i, payload in enumerate(_payloads(GATE_BATCH))]
-    interpreted = FunctionalSession("bench", dag, model)
-    fused = FunctionalSession("bench", dag, model, fuse=True)
-    want = interpreted.execute(requests).predictions
-    got = fused.execute(requests).predictions
-    assert np.array_equal(got, want), "fused session predictions diverged"
-    interp_rate = _best_rate(lambda: interpreted.execute(requests),
-                             GATE_BATCH)
-    fused_rate = _best_rate(lambda: fused.execute(requests), GATE_BATCH)
+    session = FunctionalSession("bench", dag, model)
+
+    def oracle() -> np.ndarray:
+        return model.predict(
+            np.stack([dag.execute(request.payload) for request in requests])
+            .astype(np.float32))
+
+    got = session.execute(requests).predictions
+    assert np.array_equal(got, oracle()), "session predictions diverged"
+    interp_rate = _best_rate(oracle, GATE_BATCH)
+    fused_rate = _best_rate(lambda: session.execute(requests), GATE_BATCH)
     return {
         "batch_size": GATE_BATCH,
         "interpreted_img_s": round(interp_rate, 1),

@@ -54,7 +54,7 @@ from repro.core.plans import PlanEstimate
 from repro.errors import AdaptError
 from repro.hardware.instance import get_instance
 from repro.inference.perfmodel import EngineConfig, PerformanceModel
-from repro.serving.batcher import BatchPolicy
+from repro.serving.scheduler import BatchPolicy
 from repro.serving.request import InferenceRequest
 from repro.serving.server import SmolServer
 from repro.serving.session import session_stage_estimate

@@ -130,11 +130,12 @@ class TelemetryCollector:
                              source: str = "serving") -> None:
         """Report one executed session batch (server-side entry point).
 
-        ``session`` is duck-typed: ``format_name`` / ``model_name``
-        attributes name the telemetry subjects (sessions without them --
-        e.g. bare functional sessions -- contribute throughput counters
-        but no stage observations).  ``result`` is the session's
-        :class:`~repro.serving.session.BatchResult`.
+        ``session`` is the :class:`~repro.serving.session.EngineSession`
+        that ran the batch: its ``format_name`` / ``model_name`` name the
+        telemetry subjects.  ``result`` is its
+        :class:`~repro.serving.session.BatchResult`; a result without
+        ``stage_seconds`` (functional sessions) contributes throughput
+        counters but no stage observations.
         """
         batch_size = len(result.predictions)
         with self._lock:
@@ -142,9 +143,8 @@ class TelemetryCollector:
             self._images += batch_size
             self._modelled_seconds += result.modelled_seconds
         for stage, seconds in (result.stage_seconds or {}).items():
-            subject = (getattr(session, "format_name", "")
-                       if stage in FORMAT_STAGES
-                       else getattr(session, "model_name", ""))
+            subject = (session.format_name if stage in FORMAT_STAGES
+                       else session.model_name)
             self.record(StageObservation(
                 stage=stage, subject=subject, images=batch_size,
                 seconds=seconds, source=source,

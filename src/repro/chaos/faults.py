@@ -28,22 +28,16 @@ Sites instrumented across the stack:
                         races the collector against the health monitor)
 ``store.manifest.save`` :class:`~repro.store.store.RenditionStore`, inside
                         the manifest lock before the commit (torn writes)
-``serving.admit``       :class:`~repro.serving.queue.AdmissionQueue`, on the
-                        submitter's thread before the enqueue (a raise is a
-                        clean shed; a stall backpressures the submitter)
-``serving.batch``       :class:`~repro.serving.batcher.MicroBatcher`, at the
-                        top of ``next_batch`` before the first dequeue (a
+``serving.admit``       :class:`~repro.serving.scheduler.DrrScheduler`, on
+                        the submitter's thread before an item enters its
+                        class queue (a raise is a clean shed; a stall
+                        backpressures the submitter)
+``serving.batch``       :class:`~repro.serving.scheduler.DrrScheduler`, at
+                        the top of ``next_batch`` before any dequeue (a
                         raise aborts the attempt with no request in hand)
 ``fuse.execute``        :class:`~repro.fuse.kernel.FusedKernel`, once per
                         executed batch before any segment runs (a raise
                         fails the batch; a stall holds the executing thread)
-``tenant.enqueue``      :class:`~repro.tenant.scheduler.DrrScheduler`, on
-                        the submitter's thread before an item enters its
-                        class queue (a raise is a clean shed; a stall
-                        backpressures the submitter)
-``tenant.batch``        :class:`~repro.tenant.scheduler.DrrScheduler`, at
-                        the top of ``next_batch`` before any dequeue (a
-                        raise aborts the attempt with no request in hand)
 ======================  ====================================================
 """
 

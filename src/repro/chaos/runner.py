@@ -23,23 +23,23 @@ from a single :class:`~repro.chaos.scenario.Scenario`:
    writes, then crash-safety and durability checks from a fresh handle;
 6. **dag / drift** -- optimizer-candidate equivalence against the naive
    ordering, and calibrator-bounds + convergent-replan checks;
-7. **fuse** (``scenario.fuse``, overridable via ``fuse_mode``) -- the
+7. **fuse** (``scenario.fuse``) -- the
    scenario's DAG compiled to a :class:`~repro.fuse.kernel.FusedKernel`
    and checked byte-identical against per-image interpretation (including
    NaN float batches and post-``ChaosFault`` reruns), then a cluster pass
-   whose replicas execute *fused* functional sessions against an
-   interpreted serial oracle -- exactly-once, bit-identity, and connected
-   traces all hold with fusion enabled;
+   whose replicas execute functional sessions (the compiled kernel)
+   against an interpreted serial oracle -- exactly-once, bit-identity,
+   and connected traces all hold on real pixels;
 8. **process kill** (``scenario.proc_kill``, minority of seeds) -- real
    :class:`~repro.cluster.worker.ProcessWorker` replicas with one killed
    mid-run: failover + exactly-once + bit-identity, plus no leaked
    shared-memory segments once the dispatcher closes;
-9. **multi-tenant serving** (``scenario.tenant_serving``) -- the
-   scenario's tenants through a DRR-scheduled
-   :class:`~repro.serving.server.SmolServer` with the ``tenant.enqueue``
-   / ``tenant.batch`` seams armed: no priority class may starve under
-   injected stalls and raises, answers stay exactly-once and
-   bit-identical, and the span tree stays connected.
+9. **multi-tenant serving** (``scenario.tenant_serving``) -- pass 4
+   again with the scenario's tenants on weighted priority classes (same
+   server route, same ``serving.admit`` / ``serving.batch`` seams): no
+   priority class may starve under injected stalls and raises, answers
+   stay exactly-once and bit-identical, and the span tree stays
+   connected.
 
 A failing run's evidence is self-contained: :meth:`ChaosRunner.run`
 wires a :class:`~repro.obs.FlightRecorder` through the cluster pass, and
@@ -78,7 +78,6 @@ from repro.errors import (
     AdmissionError,
     EngineError,
     NoHealthyWorkerError,
-    ReproError,
     StoreError,
 )
 from repro.fuse.compiler import get_kernel
@@ -96,8 +95,8 @@ from repro.preprocessing.ops import (
     TensorSpec,
 )
 from repro.preprocessing.optimizer import DagOptimizer
-from repro.serving.batcher import BatchPolicy
 from repro.serving.request import InferenceRequest
+from repro.serving.scheduler import BatchPolicy, ClassPolicy
 from repro.serving.server import SmolServer
 from repro.serving.session import (
     BatchResult,
@@ -106,6 +105,7 @@ from repro.serving.session import (
     serving_pipeline_ops,
 )
 from repro.store.store import Manifest, RenditionStore, ScoreKey
+from repro.tenant.spec import PRIORITY_CLASSES, TenantConfig, TenantSpec
 from repro.utils.rng import stable_hash
 
 __all__ = [
@@ -198,32 +198,12 @@ class ChaosRunner:
     store_root:
         Directory for the store pass.  Default: a per-run temp directory,
         removed afterwards.
-    fuse_mode:
-        ``"seed"`` (default) runs the fused-execution pass on the seeds
-        whose scenario drew ``fuse=True``; ``"on"`` forces it for every
-        seed and ``"off"`` suppresses it entirely -- the CI smoke job runs
-        both forced modes so every invariant is swept with fusion on *and*
-        off.
     """
 
     def __init__(self, drain_timeout_s: float = 10.0,
-                 store_root: str | Path | None = None,
-                 fuse_mode: str = "seed") -> None:
-        if fuse_mode not in ("seed", "on", "off"):
-            raise ReproError(
-                f"fuse_mode must be 'seed', 'on', or 'off', not {fuse_mode!r}"
-            )
+                 store_root: str | Path | None = None) -> None:
         self._drain_timeout_s = drain_timeout_s
         self._store_root = store_root
-        self._fuse_mode = fuse_mode
-
-    def _fuse_enabled(self, scenario: Scenario) -> bool:
-        """Whether this run executes the fused pass (mode beats seed)."""
-        if self._fuse_mode == "on":
-            return True
-        if self._fuse_mode == "off":
-            return False
-        return scenario.fuse
 
     def run(self, scenario: Scenario) -> ChaosReport:
         """Run every pass for ``scenario``; never raises on a violation."""
@@ -243,11 +223,11 @@ class ChaosRunner:
             report.violations += self._serving_pass(scenario, injector,
                                                     report)
         if scenario.tenant_serving:
-            report.violations += self._tenant_pass(scenario, injector,
-                                                   report)
+            report.violations += self._serving_pass(
+                scenario, injector, report, multi_tenant=True)
         report.violations += self._store_pass(scenario, injector)
         report.violations += _dag_pass(scenario)
-        if self._fuse_enabled(scenario):
+        if scenario.fuse:
             report.violations += self._fuse_pass(scenario, report,
                                                  injectors)
         report.violations += _drift_pass(scenario)
@@ -322,175 +302,68 @@ class ChaosRunner:
         return violations
 
     # ------------------------------------------------------------------
-    # Serving pass
+    # Serving passes (single-class and multi-tenant)
     # ------------------------------------------------------------------
     def _serving_pass(self, scenario: Scenario, injector: FaultInjector,
-                      report: ChaosReport) -> list[InvariantViolation]:
+                      report: ChaosReport,
+                      multi_tenant: bool = False) -> list[InvariantViolation]:
         """The scenario's requests through a live :class:`SmolServer`.
 
-        The serving seams fire from the scenario's plan: ``serving.admit``
-        on the submitting thread (a raise is a clean shed -- the request
-        never entered the queue), ``serving.batch`` on the serving thread
+        Runs single-class for ``scenario.serving`` and, with
+        ``multi_tenant``, once more with each scenario tenant a
+        :class:`TenantSpec` in the class ``scenario.tenant_classes``
+        assigns it (quotas unlimited and class deadlines off, so every
+        divergence is the scheduler's fault, not throttling or
+        downgrades).  Either way requests take the server's one route, so
+        the same seams fire from the scenario's plan: ``serving.admit`` on
+        the submitting thread (a raise is a clean shed -- the request
+        never entered a queue), ``serving.batch`` on the serving thread
         (absorbed by the loop; no request was dequeued), and
         ``fuse.execute`` inside batch execution (fails the batch).  Each
         planned fault fires at most once, so resubmitting shed requests
-        and failed batches always converges; the invariants are full
-        resolution, bit-identical predictions against the serial oracle,
-        and one connected span tree.  The cache is off so every request
-        really executes.
+        and failed batches always converges.  Invariants: full resolution
+        (multi-tenant: *no starvation* -- every class with offered
+        requests resolves even with stalls and raises wedged into its
+        queue, the schedule-independent form of exactly-once),
+        bit-identical predictions against the serial oracle, and one
+        connected span tree.  The cache is off so every request really
+        executes.
         """
-        violations: list[InvariantViolation] = []
-        oracle = HashSession(plan_key="chaos-serve")
-        by_id: dict[str, InferenceRequest] = {}
-        for index in range(scenario.items):
-            tenant = scenario.tenants[scenario.arrival[index]]
-            for j in range(scenario.batch):
-                request = InferenceRequest(
-                    image_id=f"{tenant}/srv-{index}-{j}")
-                by_id[request.image_id] = request
-        expected = {
-            image_id: int(oracle.execute([request]).predictions[0])
-            for image_id, request in by_id.items()
-        }
-        obs = Observability()
-        root = obs.span("chaos.serving", seed=scenario.seed,
-                        requests=len(by_id))
-        server = SmolServer(
-            session=HashSession(plan_key="chaos-serve"),
-            policy=BatchPolicy(name="chaos",
-                               max_batch_size=max(1, scenario.batch),
-                               max_wait_ms=1.0),
-            queue_capacity=max(4, len(by_id)),
-            cache_capacity=0, obs=obs, faults=injector,
-        )
-        deadline = time.monotonic() + self._drain_timeout_s
-
-        def submit_all(image_ids) -> dict:
-            futures = {}
-            with obs.activate(root.context):
-                for image_id in image_ids:
-                    future = None
-                    for _ in range(4):
-                        try:
-                            future = server.submit(by_id[image_id])
-                            break
-                        except (ChaosFault, AdmissionError):
-                            continue  # clean shed: the fault fired once
-                    if future is None:
-                        violations.append(InvariantViolation(
-                            "serving.resolution",
-                            f"request {image_id} was shed on every "
-                            "submit attempt"))
-                    else:
-                        futures[image_id] = future
-            return futures
-
-        resolved: dict[str, int] = {}
-        try:
-            pending = submit_all(sorted(by_id))
-            for _ in range(len(scenario.faults) + 2):
-                if not pending:
-                    break
-                failed: list[str] = []
-                for image_id, future in sorted(pending.items()):
-                    try:
-                        response = future.result(
-                            timeout=max(0.01,
-                                        deadline - time.monotonic()))
-                    except TimeoutError:
-                        violations.append(InvariantViolation(
-                            "serving.resolution",
-                            f"request {image_id} never resolved within "
-                            f"{self._drain_timeout_s}s"))
-                    except Exception:
-                        failed.append(image_id)  # injected batch failure
-                    else:
-                        resolved[image_id] = int(response.prediction)
-                pending = submit_all(failed) if failed else {}
-            if pending:
-                violations.append(InvariantViolation(
-                    "serving.resolution",
-                    f"{len(pending)} requests still failing after "
-                    "every planned fault fired"))
-        finally:
-            server.close()
-            root.finish()
-        for image_id in sorted(resolved):
-            if resolved[image_id] != expected[image_id]:
-                violations.append(InvariantViolation(
-                    "predictions.bit_identical",
-                    f"served {image_id} predicted {resolved[image_id]} "
-                    f"but the serial engine predicted "
-                    f"{expected[image_id]}"))
-        violations += check_span_tree(obs.spans())
-        stats = server.stats()
-        report.stats["serving"] = {
-            "submitted": stats.submitted, "completed": stats.completed,
-            "rejected": stats.rejected,
-            "batches": stats.batcher.batches,
-        }
-        return violations
-
-    # ------------------------------------------------------------------
-    # Multi-tenant serving pass
-    # ------------------------------------------------------------------
-    def _tenant_pass(self, scenario: Scenario, injector: FaultInjector,
-                     report: ChaosReport) -> list[InvariantViolation]:
-        """The scenario's tenants through a DRR-scheduled server.
-
-        Each scenario tenant becomes a :class:`TenantSpec` in the class
-        ``scenario.tenant_classes`` assigns it (quotas unlimited and
-        class deadlines off, so every divergence is the scheduler's
-        fault, not throttling or downgrades).  The armed seams are the
-        DRR scheduler's own: ``tenant.enqueue`` (a raise is a clean shed
-        the pass resubmits past) and ``tenant.batch`` (absorbed by the
-        serving loop before any dequeue).  Invariants: *no starvation*
-        (every class with offered requests fully resolves, even with
-        stalls and raises wedged into its queues -- the
-        schedule-independent form of exactly-once), bit-identical
-        predictions against the serial oracle, and a connected span
-        tree.
-        """
-        from repro.tenant.spec import (
-            PRIORITY_CLASSES,
-            ClassPolicy,
-            TenantConfig,
-            TenantSpec,
-        )
-
-        violations: list[InvariantViolation] = []
-        config = TenantConfig(
-            tenants=tuple(
-                TenantSpec(name=tenant,
-                           priority=PRIORITY_CLASSES[class_index])
-                for tenant, class_index
-                in zip(scenario.tenants, scenario.tenant_classes)
-            ),
-            classes=(ClassPolicy("interactive", weight=8.0, rank=0),
-                     ClassPolicy("standard", weight=4.0, rank=1),
-                     ClassPolicy("batch", weight=1.0, rank=2)),
-        )
+        label = "tenant" if multi_tenant else "serving"
+        resolution = ("tenant.no_starvation" if multi_tenant
+                      else "serving.resolution")
         class_of = {tenant: PRIORITY_CLASSES[class_index]
                     for tenant, class_index
                     in zip(scenario.tenants, scenario.tenant_classes)}
-        oracle = HashSession(plan_key="chaos-tenant")
+        config = None
+        if multi_tenant:
+            config = TenantConfig(
+                tenants=tuple(TenantSpec(name=tenant, priority=priority)
+                              for tenant, priority in class_of.items()),
+                classes=(ClassPolicy("interactive", weight=8.0, rank=0),
+                         ClassPolicy("standard", weight=4.0, rank=1),
+                         ClassPolicy("batch", weight=1.0, rank=2)),
+            )
+        violations: list[InvariantViolation] = []
+        oracle = HashSession(plan_key=f"chaos-{label}")
         by_id: dict[str, InferenceRequest] = {}
         for index in range(scenario.items):
             tenant = scenario.tenants[scenario.arrival[index]]
             for j in range(scenario.batch):
                 request = InferenceRequest(
-                    image_id=f"{tenant}/tn-{index}-{j}", tenant=tenant)
+                    image_id=f"{tenant}/{label}-{index}-{j}",
+                    tenant=tenant if multi_tenant else "")
                 by_id[request.image_id] = request
         expected = {
             image_id: int(oracle.execute([request]).predictions[0])
             for image_id, request in by_id.items()
         }
         obs = Observability()
-        root = obs.span("chaos.tenant", seed=scenario.seed,
+        root = obs.span(f"chaos.{label}", seed=scenario.seed,
                         requests=len(by_id))
         server = SmolServer(
-            session=HashSession(plan_key="chaos-tenant"),
-            policy=BatchPolicy(name="chaos-tenant",
+            session=HashSession(plan_key=f"chaos-{label}"),
+            policy=BatchPolicy(name=f"chaos-{label}",
                                max_batch_size=max(1, scenario.batch),
                                max_wait_ms=1.0),
             queue_capacity=max(4, len(by_id)),
@@ -503,7 +376,10 @@ class ChaosRunner:
             with obs.activate(root.context):
                 for image_id in image_ids:
                     future = None
-                    for _ in range(4):
+                    # Both serving passes share the scheduler's seams
+                    # (and one injector), so the shed bound is the whole
+                    # plan: each planned fault fires at most once.
+                    for _ in range(len(scenario.faults) + 1):
                         try:
                             future = server.submit(by_id[image_id])
                             break
@@ -511,7 +387,7 @@ class ChaosRunner:
                             continue  # clean shed: the fault fired once
                     if future is None:
                         violations.append(InvariantViolation(
-                            "tenant.no_starvation",
+                            resolution,
                             f"request {image_id} was shed on every "
                             "submit attempt"))
                     else:
@@ -543,30 +419,32 @@ class ChaosRunner:
             server.close()
             root.finish()
         if unresolved:
-            # Attribute the wedge to classes: a starved class is the
-            # fairness bug this pass exists to catch.
-            starved = sorted({class_of[by_id[image_id].tenant]
-                              for image_id in unresolved})
-            violations.append(InvariantViolation(
-                "tenant.no_starvation",
-                f"{len(unresolved)} requests never resolved under "
-                f"injected faults (classes {starved})"))
+            detail = (f"{len(unresolved)} requests never resolved under "
+                      "injected faults")
+            if multi_tenant:
+                # Attribute the wedge to classes: a starved class is the
+                # fairness bug the multi-tenant pass exists to catch.
+                starved = sorted({class_of[by_id[image_id].tenant]
+                                  for image_id in unresolved})
+                detail += f" (classes {starved})"
+            violations.append(InvariantViolation(resolution, detail))
         for image_id in sorted(resolved):
             if resolved[image_id] != expected[image_id]:
                 violations.append(InvariantViolation(
                     "predictions.bit_identical",
-                    f"tenant-served {image_id} predicted "
+                    f"{label}-served {image_id} predicted "
                     f"{resolved[image_id]} but the serial engine "
                     f"predicted {expected[image_id]}"))
         violations += check_span_tree(obs.spans())
         stats = server.stats()
-        tenant_stats = server.tenant_stats()
-        report.stats["tenant"] = {
+        report.stats[label] = {
             "submitted": stats.submitted, "completed": stats.completed,
             "rejected": stats.rejected,
             "batches": stats.batcher.batches,
-            "class_served": dict(tenant_stats.class_served),
         }
+        if multi_tenant:
+            report.stats[label]["class_served"] = dict(
+                stats.tenants.class_served)
         return violations
 
     # ------------------------------------------------------------------
@@ -581,15 +459,15 @@ class ChaosRunner:
 
     def _fused_cluster_pass(self, scenario: Scenario, report: ChaosReport,
                             injectors: list) -> list[InvariantViolation]:
-        """Cluster invariants with replicas executing *fused* sessions.
+        """Cluster invariants with replicas executing functional sessions.
 
         Real pixels through the standard serving pipeline on thread
         replicas whose :class:`FunctionalSession` runs the compiled
         kernel, while the serial oracle *interprets* the same per-item
-        batches -- so any fused/interpreted divergence (including under
-        failover re-execution) surfaces as a bit-identity violation, and
-        injected ``fuse.execute`` raises exercise the retry path with
-        fusion on.
+        batches image by image -- so any kernel/interpreter divergence
+        (including under failover re-execution) surfaces as a
+        bit-identity violation, and injected ``fuse.execute`` raises
+        exercise the retry path on the kernel.
         """
         dag, model = _fuse_serving_stack()
         rng = np.random.default_rng(
@@ -606,10 +484,12 @@ class ChaosRunner:
                     payload=rng.integers(0, 256, size=shape)
                     .astype(np.uint8)))
             requests.append(batch)
-        oracle = FunctionalSession("fuse-plan", dag, model)
-        oracle.warmup()
-        reference = [oracle.execute(batch).predictions
-                     for batch in requests]
+        reference = [
+            model.predict(np.stack([dag.execute(request.payload)
+                                    for request in batch])
+                          .astype(np.float32))
+            for batch in requests
+        ]
         plan = FaultPlan(faults=tuple(
             f for f in scenario.faults.faults if f.site == "fuse.execute"))
         injector = FaultInjector(plan)
@@ -617,7 +497,7 @@ class ChaosRunner:
         obs = Observability()
 
         def factory(worker_id: str, results: MpmcQueue) -> ThreadWorker:
-            session = FunctionalSession("fuse-plan", dag, model, fuse=True,
+            session = FunctionalSession("fuse-plan", dag, model,
                                         faults=injector, obs=obs)
             session.warmup()
             return ThreadWorker(worker_id, session, results, obs=obs,

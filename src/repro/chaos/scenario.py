@@ -37,8 +37,9 @@ _STALL_SITES = ("queue.put", "queue.get", "worker.execute",
 #: Sites the serving pass hits (armed only when the scenario serves).
 _SERVING_SITES = ("serving.admit", "serving.batch", "fuse.execute")
 
-#: Sites the multi-tenant serving pass hits (armed only when it runs).
-_TENANT_SITES = ("tenant.enqueue", "tenant.batch")
+#: Sites the multi-tenant serving pass hits (armed only when it runs):
+#: the same scheduler seams, reached through a multi-class server.
+_TENANT_SITES = ("serving.admit", "serving.batch")
 
 #: Tenant names the arrival mix draws from.
 _TENANTS = ("tenant-a", "tenant-b", "tenant-c")
@@ -104,9 +105,10 @@ class Scenario:
         through a live :class:`~repro.serving.server.SmolServer` with the
         ``serving.admit`` / ``serving.batch`` seams armed.
     fuse:
-        When True (and the runner's ``fuse_mode`` is ``"seed"``) the fused
-        batch kernels execute wherever a pass supports them, and the
-        fused-vs-interpreted differential pass runs on the scenario's DAG.
+        When True the run includes the fused-execution pass: the
+        kernel-vs-interpretation differential on the scenario's DAG plus a
+        cluster pass on functional sessions (a per-seed gate on the pass's
+        cost, not an execution mode).
     proc_kill:
         When True the run includes the process-worker kill pass: real
         child-process replicas, one killed mid-run, with failover,
@@ -116,7 +118,7 @@ class Scenario:
         When ``tenant_serving`` is True the run includes the multi-tenant
         serving pass: the scenario's tenants submit through a DRR-scheduled
         :class:`~repro.serving.server.SmolServer` with the
-        ``tenant.enqueue`` / ``tenant.batch`` seams armed, checked for
+        ``serving.admit`` / ``serving.batch`` seams armed, checked for
         exactly-once bit-identical answers and no starved class.
         ``tenant_classes`` maps each tenant (by position) to a priority
         class index (0=interactive, 1=standard, 2=batch).
@@ -441,8 +443,8 @@ class ScenarioGen:
 
     def _tenant_faults(self, rng: random.Random,
                        scenario: Scenario) -> tuple[Fault, ...]:
-        # DRR-scheduler seams: a raise at tenant.enqueue sheds one submit
-        # (the pass resubmits), a raise at tenant.batch aborts one batching
+        # Scheduler seams: a raise at serving.admit sheds one submit
+        # (the pass resubmits), a raise at serving.batch aborts one batching
         # attempt before any dequeue (the serving loop retries), and a
         # stall at either site delays a class's progress -- exactly the
         # wedge the no-starvation invariant must survive.

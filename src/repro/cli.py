@@ -1078,7 +1078,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import shrink as chaos_shrink
     from repro.chaos.runner import dump_report
 
-    runner = ChaosRunner(fuse_mode=getattr(args, "fuse", "seed"))
+    runner = ChaosRunner()
     gen = ScenarioGen()
     if args.action == "run":
         start = time.monotonic()
@@ -1499,11 +1499,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_run.add_argument("--postmortem-dir", default=None,
                            help="dump a flight-recorder bundle per "
                                 "failing seed under this directory")
-    chaos_run.add_argument("--fuse", choices=("seed", "on", "off"),
-                           default="seed",
-                           help="fused-execution pass: per-seed draw "
-                                "(default), forced on for every seed, or "
-                                "suppressed entirely")
     chaos_replay = chaos_actions.add_parser(
         "replay", help="re-run one seed (or a dumped scenario.json) "
                        "deterministically")
@@ -1514,10 +1509,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "bundle (overrides the seed)")
     chaos_replay.add_argument("--postmortem-dir", default=None,
                               help="dump a bundle if the replay fails")
-    chaos_replay.add_argument("--fuse", choices=("seed", "on", "off"),
-                              default="seed",
-                              help="fused-execution pass mode for the "
-                                   "replay (match the failing sweep's)")
     chaos_shrink = chaos_actions.add_parser(
         "shrink", help="minimize a failing seed to the smallest scenario "
                        "that still violates the same invariant")

@@ -372,8 +372,8 @@ class ThreadWorker(Worker):
         return WorkerCostReport(
             worker_id=self._worker_id,
             plan_key=self._session.plan_key,
-            format_name=getattr(self._session, "format_name", ""),
-            model_name=getattr(self._session, "model_name", ""),
+            format_name=self._session.format_name,
+            model_name=self._session.model_name,
             images=max(stage_images.values()),
             stage_seconds=stage_seconds,
             stage_images=stage_images,

@@ -170,8 +170,7 @@ class ScanSession(EngineSession):
                  plan_key: str, store=None, rendition: str = "",
                  store_fingerprint: str | None = None,
                  pace: ScanPace | None = None,
-                 model_name: str = SCAN_MODEL_NAME,
-                 fuse: bool = False) -> None:
+                 model_name: str = SCAN_MODEL_NAME) -> None:
         super().__init__(plan_key)
         if frames_used <= 0:
             raise QueryError("frames_used must be positive")
@@ -186,7 +185,6 @@ class ScanSession(EngineSession):
         self._store_fingerprint = store_fingerprint
         self._pace = pace
         self._model_name = model_name
-        self._fuse = bool(fuse)
         self._id_prefix = f"{dataset.name}:"
         self._bits: np.ndarray | None = None
         self._reader = None
@@ -211,18 +209,9 @@ class ScanSession(EngineSession):
         """The hot-swappable cost source, or None (fixed per-frame cost)."""
         return self._pace
 
-    @property
-    def fused(self) -> bool:
-        """True when frame-id parsing runs on the vectorized fast path."""
-        return self._fuse
-
-    def set_fuse(self, enabled: bool) -> None:
-        """Toggle the vectorized frame-id parse (results are identical)."""
-        self._fuse = bool(enabled)
-
-    def _parse_indices(self,
-                       requests: Sequence[InferenceRequest]) -> np.ndarray:
-        """Frame indices of a batch, strict per-request parse."""
+    def _parse_indices_strict(self, requests: Sequence[InferenceRequest]
+                              ) -> np.ndarray:
+        """Frame indices of a batch, one checked ``int()`` per request."""
         indices = np.empty(len(requests), dtype=np.int64)
         for position, request in enumerate(requests):
             try:
@@ -234,28 +223,27 @@ class ScanSession(EngineSession):
                 ) from exc
         return indices
 
-    def _parse_indices_fused(self,
-                             requests: Sequence[InferenceRequest]
-                             ) -> np.ndarray:
-        """Vectorized parse for the common ``<dataset>:<index>`` batch.
+    def _parse_indices(self,
+                       requests: Sequence[InferenceRequest]) -> np.ndarray:
+        """Frame indices of a ``<dataset>:<index>`` batch, vectorized.
 
         Strips the shared dataset prefix and converts the digit suffixes
         in one numpy cast instead of one Python ``int()`` per request.
-        Ids that do not match the fast-path shape (foreign dataset name,
-        non-numeric suffix) fall back to the strict parse, so accepted
-        indices -- and error behavior -- are identical to the slow path.
+        Ids that do not match that shape (foreign dataset name,
+        non-numeric suffix) fall back to the strict parse, so which ids
+        are accepted -- and the error for the rest -- is its decision.
         """
         plen = len(self._id_prefix)
         suffixes = []
         for request in requests:
             image_id = request.image_id
             if not image_id.startswith(self._id_prefix) or ":" in image_id[plen:]:
-                return self._parse_indices(requests)
+                return self._parse_indices_strict(requests)
             suffixes.append(image_id[plen:])
         try:
             return np.asarray(suffixes).astype(np.int64)
         except (ValueError, OverflowError):
-            return self._parse_indices(requests)
+            return self._parse_indices_strict(requests)
 
     def _compute_scores(self) -> np.ndarray:
         return self._dataset.specialized_nn_predictions(
@@ -289,10 +277,7 @@ class ScanSession(EngineSession):
             raise QueryError("cannot execute an empty scan batch")
         if self._bits is None and self._reader is None:
             self.warmup()
-        if self._fuse:
-            indices = self._parse_indices_fused(requests)
-        else:
-            indices = self._parse_indices(requests)
+        indices = self._parse_indices(requests)
         if indices.min() < 0 or indices.max() >= self._frames_used:
             raise QueryError(
                 f"frame index outside the warmed range [0, {self._frames_used})"
@@ -423,10 +408,6 @@ class ClusterScanRunner:
         ``run`` call in a ``query.scan`` span and threads trace context
         through the dispatcher into every replica; the default
         :data:`~repro.obs.NULL_OBS` keeps the scan loop allocation-free.
-    fuse:
-        Build replicas with the fused (vectorized frame-id parse) scan
-        path enabled.  Scores are bit-identical either way; the toggle
-        only removes per-request Python work from the batch hot loop.
     """
 
     def __init__(self, dataset: VideoDataset, specialized_accuracy: float,
@@ -435,8 +416,7 @@ class ClusterScanRunner:
                  router: str = "round-robin", store=None,
                  rendition: str = "",
                  store_fingerprint: str | None = None,
-                 pace: ScanPace | None = None, obs=NULL_OBS,
-                 fuse: bool = False) -> None:
+                 pace: ScanPace | None = None, obs=NULL_OBS) -> None:
         if num_workers <= 0:
             raise QueryError("num_workers must be positive")
         if batch_size <= 0:
@@ -453,7 +433,6 @@ class ClusterScanRunner:
         self._store_fingerprint = store_fingerprint
         self._pace = pace
         self._obs = obs if obs is not None else NULL_OBS
-        self._fuse = bool(fuse)
 
     def session(self) -> ScanSession:
         """One plan-warmed scan session (one per replica)."""
@@ -467,7 +446,6 @@ class ClusterScanRunner:
             rendition=self._rendition,
             store_fingerprint=self._store_fingerprint,
             pace=self._pace,
-            fuse=self._fuse,
         )
 
     def worker_factory(self) -> Callable[[str, MpmcQueue], Worker]:

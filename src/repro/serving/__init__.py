@@ -3,8 +3,9 @@
 Turns the offline batch engine into an online inference service:
 
 * :mod:`repro.serving.request` -- typed requests/responses with deadlines.
-* :mod:`repro.serving.queue` -- admission-controlled bounded request queue.
-* :mod:`repro.serving.batcher` -- adaptive micro-batching policies.
+* :mod:`repro.serving.scheduler` -- bounded admission queues drained into
+  policy-shaped micro-batches by deficit round-robin (one class unless the
+  server is multi-tenant).
 * :mod:`repro.serving.session` -- plan-aware warmed engine sessions with
   hot-swap when the planner changes its mind.
 * :mod:`repro.serving.cache` -- LRU prediction cache keyed on
@@ -16,12 +17,11 @@ Turns the offline batch engine into an online inference service:
   latency reporting.
 * :mod:`repro.serving.metrics` -- latency percentile accounting.
 
-Multi-tenant serving (quotas, weighted-fair scheduling, deadline-aware
-plan selection) layers on top via :mod:`repro.tenant`; pass a
+Multi-tenant serving (quotas, priority classes, deadline-aware plan
+selection) layers on top via :mod:`repro.tenant`; pass a
 :class:`~repro.tenant.spec.TenantConfig` as ``SmolServer(tenants=...)``.
 """
 
-from repro.serving.batcher import BatcherStats, BatchPolicy, MicroBatcher
 from repro.serving.cache import CacheStats, LruCache, PredictionCache
 from repro.serving.loadgen import (
     ArrivalTrace,
@@ -36,8 +36,8 @@ from repro.serving.loadgen import (
     poisson_arrivals,
 )
 from repro.serving.metrics import LatencyRecorder, LatencySummary, percentile
-from repro.serving.queue import AdmissionQueue
 from repro.serving.request import InferenceRequest, InferenceResponse
+from repro.serving.scheduler import BatcherStats, BatchPolicy
 from repro.serving.server import ServerStats, SmolServer, TenantServingStats
 from repro.serving.session import (
     BatchResult,
@@ -51,7 +51,6 @@ from repro.serving.session import (
 )
 
 __all__ = [
-    "AdmissionQueue",
     "ArrivalTrace",
     "BatchPolicy",
     "BatchResult",
@@ -66,7 +65,6 @@ __all__ = [
     "LoadGenerator",
     "LoadReport",
     "LruCache",
-    "MicroBatcher",
     "MultiTenantLoadGenerator",
     "MultiTenantLoadReport",
     "PredictionCache",

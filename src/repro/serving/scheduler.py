@@ -1,13 +1,22 @@
-"""Deficit-round-robin micro-batch scheduling over per-class queues.
+"""Admission and micro-batching: deficit round-robin over per-class queues.
 
-Replaces the single FIFO admission path for multi-tenant servers: one
-bounded queue per priority class, drained by a deficit-round-robin (DRR)
-scan.  Each class holds a *deficit* counter; when the scan reaches a
-backlogged class it adds the class's *quantum* (proportional to its
-weight, normalized so the heaviest class earns one full micro-batch per
-round) and serves up to ``floor(deficit)`` requests, carrying any
-fraction to the class's next turn.  A class's deficit resets when its
-queue empties, so idle classes cannot bank credit.
+The accelerator wants large batches; interactive traffic wants low latency.
+The scheduler mediates with the classic serving policy (Clipper, and the
+dynamic batching of production serving systems): a batch opens on the
+first queued request and ships once ``max_batch_size`` requests are in
+hand or ``max_wait_ms`` has elapsed.  Under heavy load batches fill
+instantly (throughput mode); under light load the wait bound caps the
+latency a lone request pays (latency mode).
+
+Requests wait in one bounded queue per priority class, drained by a
+deficit-round-robin (DRR) scan.  Each class holds a *deficit* counter;
+when the scan reaches a backlogged class it adds the class's *quantum*
+(proportional to its weight, normalized so the heaviest class earns one
+full micro-batch per round) and serves up to ``floor(deficit)`` requests,
+carrying any fraction to the class's next turn.  A class's deficit resets
+when its queue empties, so idle classes cannot bank credit.  With a
+single class the quantum is one full batch, so the scheduler is exactly a
+FIFO micro-batcher -- which is how a server without tenants runs it.
 
 Two properties the test net enforces fall straight out of the
 arithmetic:
@@ -20,12 +29,8 @@ arithmetic:
   class's served count stays within one micro-batch of its weighted
   share.
 
-The scheduler presents the same surface the server's classic
-queue+batcher pair does (``admit`` / ``next_batch`` / ``close`` /
-``stats``), so :class:`~repro.serving.server.SmolServer` swaps it in
-without touching the serving loop.  Two chaos seams mirror the classic
-path's: ``tenant.enqueue`` fires on the submitter's thread before an
-item enters its class queue, and ``tenant.batch`` at the top of every
+Two chaos seams: ``serving.admit`` fires on the submitter's thread before
+an item enters its class queue, and ``serving.batch`` at the top of every
 ``next_batch`` attempt before anything is dequeued.
 """
 
@@ -33,28 +38,118 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Callable, Generic, Sequence, TypeVar
 
 from repro.chaos.faults import NULL_FAULTS
-from repro.errors import AdmissionError, TenantError
+from repro.errors import AdmissionError, ServingError, TenantError
 from repro.inference.mpmc import QueueClosed
 from repro.obs import NULL_OBS
-from repro.serving.batcher import BatcherStats, BatchPolicy
 from repro.serving.request import monotonic
-from repro.tenant.spec import ClassPolicy
 
 T = TypeVar("T")
 
-__all__ = ["ClassBatch", "DrrScheduler"]
+__all__ = [
+    "BatchPolicy",
+    "BatcherStats",
+    "ClassBatch",
+    "ClassPolicy",
+    "DrrScheduler",
+]
+
+
+@dataclass(frozen=True)
+class BatchPolicy:
+    """One (max-batch-size, max-wait) micro-batching policy.
+
+    Attributes
+    ----------
+    name:
+        Label used in reports and benchmarks.
+    max_batch_size:
+        Hard cap on requests per micro-batch (the engine batch size).
+    max_wait_ms:
+        Longest a batch stays open after its first request arrives.
+    """
+
+    name: str
+    max_batch_size: int
+    max_wait_ms: float
+
+    def __post_init__(self) -> None:
+        if self.max_batch_size <= 0:
+            raise ServingError("max_batch_size must be positive")
+        if self.max_wait_ms < 0:
+            raise ServingError("max_wait_ms must be non-negative")
+
+    @classmethod
+    def latency(cls) -> "BatchPolicy":
+        """Small batches, short waits: optimize tail latency."""
+        return cls(name="latency", max_batch_size=8, max_wait_ms=2.0)
+
+    @classmethod
+    def throughput(cls) -> "BatchPolicy":
+        """Engine-sized batches, longer waits: optimize images/second."""
+        return cls(name="throughput", max_batch_size=64, max_wait_ms=25.0)
+
+
+@dataclass
+class BatcherStats:
+    """Lifetime micro-batch counters."""
+
+    batches: int = 0
+    items: int = 0
+    full_batches: int = 0
+    timeout_batches: int = 0
+    size_histogram: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def mean_batch_size(self) -> float:
+        """Average requests per formed batch."""
+        return self.items / self.batches if self.batches else 0.0
+
+
+@dataclass(frozen=True)
+class ClassPolicy:
+    """One priority class of the weighted-fair micro-batch scheduler.
+
+    Attributes
+    ----------
+    name:
+        Class label (``interactive`` / ``standard`` / ``batch`` by
+        convention, but any non-empty name works).
+    weight:
+        Relative share of micro-batch capacity under contention; the
+        scheduler's per-round quantum is proportional to it.
+    rank:
+        Visit order within a scheduling round (lower ranks are offered
+        their quantum first, so ties in backlog favor latency-sensitive
+        classes).
+    default_deadline_s:
+        Deadline stamped on requests of this class that arrive without
+        one; None leaves requests deadline-free.
+    """
+
+    name: str
+    weight: float
+    rank: int
+    default_deadline_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise TenantError("class name must be non-empty")
+        if self.weight <= 0:
+            raise TenantError("class weight must be positive")
+        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
+            raise TenantError("default_deadline_s must be positive when set")
 
 
 class ClassBatch(list):
     """A micro-batch tagged with the priority class it was drawn from.
 
-    A plain ``list`` subclass so every consumer of the classic batcher's
-    batches (the serving loop, session execution) handles it unchanged;
-    the ``class_name`` attribute rides along for per-class telemetry and
-    deadline-aware plan selection.
+    A plain ``list`` subclass so session execution handles it like any
+    sequence of requests; the ``class_name`` attribute rides along for
+    per-class telemetry and deadline-aware plan selection.
     """
 
     def __init__(self, class_name: str, items: Sequence) -> None:
@@ -79,7 +174,7 @@ class _ClassState(Generic[T]):
 
 
 class DrrScheduler(Generic[T]):
-    """Weighted-fair (deficit round-robin) replacement for the FIFO path.
+    """Bounded admission queues drained into weighted-fair micro-batches.
 
     Parameters
     ----------
@@ -96,8 +191,8 @@ class DrrScheduler(Generic[T]):
         Maps an admitted item to its class name; defaults to reading the
         item's ``class_name`` attribute.
     obs / faults:
-        Observability + chaos seams (``tenant.enqueue`` /
-        ``tenant.batch``).
+        Observability + chaos seams (``serving.admit`` /
+        ``serving.batch``).
     """
 
     def __init__(self, classes: Sequence[ClassPolicy], policy: BatchPolicy,
@@ -127,13 +222,16 @@ class DrrScheduler(Generic[T]):
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._closed = False
+        self._depth = 0
+        self._admitted = 0
+        self._rejected = 0
         self._stats = BatcherStats()
-        self._depth_metric = obs.gauge("tenant_queue_depth")
-        self._batches_metric = obs.counter("tenant_batches_total",
+        self._depth_metric = obs.gauge("serving_queue_depth")
+        self._batches_metric = obs.counter("serving_batches_total",
                                            policy=policy.name)
 
     # ------------------------------------------------------------------
-    # Producer side (AdmissionQueue-compatible)
+    # Producer side
     # ------------------------------------------------------------------
     @property
     def policy(self) -> BatchPolicy:
@@ -152,22 +250,22 @@ class DrrScheduler(Generic[T]):
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(s.queue) for s in self._states.values())
+            return self._depth
 
     def admit(self, item: T, block: bool = True,
               timeout: float | None = None) -> None:
         """Enqueue ``item`` on its class queue, applying backpressure.
 
-        Mirrors :meth:`~repro.serving.queue.AdmissionQueue.admit`: a full
-        class queue blocks the caller (``block=True``) or raises
-        :class:`AdmissionError` (``block=False``); :class:`QueueClosed`
+        A full class queue blocks the caller (``block=True``, optionally
+        bounded by ``timeout``) or raises :class:`AdmissionError`
+        immediately (``block=False``, load shedding); :class:`QueueClosed`
         propagates once the scheduler is closed.
         """
         name = self._class_of(item)
         # Chaos seam: before the enqueue, so a raise is a clean shed (the
         # item never entered a queue) and a stall backpressures the
-        # submitting thread -- same contract as ``serving.admit``.
-        self._faults.hit("tenant.enqueue", scheduler=self, class_name=name)
+        # submitting thread.
+        self._faults.hit("serving.admit", scheduler=self, class_name=name)
         deadline = None if timeout is None else monotonic() + timeout
         with self._cond:
             state = self._states.get(name)
@@ -180,7 +278,7 @@ class DrrScheduler(Generic[T]):
                     break
                 if not block:
                     state.rejected += 1
-                    self._stats_rejected += 1
+                    self._rejected += 1
                     raise AdmissionError(
                         f"class {name!r} queue full "
                         f"({self._capacity} pending)")
@@ -188,21 +286,17 @@ class DrrScheduler(Generic[T]):
                     else deadline - monotonic()
                 if remaining is not None and remaining <= 0:
                     state.rejected += 1
-                    self._stats_rejected += 1
+                    self._rejected += 1
                     raise AdmissionError(
                         f"class {name!r} admission timed out after "
                         f"{timeout}s")
                 self._cond.wait(remaining)
             state.queue.append(item)
             state.admitted += 1
-            self._stats_admitted += 1
-            self._depth_metric.set(
-                sum(len(s.queue) for s in self._states.values()))
+            self._admitted += 1
+            self._depth += 1
+            self._depth_metric.set(self._depth)
             self._cond.notify_all()
-
-    # Plain counters named to match AdmissionQueue.stats() keys.
-    _stats_admitted = 0
-    _stats_rejected = 0
 
     def close(self) -> None:
         """Stop admissions; :meth:`next_batch` drains what remains."""
@@ -211,7 +305,7 @@ class DrrScheduler(Generic[T]):
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    # Consumer side (MicroBatcher-compatible)
+    # Consumer side
     # ------------------------------------------------------------------
     def next_batch(self, poll_timeout: float = 0.1) -> ClassBatch | None:
         """Form the next micro-batch by deficit round-robin.
@@ -222,7 +316,7 @@ class DrrScheduler(Generic[T]):
         """
         # Chaos seam: before any dequeue, so an injected raise aborts the
         # attempt with no request in hand (the serving loop retries).
-        self._faults.hit("tenant.batch", scheduler=self)
+        self._faults.hit("serving.batch", scheduler=self)
         with self._cond:
             deadline = monotonic() + poll_timeout
             while True:
@@ -243,6 +337,7 @@ class DrrScheduler(Generic[T]):
                             self._policy.max_batch_size)
             take = min(allowance, len(state.queue))
             batch: list[T] = [state.queue.popleft() for _ in range(take)]
+            self._depth -= take
             batch += self._wait_fill(state, len(batch))
             state.deficit = max(0.0, state.deficit - len(batch))
             if not state.queue:
@@ -278,12 +373,12 @@ class DrrScheduler(Generic[T]):
             return extras
         deadline = monotonic() + self._policy.max_wait_ms / 1000.0
         while have + len(extras) < self._policy.max_batch_size:
-            if any(s.queue for s in self._states.values()
-                   if s is not state):
-                break
+            if self._depth > len(state.queue):
+                break  # another class has work: ship now
             while state.queue \
                     and have + len(extras) < self._policy.max_batch_size:
                 extras.append(state.queue.popleft())
+                self._depth -= 1
             if state.queue or self._closed:
                 break
             remaining = deadline - monotonic()
@@ -308,7 +403,7 @@ class DrrScheduler(Generic[T]):
     # Introspection
     # ------------------------------------------------------------------
     def batch_stats(self) -> BatcherStats:
-        """Micro-batch counters (the classic batcher's shape)."""
+        """Snapshot of the micro-batch counters."""
         with self._lock:
             return BatcherStats(
                 batches=self._stats.batches,
@@ -319,15 +414,11 @@ class DrrScheduler(Generic[T]):
             )
 
     def stats(self) -> dict:
-        """Admission counters plus per-class DRR state.
-
-        Key-compatible with :meth:`AdmissionQueue.stats` (``admitted`` /
-        ``rejected``) so the server's scorecard code reads either.
-        """
+        """Admission counters plus per-class DRR state."""
         with self._lock:
             return {
-                "admitted": self._stats_admitted,
-                "rejected": self._stats_rejected,
+                "admitted": self._admitted,
+                "rejected": self._rejected,
                 "classes": {
                     name: {
                         "depth": len(state.queue),

@@ -3,12 +3,18 @@
 Requests enter through :meth:`SmolServer.submit`, which returns a
 :class:`concurrent.futures.Future` resolving to an
 :class:`~repro.serving.request.InferenceResponse`.  Internally a single
-serving thread drains the admission queue through the micro-batcher and
-executes each micro-batch on the live plan session:
+serving thread pulls micro-batches from the scheduler and executes each on
+the live plan session (a functional session preprocesses the whole batch
+on its compiled fused kernel):
 
-    submit() -> cache? -> AdmissionQueue -> MicroBatcher -> EngineSession
-                   |                                            |
-                hit: resolve immediately          resolve futures, fill cache
+    submit() -> cache? -> DrrScheduler -> EngineSession (FusedKernel -> model)
+                   |                                 |
+                hit: resolve immediately   resolve futures, fill cache
+
+There is one route: a server without ``tenants=`` runs the same scheduler
+with a single weight-1 class (exactly a FIFO micro-batcher), and
+``tenants=`` / ``ladder=`` / ``tenant_slo=`` configure that route rather
+than select another.
 
 Both functional sessions (real pixels, real numpy model) and simulated
 sessions (calibrated performance model) plug in unchanged, so the same load
@@ -37,14 +43,22 @@ from dataclasses import dataclass
 
 from repro.chaos.faults import NULL_FAULTS
 from repro.errors import ServingError
-from repro.inference.mpmc import QueueClosed
 from repro.obs import NULL_OBS
-from repro.serving.batcher import BatcherStats, BatchPolicy, MicroBatcher
 from repro.serving.cache import CacheStats, PredictionCache
 from repro.serving.metrics import LatencyRecorder, LatencySummary
-from repro.serving.queue import AdmissionQueue
 from repro.serving.request import InferenceRequest, InferenceResponse, monotonic
+from repro.serving.scheduler import (
+    BatcherStats,
+    BatchPolicy,
+    ClassBatch,
+    ClassPolicy,
+    DrrScheduler,
+)
 from repro.serving.session import EngineSession, SessionManager
+
+
+#: The one class every request of a server without ``tenants=`` queues in.
+_SOLE_CLASS = ClassPolicy("default", weight=1.0, rank=0)
 
 
 @dataclass(frozen=True)
@@ -53,17 +67,18 @@ class _Pending:
 
     ``span`` is the request's ``serving.request`` span when observability
     is enabled (None otherwise); it is finished at resolution time.
-    ``tenant`` / ``class_name`` are the multi-tenant accounting identity
-    (the resolved spec name, not the raw request tenant, so strangers
-    sharing the default spec share its books); ``gated`` marks requests
-    holding a quota in-flight slot that must be released exactly once.
+    ``class_name`` is the scheduler class the request queues in;
+    ``tenant`` is the multi-tenant accounting identity (the resolved spec
+    name, not the raw request tenant, so strangers sharing the default
+    spec share its books); ``gated`` marks requests holding a quota
+    in-flight slot that must be released exactly once.
     """
 
     request: InferenceRequest
     future: Future
     span: object = None
     tenant: str = ""
-    class_name: str = ""
+    class_name: str = _SOLE_CLASS.name
     gated: bool = False
 
 
@@ -157,7 +172,8 @@ class SmolServer:
     policy:
         Micro-batching policy; defaults to the latency preset.
     queue_capacity:
-        Bound on admitted-but-unbatched requests (backpressure depth).
+        Bound on admitted-but-unbatched requests (backpressure depth);
+        with ``tenants=`` the bound applies to each priority class.
     cache_capacity:
         Prediction cache entries; 0 disables caching.
     block_on_full:
@@ -195,28 +211,17 @@ class SmolServer:
         windows track exactly what the server promised.  Call
         ``slo.evaluate()`` periodically (e.g. between loadgen waves) to
         fire alerts.
-    fuse:
-        Fused-execution toggle for session mode.  ``True``/``False`` is
-        applied to the initial session and every later :meth:`swap_plan`
-        target that supports ``set_fuse`` (functional and scan sessions);
-        the default ``None`` leaves sessions exactly as built.  Fused and
-        interpreted execution are bit-identical, so the toggle never
-        changes responses.
     faults:
         Chaos seam handle (:data:`~repro.chaos.faults.NULL_FAULTS` by
-        default), threaded into the admission queue (``serving.admit``)
-        and the micro-batcher (``serving.batch``); in multi-tenant mode
-        the DRR scheduler's seams (``tenant.enqueue`` / ``tenant.batch``)
-        replace them.
+        default), threaded into the scheduler (``serving.admit`` /
+        ``serving.batch``).
     tenants:
         Optional :class:`~repro.tenant.spec.TenantConfig`.  When set the
         server runs multi-tenant: every submit is charged against its
-        tenant's admission quota (:class:`~repro.tenant.quota.QuotaGate`),
-        routed to its priority class's queue, and micro-batched by
-        deficit round-robin (:class:`~repro.tenant.scheduler.DrrScheduler`
-        replaces the FIFO queue+batcher pair).  Requests without a
-        deadline inherit their class's default; ``queue_capacity``
-        becomes a per-class bound.
+        tenant's admission quota (:class:`~repro.tenant.quota.QuotaGate`)
+        and queued under its priority class, and the scheduler shares
+        micro-batch capacity between the config's classes by weight.
+        Requests without a deadline inherit their class's default.
     ladder:
         Optional :class:`~repro.tenant.deadline.PlanLadder`.  Before each
         session-mode batch executes, the ladder is consulted with the
@@ -236,9 +241,8 @@ class SmolServer:
                  cache_capacity: int = 2048,
                  block_on_full: bool = True,
                  cluster=None, store=None, telemetry=None,
-                 obs=NULL_OBS, slo=None, fuse: bool | None = None,
-                 faults=NULL_FAULTS, tenants=None, ladder=None,
-                 tenant_slo=None) -> None:
+                 obs=NULL_OBS, slo=None, faults=NULL_FAULTS,
+                 tenants=None, ladder=None, tenant_slo=None) -> None:
         if (session is None) == (cluster is None):
             raise ServingError(
                 "provide exactly one of session= or cluster="
@@ -248,7 +252,6 @@ class SmolServer:
         # the key so the per-submit cache lookup never touches the
         # dispatcher's lock.
         self._cluster_plan_key = cluster.plan_key if cluster else None
-        self._fuse = fuse
         self._sessions: SessionManager | None
         if session is None:
             self._sessions = None
@@ -256,8 +259,6 @@ class SmolServer:
             self._sessions = session
         else:
             self._sessions = SessionManager(session)
-        if self._sessions is not None:
-            self._apply_fuse(self._sessions.current())
         self._policy = policy or BatchPolicy.latency()
         self._obs = obs if obs is not None else NULL_OBS
         self._faults = faults if faults is not None else NULL_FAULTS
@@ -270,33 +271,18 @@ class SmolServer:
             raise ServingError(
                 "the deadline ladder applies to session-backed servers"
             )
-        if tenants is not None:
-            # Multi-tenant mode: one DRR scheduler plays both queue and
-            # batcher (its surface matches each), so the serving loop and
-            # close path below run unchanged.
-            from repro.tenant.quota import QuotaGate
-            from repro.tenant.scheduler import DrrScheduler
-
-            self._gate = QuotaGate(tenants)
-            scheduler = DrrScheduler(
-                tenants.classes, self._policy, capacity=queue_capacity,
-                obs=self._obs, faults=self._faults,
-            )
-            self._queue = scheduler
-            self._batcher = scheduler
-            self._class_latency = {c.name: LatencyRecorder()
-                                   for c in tenants.classes}
-            self._class_served = {c.name: 0 for c in tenants.classes}
-        else:
-            self._gate = None
-            self._class_latency = {}
-            self._class_served = {}
-            self._queue: AdmissionQueue[_Pending] = AdmissionQueue(
-                queue_capacity, obs=self._obs, faults=self._faults
-            )
-            self._batcher: MicroBatcher[_Pending] = MicroBatcher(
-                self._queue, self._policy, obs=self._obs, faults=self._faults
-            )
+        # Tenants configure the one request path: their classes replace
+        # the sole class, a quota gate sits in front of admission, and
+        # per-class books are kept (tenant_stats).
+        tenant_classes = tenants.classes if tenants is not None else ()
+        self._gate = tenants.quota_gate() if tenants is not None else None
+        self._scheduler: DrrScheduler[_Pending] = DrrScheduler(
+            tenant_classes or (_SOLE_CLASS,), self._policy,
+            capacity=queue_capacity, obs=self._obs, faults=self._faults,
+        )
+        self._class_latency = {c.name: LatencyRecorder()
+                               for c in tenant_classes}
+        self._class_served = {c.name: 0 for c in tenant_classes}
         self._latency_metric = self._obs.histogram("serving_latency_seconds")
         self._completed_metric = self._obs.counter("serving_completed_total")
         self._cache_hits_metric = self._obs.counter("serving_cache_hits_total")
@@ -381,7 +367,7 @@ class SmolServer:
                                   format=request.format_name)
             request.trace = span.context
         tenant_name = ""
-        class_name = ""
+        class_name = _SOLE_CLASS.name
         if self._tenants is not None:
             # Resolve the accounting identity up front so cache hits and
             # queue rejections are attributed too.  Unknown tenants share
@@ -417,7 +403,7 @@ class SmolServer:
                 # release at resolution, failure, or cancellation.
                 self._gate.admit(tenant_name)
                 gated = True
-            self._queue.admit(
+            self._scheduler.admit(
                 _Pending(request, future, span, tenant=tenant_name,
                          class_name=class_name, gated=gated),
                 block=should_block)
@@ -462,9 +448,8 @@ class SmolServer:
 
                 performance_model = None
                 if self._sessions is not None:
-                    performance_model = getattr(
-                        self._sessions.current(), "performance_model", None
-                    )
+                    performance_model = (
+                        self._sessions.current().performance_model)
                 built = QueryEngine(performance_model=performance_model,
                                     store=self._store, obs=self._obs)
                 with self._counters_lock:
@@ -504,27 +489,13 @@ class SmolServer:
         threading.Thread(target=run, name="smol-query", daemon=True).start()
         return future
 
-    def _apply_fuse(self, session: EngineSession) -> None:
-        """Apply the server's fuse toggle to ``session`` when it supports it."""
-        if self._fuse is None:
-            return
-        set_fuse = getattr(session, "set_fuse", None)
-        if set_fuse is not None:
-            set_fuse(self._fuse)
-
     def swap_plan(self, session: EngineSession) -> None:
-        """Hot-swap the live plan session (in-flight batches finish first).
-
-        The server's ``fuse=`` toggle carries over: an incoming session
-        that supports fusion is switched to the server's mode before it
-        goes live.
-        """
+        """Hot-swap the live plan session (in-flight batches finish first)."""
         if self._sessions is None:
             raise ServingError(
                 "plan swaps apply to session-backed servers; rebuild the "
                 "cluster's workers to change plans"
             )
-        self._apply_fuse(session)
         self._sessions.swap(session)
 
     def stats(self) -> ServerStats:
@@ -543,14 +514,13 @@ class SmolServer:
             completed=completed,
             executed=executed,
             cache_hits=cache_hits,
-            rejected=self._queue.stats()["rejected"],
+            rejected=self._scheduler.stats()["rejected"],
             cancelled=cancelled,
             deadline_missed=deadline_missed,
             errors=errors,
             plan_swaps=self._sessions.swaps if self._sessions else 0,
             latency=self._latency.summary(),
-            batcher=(self._batcher.batch_stats() if self._tenants is not None
-                     else self._batcher.stats()),
+            batcher=self._scheduler.batch_stats(),
             cache=self._cache.stats() if self._cache is not None else None,
             queries=queries,
             tenants=self.tenant_stats(),
@@ -580,7 +550,7 @@ class SmolServer:
         if self._closed:
             return
         self._closed = True
-        self._queue.close()
+        self._scheduler.close()
         self._worker.join(timeout=timeout)
         if self._worker.is_alive():
             raise ServingError("serving thread did not drain in time")
@@ -604,13 +574,11 @@ class SmolServer:
     def _serve_loop(self) -> None:
         while True:
             try:
-                batch = self._batcher.next_batch()
-            except QueueClosed:  # pragma: no cover - next_batch returns None
-                return
+                batch = self._scheduler.next_batch()
             except Exception:
                 # An injected (or organic) failure forming a batch must not
                 # take the serving thread down -- no request was dequeued
-                # (the ``serving.batch`` seam fires before the first get),
+                # (the ``serving.batch`` seam fires before any dequeue),
                 # so retrying loses nothing.
                 self._obs.note("serving.batcher_failed")
                 continue
@@ -620,7 +588,7 @@ class SmolServer:
                 continue
             self._execute_batch(batch)
 
-    def _execute_batch(self, batch: list[_Pending]) -> None:
+    def _execute_batch(self, batch: ClassBatch) -> None:
         # Transition every future to RUNNING first: once running, a client
         # cancel() can no longer win the race against set_result below.
         live = []
@@ -636,7 +604,7 @@ class SmolServer:
                 self._cancelled += dropped
         if not live:
             return
-        batch_class = getattr(batch, "class_name", "")
+        batch_class = batch.class_name
         batch = live
         if self._cluster is not None:
             self._dispatch_to_cluster(batch)
@@ -657,7 +625,8 @@ class SmolServer:
             # pending future) down with it.  Tenant batches report under a
             # per-class source so the adaptive layer sees each class's
             # cost stream separately.
-            source = f"serving/{batch_class}" if batch_class else "serving"
+            source = (f"serving/{batch_class}" if self._tenants is not None
+                      else "serving")
             try:
                 self._telemetry.record_session_batch(session, result,
                                                      source=source)
@@ -682,13 +651,12 @@ class SmolServer:
                 size=len(batch), plan=session.plan_key,
             )
         stage_seconds = result.stage_seconds or {}
-        format_name = getattr(session, "format_name", "")
-        model_name = getattr(session, "model_name", "")
         for stage, seconds in stage_seconds.items():
             if batch_span is not None:
                 self._obs.record(f"stage.{stage}", seconds,
                                  parent=batch_span)
-            subject = model_name if stage == "inference" else format_name
+            subject = (session.model_name if stage == "inference"
+                       else session.format_name)
             self._obs.emit_stage(stage, subject, len(batch), seconds,
                                  source="serving")
 

@@ -63,7 +63,17 @@ class BatchResult:
 
 
 class EngineSession:
-    """Base class: a warmed, reusable execution context for one plan."""
+    """Base class: a warmed, reusable execution context for one plan.
+
+    ``format_name`` / ``model_name`` are the telemetry subjects of the
+    session's decode and inference costs, and ``performance_model`` the
+    modelled hardware it is priced on; sessions that know them override
+    the declared defaults.
+    """
+
+    format_name = ""
+    model_name = ""
+    performance_model = None
 
     def __init__(self, plan_key: str) -> None:
         if not plan_key:
@@ -93,28 +103,24 @@ class EngineSession:
 class FunctionalSession(EngineSession):
     """Session running real pixels through a preprocessing DAG and model.
 
-    With ``fuse=True`` the DAG is compiled once into a
-    :class:`~repro.fuse.kernel.FusedKernel` (shared process-wide per plan
-    fingerprint) and each micro-batch executes as batched array ops instead
-    of per-image interpretation.  The interpreted path stays the reference
-    oracle: fused predictions are bit-identical by the lowering contract
-    (``tests/fuse/`` enforces it), so the toggle is purely a speed choice.
-    ``faults``/``obs`` thread into the kernel, which keeps the
-    ``fuse.execute`` chaos seam and per-segment spans visible.
+    The DAG is compiled once into a :class:`~repro.fuse.kernel.FusedKernel`
+    (shared process-wide per plan fingerprint) and each micro-batch
+    executes as batched array ops.  Per-image ``PreprocessingDAG.execute``
+    is the reference oracle: kernel output is bit-identical to it by the
+    lowering contract (``tests/fuse/`` enforces it).  ``faults``/``obs``
+    thread into the kernel, which keeps the ``fuse.execute`` chaos seam and
+    per-segment spans visible.
     """
 
     def __init__(self, plan_key: str, preprocessing: PreprocessingDAG,
-                 model: Sequential, fuse: bool = False,
-                 faults=None, obs=None) -> None:
+                 model: Sequential, faults=None, obs=None) -> None:
         super().__init__(plan_key)
         preprocessing.validate()
         self._preprocessing = preprocessing
         self._model = model
         self._faults = faults if faults is not None else NULL_FAULTS
         self._obs = obs if obs is not None else NULL_OBS
-        self._kernel = None
-        if fuse:
-            self.set_fuse(True)
+        self._kernel = get_kernel(preprocessing)
 
     @property
     def model(self) -> Sequential:
@@ -127,26 +133,9 @@ class FunctionalSession(EngineSession):
         return self._preprocessing
 
     @property
-    def fused(self) -> bool:
-        """True when micro-batches execute on the compiled kernel."""
-        return self._kernel is not None
-
-    @property
     def kernel(self):
-        """The compiled fused kernel, or None on the interpreted path."""
+        """The compiled fused kernel micro-batches execute on."""
         return self._kernel
-
-    def set_fuse(self, enabled: bool) -> None:
-        """Switch between fused and interpreted execution (hot-safe).
-
-        Enabling compiles (or fetches the cached) kernel for the pinned
-        DAG; disabling falls back to per-image interpretation.  Either
-        mode produces bit-identical predictions.
-        """
-        if enabled:
-            self._kernel = get_kernel(self._preprocessing)
-        else:
-            self._kernel = None
 
     def warmup(self, probe: np.ndarray | None = None) -> None:
         """Run one dummy image end to end (JIT-analogue of engine warmup)."""
@@ -170,15 +159,9 @@ class FunctionalSession(EngineSession):
     def execute(self, requests: Sequence[InferenceRequest]) -> BatchResult:
         if not requests:
             raise ServingError("cannot execute an empty batch")
-        payloads = self._payloads(requests)
-        if self._kernel is not None:
-            stacked = self._kernel.execute_stacked(
-                payloads, faults=self._faults, obs=self._obs
-            ).astype(np.float32)
-        else:
-            tensors = [self._preprocessing.execute(payload)
-                       for payload in payloads]
-            stacked = np.stack(tensors).astype(np.float32)
+        stacked = self._kernel.execute_stacked(
+            self._payloads(requests), faults=self._faults, obs=self._obs
+        ).astype(np.float32)
         return BatchResult(predictions=self._model.predict(stacked))
 
 
@@ -306,8 +289,7 @@ def serving_pipeline_ops(input_size: int = 48, crop_size: int = 32) -> list:
 def functional_session_for_plan(plan: Plan | PlanEstimate,
                                 num_classes: int = 2,
                                 crop_size: int = 32,
-                                seed: int = 0,
-                                fuse: bool = False) -> FunctionalSession:
+                                seed: int = 0) -> FunctionalSession:
     """Build a warmed functional session executing ``plan``.
 
     The model depth follows the plan's primary DNN (``resnet-50`` maps to the
@@ -325,7 +307,7 @@ def functional_session_for_plan(plan: Plan | PlanEstimate,
     )
     model = build_mini_resnet(depth, num_classes=num_classes,
                               input_size=crop_size, seed=seed)
-    session = FunctionalSession(actual.describe(), dag, model, fuse=fuse)
+    session = FunctionalSession(actual.describe(), dag, model)
     session.warmup()
     return session
 

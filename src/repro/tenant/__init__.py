@@ -7,8 +7,9 @@ The package layers four mechanisms onto the single-tenant server:
   (:class:`TenantConfig` is what ``SmolServer(tenants=...)`` accepts);
 * :mod:`repro.tenant.quota` -- per-tenant token-bucket rate limits and
   in-flight caps at admission (:class:`QuotaGate`);
-* :mod:`repro.tenant.scheduler` -- deficit-round-robin micro-batching
-  over per-class queues, replacing the FIFO path (:class:`DrrScheduler`);
+* :mod:`repro.serving.scheduler` -- the server's deficit-round-robin
+  micro-batching over per-class queues (:class:`DrrScheduler`, re-exported
+  here; a server without tenants runs it with one class);
 * :mod:`repro.tenant.deadline` -- a pre-warmed ladder of plan renditions
   consulted when a batch's deadline budget can't afford the current plan
   (:class:`PlanLadder`);
@@ -16,9 +17,9 @@ The package layers four mechanisms onto the single-tenant server:
   (:class:`TenantSloBoard`).
 """
 
+from repro.serving.scheduler import ClassBatch, DrrScheduler
 from repro.tenant.deadline import LadderRung, PlanLadder
 from repro.tenant.quota import QuotaGate, TenantQuotaStats, TokenBucket
-from repro.tenant.scheduler import ClassBatch, DrrScheduler
 from repro.tenant.slo import TenantSloBoard
 from repro.tenant.spec import (
     DEFAULT_CLASSES,

@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import QuotaExceededError, TenantError
-from repro.tenant.spec import TenantConfig, TenantSpec
 
 __all__ = ["TokenBucket", "QuotaGate", "TenantQuotaStats"]
 
@@ -88,12 +87,12 @@ class TenantQuotaStats:
 
 
 class _TenantState:
-    """Mutable per-tenant quota state (guarded by the gate's lock)."""
+    """Mutable quota state of one ``TenantSpec`` (guarded by the gate's lock)."""
 
     __slots__ = ("spec", "bucket", "in_flight", "admitted",
                  "throttled_rate", "throttled_in_flight")
 
-    def __init__(self, spec: TenantSpec, clock) -> None:
+    def __init__(self, spec, clock) -> None:
         self.spec = spec
         self.bucket = (TokenBucket(spec.rate_per_s, spec.burst, clock=clock)
                        if spec.rate_per_s is not None else None)
@@ -104,15 +103,18 @@ class _TenantState:
 
 
 class QuotaGate:
-    """Admission quotas for every tenant of a :class:`TenantConfig`.
+    """Admission quotas for every tenant of a ``TenantConfig``.
 
-    ``admit`` raises :class:`~repro.errors.QuotaExceededError` when the
-    tenant's token bucket is dry or its in-flight cap is reached; a
-    successful admit must be paired with exactly one :meth:`release`
-    when the request resolves, fails, or is cancelled.
+    Built by :meth:`~repro.tenant.spec.TenantConfig.quota_gate` (this
+    module does not import the spec module, so the config can build its
+    own gate).  ``admit`` raises
+    :class:`~repro.errors.QuotaExceededError` when the tenant's token
+    bucket is dry or its in-flight cap is reached; a successful admit
+    must be paired with exactly one :meth:`release` when the request
+    resolves, fails, or is cancelled.
     """
 
-    def __init__(self, config: TenantConfig, clock=time.monotonic) -> None:
+    def __init__(self, config, clock=time.monotonic) -> None:
         self._lock = threading.Lock()
         self._states = {spec.name: _TenantState(spec, clock)
                         for spec in config.all_specs()}

@@ -2,10 +2,11 @@
 
 A :class:`TenantSpec` names one tenant, assigns it a priority class, and
 states its admission quota (token-bucket rate + burst, plus an optional
-in-flight cap).  A :class:`ClassPolicy` describes one priority class: its
-weighted-fair share of the micro-batch scheduler, its visit rank, and the
-default latency deadline applied to requests that arrive without one.  A
-:class:`TenantConfig` bundles both and is what :class:`~repro.serving
+in-flight cap).  A :class:`~repro.serving.scheduler.ClassPolicy` (the
+scheduler's input type, re-exported here) describes one priority class:
+its weighted-fair share of the micro-batch scheduler, its visit rank, and
+the default latency deadline applied to requests that arrive without one.
+A :class:`TenantConfig` bundles both and is what :class:`~repro.serving
 .server.SmolServer` accepts as ``tenants=``.
 
 The three canonical classes mirror production serving tiers:
@@ -22,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import TenantError
+from repro.serving.scheduler import ClassPolicy
+from repro.tenant.quota import QuotaGate
 
 __all__ = [
     "PRIORITY_CLASSES",
@@ -33,42 +36,6 @@ __all__ = [
 
 #: Canonical priority-class names, highest priority first.
 PRIORITY_CLASSES = ("interactive", "standard", "batch")
-
-
-@dataclass(frozen=True)
-class ClassPolicy:
-    """One priority class of the weighted-fair micro-batch scheduler.
-
-    Attributes
-    ----------
-    name:
-        Class label (``interactive`` / ``standard`` / ``batch`` by
-        convention, but any non-empty name works).
-    weight:
-        Relative share of micro-batch capacity under contention; the
-        scheduler's per-round quantum is proportional to it.
-    rank:
-        Visit order within a scheduling round (lower ranks are offered
-        their quantum first, so ties in backlog favor latency-sensitive
-        classes).
-    default_deadline_s:
-        Deadline stamped on requests of this class that arrive without
-        one; None leaves requests deadline-free.
-    """
-
-    name: str
-    weight: float
-    rank: int
-    default_deadline_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise TenantError("class name must be non-empty")
-        if self.weight <= 0:
-            raise TenantError("class weight must be positive")
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise TenantError("default_deadline_s must be positive when set")
-
 
 #: The canonical interactive/standard/batch ladder (weights 8/4/1).
 DEFAULT_CLASSES: tuple[ClassPolicy, ...] = (
@@ -174,3 +141,7 @@ class TenantConfig:
         if self.default_spec is None:
             return self.tenants
         return self.tenants + (self.default_spec,)
+
+    def quota_gate(self) -> QuotaGate:
+        """A fresh admission gate enforcing every spec's quota."""
+        return QuotaGate(self)

@@ -19,7 +19,7 @@ from repro.errors import AdaptError
 from repro.hardware.instance import get_instance
 from repro.inference.perfmodel import EngineConfig, PerformanceModel
 from repro.query.scan import ScanPace
-from repro.serving.batcher import BatchPolicy
+from repro.serving.scheduler import BatchPolicy
 from repro.serving.request import InferenceRequest
 from repro.serving.server import SmolServer
 from repro.serving.session import SimulatedSession

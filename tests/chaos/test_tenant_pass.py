@@ -44,16 +44,23 @@ class TestScenarioDimensions:
             assert len(scenario.tenant_classes) == len(scenario.tenants)
             assert all(0 <= c <= 2 for c in scenario.tenant_classes)
 
-    def test_tenant_faults_only_ride_tenant_scenarios(self):
+    def test_scheduler_faults_only_ride_scenarios_that_serve(self):
+        # Both serving passes reach the scheduler through the same two
+        # seams, so its faults need one of them to run.
         gen = ScenarioGen()
+        armed = 0
         for seed in range(200):
             scenario = gen.generate(seed)
-            tenant_sites = [f for f in scenario.faults.faults
-                            if f.site.startswith("tenant.")]
-            if tenant_sites:
-                assert scenario.tenant_serving, seed
-                for fault in tenant_sites:
+            scheduler_sites = [f for f in scenario.faults.faults
+                               if f.site.startswith("serving.")]
+            if scheduler_sites:
+                assert scenario.serving or scenario.tenant_serving, seed
+                armed += scenario.tenant_serving and not scenario.serving
+                for fault in scheduler_sites:
                     assert fault.action in ("raise", "stall"), seed
+            assert not any(f.site.startswith("tenant.")
+                           for f in scenario.faults.faults), seed
+        assert armed, "no tenant-only seed arms the scheduler seams"
 
 
 class TestTenantPassRuns:
@@ -69,17 +76,19 @@ class TestTenantPassRuns:
 
     def test_enqueue_raise_is_a_clean_shed_then_resubmitted(self):
         report = ChaosRunner().run(tenant_scenario(
-            faults=[Fault(site="tenant.enqueue", action="raise")]))
+            faults=[Fault(site="serving.admit", action="raise")]))
         assert report.ok, report.describe()
-        assert any(f["site"] == "tenant.enqueue" for f in report.fired)
+        assert any(f["site"] == "serving.admit" for f in report.fired)
         assert report.stats["tenant"]["completed"] == 8
 
     def test_batch_raise_and_stall_are_absorbed(self):
         report = ChaosRunner().run(tenant_scenario(
-            faults=[Fault(site="tenant.batch", action="raise", at_hit=1),
-                    Fault(site="tenant.batch", action="stall",
+            faults=[Fault(site="serving.batch", action="raise", at_hit=1),
+                    Fault(site="serving.batch", action="stall",
                           at_hit=2, seconds=0.002)]))
         assert report.ok, report.describe()
+        assert [f["action"] for f in report.fired
+                if f["site"] == "serving.batch"] == ["raise", "stall"]
 
     def test_generated_tenant_seeds_pass(self):
         gen = ScenarioGen()

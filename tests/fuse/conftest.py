@@ -22,3 +22,14 @@ def mixed_shape_batch():
               (36, 40, 3), (40, 36, 3)]
     return [rng.integers(0, 256, size=shape).astype(np.uint8)
             for shape in shapes]
+
+
+@pytest.fixture(scope="session")
+def serial_oracle():
+    """The reference every session path answers to: per-image
+    ``dag.execute`` over the payloads, stacked, through ``model.predict``."""
+    def predict(dag, model, requests):
+        return model.predict(
+            np.stack([dag.execute(request.payload) for request in requests])
+            .astype(np.float32))
+    return predict

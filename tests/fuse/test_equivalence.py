@@ -122,7 +122,8 @@ class TestGoldenPlanMatrix:
 
 class TestSelectedPlansEndToEnd:
     @pytest.mark.parametrize("plan", selected_plans())
-    def test_fused_session_predictions_match_interpreted(self, plan):
+    def test_session_predictions_match_the_serial_oracle(self, plan,
+                                                         serial_oracle):
         model_name, _, _ = parse_plan(plan)
         try:
             depth = int(model_name.rsplit("-", 1)[1])
@@ -136,11 +137,8 @@ class TestSelectedPlansEndToEnd:
             InferenceRequest(image_id=f"golden/{i}", payload=payload)
             for i, payload in enumerate(_probe_batch(seed=7))
         ]
-        interpreted = FunctionalSession(plan, PreprocessingDAG.from_ops(ops),
-                                        model)
-        fused = FunctionalSession(plan, PreprocessingDAG.from_ops(ops),
-                                  model, fuse=True)
-        assert fused.fused and not interpreted.fused
-        want = interpreted.execute(requests).predictions
-        got = fused.execute(requests).predictions
+        session = FunctionalSession(plan, PreprocessingDAG.from_ops(ops),
+                                    model)
+        want = serial_oracle(PreprocessingDAG.from_ops(ops), model, requests)
+        got = session.execute(requests).predictions
         assert np.array_equal(got, want)

@@ -1,9 +1,10 @@
-"""The ``fuse=`` toggle across every execution surface.
+"""Fused execution on every surface, against the serial oracle.
 
-Sessions, the serving server, the scan session, and the sharded cluster
-runner each expose the toggle; all of them must produce results
-bit-identical to their interpreted counterparts, because the interpreted
-path is the reference oracle the fused path is proven against.
+Functional sessions, the serving server, the scan session, and the sharded
+cluster runner have one execution path each -- the compiled kernel, the
+vectorized frame-id parse -- and it must produce results bit-identical to
+the serial reference (per-image ``dag.execute`` then ``model.predict``;
+the dataset's own score table for scans).
 """
 
 import numpy as np
@@ -17,13 +18,14 @@ from repro.inference.perfmodel import EngineConfig, PerformanceModel
 from repro.nn.model import build_mini_resnet
 from repro.nn.zoo import get_model_profile
 from repro.preprocessing.dag import PreprocessingDAG
+from repro.errors import QueryError
 from repro.query.scan import (
     ClusterScanRunner,
     ScanSession,
-    decode_scores,
+    encode_scores,
     frame_id,
 )
-from repro.serving.batcher import BatchPolicy
+from repro.serving.scheduler import BatchPolicy
 from repro.serving.request import InferenceRequest
 from repro.serving.server import SmolServer
 from repro.serving.session import FunctionalSession, serving_pipeline_ops
@@ -49,67 +51,67 @@ def _requests(count: int, seed: int = 9):
     ]
 
 
-class TestFunctionalSessionToggle:
-    def test_fused_predictions_match_interpreted(self):
-        dag, model = _stack()
-        interpreted = FunctionalSession("plan", dag, model)
-        fused = FunctionalSession("plan", dag, model, fuse=True)
-        requests = _requests(8)
-        assert np.array_equal(fused.execute(requests).predictions,
-                              interpreted.execute(requests).predictions)
-
-    def test_set_fuse_is_hot_safe_and_reversible(self):
+class TestFunctionalSession:
+    def test_predictions_match_the_serial_oracle(self, serial_oracle):
         dag, model = _stack()
         session = FunctionalSession("plan", dag, model)
-        requests = _requests(4)
-        want = session.execute(requests).predictions
-        session.set_fuse(True)
-        assert session.fused and session.kernel is not None
-        assert np.array_equal(session.execute(requests).predictions, want)
-        session.set_fuse(False)
-        assert not session.fused and session.kernel is None
-        assert np.array_equal(session.execute(requests).predictions, want)
+        requests = _requests(8)
+        assert np.array_equal(session.execute(requests).predictions,
+                              serial_oracle(dag, model, requests))
+
+    def test_every_session_runs_a_compiled_kernel(self):
+        dag, model = _stack()
+        assert FunctionalSession("plan", dag, model).kernel is not None
 
     def test_sessions_of_one_plan_share_the_compiled_kernel(self):
         dag_a, model = _stack()
         dag_b, _ = _stack()
-        one = FunctionalSession("plan", dag_a, model, fuse=True)
-        two = FunctionalSession("plan", dag_b, model, fuse=True)
+        one = FunctionalSession("plan", dag_a, model)
+        two = FunctionalSession("plan", dag_b, model)
         assert one.kernel is two.kernel
 
-
-class TestServerToggle:
-    def _server(self, fuse: bool) -> SmolServer:
+    def test_the_fuse_keyword_is_gone(self):
         dag, model = _stack()
-        session = FunctionalSession("plan", dag, model)
+        with pytest.raises(TypeError):
+            FunctionalSession("plan", dag, model, fuse=True)
+
+
+class TestServer:
+    def _server(self) -> SmolServer:
+        dag, model = _stack()
         return SmolServer(
-            session=session,
+            session=FunctionalSession("plan", dag, model),
             policy=BatchPolicy(name="t", max_batch_size=4, max_wait_ms=1.0),
-            queue_capacity=32, cache_capacity=0, fuse=fuse,
+            queue_capacity=32, cache_capacity=0,
         )
 
-    def test_fused_server_serves_identical_predictions(self):
-        fused, interpreted = self._server(True), self._server(False)
+    def test_server_serves_the_serial_oracles_predictions(self,
+                                                          serial_oracle):
+        server = self._server()
         try:
             requests = _requests(8)
             got = [f.result(timeout=10.0).prediction
-                   for f in [fused.submit(r) for r in requests]]
-            want = [f.result(timeout=10.0).prediction
-                    for f in [interpreted.submit(r) for r in requests]]
-            assert got == want
-        finally:
-            fused.close()
-            interpreted.close()
-
-    def test_toggle_carries_over_plan_swaps(self):
-        server = self._server(True)
-        try:
-            assert server.sessions.current().fused
-            dag, model = _stack()
-            server.swap_plan(FunctionalSession("plan-2", dag, model))
-            assert server.sessions.current().fused
+                   for f in [server.submit(r) for r in requests]]
         finally:
             server.close()
+        assert got == [int(p) for p in serial_oracle(*_stack(), requests)]
+
+    def test_swapped_in_plans_serve_the_oracles_predictions(self,
+                                                            serial_oracle):
+        server = self._server()
+        try:
+            dag = PreprocessingDAG.from_ops(
+                serving_pipeline_ops(input_size=20, crop_size=16))
+            _, model = _stack()
+            server.swap_plan(FunctionalSession("plan-2", dag, model))
+            requests = _requests(4)
+            responses = [f.result(timeout=10.0)
+                         for f in [server.submit(r) for r in requests]]
+        finally:
+            server.close()
+        assert {r.plan_key for r in responses} == {"plan-2"}
+        assert [r.prediction for r in responses] \
+            == [int(p) for p in serial_oracle(dag, model, requests)]
 
 
 @pytest.fixture(scope="module")
@@ -124,32 +126,54 @@ def scan_setup():
     return dataset, costs
 
 
-class TestScanToggle:
-    def test_fused_scan_scores_are_bit_identical(self, scan_setup):
-        dataset, costs = scan_setup
-        kwargs = dict(
-            specialized_accuracy=0.9, frames_used=costs.frames_used,
+class TestScan:
+    def _session(self, dataset, costs) -> ScanSession:
+        return ScanSession(
+            dataset, specialized_accuracy=0.9,
+            frames_used=costs.frames_used,
             seconds_per_frame=costs.seconds_per_scanned_frame,
             plan_key="scan:fused",
         )
-        interpreted = ScanSession(dataset, **kwargs)
-        fused = ScanSession(dataset, fuse=True, **kwargs)
-        assert fused.fused and not interpreted.fused
-        requests = [InferenceRequest(image_id=frame_id(dataset.name, i))
-                    for i in (0, 7, 599, 311)]
-        got = fused.execute(requests).predictions
-        want = interpreted.execute(requests).predictions
-        assert got.tobytes() == want.tobytes()
 
-    def test_cluster_runner_toggle_is_score_invariant(self, scan_setup):
+    def test_scan_scores_are_bit_identical_to_the_score_table(
+            self, scan_setup):
         dataset, costs = scan_setup
-        reports = [
-            ClusterScanRunner(dataset, specialized_accuracy=0.9, costs=costs,
-                              plan_key="scan:fused", num_workers=2,
-                              batch_size=128, fuse=fuse).run()
-            for fuse in (False, True)
-        ]
-        assert np.array_equal(reports[0].scores, reports[1].scores)
+        frames = (0, 7, 599, 311)
+        requests = [InferenceRequest(image_id=frame_id(dataset.name, i))
+                    for i in frames]
+        got = self._session(dataset, costs).execute(requests).predictions
+        table = dataset.specialized_nn_predictions(
+            accuracy_factor=0.9, limit=costs.frames_used)
+        assert got.tobytes() == encode_scores(table[list(frames)]).tobytes()
+
+    @pytest.mark.parametrize("suffix", [" 7", "+7", "0_7", "007"])
+    def test_ids_only_the_strict_parse_reads_still_resolve(
+            self, scan_setup, suffix):
+        # Whatever int() accepts keeps working: the vectorized cast and
+        # the strict per-request fallback agree on every such id.
+        dataset, costs = scan_setup
+        session = self._session(dataset, costs)
+        plain = session.execute(
+            [InferenceRequest(image_id=frame_id(dataset.name, 7))])
+        odd = session.execute(
+            [InferenceRequest(image_id=f"{dataset.name}:{suffix}")])
+        assert odd.predictions.tobytes() == plain.predictions.tobytes()
+
+    @pytest.mark.parametrize("image_id", ["amsterdam:x7", "amsterdam:",
+                                          "no-colon", "other:1:2:x"])
+    def test_malformed_ids_raise_the_strict_parse_error(self, scan_setup,
+                                                        image_id):
+        dataset, costs = scan_setup
+        with pytest.raises(QueryError, match="malformed frame id"):
+            self._session(dataset, costs).execute(
+                [InferenceRequest(image_id=frame_id(dataset.name, 3)),
+                 InferenceRequest(image_id=image_id)])
+
+    def test_cluster_runner_scores_match_the_score_table(self, scan_setup):
+        dataset, costs = scan_setup
+        report = ClusterScanRunner(
+            dataset, specialized_accuracy=0.9, costs=costs,
+            plan_key="scan:fused", num_workers=2, batch_size=128).run()
         expected = dataset.specialized_nn_predictions(
             accuracy_factor=0.9, limit=costs.frames_used)
-        assert np.array_equal(reports[1].scores, expected)
+        assert np.array_equal(report.scores, expected)

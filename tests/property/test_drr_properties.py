@@ -1,7 +1,12 @@
 """Property-based tests for the DRR scheduler and tenant quotas.
 
-Three theorems the multi-tenant layer rests on:
+Four theorems the serving layer rests on:
 
+* **one class is FIFO micro-batching** -- with a single class the
+  scheduler emits exactly the consecutive arrival-order chunks a
+  reference FIFO micro-batcher emits, for every arrival sequence and
+  batch size (why a server without tenants needs no queue+batcher of
+  its own);
 * **work conservation** -- a ``next_batch`` call never comes back empty
   while any class queue holds work, for every backlog shape;
 * **bounded unfairness** -- under saturation each class's served count
@@ -12,17 +17,20 @@ Three theorems the multi-tenant layer rests on:
   many requests at every step (raising a tenant's quota can only help).
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from hypothesis import given, settings, strategies as st
 
-from repro.serving.batcher import BatchPolicy
-from repro.tenant import ClassPolicy, DrrScheduler, TokenBucket
+from repro.serving.scheduler import BatchPolicy
+from repro.serving.scheduler import ClassPolicy, DrrScheduler
+from repro.tenant import TokenBucket
 
 
 @dataclass
 class Item:
     class_name: str
+    index: int = 0
 
 
 def make_scheduler(weights, max_batch):
@@ -39,6 +47,41 @@ weights_strategy = st.lists(
     st.floats(min_value=0.25, max_value=32.0,
               allow_nan=False, allow_infinity=False),
     min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrivals=st.lists(st.integers(0, 20), min_size=1, max_size=12),
+       max_batch=st.integers(1, 16),
+       max_wait_ms=st.sampled_from([0.0, 0.5]))
+def test_one_class_scheduler_is_a_fifo_micro_batcher(
+        arrivals, max_batch, max_wait_ms):
+    # Each step admits a burst, then forms one batch.  The reference FIFO
+    # micro-batcher takes the oldest min(max_batch, depth) requests; with
+    # nothing arriving mid-batch the wait bound only delays a partial one.
+    scheduler = DrrScheduler(
+        (ClassPolicy("only", weight=1.0, rank=0),),
+        BatchPolicy(name="fifo-prop", max_batch_size=max_batch,
+                    max_wait_ms=max_wait_ms),
+        capacity=100_000)
+    reference: deque[int] = deque()
+    admitted = 0
+    for burst in arrivals:
+        for _ in range(burst):
+            scheduler.admit(Item("only", admitted))
+            reference.append(admitted)
+            admitted += 1
+        want = [reference.popleft()
+                for _ in range(min(max_batch, len(reference)))]
+        got = scheduler.next_batch(poll_timeout=0.0)
+        assert [item.index for item in got] == want
+    # Draining the backlog keeps emitting consecutive full chunks.
+    while reference:
+        want = [reference.popleft()
+                for _ in range(min(max_batch, len(reference)))]
+        got = scheduler.next_batch(poll_timeout=0.0)
+        assert [item.index for item in got] == want
+    assert len(scheduler) == 0
+    assert scheduler.stats()["classes"]["only"]["served"] == admitted
 
 
 @settings(max_examples=80, deadline=None)

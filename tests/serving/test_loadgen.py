@@ -4,7 +4,7 @@ import pytest
 
 from repro.codecs.formats import THUMB_PNG_161
 from repro.errors import ServingError
-from repro.serving.batcher import BatchPolicy
+from repro.serving.scheduler import BatchPolicy
 from repro.serving.loadgen import (
     ArrivalTrace,
     LoadGenerator,

@@ -1,21 +1,31 @@
-"""Tests for the deficit-round-robin per-class scheduler."""
+"""Tests for the deficit-round-robin scheduler: the server's only
+admission queue + micro-batcher, with one class or several."""
 
 import threading
 from dataclasses import dataclass
 
 import pytest
 
-from repro.errors import AdmissionError, TenantError
+from repro.errors import AdmissionError, ServingError, TenantError
 from repro.inference.mpmc import QueueClosed
-from repro.serving.batcher import BatchPolicy
-from repro.tenant import ClassPolicy, DrrScheduler
-from repro.tenant.scheduler import ClassBatch
+from repro.serving.scheduler import (
+    BatchPolicy,
+    ClassBatch,
+    ClassPolicy,
+    DrrScheduler,
+)
 
 THREE_CLASSES = (
     ClassPolicy("interactive", weight=8.0, rank=0),
     ClassPolicy("standard", weight=4.0, rank=1),
     ClassPolicy("batch", weight=1.0, rank=2),
 )
+#: What a server without tenants runs: the FIFO micro-batcher.
+ONE_CLASS = (ClassPolicy("standard", weight=1.0, rank=0),)
+
+#: The queue/batcher surface must hold for both shapes.
+both_shapes = pytest.mark.parametrize(
+    "classes", [THREE_CLASSES, ONE_CLASS], ids=["three-class", "one-class"])
 
 
 @dataclass
@@ -48,6 +58,20 @@ def drain(scheduler, limit=10_000):
     return batches
 
 
+class TestBatchPolicy:
+    def test_presets(self):
+        latency = BatchPolicy.latency()
+        throughput = BatchPolicy.throughput()
+        assert latency.max_batch_size < throughput.max_batch_size
+        assert latency.max_wait_ms < throughput.max_wait_ms
+
+    def test_invalid_sizes_rejected(self):
+        with pytest.raises(ServingError):
+            BatchPolicy(name="bad", max_batch_size=0, max_wait_ms=1.0)
+        with pytest.raises(ServingError):
+            BatchPolicy(name="bad", max_batch_size=4, max_wait_ms=-1.0)
+
+
 class TestShape:
     def test_needs_at_least_one_class(self):
         with pytest.raises(TenantError):
@@ -62,8 +86,9 @@ class TestShape:
         with pytest.raises(TenantError):
             scheduler.admit(Item("vip", 0))
 
-    def test_batches_are_class_tagged_lists(self):
-        scheduler = make_scheduler()
+    @both_shapes
+    def test_batches_are_class_tagged_lists(self, classes):
+        scheduler = make_scheduler(classes=classes)
         preload(scheduler, {"standard": 3})
         batch = scheduler.next_batch(poll_timeout=0.0)
         assert isinstance(batch, ClassBatch)
@@ -114,6 +139,27 @@ class TestDrrArithmetic:
         assert sum(sizes) == 24
         assert max(sizes) == 8
 
+    @pytest.mark.parametrize("max_wait_ms", [0.0, 50.0])
+    def test_one_class_backlog_drains_in_full_arrival_order_batches(
+            self, max_wait_ms):
+        # The sole class's quantum is one full batch, so a deep queue
+        # ships full batches at once whatever the wait bound.
+        scheduler = make_scheduler(max_batch=4, max_wait_ms=max_wait_ms,
+                                   classes=ONE_CLASS)
+        preload(scheduler, {"standard": 10})
+        batches = [[item.index for item in scheduler.next_batch()]
+                   for _ in range(2)]
+        assert batches == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+    @both_shapes
+    def test_wait_bound_closes_partial_batch(self, classes):
+        scheduler = make_scheduler(max_batch=64, max_wait_ms=5.0,
+                                   classes=classes)
+        preload(scheduler, {"standard": 1})
+        assert len(scheduler.next_batch()) == 1
+        stats = scheduler.batch_stats()
+        assert stats.timeout_batches == 1 and stats.full_batches == 0
+
     def test_work_conserving_while_backlogged(self):
         scheduler = make_scheduler(max_batch=8)
         preload(scheduler, {"interactive": 10, "standard": 10, "batch": 10})
@@ -126,23 +172,33 @@ class TestDrrArithmetic:
 
 
 class TestQueueSurface:
-    def test_full_class_rejects_without_block(self):
-        scheduler = make_scheduler(capacity=2)
+    @both_shapes
+    def test_full_class_rejects_without_block(self, classes):
+        scheduler = make_scheduler(capacity=2, classes=classes)
         preload(scheduler, {"standard": 2})
         with pytest.raises(AdmissionError):
             scheduler.admit(Item("standard", 99), block=False)
-        # Other classes are unaffected by one class's backpressure.
-        scheduler.admit(Item("interactive", 0), block=False)
-        assert scheduler.stats()["rejected"] == 1
+        stats = scheduler.stats()
+        assert stats["rejected"] == 1 and stats["admitted"] == 2
+        assert stats["classes"]["standard"]["depth"] == 2
 
-    def test_blocked_admit_times_out(self):
-        scheduler = make_scheduler(capacity=1)
+    def test_backpressure_is_per_class(self):
+        scheduler = make_scheduler(capacity=2)
+        preload(scheduler, {"standard": 2})
+        scheduler.admit(Item("interactive", 0), block=False)
+        assert scheduler.stats()["rejected"] == 0
+
+    @both_shapes
+    def test_blocked_admit_times_out_as_rejection(self, classes):
+        scheduler = make_scheduler(capacity=1, classes=classes)
         preload(scheduler, {"standard": 1})
         with pytest.raises(AdmissionError):
             scheduler.admit(Item("standard", 99), timeout=0.01)
+        assert scheduler.stats()["rejected"] == 1
 
-    def test_blocked_admit_wakes_when_drained(self):
-        scheduler = make_scheduler(capacity=1)
+    @both_shapes
+    def test_blocked_admit_wakes_when_drained(self, classes):
+        scheduler = make_scheduler(capacity=1, classes=classes)
         preload(scheduler, {"standard": 1})
         done = threading.Event()
 
@@ -156,22 +212,26 @@ class TestQueueSurface:
         assert done.wait(5.0)
         thread.join(5.0)
 
-    def test_close_stops_admissions_and_drains(self):
-        scheduler = make_scheduler()
-        preload(scheduler, {"interactive": 2})
+    @both_shapes
+    def test_close_stops_admissions_and_drains(self, classes):
+        scheduler = make_scheduler(classes=classes)
+        preload(scheduler, {"standard": 2})
         scheduler.close()
+        assert scheduler.closed
         with pytest.raises(QueueClosed):
-            scheduler.admit(Item("interactive", 9))
+            scheduler.admit(Item("standard", 9))
         assert len(scheduler.next_batch(poll_timeout=0.0)) == 2
         assert scheduler.next_batch(poll_timeout=0.0) is None
 
-    def test_empty_poll_returns_empty_list(self):
-        scheduler = make_scheduler()
-        assert scheduler.next_batch(poll_timeout=0.0) == []
+    @both_shapes
+    @pytest.mark.parametrize("poll_timeout", [0.0, 0.02])
+    def test_empty_poll_returns_empty_list(self, classes, poll_timeout):
+        scheduler = make_scheduler(classes=classes)
+        assert scheduler.next_batch(poll_timeout=poll_timeout) == []
 
 
 class TestStats:
-    def test_stats_are_admission_queue_compatible(self):
+    def test_stats_count_admissions_and_per_class_service(self):
         scheduler = make_scheduler()
         preload(scheduler, {"interactive": 3, "batch": 2})
         drain(scheduler)
@@ -181,14 +241,16 @@ class TestStats:
         assert stats["classes"]["interactive"]["served"] == 3
         assert stats["classes"]["batch"]["served"] == 2
 
-    def test_batch_stats_match_the_classic_batcher_shape(self):
+    @both_shapes
+    def test_batch_stats_track_sizes(self, classes):
         # The heaviest class's quantum equals the batch size, so the
         # 3-item backlog drains as one full batch plus a remainder.
-        scheduler = make_scheduler(max_batch=2)
-        preload(scheduler, {"interactive": 3})
+        scheduler = make_scheduler(max_batch=2, classes=classes)
+        preload(scheduler, {classes[0].name: 3})
         drain(scheduler)
         stats = scheduler.batch_stats()
         assert stats.items == 3
         assert stats.batches == 2
         assert stats.full_batches == 1
         assert stats.size_histogram == {2: 1, 1: 1}
+        assert stats.mean_batch_size == pytest.approx(1.5)

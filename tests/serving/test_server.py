@@ -9,7 +9,7 @@ from repro.inference.engine import SmolRuntimeEngine
 from repro.inference.perfmodel import EngineConfig
 from repro.nn.model import build_mini_resnet
 from repro.preprocessing.dag import PreprocessingDAG
-from repro.serving.batcher import BatchPolicy
+from repro.serving.scheduler import BatchPolicy
 from repro.serving.request import InferenceRequest
 from repro.serving.server import SmolServer
 from repro.serving.session import (

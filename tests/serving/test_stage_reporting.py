@@ -8,7 +8,7 @@ from repro.core.plans import Plan
 from repro.hardware.instance import get_instance
 from repro.inference.perfmodel import EngineConfig, PerformanceModel
 from repro.nn.zoo import resnet_profile
-from repro.serving.batcher import BatchPolicy
+from repro.serving.scheduler import BatchPolicy
 from repro.serving.request import InferenceRequest
 from repro.serving.server import SmolServer
 from repro.serving.session import SimulatedSession, session_stage_estimate
@@ -78,11 +78,16 @@ class TestServerTelemetryWiring:
                        for n in range(10)]
             for future in futures:
                 future.result(timeout=10.0)
+            assert server.stats().tenants is None
         counters = telemetry.counters()
         assert counters.images == 10
         assert counters.modelled_seconds > 0
-        stages = {obs.stage for obs in telemetry.drain()}
-        assert stages == {"decode", "preprocess", "inference"}
+        drained = telemetry.drain()
+        assert {obs.stage for obs in drained} \
+            == {"decode", "preprocess", "inference"}
+        # Without tenants= the scheduler's one class stays out of the
+        # telemetry source (multi-tenant servers report "serving/<class>").
+        assert {obs.source for obs in drained} == {"serving"}
 
     def test_collector_bugs_never_fail_requests(self, perf, engine_config,
                                                 plan):

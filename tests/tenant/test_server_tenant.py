@@ -13,7 +13,7 @@ from repro.datasets.synthetic import SyntheticImageGenerator
 from repro.errors import QuotaExceededError
 from repro.nn.model import build_mini_resnet
 from repro.preprocessing.dag import PreprocessingDAG
-from repro.serving.batcher import BatchPolicy
+from repro.serving.scheduler import BatchPolicy
 from repro.serving.request import InferenceRequest
 from repro.serving.server import SmolServer
 from repro.serving.session import FunctionalSession, serving_pipeline_ops

@@ -421,7 +421,7 @@ def demo_trace(tmp_path_factory):
     assert main([
         "obs", "demo", "--frames", "1200", "--workers", "2",
         "--requests", "8", "--store-root", str(root / "store"),
-        "--trace-out", str(trace),
+        "--trace-out", str(trace), "--chrome-out", str(root / "chrome.json"),
     ]) == 0
     return trace
 

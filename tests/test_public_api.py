@@ -57,6 +57,17 @@ class TestPublicApi:
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.{name}"
 
+    def test_serving_exports_one_scheduler_and_no_queue_batcher_pair(self):
+        serving = importlib.import_module("repro.serving")
+        for name in ("AdmissionQueue", "MicroBatcher"):
+            assert name not in serving.__all__
+            assert not hasattr(serving, name), name
+        scheduler = importlib.import_module("repro.serving.scheduler")
+        tenant = importlib.import_module("repro.tenant")
+        assert serving.BatchPolicy is scheduler.BatchPolicy
+        for name in ("DrrScheduler", "ClassBatch", "ClassPolicy"):
+            assert getattr(tenant, name) is getattr(scheduler, name), name
+
     def test_smol_facade_exported_at_top_level(self):
         assert repro.Smol is importlib.import_module("repro.core.smol").Smol
 
