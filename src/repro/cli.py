@@ -320,93 +320,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tenant(args: argparse.Namespace) -> int:
-    """Mixed-load multi-tenant demo: DRR fairness made visible.
-
-    Three tenants (one per priority class) flood the server with equal
-    backlogs; deficit round-robin drains the interactive class 8x faster
-    than batch, so tail latency must come out ordered
-    ``interactive < standard < batch``.  Exits 1 when it does not -- CI
-    runs this as the end-to-end fairness smoke test.
-    """
-    from repro.serving.request import InferenceRequest
-    from repro.tenant import (
-        ClassPolicy,
-        TenantConfig,
-        TenantSloBoard,
-        TenantSpec,
-    )
-
-    estimate, session = _build_session(args)
-    pool = _image_pool(args)
-    tenants = (("dashboard", "interactive"), ("api", "standard"),
-               ("backfill", "batch"))
-    config = TenantConfig(
-        tenants=tuple(TenantSpec(name=name, priority=priority)
-                      for name, priority in tenants),
-        # Deadline-free classes: the demo measures pure scheduling, not
-        # deadline accounting.
-        classes=(ClassPolicy("interactive", weight=8.0, rank=0),
-                 ClassPolicy("standard", weight=4.0, rank=1),
-                 ClassPolicy("batch", weight=1.0, rank=2)),
-    )
-    board = TenantSloBoard(config, fallback_target_s=args.slo_target_ms
-                           / 1000.0)
-    policy = BatchPolicy(name="tenant-demo", max_batch_size=args.max_batch,
-                         max_wait_ms=1.0)
-    print(f"plan: {estimate.plan.describe()}")
-    print(f"mixed load: {args.requests} requests per tenant, "
-          f"classes weighted 8/4/1")
-    with SmolServer(session, policy=policy,
-                    queue_capacity=3 * args.requests + 8,
-                    cache_capacity=0, tenants=config,
-                    tenant_slo=board) as server:
-        futures = []
-        # Interleaved round-robin submission builds an equal backlog per
-        # class; the DRR weights decide the drain order.
-        for index in range(args.requests):
-            for name, _ in tenants:
-                image_id, payload = pool[index % len(pool)]
-                futures.append(server.submit(InferenceRequest(
-                    image_id=image_id, payload=payload, tenant=name)))
-        for future in futures:
-            future.result(timeout=120.0)
-        stats = server.tenant_stats()
-        board.evaluate()
-
-    table = Table(
-        "Per-class latency under mixed tenant load",
-        ["Class", "Tenant", "Weight", "Served", "p50 (ms)", "p95 (ms)",
-         "p99 (ms)"],
-    )
-    p99 = {}
-    for (name, priority), weight in zip(tenants, (8.0, 4.0, 1.0)):
-        latency = stats.class_latency[priority]
-        p99[priority] = latency.p99_ms
-        table.add_row(priority, name, f"{weight:.0f}x",
-                      stats.class_served[priority],
-                      f"{latency.p50_ms:.2f}", f"{latency.p95_ms:.2f}",
-                      f"{latency.p99_ms:.2f}")
-    print()
-    print(table.render())
-    print("per-tenant SLO state:")
-    for tenant, state in sorted(board.state().items()):
-        spec = state["specs"][0]
-        shortest = min(spec["windows"], key=lambda w: w["window_s"])
-        verdict = "BURNING" if spec["burning"] else "ok"
-        print(f"  {tenant:<12} target {spec['latency_target_s'] * 1e3:.0f}ms"
-              f"  burn {shortest['burn_rate']:.2f}x  {verdict}")
-    ordered = p99["interactive"] < p99["standard"] < p99["batch"]
-    if not ordered:
-        print("FAIL: per-class p99 ordering violated "
-              f"(interactive={p99['interactive']:.2f}ms, "
-              f"standard={p99['standard']:.2f}ms, "
-              f"batch={p99['batch']:.2f}ms)")
-        return 1
-    print("per-class p99 ordering holds: interactive < standard < batch")
-    return 0
-
-
 def _cluster_worker_factory(args: argparse.Namespace, smol: Smol, estimate,
                             obs=NULL_OBS):
     """A worker factory building one warmed replica per call."""
@@ -1264,19 +1177,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--bench-json", default="BENCH_serving.json",
                           help="where to write the machine-readable scorecard")
     loadtest.set_defaults(func=_cmd_loadtest)
-
-    tenant = subparsers.add_parser(
-        "tenant", help="multi-tenant fairness demo (weighted-fair classes)"
-    )
-    add_serving_arguments(tenant)
-    tenant.add_argument("--requests", type=int, default=96,
-                        help="requests offered per tenant")
-    tenant.add_argument("--max-batch", type=int, default=8)
-    tenant.add_argument("--slo-target-ms", type=float, default=1000.0,
-                        help="per-tenant SLO latency target")
-    # Real compute by default: the fairness ordering needs batches with
-    # measurable service time, which the simulated session does not pay.
-    tenant.set_defaults(func=_cmd_tenant, mode="functional")
 
     cluster_bench = subparsers.add_parser(
         "cluster-bench",

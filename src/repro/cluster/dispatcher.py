@@ -350,7 +350,7 @@ class Dispatcher:
             # ambient context, if any.
             parent = next(
                 (request.trace for request in requests
-                 if getattr(request, "trace", None) is not None), None,
+                 if request.trace is not None), None,
             )
             span = self._obs.span("cluster.item", parent=parent,
                                   batch=len(requests), shard=shard_id)

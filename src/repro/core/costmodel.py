@@ -41,8 +41,9 @@ class ThroughputEstimate:
 class CostModel:
     """Base class: computes stage throughputs, subclasses combine them.
 
-    ``catalog`` makes the costing *cache-aware*: any object with a
-    ``decode_discount(format_name) -> float`` method (e.g.
+    ``catalog`` makes the costing *cache-aware*: any object with
+    ``decode_discount(format_name) -> float`` and
+    ``is_materialized(format_name) -> bool`` methods (e.g.
     :class:`repro.store.catalog.StoreCatalog`) reporting which renditions
     are already materialized on disk.  For those formats the decode stage
     collapses to a chunk read, so preprocessing throughput is multiplied by
@@ -169,15 +170,7 @@ class CostModel:
             format_name = plan.input_format.name
             discount = self._catalog.decode_discount(format_name)
             throughput *= discount
-            # Prefer the catalog's explicit materialization bit (see
-            # StoreCatalog.is_materialized); fall back to inferring it
-            # from the discount for minimal duck-typed catalogs.
-            is_materialized = getattr(self._catalog, "is_materialized",
-                                      None)
-            if is_materialized is not None:
-                decoding = not is_materialized(format_name)
-            else:
-                decoding = discount == 1.0
+            decoding = not self._catalog.is_materialized(format_name)
         if self._observations is not None:
             throughput *= self._observations.preprocessing_scale(
                 plan.input_format.name, decoding=decoding

@@ -109,7 +109,8 @@ class PlanGenerator:
         """The materialized-rendition catalog plans are priced against.
 
         None means cold costing; otherwise an object with
-        ``decode_discount(format_name)`` (see
+        ``decode_discount(format_name)`` and ``is_materialized(format_name)``
+        (see
         :class:`repro.store.catalog.StoreCatalog`) that discounts decode
         cost for renditions the store has already materialized, steering
         the frontier toward already-cached plans.

@@ -1,48 +1,39 @@
 """Smol-Fuse: compiled fused batch kernels for the plan hot path.
 
-``compile_dag`` lowers a preprocessing DAG into a :class:`FusedKernel`
-executing whole micro-batches as batched numpy array ops (per-op lowerings
-live in :mod:`repro.fuse.registry`; ops without one fall back to a batched
-interpreter segment), ``get_kernel`` memoizes kernels by plan fingerprint,
-and :class:`ShmBatchTransport` moves prediction batches across process
-boundaries through zero-copy shared memory.  The interpreted DAG executor
-remains the reference oracle: fused results are bit-identical by contract,
-enforced by the differential suite in ``tests/fuse/``.
+``compile_dag`` turns a preprocessing DAG into a :class:`FusedKernel`
+executing whole micro-batches: ops whose class declares ``batched`` run
+their one ``apply`` body on the stacked batch, any other op is looped per
+image.  ``get_kernel`` memoizes kernels by plan fingerprint, and
+:class:`ShmBatchTransport` moves prediction batches across process
+boundaries through zero-copy shared memory.  Per-image
+``PreprocessingDAG.execute`` remains the reference oracle: batching may not
+perturb a bit, enforced by the differential suite in ``tests/fuse/``.
 """
 
 from repro.fuse.compiler import (
     DEFAULT_KERNEL_CACHE,
     KernelCache,
     compile_dag,
-    dag_fingerprint,
     get_kernel,
 )
-from repro.fuse.kernel import FusedKernel, Segment
-from repro.fuse.registry import (
-    lowering_for,
-    register_lowering,
-    registered_op_types,
-)
+from repro.fuse.kernel import FusedKernel
 from repro.fuse.shm import (
     HAS_SHM,
     ShmBatchRef,
     ShmBatchTransport,
     worker_shm_prefix,
 )
+from repro.preprocessing.dag import dag_fingerprint
 
 __all__ = [
     "DEFAULT_KERNEL_CACHE",
     "FusedKernel",
     "HAS_SHM",
     "KernelCache",
-    "Segment",
     "ShmBatchRef",
     "ShmBatchTransport",
     "compile_dag",
     "dag_fingerprint",
     "get_kernel",
-    "lowering_for",
-    "register_lowering",
-    "registered_op_types",
     "worker_shm_prefix",
 ]

@@ -1,76 +1,33 @@
 """The plan compiler: preprocessing DAG -> :class:`FusedKernel`, cached.
 
-Compilation is cheap but not free (validation, topological sort, lowering
-lookups), and -- more importantly -- the *interpreted* executor pays those
-costs per image.  The compiler hoists them to once per plan: ``compile_dag``
-validates and sorts the DAG a single time and emits a kernel whose hot loop
-is pure batched array code, and :class:`KernelCache` memoizes kernels by
-plan fingerprint so every session, replica, and hot-swap of the same plan
-shares one compiled executable.
+``compile_dag`` reads the DAG's validated execution order -- the tuple
+``PreprocessingDAG.execute`` itself walks, computed once per graph shape --
+and hands it to a :class:`FusedKernel`, which runs the same ``apply``
+bodies over stacked micro-batches.  :class:`KernelCache` memoizes kernels
+by plan fingerprint so every session, replica, and hot-swap of the same
+plan shares one kernel object.
 
-The fingerprint covers the executed semantics -- the op sequence (each op's
-``repr`` includes its parameters) and per-node device placement -- so two
-structurally different DAGs that execute the same op sequence share a
-kernel, and any parameter change misses the cache.
+The fingerprint (:func:`repro.preprocessing.dag.dag_fingerprint`, the one
+the store persists) covers the executed semantics -- op order, every op's
+public attributes, per-node device placement -- so structurally rebuilt
+DAGs of the same plan share a kernel and any parameter change misses.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 
-from repro.errors import PreprocessingError
-from repro.fuse.kernel import FusedKernel, Segment
-from repro.fuse.registry import lowering_for
-from repro.preprocessing.dag import PreprocessingDAG
-
-
-def dag_fingerprint(dag: PreprocessingDAG) -> str:
-    """Stable hex fingerprint of a DAG's executed semantics."""
-    nodes = dag.topological_ops()
-    payload = "|".join(
-        f"{node.op!r}@{node.device}" for node in nodes
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+from repro.fuse.kernel import FusedKernel
+from repro.preprocessing.dag import PreprocessingDAG, dag_fingerprint
 
 
 def compile_dag(dag: PreprocessingDAG,
                 fingerprint: str | None = None) -> FusedKernel:
-    """Lower ``dag`` into a :class:`FusedKernel`.
-
-    Consecutive ops with registered lowerings become one vector segment;
-    consecutive ops without one become one interpreter segment.  The DAG is
-    validated here, once -- the kernel never re-validates.
-    """
-    dag.validate()
+    """The :class:`FusedKernel` running ``dag``'s validated op order."""
+    ops = [node.op for node in dag.execution_order()]
     if fingerprint is None:
         fingerprint = dag_fingerprint(dag)
-    segments: list[Segment] = []
-    current_kind: str | None = None
-    ops: list = []
-    stages: list = []
-
-    def flush() -> None:
-        if not ops:
-            return
-        segments.append(Segment(kind=current_kind, ops=tuple(ops),
-                                stages=tuple(stages)))
-        ops.clear()
-        stages.clear()
-
-    for node in dag.topological_ops():
-        stage = lowering_for(node.op)
-        kind = "vector" if stage is not None else "interp"
-        if kind != current_kind:
-            flush()
-            current_kind = kind
-        ops.append(node.op)
-        if stage is not None:
-            stages.append(stage)
-    flush()
-    if not segments:
-        raise PreprocessingError("empty preprocessing DAG")
-    return FusedKernel(fingerprint, segments, describe=dag.describe())
+    return FusedKernel(fingerprint, ops)
 
 
 class KernelCache:
@@ -106,8 +63,8 @@ class KernelCache:
             if kernel is not None:
                 self._hits += 1
                 return kernel
-        # Compile outside the lock (lowering lookups are pure); first
-        # finished compile wins, a concurrent loser is discarded.
+        # Compile outside the lock; first finished compile wins, a
+        # concurrent loser is discarded.
         kernel = compile_dag(dag, fingerprint=fingerprint)
         with self._lock:
             winner = self._kernels.setdefault(fingerprint, kernel)

@@ -1,85 +1,54 @@
 """Fused kernels: a compiled plan pipeline executing whole micro-batches.
 
 A :class:`FusedKernel` is the executable the compiler emits for one
-preprocessing DAG: an ordered list of :class:`Segment` records, each either
-
-* a **vector segment** -- consecutive ops with registered batched lowerings
-  (:mod:`repro.fuse.registry`), executed as whole-batch numpy array ops; or
-* an **interpreter segment** -- consecutive ops without a lowering, executed
-  by looping each op's own ``apply`` per image (the fallback that makes any
-  valid DAG compilable).
+preprocessing DAG: the DAG's validated op order, as a tuple.  It stacks a
+micro-batch and calls each op's own ``apply`` on the stack -- the same
+lines ``PreprocessingDAG.execute`` runs on one image -- when the op's class
+declares ``batched``; an op that does not (a user op, or a subclass that
+rewrote ``apply``) is looped per image and restacked, so any valid DAG
+compiles and no op ever sees a rank its code was not written for.
 
 Micro-batches may mix input shapes/dtypes (serving payloads are arbitrary
 images).  ``execute_many`` groups the batch by ``(shape, dtype)``, runs the
-segments once per group, and scatters the group outputs back into request
+ops once per group, and scatters the group outputs back into request
 order -- so a heterogeneous batch produces exactly the per-image results,
-and a homogeneous batch (the common case) runs every stage once.
+and a homogeneous batch (the common case) runs every op once.
 
 The ``fuse.execute`` fault seam fires once per executed batch, and when
-observability is enabled each segment emits a ``fuse.segment`` span, so
-chaos and tracing see the same stage boundaries the interpreted path shows.
+observability is enabled each run of consecutive ops sharing ``batched``
+emits a ``fuse.segment`` span, so chaos and tracing see where a pipeline
+drops out of whole-batch execution.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.chaos.faults import NULL_FAULTS
 from repro.errors import PreprocessingError
-from repro.fuse.registry import BatchStage
 from repro.obs import NULL_OBS
 from repro.preprocessing.ops import PreprocessingOp
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One compiled pipeline segment.
-
-    ``kind`` is ``"vector"`` (``stages`` holds one batched callable per op)
-    or ``"interp"`` (``stages`` is empty and ``ops`` run per image).  ``ops``
-    always names the covered operators, in execution order.
-    """
-
-    kind: str
-    ops: tuple[PreprocessingOp, ...]
-    stages: tuple[BatchStage, ...] = ()
-
-    @property
-    def op_names(self) -> tuple[str, ...]:
-        """Short op names this segment covers (for describe/tracing)."""
-        return tuple(op.name for op in self.ops)
-
-    def run(self, batch: np.ndarray) -> np.ndarray:
-        """Execute the segment over one shape-homogeneous batch."""
-        if self.kind == "vector":
-            for stage in self.stages:
-                batch = stage(batch)
-            return batch
-        # Interpreter fallback: per-image apply, restacked.  Images in a
-        # group share a shape, and ops map equal input shapes to equal
-        # output shapes, so the restack is always well-formed.
-        images = list(batch)
-        for op in self.ops:
-            images = [op.apply(image) for image in images]
-        return np.stack(images)
 
 
 class FusedKernel:
     """The compiled, reusable executable of one preprocessing DAG."""
 
-    def __init__(self, fingerprint: str, segments: Sequence[Segment],
-                 describe: str = "") -> None:
-        if not segments:
+    def __init__(self, fingerprint: str,
+                 ops: Sequence[PreprocessingOp]) -> None:
+        if not ops:
             raise PreprocessingError("cannot build an empty fused kernel")
         self._fingerprint = fingerprint
-        self._segments = tuple(segments)
-        self._describe = describe
-        self._batches = 0
-        self._images = 0
+        self._ops = tuple(ops)
+        # Runs of consecutive ops sharing ``batched``: what describe()
+        # brackets and one fuse.segment span times.
+        self._runs = tuple(
+            (batched, tuple(run)) for batched, run in
+            itertools.groupby(self._ops, key=lambda op: op.batched)
+        )
 
     @property
     def fingerprint(self) -> str:
@@ -87,46 +56,48 @@ class FusedKernel:
         return self._fingerprint
 
     @property
-    def segments(self) -> tuple[Segment, ...]:
-        """The compiled segments, in execution order."""
-        return self._segments
+    def ops(self) -> tuple[PreprocessingOp, ...]:
+        """The operators, in execution order."""
+        return self._ops
 
     @property
     def fully_vectorized(self) -> bool:
-        """True when no op fell back to the interpreter."""
-        return all(segment.kind == "vector" for segment in self._segments)
-
-    @property
-    def batches_executed(self) -> int:
-        """Lifetime count of executed batches."""
-        return self._batches
-
-    @property
-    def images_executed(self) -> int:
-        """Lifetime count of images across executed batches."""
-        return self._images
+        """True when every op runs on whole batches."""
+        return all(op.batched for op in self._ops)
 
     def describe(self) -> str:
-        """Segment-bracketed pipeline description, e.g. ``[resize crop]``."""
-        parts = []
-        for segment in self._segments:
-            inner = " ".join(segment.op_names)
-            brackets = "[{}]" if segment.kind == "vector" else "{{{}}}"
-            parts.append(brackets.format(inner))
-        return " -> ".join(parts)
+        """The pipeline with whole-batch runs in ``[...]`` and per-image
+        runs in ``{...}``, e.g. ``[resize crop] -> {custom}``."""
+        return " -> ".join(
+            ("[{}]" if batched else "{{{}}}").format(
+                " ".join(op.name for op in run))
+            for batched, run in self._runs
+        )
 
     def _run_group(self, batch: np.ndarray, obs) -> np.ndarray:
-        for segment in self._segments:
+        # ``batched`` ops read the last three axes as (H, W, C).  A stack
+        # of lower-rank payloads has no such axes to spare: those take the
+        # per-image loop, which answers (or rejects) them as the oracle does.
+        stack_is_images = batch.ndim >= 4
+        for batched, run in self._runs:
+            start = time.perf_counter()
+            if batched and stack_is_images:
+                for op in run:
+                    batch = op.apply(batch)
+            else:
+                # Images in a group share a shape, and ops map equal input
+                # shapes to equal output shapes, so the restack is always
+                # well-formed.
+                images = list(batch)
+                for op in run:
+                    images = [op.apply(image) for image in images]
+                batch = np.stack(images)
             if obs.enabled:
-                start = time.perf_counter()
-                batch = segment.run(batch)
                 obs.record(
                     "fuse.segment", time.perf_counter() - start,
-                    kind=segment.kind, ops=" ".join(segment.op_names),
+                    batched=batched, ops=" ".join(op.name for op in run),
                     images=int(batch.shape[0]),
                 )
-            else:
-                batch = segment.run(batch)
         return batch
 
     def _group(self, arrays: Sequence[np.ndarray]) -> dict[tuple, list[int]]:
@@ -144,16 +115,14 @@ class FusedKernel:
                      faults=NULL_FAULTS, obs=NULL_OBS) -> list[np.ndarray]:
         """Run the pipeline over a micro-batch; per-image outputs in order.
 
-        Bit-identical to ``[dag.execute(a) for a in arrays]`` by the
-        registry's lowering contract; shape/dtype groups keep heterogeneous
-        batches exact.
+        Bit-identical to ``[dag.execute(a) for a in arrays]``: both run
+        the same ``apply`` bodies in the same order, and shape/dtype groups
+        keep heterogeneous batches exact.
         """
         if not arrays:
             raise PreprocessingError("cannot execute an empty fused batch")
         faults.hit("fuse.execute", kernel=self, batch=len(arrays))
         groups = self._group(arrays)
-        self._batches += 1
-        self._images += len(arrays)
         results: list[np.ndarray | None] = [None] * len(arrays)
         for indices in groups.values():
             batch = np.stack([arrays[i] for i in indices])
@@ -177,7 +146,5 @@ class FusedKernel:
         groups = self._group(arrays)
         if len(groups) == 1:
             faults.hit("fuse.execute", kernel=self, batch=len(arrays))
-            self._batches += 1
-            self._images += len(arrays)
             return self._run_group(np.stack(arrays), obs)
         return np.stack(self.execute_many(arrays, faults=faults, obs=obs))

@@ -1,10 +1,11 @@
 """Unified metrics: counters, gauges, fixed-bucket histograms, percentiles.
 
-This module is the single home of the stack's numeric instrumentation.  The
-exact linear-interpolated :func:`percentile` used to live in
-``repro.serving.metrics``; it moved here so serving summaries, benchmark
-reports, and the ``obs`` CLI all share one implementation
-(``repro.serving.metrics`` re-exports it for compatibility).
+This module is the single home of the stack's numeric instrumentation:
+the exact linear-interpolated :func:`percentile`, the serving latency
+scorecard built on it (:class:`LatencySummary` / :class:`LatencyRecorder`
+keep every sample -- serving is judged on p95/p99, and an O(n log n) sort
+per snapshot is exact and cheap at these sample counts), and the
+Prometheus-shaped instruments below.
 
 Three instrument kinds, deliberately Prometheus-shaped:
 
@@ -27,6 +28,8 @@ from dataclasses import dataclass
 
 __all__ = [
     "percentile",
+    "LatencySummary",
+    "LatencyRecorder",
     "StageEvent",
     "Counter",
     "Gauge",
@@ -49,6 +52,77 @@ def percentile(sorted_samples: list[float], q: float) -> float:
     high = min(low + 1, len(sorted_samples) - 1)
     frac = rank - low
     return sorted_samples[low] * (1 - frac) + sorted_samples[high] * frac
+
+
+@dataclass(frozen=True)
+class LatencySummary:
+    """Order statistics over a set of latency samples, in milliseconds."""
+
+    count: int
+    mean_ms: float
+    p50_ms: float
+    p95_ms: float
+    p99_ms: float
+    max_ms: float
+
+    @classmethod
+    def empty(cls) -> "LatencySummary":
+        """Summary for zero samples (all statistics zero)."""
+        return cls(count=0, mean_ms=0.0, p50_ms=0.0, p95_ms=0.0,
+                   p99_ms=0.0, max_ms=0.0)
+
+    @classmethod
+    def from_seconds(cls, samples: list[float]) -> "LatencySummary":
+        """Summarize latency samples given in seconds."""
+        if not samples:
+            return cls.empty()
+        ordered = sorted(s * 1000.0 for s in samples)
+        return cls(
+            count=len(ordered),
+            mean_ms=sum(ordered) / len(ordered),
+            p50_ms=percentile(ordered, 50.0),
+            p95_ms=percentile(ordered, 95.0),
+            p99_ms=percentile(ordered, 99.0),
+            max_ms=ordered[-1],
+        )
+
+    def describe(self) -> str:
+        """One-line human-readable summary."""
+        return (f"n={self.count} mean={self.mean_ms:.2f}ms "
+                f"p50={self.p50_ms:.2f}ms p95={self.p95_ms:.2f}ms "
+                f"p99={self.p99_ms:.2f}ms max={self.max_ms:.2f}ms")
+
+
+class LatencyRecorder:
+    """Thread-safe accumulator of latency samples (seconds in, ms out)."""
+
+    def __init__(self) -> None:
+        self._samples: list[float] = []
+        self._lock = threading.Lock()
+
+    def record(self, seconds: float) -> None:
+        """Record one latency sample in seconds."""
+        if seconds < 0:
+            raise ValueError("latency cannot be negative")
+        with self._lock:
+            self._samples.append(seconds)
+
+    def extend(self, seconds: list[float]) -> None:
+        """Record many latency samples at once."""
+        if any(s < 0 for s in seconds):
+            raise ValueError("latency cannot be negative")
+        with self._lock:
+            self._samples.extend(seconds)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._samples)
+
+    def summary(self) -> LatencySummary:
+        """Summarize everything recorded so far."""
+        with self._lock:
+            samples = list(self._samples)
+        return LatencySummary.from_seconds(samples)
 
 
 @dataclass(frozen=True)

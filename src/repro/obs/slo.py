@@ -207,9 +207,8 @@ class SloEngine:
     def attach(self, obs) -> None:
         """Emit ``slo.burn`` events on ``obs``'s stage bus when alerting."""
         self._obs = obs
-        recorder = getattr(obs, "recorder", None)
-        if recorder is not None:
-            recorder.attach_slo(self)
+        if obs.recorder is not None:
+            obs.recorder.attach_slo(self)
 
     # ------------------------------------------------------------------
     def observe(self, latency_s: float, error: bool = False,

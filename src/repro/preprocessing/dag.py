@@ -5,10 +5,16 @@ Smol accepts preprocessing steps as a directed acyclic computation graph
 the optimizer express reordering, fusion, and per-operator device placement
 while validating structural invariants (acyclicity, single source/sink for
 executable chains).
+
+Validation and the topological sort are done once per graph shape:
+``execution_order`` caches the validated order, and ``execute`` (one image)
+and the compiled batch kernel (:mod:`repro.fuse.compiler`) both walk that
+tuple, so neither pays a networkx call per image.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +46,7 @@ class PreprocessingDAG:
     def __init__(self) -> None:
         self._graph = nx.DiGraph()
         self._counter = 0
+        self._order: tuple[DagNode, ...] | None = None
 
     @classmethod
     def from_ops(cls, ops: Sequence[PreprocessingOp],
@@ -58,6 +65,7 @@ class PreprocessingDAG:
         """Add an operator node and return its node id."""
         node_id = f"{op.name}-{self._counter}"
         self._counter += 1
+        self._order = None
         self._graph.add_node(node_id, node=DagNode(node_id=node_id, op=op,
                                                    device=device))
         return node_id
@@ -66,6 +74,7 @@ class PreprocessingDAG:
         """Add a dependency edge ``src -> dst``, rejecting cycles."""
         if src not in self._graph or dst not in self._graph:
             raise InvalidDAGError("both endpoints must be existing nodes")
+        self._order = None
         self._graph.add_edge(src, dst)
         if not nx.is_directed_acyclic_graph(self._graph):
             self._graph.remove_edge(src, dst)
@@ -112,19 +121,29 @@ class PreprocessingDAG:
         if self.num_nodes > 1 and not nx.is_weakly_connected(self._graph):
             raise InvalidDAGError("preprocessing graph is disconnected")
 
+    def execution_order(self) -> tuple[DagNode, ...]:
+        """The validated topological order, computed once per graph shape.
+
+        ``add_op`` / ``add_edge`` reset it.  Two threads that both find it
+        unset each compute the same tuple; the second store is harmless.
+        """
+        order = self._order
+        if order is None:
+            self.validate()
+            order = self._order = tuple(self.topological_ops())
+        return order
+
     def execute(self, array: np.ndarray) -> np.ndarray:
         """Run the pipeline on a real array (functional path)."""
-        self.validate()
         result = array
-        for node in self.topological_ops():
+        for node in self.execution_order():
             result = node.op.apply(result)
         return result
 
     def output_spec(self, input_spec: TensorSpec) -> TensorSpec:
         """Propagate a tensor spec through the pipeline."""
-        self.validate()
         spec = input_spec
-        for node in self.topological_ops():
+        for node in self.execution_order():
             spec = node.op.output_spec(spec)
         return spec
 
@@ -160,3 +179,23 @@ class PreprocessingDAG:
             f"{node.op.name}@{node.device}" for node in self.topological_ops()
         ]
         return " -> ".join(parts)
+
+
+def dag_fingerprint(dag: PreprocessingDAG) -> str:
+    """Fingerprint of a preprocessing DAG's executable spec.
+
+    Covers the operator sequence and device placement (``describe()``) plus
+    every public attribute of every op, so any spec change -- op order,
+    parameters, placement -- produces a new fingerprint.  It keys both the
+    compiled-kernel cache (:mod:`repro.fuse.compiler`) and persisted
+    renditions and scores (:mod:`repro.store`), whose manifests record it:
+    the digest of an unchanged DAG must not change.
+    """
+    parts: list[object] = [dag.describe()]
+    for node in dag.topological_ops():
+        parts.append(sorted(
+            (k, repr(v)) for k, v in vars(node.op).items()
+            if not k.startswith("_")
+        ))
+    text = "\x1f".join(str(part) for part in parts)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

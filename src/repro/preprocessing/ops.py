@@ -8,6 +8,13 @@ Smol uses for cost-based plan selection, Section 6.2).
 Operators run on real arrays so the functional tests and the accuracy
 experiments exercise genuine computation; the performance models separately
 charge calibrated per-operation costs.
+
+Each operator's arithmetic is written once, over leading axes: ``apply``
+indexes the image axes from the end (``(..., H, W, C)``), so one HWC image
+and an NHWC micro-batch execute the same lines and every image of a batch
+gets exactly the bytes it would get alone.  An operator says so with
+``batched = True``; :class:`~repro.fuse.kernel.FusedKernel` hands such ops
+whole batches and loops every other op per image.
 """
 
 from __future__ import annotations
@@ -65,9 +72,21 @@ class PreprocessingOp:
     value_only: bool = False
     #: True when the op may be fused with adjacent value-only ops (rule 2).
     fusable: bool = False
+    #: True when ``apply`` treats every axis before ``(H, W, C)`` as a batch
+    #: axis and gives each image of a batch the bytes it would get alone.
+    #: A property of the ``apply`` code, so it is declared per class.
+    batched: bool = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A new ``apply`` body is per-image until its class says otherwise:
+        # the declaration must not be inherited past the code it describes.
+        if "apply" in cls.__dict__ and "batched" not in cls.__dict__:
+            cls.batched = False
 
     def apply(self, array: np.ndarray) -> np.ndarray:
-        """Execute the operator on ``array``."""
+        """Execute the operator on ``array`` (an image, or a batch of
+        same-shape images when the class declares ``batched``)."""
         raise NotImplementedError
 
     def output_spec(self, spec: TensorSpec) -> TensorSpec:
@@ -94,6 +113,7 @@ class DecodeOp(PreprocessingOp):
     format_name: str = "jpeg"
     roi_fraction: float = 1.0
     name: str = field(default="decode", init=False)
+    batched = True
 
     def apply(self, array: np.ndarray) -> np.ndarray:
         return array
@@ -112,13 +132,14 @@ class ResizeOp(PreprocessingOp):
 
     short_side: int = 256
     name: str = field(default="resize", init=False)
+    batched = True
 
     def __post_init__(self) -> None:
         if self.short_side <= 0:
             raise PreprocessingError("short_side must be positive")
 
     def apply(self, array: np.ndarray) -> np.ndarray:
-        height, width = array.shape[:2]
+        height, width = _image_axes(array, "resize")
         scale = self.short_side / min(height, width)
         new_h = max(1, int(round(height * scale)))
         new_w = max(1, int(round(width * scale)))
@@ -148,20 +169,22 @@ class CenterCropOp(PreprocessingOp):
 
     size: int = 224
     name: str = field(default="crop", init=False)
+    batched = True
 
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise PreprocessingError("crop size must be positive")
 
     def apply(self, array: np.ndarray) -> np.ndarray:
-        height, width = array.shape[:2]
+        height, width = _image_axes(array, "crop")
         if height < self.size or width < self.size:
             raise PreprocessingError(
                 f"cannot crop {self.size}x{self.size} from {height}x{width}"
             )
         top = (height - self.size) // 2
         left = (width - self.size) // 2
-        return array[top:top + self.size, left:left + self.size].copy()
+        return array[..., top:top + self.size, left:left + self.size,
+                     :].copy()
 
     def output_spec(self, spec: TensorSpec) -> TensorSpec:
         if spec.height < self.size or spec.width < self.size:
@@ -185,6 +208,7 @@ class ConvertDtypeOp(PreprocessingOp):
     name: str = field(default="convert", init=False)
     value_only: bool = field(default=True, init=False)
     fusable: bool = field(default=True, init=False)
+    batched = True
 
     def apply(self, array: np.ndarray) -> np.ndarray:
         return array.astype(self.target_dtype)
@@ -207,17 +231,10 @@ class NormalizeOp(PreprocessingOp):
     name: str = field(default="normalize", init=False)
     value_only: bool = field(default=True, init=False)
     fusable: bool = field(default=True, init=False)
+    batched = True
 
     def apply(self, array: np.ndarray) -> np.ndarray:
-        data = array.astype(np.float32) / 255.0
-        mean = np.asarray(self.mean, dtype=np.float32)
-        std = np.asarray(self.std, dtype=np.float32)
-        if data.ndim != 3 or data.shape[2] != len(self.mean):
-            raise PreprocessingError(
-                f"normalize expects HWC with {len(self.mean)} channels, "
-                f"got shape {data.shape}"
-            )
-        return (data - mean) / std
+        return _normalize(array, self.mean, self.std)
 
     def output_spec(self, spec: TensorSpec) -> TensorSpec:
         return TensorSpec(height=spec.height, width=spec.width,
@@ -236,11 +253,10 @@ class ChannelReorderOp(PreprocessingOp):
     name: str = field(default="reorder", init=False)
     value_only: bool = field(default=False, init=False)
     fusable: bool = field(default=True, init=False)
+    batched = True
 
     def apply(self, array: np.ndarray) -> np.ndarray:
-        if array.ndim != 3:
-            raise PreprocessingError("channel reorder expects an HWC tensor")
-        return np.ascontiguousarray(np.transpose(array, (2, 0, 1)))
+        return _channels_first(array)
 
     def output_spec(self, spec: TensorSpec) -> TensorSpec:
         return TensorSpec(height=spec.height, width=spec.width,
@@ -266,10 +282,10 @@ class FusedNormalizeReorderOp(PreprocessingOp):
     name: str = field(default="fused-normalize-reorder", init=False)
     value_only: bool = field(default=False, init=False)
     fusable: bool = field(default=False, init=False)
+    batched = True
 
     def apply(self, array: np.ndarray) -> np.ndarray:
-        normalized = NormalizeOp(mean=self.mean, std=self.std).apply(array)
-        return np.ascontiguousarray(np.transpose(normalized, (2, 0, 1)))
+        return _channels_first(_normalize(array, self.mean, self.std))
 
     def output_spec(self, spec: TensorSpec) -> TensorSpec:
         return TensorSpec(height=spec.height, width=spec.width,
@@ -281,26 +297,66 @@ class FusedNormalizeReorderOp(PreprocessingOp):
         return 4.0 * spec.elements
 
 
+def _image_axes(array: np.ndarray, what: str) -> tuple[int, int]:
+    """``(height, width)`` of an ``(..., H, W, C)`` tensor."""
+    if array.ndim < 3:
+        raise PreprocessingError(f"{what} expects an HWC tensor")
+    return array.shape[-3], array.shape[-2]
+
+
+def _normalize(array: np.ndarray, mean: tuple[float, ...],
+               std: tuple[float, ...]) -> np.ndarray:
+    if array.ndim < 3 or array.shape[-1] != len(mean):
+        raise PreprocessingError(
+            f"normalize expects HWC with {len(mean)} channels, "
+            f"got shape {array.shape[-3:]}"
+        )
+    data = array.astype(np.float32) / 255.0
+    return ((data - np.asarray(mean, dtype=np.float32))
+            / np.asarray(std, dtype=np.float32))
+
+
+def _channels_first(array: np.ndarray) -> np.ndarray:
+    if array.ndim < 3:
+        raise PreprocessingError("channel reorder expects an HWC tensor")
+    return np.ascontiguousarray(np.moveaxis(array, -1, -3))
+
+
+def _bilinear_taps(size: int, new_size: int):
+    """Per output position: the two source indices and the blend weight."""
+    positions = np.linspace(0, size - 1, new_size)
+    low = np.floor(positions).astype(np.int64)
+    high = np.minimum(low + 1, size - 1)
+    return low, high, positions - low
+
+
 def bilinear_resize(array: np.ndarray, new_height: int, new_width: int) -> np.ndarray:
-    """Bilinear resize of an HWC array, preserving its dtype."""
-    if array.ndim != 3:
-        raise PreprocessingError("resize expects an HWC tensor")
+    """Bilinear resize of an ``(..., H, W, C)`` array, preserving its dtype.
+
+    Leading axes ride in front of every gather and broadcast, so each
+    image of a batch sees the per-element arithmetic it would see alone.
+    """
+    height, width = _image_axes(array, "resize")
     if new_height <= 0 or new_width <= 0:
         raise PreprocessingError("target dimensions must be positive")
-    height, width = array.shape[:2]
     if (new_height, new_width) == (height, width):
         return array.copy()
-    row_positions = np.linspace(0, height - 1, new_height)
-    col_positions = np.linspace(0, width - 1, new_width)
-    row0 = np.floor(row_positions).astype(np.int64)
-    col0 = np.floor(col_positions).astype(np.int64)
-    row1 = np.minimum(row0 + 1, height - 1)
-    col1 = np.minimum(col0 + 1, width - 1)
-    row_frac = (row_positions - row0)[:, None, None]
-    col_frac = (col_positions - col0)[None, :, None]
+    row0, row1, row_frac = _bilinear_taps(height, new_height)
+    col0, col1, col_frac = _bilinear_taps(width, new_width)
+    row_frac = row_frac[:, None, None]
+    col_frac = col_frac[:, None]
     data = array.astype(np.float64)
-    top = data[row0][:, col0] * (1 - col_frac) + data[row0][:, col1] * col_frac
-    bottom = data[row1][:, col0] * (1 - col_frac) + data[row1][:, col1] * col_frac
+
+    def corner(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        # The row gather is re-done per corner, not shared: holding it
+        # across the blends keeps one more batch-sized temporary live,
+        # which makes glibc trim and re-fault a serving thread's arena on
+        # every micro-batch (~20% of serve_closed's request rate).
+        return np.take(np.take(data, rows, axis=-3), cols, axis=-2)
+
+    top = corner(row0, col0) * (1 - col_frac) + corner(row0, col1) * col_frac
+    bottom = (corner(row1, col0) * (1 - col_frac)
+              + corner(row1, col1) * col_frac)
     result = top * (1 - row_frac) + bottom * row_frac
     if np.issubdtype(array.dtype, np.integer):
         return np.clip(np.round(result), 0, 255).astype(array.dtype)

@@ -15,13 +15,17 @@ Turns the offline batch engine into an online inference service:
 * :mod:`repro.serving.loadgen` -- open-loop Poisson/burst/diurnal/flash
   load generation (single- and multi-tenant mixes) with p50/p95/p99
   latency reporting.
-* :mod:`repro.serving.metrics` -- latency percentile accounting.
+
+Latency percentile accounting (:class:`LatencySummary`,
+:class:`LatencyRecorder`) lives in :mod:`repro.obs.metrics` and is
+exported from here too.
 
 Multi-tenant serving (quotas, priority classes, deadline-aware plan
 selection) layers on top via :mod:`repro.tenant`; pass a
 :class:`~repro.tenant.spec.TenantConfig` as ``SmolServer(tenants=...)``.
 """
 
+from repro.obs.metrics import LatencyRecorder, LatencySummary
 from repro.serving.cache import CacheStats, LruCache, PredictionCache
 from repro.serving.loadgen import (
     ArrivalTrace,
@@ -35,7 +39,6 @@ from repro.serving.loadgen import (
     flash_crowd_arrivals,
     poisson_arrivals,
 )
-from repro.serving.metrics import LatencyRecorder, LatencySummary, percentile
 from repro.serving.request import InferenceRequest, InferenceResponse
 from repro.serving.scheduler import BatcherStats, BatchPolicy
 from repro.serving.server import ServerStats, SmolServer, TenantServingStats
@@ -78,7 +81,6 @@ __all__ = [
     "diurnal_arrivals",
     "flash_crowd_arrivals",
     "functional_session_for_plan",
-    "percentile",
     "poisson_arrivals",
     "serving_pipeline_ops",
     "simulated_session_for_format",

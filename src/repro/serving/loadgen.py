@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import AdmissionError, ServingError
-from repro.serving.metrics import LatencySummary
+from repro.obs.metrics import LatencySummary
 from repro.serving.request import InferenceRequest, InferenceResponse
 from repro.serving.server import SmolServer
 from repro.utils.rng import deterministic_rng

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from repro.chaos.faults import NULL_FAULTS
 from repro.errors import ServingError
 from repro.obs import NULL_OBS
+from repro.obs.metrics import LatencyRecorder, LatencySummary
 from repro.serving.cache import CacheStats, PredictionCache
-from repro.serving.metrics import LatencyRecorder, LatencySummary
 from repro.serving.request import InferenceRequest, InferenceResponse, monotonic
 from repro.serving.scheduler import (
     BatcherStats,

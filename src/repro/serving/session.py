@@ -66,14 +66,16 @@ class EngineSession:
     """Base class: a warmed, reusable execution context for one plan.
 
     ``format_name`` / ``model_name`` are the telemetry subjects of the
-    session's decode and inference costs, and ``performance_model`` the
-    modelled hardware it is priced on; sessions that know them override
-    the declared defaults.
+    session's decode and inference costs, ``performance_model`` the
+    modelled hardware it is priced on, and ``modelled_throughput`` its
+    images/second under that model (None: the session cannot be priced);
+    sessions that know them override the declared defaults.
     """
 
     format_name = ""
     model_name = ""
     performance_model = None
+    modelled_throughput = None
 
     def __init__(self, plan_key: str) -> None:
         if not plan_key:
@@ -106,10 +108,10 @@ class FunctionalSession(EngineSession):
     The DAG is compiled once into a :class:`~repro.fuse.kernel.FusedKernel`
     (shared process-wide per plan fingerprint) and each micro-batch
     executes as batched array ops.  Per-image ``PreprocessingDAG.execute``
-    is the reference oracle: kernel output is bit-identical to it by the
-    lowering contract (``tests/fuse/`` enforces it).  ``faults``/``obs``
-    thread into the kernel, which keeps the ``fuse.execute`` chaos seam and
-    per-segment spans visible.
+    is the reference oracle: the kernel runs the same ``apply`` bodies in
+    the same order, so its output is bit-identical (``tests/fuse/``
+    enforces it).  ``faults``/``obs`` thread into the kernel, which keeps
+    the ``fuse.execute`` chaos seam and per-segment spans visible.
     """
 
     def __init__(self, plan_key: str, preprocessing: PreprocessingDAG,

@@ -21,6 +21,7 @@ through the store, :class:`~repro.query.engine.QueryEngine` and
 ``smol-repro store`` CLI exposes stats/gc/warm.
 """
 
+from repro.preprocessing.dag import dag_fingerprint
 from repro.store.catalog import (
     MATERIALIZED_DECODE_FRACTION,
     StoreCatalog,
@@ -36,7 +37,6 @@ from repro.store.store import (
     ScoreKey,
     StoreEvent,
     StoreStats,
-    dag_fingerprint,
     fingerprint_of,
 )
 

@@ -9,8 +9,9 @@ model as a throughput *discount factor* per input format, derived from the
 paper's measured stage breakdown (decode is ~82% of preprocessing time,
 :data:`repro.inference.perfmodel.STAGE_FRACTIONS`).
 
-The catalog is duck-typed: the core cost model accepts anything with a
-``decode_discount(format_name) -> float`` method, so :mod:`repro.core` never
+The catalog is duck-typed: the core cost model accepts anything with
+``decode_discount(format_name) -> float`` and
+``is_materialized(format_name) -> bool`` methods, so :mod:`repro.core` never
 imports the store package (the store sits *above* core in the layer stack).
 """
 

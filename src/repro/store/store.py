@@ -99,23 +99,6 @@ def fingerprint_of(*parts: object) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def dag_fingerprint(dag) -> str:
-    """Fingerprint of a preprocessing DAG's executable spec.
-
-    Uses the DAG's operator sequence and device placement (its
-    ``describe()`` string plus per-op public attributes), so any spec change
-    -- op order, parameters, placement -- produces a new fingerprint and
-    invalidates renditions and scores computed under the old one.
-    """
-    parts: list[object] = [dag.describe()]
-    for node in dag.topological_ops():
-        parts.append(sorted(
-            (k, repr(v)) for k, v in vars(node.op).items()
-            if not k.startswith("_")
-        ))
-    return fingerprint_of(*parts)
-
-
 @dataclass(frozen=True)
 class StoreEvent:
     """One observable change to the store's catalog state.

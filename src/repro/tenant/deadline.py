@@ -111,11 +111,11 @@ class PlanLadder:
         for rung in self._rungs:
             if rung.session is session:
                 return rung.per_image_s
-        throughput = getattr(session, "modelled_throughput", None)
         try:
-            return 1.0 / throughput if throughput else None
-        except ServingError:
+            throughput = session.modelled_throughput
+        except ServingError:  # an unwarmed simulated session
             return None
+        return 1.0 / throughput if throughput else None
 
     def describe(self) -> str:
         """Human-readable rung table."""
@@ -131,7 +131,7 @@ class PlanLadder:
         for session in sessions:
             if not session.warmed:
                 session.warmup()
-            throughput = getattr(session, "modelled_throughput", None)
+            throughput = session.modelled_throughput
             if not throughput:
                 raise TenantError(
                     f"session {session.plan_key!r} has no modelled "

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serving.metrics import LatencyRecorder, LatencySummary, percentile
+from repro.obs.metrics import LatencyRecorder, LatencySummary, percentile
 
 
 class TestPercentile:

@@ -94,15 +94,6 @@ class TestCliCommands:
         assert row["pattern"] == "poisson"
         assert row["completed"] > 0
 
-    def test_tenant_demo_orders_class_tails(self, capsys):
-        # The mixed-load fairness demo: exit 0 asserts per-class p99
-        # ordering interactive < standard < batch held end to end.
-        assert main(["tenant", "--requests", "48", "--pool-size", "16"]) == 0
-        output = capsys.readouterr().out
-        assert "interactive" in output and "backfill" in output
-        assert "p99 ordering holds" in output
-        assert "SLO state" in output
-
     def test_cluster_bench_command(self, capsys, tmp_path):
         import json
 

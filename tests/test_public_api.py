@@ -68,6 +68,21 @@ class TestPublicApi:
         for name in ("DrrScheduler", "ClassBatch", "ClassPolicy"):
             assert getattr(tenant, name) is getattr(scheduler, name), name
 
+    def test_fuse_exports_exactly_the_kernel_cache_and_transport(self):
+        # One arithmetic per operator: batch capability is declared on the
+        # op class (``batched``), so the package exports no per-op
+        # extension entry points and has no registry module.
+        fuse = importlib.import_module("repro.fuse")
+        assert sorted(fuse.__all__) == [
+            "DEFAULT_KERNEL_CACHE", "FusedKernel", "HAS_SHM", "KernelCache",
+            "ShmBatchRef", "ShmBatchTransport", "compile_dag",
+            "dag_fingerprint", "get_kernel", "worker_shm_prefix",
+        ]
+        public = {name for name in vars(fuse) if not name.startswith("_")}
+        assert public - set(fuse.__all__) <= {"compiler", "kernel", "shm"}
+        assert fuse.dag_fingerprint is importlib.import_module(
+            "repro.store").dag_fingerprint
+
     def test_smol_facade_exported_at_top_level(self):
         assert repro.Smol is importlib.import_module("repro.core.smol").Smol
 
