@@ -45,40 +45,42 @@ def quality_to_quant_table(quality: int) -> np.ndarray:
 
 
 def pad_to_blocks(channel: np.ndarray) -> np.ndarray:
-    """Pad a 2-D channel with edge replication to a multiple of the block size."""
-    height, width = channel.shape
+    """Pad the last two axes (one channel, or a stack of them) with edge
+    replication to a multiple of the block size."""
+    height, width = channel.shape[-2:]
     pad_h = (-height) % BLOCK_SIZE
     pad_w = (-width) % BLOCK_SIZE
     if pad_h == 0 and pad_w == 0:
         return channel
-    return np.pad(channel, ((0, pad_h), (0, pad_w)), mode="edge")
+    lead = [(0, 0)] * (channel.ndim - 2)
+    return np.pad(channel, lead + [(0, pad_h), (0, pad_w)], mode="edge")
 
 
 def blockify(channel: np.ndarray) -> np.ndarray:
-    """Split a padded 2-D channel into an array of 8x8 blocks.
+    """Split a padded channel (or a stack of them) into 8x8 blocks.
 
-    Returns an array of shape (blocks_y, blocks_x, 8, 8).
+    Returns an array of shape (..., blocks_y, blocks_x, 8, 8).
     """
-    height, width = channel.shape
+    *lead, height, width = channel.shape
     if height % BLOCK_SIZE or width % BLOCK_SIZE:
         raise CodecError("channel must be padded to a multiple of the block size")
     blocks_y = height // BLOCK_SIZE
     blocks_x = width // BLOCK_SIZE
     return (
-        channel.reshape(blocks_y, BLOCK_SIZE, blocks_x, BLOCK_SIZE)
-        .swapaxes(1, 2)
+        channel.reshape(*lead, blocks_y, BLOCK_SIZE, blocks_x, BLOCK_SIZE)
+        .swapaxes(-3, -2)
         .copy()
     )
 
 
 def unblockify(blocks: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`blockify`: reassemble blocks into a 2-D channel."""
-    if blocks.ndim != 4 or blocks.shape[2:] != (BLOCK_SIZE, BLOCK_SIZE):
-        raise CodecError(f"expected (by, bx, 8, 8) blocks, got {blocks.shape}")
-    blocks_y, blocks_x = blocks.shape[:2]
+    """Inverse of :func:`blockify`: reassemble blocks into channels."""
+    if blocks.ndim < 4 or blocks.shape[-2:] != (BLOCK_SIZE, BLOCK_SIZE):
+        raise CodecError(f"expected (..., by, bx, 8, 8) blocks, got {blocks.shape}")
+    *lead, blocks_y, blocks_x = blocks.shape[:-2]
     return (
-        blocks.swapaxes(1, 2)
-        .reshape(blocks_y * BLOCK_SIZE, blocks_x * BLOCK_SIZE)
+        blocks.swapaxes(-3, -2)
+        .reshape(*lead, blocks_y * BLOCK_SIZE, blocks_x * BLOCK_SIZE)
         .copy()
     )
 
@@ -123,8 +125,8 @@ ZIGZAG_INVERSE = np.argsort(ZIGZAG)
 
 
 def zigzag_scan(block: np.ndarray) -> np.ndarray:
-    """Flatten an 8x8 block in zig-zag order."""
-    return block.reshape(-1)[ZIGZAG]
+    """Flatten an 8x8 block (or each of a stack of them) in zig-zag order."""
+    return block.reshape(*block.shape[:-2], BLOCK_SIZE * BLOCK_SIZE)[..., ZIGZAG]
 
 
 def zigzag_unscan(flat: np.ndarray) -> np.ndarray:

@@ -10,6 +10,10 @@ decoding possible).
 
 This coder is intentionally byte-aligned per block: each block's payload is
 independently decodable given its offset, mirroring JPEG restart markers.
+
+Both directions are array programs over all the blocks asked for at once; a
+lone block is their one-row case.  The per-varint loops they replaced are the
+differential oracle in ``tests/codecs/scalar_oracle.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,13 @@ import numpy as np
 from repro.errors import CorruptBitstreamError
 
 _MAGIC = b"RPRE"  # repro run-length entropy stream
+_TABLE_START = 8   # after the magic and the uint32 block count
+# End-of-block marker: a run of 0xFFFF (an impossible run length for 64
+# coefficient blocks) signals the remaining coefficients are zero.
+_EOB = 0xFFFF
+# No run, zig-zag-signed int16 value or EOB exceeds 0xFFFF, so the encoder's
+# varints are one to three bytes; the decoder calls anything wider too long.
+_MAX_VARINT_BYTES = 3
 
 
 def encode_coefficients(flat_coeffs: np.ndarray) -> bytes:
@@ -29,41 +40,141 @@ def encode_coefficients(flat_coeffs: np.ndarray) -> bytes:
     Encoding: pairs of (zero-run length, value) with values stored as
     zig-zag-signed varints, terminated by an end-of-block marker.
     """
-    if flat_coeffs.ndim != 1:
-        raise CorruptBitstreamError("expected a flat coefficient vector")
-    out = bytearray()
-    run = 0
-    for value in flat_coeffs.tolist():
-        if value == 0:
-            run += 1
-            continue
-        _write_varint(out, run)
-        _write_varint(out, _zigzag_signed(int(value)))
-        run = 0
-    # End-of-block marker: run of 0xFFFF (an impossible run length for 64
-    # coefficient blocks) signals the remaining coefficients are zero.
-    _write_varint(out, 0xFFFF)
-    return bytes(out)
+    return _encode_payloads(flat_coeffs[np.newaxis])[0].tobytes()
 
 
 def decode_coefficients(payload: bytes, length: int) -> np.ndarray:
     """Decode one block's payload into a coefficient vector of ``length``."""
-    coeffs = np.zeros(length, dtype=np.int16)
-    pos = 0
-    index = 0
-    while True:
-        run, pos = _read_varint(payload, pos)
-        if run == 0xFFFF:
-            break
-        value, pos = _read_varint(payload, pos)
-        index += run
-        if index >= length:
-            raise CorruptBitstreamError(
-                f"coefficient index {index} exceeds block length {length}"
-            )
-        coeffs[index] = _unzigzag_signed(value)
-        index += 1
+    edges = np.array([0, len(payload)])
+    return _decode_payloads(np.frombuffer(payload, dtype=np.uint8), edges, length)[0]
+
+
+def encode_blocks(coeffs: np.ndarray) -> bytes:
+    """Encode ``(n, length)`` int16 coefficient rows into one packed stream:
+    byte for byte ``pack_blocks`` of each row's :func:`encode_coefficients`."""
+    payload, sizes = _encode_payloads(coeffs)
+    return _index(sizes) + payload.tobytes()
+
+
+def decode_blocks(data: bytes, block_indices: np.ndarray, length: int) -> np.ndarray:
+    """Decode the chosen blocks of a packed stream into ``(n, length)`` int16,
+    touching only those blocks' bytes (what makes ROI decoding cheap)."""
+    count, payload_start = _read_header(data)
+    if len(data) > np.iinfo(np.int32).max:
+        raise CorruptBitstreamError("stream too large for 32-bit byte offsets")
+    index = np.asarray(block_indices, dtype=np.intp).reshape(-1)
+    if not len(index):
+        return np.zeros((0, length), dtype=np.int16)
+    if index.min() < 0 or index.max() >= count:
+        raise CorruptBitstreamError(f"block index out of range [0, {count})")
+    table = np.frombuffer(data, dtype="<u4", count=count + 1, offset=_TABLE_START)
+    start = table[index].astype(np.intp)
+    end = table[index + 1].astype(np.intp)
+    if (start > end).any() or end.max() > len(data) - payload_start:
+        raise CorruptBitstreamError("block offsets reversed or past the payload")
+    edges = np.concatenate(([0], np.cumsum(end - start)))
+    payload = np.frombuffer(data, dtype=np.uint8, offset=payload_start)
+    if (np.diff(index) == 1).all():
+        # Neighbours in the stream (a full decode): their bytes are one slice.
+        return _decode_payloads(payload[start[0]:end[-1]], edges, length)
+    # Gather the chosen blocks' bytes back to back: output byte p of block b
+    # comes from payload byte p + (start[b] - edges[b]).
+    take = np.arange(edges[-1], dtype=np.int32)
+    take += np.repeat((start - edges[:-1]).astype(np.int32), end - start)
+    return _decode_payloads(payload[take], edges, length)
+
+
+def _encode_payloads(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Payload bytes of all rows back to back, and each row's byte count."""
+    if coeffs.ndim != 2 or coeffs.dtype != np.int16:
+        raise CorruptBitstreamError("expected an (n, length) int16 coefficient array")
+    blocks, length = coeffs.shape
+    where = np.flatnonzero(coeffs)                       # row-major: by block, then position
+    block, pos = np.divmod(where, length)
+    value = coeffs.reshape(-1)[where].astype(np.int32)
+    fresh = np.diff(block, prepend=-1) != 0              # a block's first non-zero
+    run = np.where(fresh, pos, np.diff(pos, prepend=0) - 1)
+    # Token stream: (run, value) per non-zero coefficient, one EOB per block.
+    # A pair's slot is shifted by the EOBs of the blocks before its own.
+    pairs_through = np.searchsorted(block, np.arange(blocks), side="right")
+    tokens = np.empty(2 * len(pos) + blocks, dtype=np.int32)
+    slot = 2 * np.arange(len(pos)) + block
+    eob_slot = 2 * pairs_through + np.arange(blocks)
+    tokens[slot] = run
+    tokens[slot + 1] = (value << 1) ^ (value >> 31)      # zig-zag signing
+    tokens[eob_slot] = _EOB
+    # A varint is one to three 7-bit groups, low group first; a group
+    # carries the continuation bit when another follows it.
+    long2, long3 = tokens > 0x7F, tokens > 0x3FFF
+    width = (1 + long2.view(np.uint8) + long3.view(np.uint8)).astype(np.intp)
+    ends = np.cumsum(width)
+    start = ends - width
+    out = np.empty(ends[-1] if len(ends) else 0, dtype=np.uint8)
+    out[start] = tokens.astype(np.uint8) & 0x7F | long2.view(np.uint8) << 7
+    two = np.flatnonzero(long2)
+    out[start[two] + 1] = tokens[two] >> 7 & 0x7F | long3[two].view(np.uint8) << 7
+    three = two[long3[two]]
+    out[start[three] + 2] = tokens[three] >> 14
+    return out, np.diff(ends[eob_slot], prepend=0)
+
+
+def _decode_payloads(buf: np.ndarray, edges: np.ndarray, length: int) -> np.ndarray:
+    """Decode blocks lying back to back in ``buf``; block b is
+    ``buf[edges[b]:edges[b + 1]]``.  Bytes after a block's EOB are ignored."""
+    blocks = len(edges) - 1
+    tokens, first, too_long = _varint_tokens(buf, edges)
+    # Tokens alternate run, value from each block's first token; the first
+    # run equal to EOB ends the block.  EOB candidates are few, so find each
+    # block's among them instead of scanning every token.
+    marks = np.flatnonzero(tokens == _EOB).astype(np.int32)
+    owner = np.searchsorted(first, marks, side="right") - 1
+    is_run = (marks - first[owner]) & 1 == 0
+    marks, owner = marks[is_run], owner[is_run]
+    eob = marks[np.flatnonzero(np.diff(owner, prepend=-1))]
+    if len(eob) != blocks:
+        raise CorruptBitstreamError("truncated varint: block has no end-of-block")
+    if (too_long <= eob[np.searchsorted(first, too_long, side="right") - 1]).any():
+        raise CorruptBitstreamError("varint too long")
+    # The tokens a block's decoder reads: its (run, value) pairs, then EOB.
+    pairs = (eob - first[:-1]) // 2
+    pair_block = np.repeat(np.arange(blocks), pairs)
+    before = np.cumsum(pairs) - pairs
+    at = (first[:-1] + 1 - 2 * before).astype(np.int32)[pair_block]
+    at += 2 * np.arange(len(at), dtype=np.int32)
+    run, value = tokens[at - 1], tokens[at]
+    del tokens, at
+    if (value > 0xFFFF).any():
+        raise CorruptBitstreamError("coefficient outside int16")
+    # A coefficient's index is its block's running sum of (run + 1), less one.
+    total = np.concatenate(([0], np.cumsum(run.astype(np.intp) + 1)))
+    index = total[1:] - 1 - total[before][pair_block]
+    if len(index) and index.max() >= length:
+        raise CorruptBitstreamError(f"coefficient index exceeds block length {length}")
+    coeffs = np.zeros((blocks, length), dtype=np.int16)
+    coeffs[pair_block, index] = (value >> 1) ^ -(value & 1)
     return coeffs
+
+
+def _varint_tokens(buf: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every varint of ``buf`` as an int32 token, the index of each block's
+    first token (and, last, the token count), and the indices of tokens
+    wider than ``_MAX_VARINT_BYTES``, whose value is not meaningful."""
+    # A block must end on a varint's last byte, or the varint would run on
+    # into the next block (this also rejects an empty block).
+    if (np.diff(edges) <= 0).any() or (buf[edges[1:] - 1] & 0x80).any():
+        raise CorruptBitstreamError("truncated varint")
+    # Varints end where the continuation bit is clear.  Most are one byte:
+    # take every first group, then the second and third of the few with them.
+    ends = np.flatnonzero(buf < 0x80).astype(np.int32)
+    starts = np.roll(ends, 1) + 1
+    starts[0] = 0
+    tokens = (buf[starts] & 0x7F).astype(np.int32)
+    two = np.flatnonzero(ends > starts)
+    tokens[two] |= (buf[starts[two] + 1] & 0x7F).astype(np.int32) << 7
+    three = two[ends[two] - starts[two] > 1]
+    tokens[three] |= (buf[starts[three] + 2] & 0x7F).astype(np.int32) << 14
+    first = np.searchsorted(ends, edges.astype(np.int32)).astype(np.int32)
+    return tokens, first, three[ends[three] - starts[three] >= _MAX_VARINT_BYTES]
 
 
 def pack_blocks(block_payloads: list[bytes]) -> bytes:
@@ -73,91 +184,48 @@ def pack_blocks(block_payloads: list[bytes]) -> bytes:
     The offsets table is what enables macroblock ROI decoding: a decoder can
     seek straight to the blocks intersecting the region of interest.
     """
-    header = bytearray()
-    header += _MAGIC
-    header += struct.pack("<I", len(block_payloads))
-    offsets = []
-    cursor = 0
-    for payload in block_payloads:
-        offsets.append(cursor)
-        cursor += len(payload)
-    header += struct.pack(f"<{len(offsets)}I", *offsets) if offsets else b""
-    header += struct.pack("<I", cursor)  # total payload size for bounds checks
-    return bytes(header) + b"".join(block_payloads)
+    sizes = np.array([len(payload) for payload in block_payloads], dtype=np.int64)
+    return _index(sizes) + b"".join(block_payloads)
 
 
 def unpack_block(data: bytes, block_index: int) -> bytes:
     """Extract the payload of a single block from a packed stream."""
-    count, offsets_start = _read_header(data)
+    count, payload_start = _read_header(data)
     if not 0 <= block_index < count:
-        raise CorruptBitstreamError(
-            f"block index {block_index} out of range [0, {count})"
-        )
-    offsets = struct.unpack_from(f"<{count}I", data, offsets_start)
-    total = struct.unpack_from("<I", data, offsets_start + 4 * count)[0]
-    payload_start = offsets_start + 4 * count + 4
-    start = payload_start + offsets[block_index]
-    end = (
-        payload_start + offsets[block_index + 1]
-        if block_index + 1 < count
-        else payload_start + total
-    )
-    return data[start:end]
+        raise CorruptBitstreamError(f"block index {block_index} out of range [0, {count})")
+    start, end = struct.unpack_from("<II", data, _TABLE_START + 4 * block_index)
+    if start > end or payload_start + end > len(data):
+        raise CorruptBitstreamError(f"block {block_index} reversed or past the payload")
+    return data[payload_start + start:payload_start + end]
 
 
 def block_count(data: bytes) -> int:
     """Number of blocks in a packed stream."""
-    count, _ = _read_header(data)
-    return count
+    return _read_header(data)[0]
 
 
 def payload_size(data: bytes) -> int:
     """Total size in bytes of the packed coefficient payloads."""
-    count, offsets_start = _read_header(data)
-    return struct.unpack_from("<I", data, offsets_start + 4 * count)[0]
+    _, payload_start = _read_header(data)
+    return struct.unpack_from("<I", data, payload_start - 4)[0]
+
+
+def _index(sizes: np.ndarray) -> bytes:
+    """Stream header for blocks of these byte sizes: magic, block count,
+    each block's uint32 start offset, then the total for bounds checks."""
+    edges = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    if edges[-1] > 0xFFFFFFFF:
+        raise CorruptBitstreamError("payloads exceed the uint32 offset range")
+    return _MAGIC + struct.pack("<I", len(sizes)) + edges.astype("<u4").tobytes()
 
 
 def _read_header(data: bytes) -> tuple[int, int]:
-    if len(data) < 8 or data[:4] != _MAGIC:
+    """Block count and where the payloads start.  Between lies the table of
+    uint32 block starts, then the total: block i spans entries i and i + 1."""
+    if len(data) < _TABLE_START or data[:4] != _MAGIC:
         raise CorruptBitstreamError("not a repro entropy stream")
     count = struct.unpack_from("<I", data, 4)[0]
-    return count, 8
-
-
-def _zigzag_signed(value: int) -> int:
-    """Map a signed int to an unsigned int (zig-zag signing, as in protobuf)."""
-    return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
-
-
-def _unzigzag_signed(value: int) -> int:
-    """Inverse of :func:`_zigzag_signed`."""
-    return (value >> 1) if value % 2 == 0 else -((value + 1) >> 1)
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise CorruptBitstreamError("varints must be non-negative")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise CorruptBitstreamError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 63:
-            raise CorruptBitstreamError("varint too long")
+    payload_start = _TABLE_START + 4 * count + 4
+    if len(data) < payload_start:
+        raise CorruptBitstreamError("truncated offset table")
+    return count, payload_start

@@ -24,6 +24,8 @@ from repro.codecs.image import Image, Resolution
 from repro.codecs.roi import RegionOfInterest, expand_to_blocks
 from repro.errors import CodecError
 
+_BLOCK_LENGTH = blk.BLOCK_SIZE * blk.BLOCK_SIZE
+
 
 @dataclass(frozen=True)
 class JpegEncoded:
@@ -83,19 +85,13 @@ class JpegCodec:
 
     def encode(self, image: Image) -> JpegEncoded:
         """Encode an image into the JPEG-like format."""
-        payloads: list[bytes] = []
-        blocks_x = blocks_y = 0
-        for channel_index in range(image.channels):
-            channel = image.pixels[:, :, channel_index].astype(np.float64) - 128.0
-            padded = blk.pad_to_blocks(channel)
-            channel_blocks = blk.blockify(padded)
-            blocks_y, blocks_x = channel_blocks.shape[:2]
-            coeffs = blk.forward_dct_blocks(channel_blocks)
-            quantized = blk.quantize_blocks(coeffs, self._quant_table)
-            for by in range(blocks_y):
-                for bx in range(blocks_x):
-                    flat = blk.zigzag_scan(quantized[by, bx])
-                    payloads.append(entropy.encode_coefficients(flat))
+        # One array program over every block of every channel; channel
+        # planes lead, so the stream's block order is (channel, by, bx).
+        planes = image.pixels.transpose(2, 0, 1).astype(np.float64) - 128.0
+        plane_blocks = blk.blockify(blk.pad_to_blocks(planes))
+        blocks_y, blocks_x = plane_blocks.shape[1:3]
+        quantized = blk.quantize_blocks(blk.forward_dct_blocks(plane_blocks), self._quant_table)
+        flat = blk.zigzag_scan(quantized).reshape(-1, _BLOCK_LENGTH)
         return JpegEncoded(
             width=image.width,
             height=image.height,
@@ -103,7 +99,7 @@ class JpegCodec:
             quality=self._quality,
             blocks_x=blocks_x,
             blocks_y=blocks_y,
-            data=entropy.pack_blocks(payloads),
+            data=entropy.encode_blocks(flat),
         )
 
     def decode(self, encoded: JpegEncoded) -> Image:
@@ -124,35 +120,28 @@ class JpegCodec:
         block_top = aligned.top // blk.BLOCK_SIZE
         blocks_w = (aligned.width + blk.BLOCK_SIZE - 1) // blk.BLOCK_SIZE
         blocks_h = (aligned.height + blk.BLOCK_SIZE - 1) // blk.BLOCK_SIZE
-        out = np.zeros(
-            (blocks_h * blk.BLOCK_SIZE, blocks_w * blk.BLOCK_SIZE, encoded.channels),
-            dtype=np.float64,
+        # One array program over the touched blocks of every channel: stream
+        # indices (channel, by, bx) -> coefficients -> pixels.  A full decode
+        # is the same lines with every block touched.
+        rows = (block_top + np.arange(blocks_h)) * encoded.blocks_x
+        cols = block_left + np.arange(blocks_w)
+        planes = np.arange(encoded.channels) * (encoded.blocks_x * encoded.blocks_y)
+        block_indices = planes[:, np.newaxis, np.newaxis] + rows[:, np.newaxis] + cols
+        flat = entropy.decode_blocks(encoded.data, block_indices, _BLOCK_LENGTH)
+        samples = blk.inverse_dct_blocks(
+            blk.dequantize_blocks(blk.zigzag_unscan(flat), quant_table)
         )
-        blocks_per_channel = encoded.blocks_x * encoded.blocks_y
-        for channel_index in range(encoded.channels):
-            for local_by in range(blocks_h):
-                for local_bx in range(blocks_w):
-                    by = block_top + local_by
-                    bx = block_left + local_bx
-                    block_index = (
-                        channel_index * blocks_per_channel + by * encoded.blocks_x + bx
-                    )
-                    payload = entropy.unpack_block(encoded.data, block_index)
-                    flat = entropy.decode_coefficients(
-                        payload, blk.BLOCK_SIZE * blk.BLOCK_SIZE
-                    )
-                    quantized = blk.zigzag_unscan(flat)
-                    coeffs = blk.dequantize_blocks(quantized, quant_table)
-                    pixel_block = blk.inverse_dct_blocks(coeffs) + 128.0
-                    top = local_by * blk.BLOCK_SIZE
-                    left = local_bx * blk.BLOCK_SIZE
-                    out[top:top + blk.BLOCK_SIZE, left:left + blk.BLOCK_SIZE,
-                        channel_index] = pixel_block
+        # In place: the float64 samples are the decoder's largest array.
+        samples += 128.0
+        np.clip(np.rint(samples, out=samples), 0, 255, out=samples)
+        channels = blk.unblockify(
+            samples.astype(np.uint8).reshape(*block_indices.shape, *samples.shape[1:])
+        )
         # Clip to the frame: edge blocks may extend past the true image size.
         height = min(aligned.height, encoded.height - aligned.top)
         width = min(aligned.width, encoded.width - aligned.left)
-        pixels = np.clip(np.round(out[:height, :width]), 0, 255).astype(np.uint8)
-        return Image(pixels=pixels)
+        pixels = channels[:, :height, :width].transpose(1, 2, 0)
+        return Image(pixels=np.ascontiguousarray(pixels))
 
     def decoded_block_fraction(self, encoded: JpegEncoded,
                                roi: RegionOfInterest) -> float:

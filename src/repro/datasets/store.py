@@ -101,8 +101,6 @@ class MultiResolutionStore:
         codec = self._codecs[format_name]
         if roi is None:
             decoded = codec.decode(stored.encoded)
-        elif isinstance(codec, JpegCodec):
-            decoded = codec.decode_roi(stored.encoded, roi)
         else:
             decoded = codec.decode_roi(stored.encoded, roi)
         decoded.label = stored.label

@@ -166,26 +166,18 @@ class SmolRuntimeEngine:
         errors: list[str] = []
         errors_lock = threading.Lock()
 
-        # Determine the preprocessed tensor shape from the first image so the
-        # buffer pool can be sized; the pool is only exercised when buffer
-        # reuse is enabled.
-        probe = preprocessing.execute(decode_fn(0))
-        # Size the pool for the worst case of in-flight buffers: everything
-        # sitting in the queue, one per producer being filled, and one batch
-        # held by the consumer while the model runs.
+        # The buffer pool takes its shape from the first tensor a producer
+        # yields (no image is decoded twice) and is sized for the worst case
+        # of in-flight buffers: everything sitting in the queue, one per
+        # producer being filled, one batch held while the model runs.
         max_in_flight = queue.capacity + producers + batch
-        pool = PinnedBufferPool(
-            shape=probe.shape,
-            dtype=str(probe.dtype),
-            max_buffers=max_in_flight,
-            reuse=self._config.reuse_buffers,
-            pinned=self._config.pinned_memory,
-        )
+        pool: PinnedBufferPool | None = None
 
         next_index = {"value": 0}
         index_lock = threading.Lock()
 
         def producer_loop() -> None:
+            nonlocal pool
             while True:
                 with index_lock:
                     index = next_index["value"]
@@ -195,14 +187,25 @@ class SmolRuntimeEngine:
                 try:
                     decoded = decode_fn(index)
                     preprocessed = preprocessing.execute(decoded)
+                    with index_lock:
+                        if pool is None:
+                            pool = PinnedBufferPool(
+                                shape=preprocessed.shape,
+                                dtype=str(preprocessed.dtype),
+                                max_buffers=max_in_flight,
+                                reuse=self._config.reuse_buffers,
+                                pinned=self._config.pinned_memory,
+                            )
                     buffer = pool.acquire()
                     buffer[...] = preprocessed
                     queue.put((index, buffer))
                 except QueueClosed:
                     return
-                except Exception as exc:  # pragma: no cover - defensive
+                except Exception as exc:
                     with errors_lock:
                         errors.append(f"image {index}: {exc}")
+                    # Wake the consumer: it may be waiting on this image.
+                    queue.close()
                     return
 
         threads = [threading.Thread(target=producer_loop, daemon=True)

@@ -1,5 +1,7 @@
 """Tests for the run-length / varint entropy coder."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,40 @@ class TestBlockPacking:
         payloads = [entropy.encode_coefficients(np.zeros(64, dtype=np.int16))] * 3
         packed = entropy.pack_blocks(payloads)
         assert entropy.payload_size(packed) == sum(len(p) for p in payloads)
+
+    def test_unpack_reads_only_the_two_offsets_it_needs(self, monkeypatch):
+        packed = entropy.pack_blocks([bytes([i]) * (i + 1) for i in range(50)])
+        formats = []
+        real = struct.unpack_from
+
+        def spy(fmt, *args):
+            formats.append(fmt)
+            return real(fmt, *args)
+
+        monkeypatch.setattr(entropy.struct, "unpack_from", spy)
+        assert entropy.unpack_block(packed, 49) == bytes([49]) * 50
+        assert entropy.unpack_block(packed, 0) == b"\x00"
+        assert entropy.payload_size(packed) == sum(range(1, 51))
+        assert set(formats) <= {"<I", "<II"}
+
+    def test_reversed_block_bounds_rejected(self):
+        packed = bytearray(entropy.pack_blocks([b"aaaa", b"bb", b"c"]))
+        struct.pack_into("<I", packed, 8 + 4, 7)     # block 1 now starts at 7 > its end 6
+        with pytest.raises(CorruptBitstreamError):
+            entropy.unpack_block(bytes(packed), 1)
+        assert entropy.unpack_block(bytes(packed), 2) == b"c"
+
+    def test_block_past_the_payload_rejected(self):
+        packed = entropy.pack_blocks([b"aaaa", b"bb", b"c"])
+        assert entropy.unpack_block(packed, 2) == b"c"
+        with pytest.raises(CorruptBitstreamError):
+            entropy.unpack_block(packed[:-1], 2)     # silently short before
+        assert entropy.unpack_block(packed[:-1], 1) == b"bb"
+
+    def test_truncated_offset_table_rejected(self):
+        packed = entropy.pack_blocks([b"aaaa", b"bb", b"c"])
+        for cut in (9, 14, 20):
+            with pytest.raises(CorruptBitstreamError):
+                entropy.unpack_block(packed[:cut], 2)
+            with pytest.raises(CorruptBitstreamError):
+                entropy.payload_size(packed[:cut])

@@ -16,6 +16,10 @@ def calibrator():
     return PreprocessingCalibrator(store)
 
 
+def fastest(profiles):
+    return min(profiles, key=lambda profile: profile.per_image_seconds)
+
+
 class TestPreprocessingCalibrator:
     def test_profile_reports_positive_times(self, calibrator):
         profile = calibrator.profile_format(THUMB_JPEG_161_Q75, sample_size=3)
@@ -24,14 +28,22 @@ class TestPreprocessingCalibrator:
         assert 0.0 <= profile.decode_fraction <= 1.0
         assert profile.single_thread_throughput > 0
 
+    # The two timing tests below read the fastest of a few profiles: host
+    # noise only ever adds time, and since the JPEG-like decoder became an
+    # array program a 64-px decode is about a millisecond (it was ten), so
+    # one scheduling hiccup outweighs the differences they assert.
+
     def test_decode_dominates_measured_cost(self, calibrator):
-        profile = calibrator.profile_format(FULL_JPEG, sample_size=3)
+        profiles = [calibrator.profile_format(FULL_JPEG, sample_size=3)
+                    for _ in range(5)]
         # The numpy JPEG decoder is by far the most expensive stage, matching
         # the paper's observation that decode dominates preprocessing.
-        assert profile.decode_fraction > 0.5
+        assert fastest(profiles).decode_fraction > 0.5
 
     def test_thumbnails_cheaper_than_full_resolution(self, calibrator):
-        profiles = calibrator.profile_all(sample_size=3)
+        runs = [calibrator.profile_all(sample_size=3) for _ in range(5)]
+        profiles = {name: fastest([run[name] for run in runs])
+                    for name in runs[0]}
         relative = calibrator.relative_costs(profiles)
         assert relative["full-jpeg"] > relative["161-jpeg-q75"]
         assert relative[min(relative, key=relative.get)] == pytest.approx(1.0)

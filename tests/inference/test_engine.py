@@ -1,5 +1,8 @@
 """Tests for the Smol runtime engine (simulated and functional modes)."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -112,3 +115,38 @@ class TestFunctionalMode:
         engine = SmolRuntimeEngine(EngineConfig(num_producers=2))
         with pytest.raises(EngineError):
             engine.run_functional_batched([], dag, model)
+
+    def test_every_image_is_decoded_exactly_once(self, functional_setup):
+        images, dag, model = functional_setup
+        calls: list[int] = []
+        lock = threading.Lock()
+
+        def decode(index):
+            with lock:
+                calls.append(index)
+            return images[index]
+
+        engine = SmolRuntimeEngine(EngineConfig(num_producers=2, batch_size=4,
+                                                queue_capacity=2))
+        result = engine.run_functional(decode, dag, model, len(images))
+        assert sorted(calls) == list(range(len(images)))
+        assert result.memory_stats.allocations > 0
+
+    @pytest.mark.parametrize("bad_index", [0, 5])
+    @pytest.mark.parametrize("producers", [1, 2])
+    def test_a_failing_decode_surfaces_as_engine_error(self, functional_setup,
+                                                       bad_index, producers):
+        images, dag, model = functional_setup
+
+        def decode(index):
+            if index == bad_index:
+                raise ValueError("unreadable image")
+            return images[index]
+
+        engine = SmolRuntimeEngine(EngineConfig(num_producers=producers,
+                                                batch_size=4))
+        started = time.monotonic()
+        with pytest.raises(EngineError, match=f"image {bad_index}: unreadable"):
+            engine.run_functional(decode, dag, model, len(images))
+        # The consumer is woken by the failure, not by its 30 s queue timeout.
+        assert time.monotonic() - started < 10.0
