@@ -486,8 +486,7 @@ class ChaosRunner:
             requests.append(batch)
         reference = [
             model.predict(np.stack([dag.execute(request.payload)
-                                    for request in batch])
-                          .astype(np.float32))
+                                    for request in batch]))
             for batch in requests
         ]
         plan = FaultPlan(faults=tuple(

@@ -225,10 +225,8 @@ class SmolRuntimeEngine:
                 break
             if len(batch_buffers) == batch or consumed + len(batch_buffers) == num_images:
                 indices = [item[0] for item in batch_buffers]
-                stacked = np.stack([item[1] for item in batch_buffers]).astype(
-                    np.float32
-                )
-                batch_predictions = model.predict(stacked)
+                batch_predictions = model.predict(
+                    np.stack([item[1] for item in batch_buffers]))
                 predictions[indices] = batch_predictions
                 for _, buffer in batch_buffers:
                     pool.release(buffer)

@@ -6,7 +6,9 @@ Two layers of fidelity serve different parts of the reproduction:
   :mod:`repro.nn.train`) implements convolutional networks with real forward
   and backward passes in numpy.  It is used for the *functional* experiments:
   specialized NNs on the synthetic datasets, and the low-resolution augmented
-  training procedure of Section 5.3.
+  training procedure of Section 5.3.  Inference runs an ahead-of-time plan
+  over a per-thread arena (:mod:`repro.nn.plan`), every convolution one BLAS
+  GEMM that stays on the calling thread (:mod:`repro.nn.blas`).
 * The model zoo (:mod:`repro.nn.zoo`) holds calibrated throughput and accuracy
   profiles of the paper's standard ResNets (18/34/50) and specialized NNs, so
   the planner and the benchmark harnesses reproduce the paper's trade-off
@@ -24,6 +26,7 @@ from repro.nn.layers import (
     Flatten,
 )
 from repro.nn.model import Sequential, MiniConvNet, build_mini_resnet
+from repro.nn.plan import PLAN_STATS
 from repro.nn.train import Trainer, TrainingConfig, TrainingResult
 from repro.nn.specialized import SpecializedNN, make_specialized_family
 from repro.nn.zoo import ModelProfile, get_model_profile, list_model_profiles
@@ -41,6 +44,7 @@ __all__ = [
     "Sequential",
     "MiniConvNet",
     "build_mini_resnet",
+    "PLAN_STATS",
     "Trainer",
     "TrainingConfig",
     "TrainingResult",

@@ -3,23 +3,70 @@
 The layers follow a minimal Layer protocol: ``forward`` caches what the
 backward pass needs, ``backward`` returns the gradient with respect to the
 input and accumulates parameter gradients, and ``params``/``grads`` expose
-parameter tensors to the optimizer.  Convolution uses im2col so training the
-small specialized NNs stays fast enough for tests.
+parameter tensors to the optimizer.
+
+One arithmetic per layer.  A layer that says ``planned = True`` writes its
+inference arithmetic once, in :meth:`Layer.step`, against arrays the caller
+provides; :mod:`repro.nn.plan` hands it views of a per-thread arena, and the
+layer's own allocating ``forward`` (training, and the tests' oracle) hands
+the same code fresh arrays.  Convolution is im2col into a scratch array
+followed by one BLAS GEMM (:mod:`repro.nn.blas`).  Steps read parameters and
+running statistics from the layer each time they run, never from captured
+copies: training rebinds them and ``load_state_dict`` writes them in place.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import Callable
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ModelError
+from repro.nn import blas
 
 
 class Layer:
     """Base class for layers: forward/backward plus parameter access."""
 
+    #: The class implements :meth:`step`.  The inference plan runs any other
+    #: layer by calling its ``forward``.  A subclass that overrides
+    #: ``forward`` without declaring ``planned`` again is reset to ``False``,
+    #: because the ``step`` it inherits would bypass the override.
+    planned = False
+    #: ``step`` may be given the same array as ``source`` and ``out``.
+    in_place = False
+    #: ``step`` needs a C-contiguous ``out`` (a GEMM writes it).
+    dense_out = False
+    #: Zeros ``step`` needs around each spatial side of its input; when
+    #: positive, ``source`` is the whole bordered buffer.
+    border = 0
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "forward" in cls.__dict__ and "planned" not in cls.__dict__:
+            cls.planned = False
+
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Compute the layer output for ``inputs`` (NCHW or NC)."""
         raise NotImplementedError
+
+    def step(self, source: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray | None = None) -> Callable[[], None]:
+        """A callable computing this layer's inference output into ``out``.
+
+        ``source`` and ``out`` are whole-batch arrays whose views are made
+        here, once; the callable allocates nothing batch-sized.  A layer
+        that declares a :meth:`scratch_shape` gets ``scratch`` of shape
+        ``(chunk, *scratch_shape)`` and works through the batch ``chunk``
+        examples at a time.
+        """
+        raise NotImplementedError
+
+    def scratch_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...] | None:
+        """Per-example shape of the scratch ``step`` needs, if any."""
+        return None
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate ``grad_output``; returns gradient w.r.t. the input."""
@@ -43,36 +90,27 @@ class Layer:
         return 0.0
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        """Shape (excluding batch) produced for an input of ``input_shape``."""
+        """Shape (excluding batch) produced for an input of ``input_shape``.
+
+        Raises :class:`ModelError` when the layer cannot take that input;
+        ``forward`` and the plan compiler both validate through it.
+        """
         return input_shape
 
 
-def _im2col(inputs: np.ndarray, kernel: int, stride: int,
-            padding: int) -> tuple[np.ndarray, int, int]:
-    """Unfold NCHW input into columns for matrix-multiply convolution."""
-    batch, channels, height, width = inputs.shape
-    out_h = (height + 2 * padding - kernel) // stride + 1
-    out_w = (width + 2 * padding - kernel) // stride + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ModelError(
-            f"convolution output would be empty for input {inputs.shape}"
-        )
-    padded = np.pad(
-        inputs, ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    )
-    cols = np.empty((batch, channels, kernel, kernel, out_h, out_w),
-                    dtype=inputs.dtype)
-    for ky in range(kernel):
-        y_end = ky + stride * out_h
-        for kx in range(kernel):
-            x_end = kx + stride * out_w
-            cols[:, :, ky, kx] = padded[:, :, ky:y_end:stride, kx:x_end:stride]
-    return cols.reshape(batch, channels * kernel * kernel, out_h * out_w), out_h, out_w
+def _windows(source: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Every window of NCHW ``source`` as a read-only strided view.
+
+    Shape ``(N, C, kernel, kernel, out_h, out_w)``: entry ``[..., ky, kx, y,
+    x]`` is ``source[..., y * stride + ky, x * stride + kx]``.
+    """
+    windows = sliding_window_view(source, (kernel, kernel), axis=(2, 3))
+    return windows[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
 
 
 def _col2im(cols: np.ndarray, input_shape: tuple[int, int, int, int],
             kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Fold columns back to the padded input shape (adjoint of _im2col)."""
+    """Fold columns back to the input shape (adjoint of the im2col copy)."""
     batch, channels, height, width = input_shape
     out_h = (height + 2 * padding - kernel) // stride + 1
     out_w = (width + 2 * padding - kernel) // stride + 1
@@ -91,6 +129,9 @@ def _col2im(cols: np.ndarray, input_shape: tuple[int, int, int, int],
 
 class Conv2d(Layer):
     """2-D convolution (NCHW) with He-normal initialization."""
+
+    planned = True
+    dense_out = True
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
                  stride: int = 1, padding: int = 1, seed: int = 0) -> None:
@@ -112,19 +153,59 @@ class Conv2d(Layer):
         self.bias_grad = np.zeros_like(self.bias)
         self._cache: tuple | None = None
 
+    @property
+    def border(self) -> int:
+        """The zero padding: the plan keeps it as a persistent border."""
+        return self.padding
+
+    def step(self, source: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray | None = None) -> Callable[[], None]:
+        """Per chunk: im2col as one strided copy, one GEMM, the bias.
+
+        ``source`` is the zero-bordered input and ``scratch`` holds one
+        chunk's columns.  Every example is its own GEMM whatever the chunk,
+        so the chunk changes where the columns live, never a result.
+        """
+        batch, _, out_h, out_w = out.shape
+        k, chunk = self.kernel_size, scratch.shape[0]
+        windows = _windows(source, k, self.stride)
+        flat = out.reshape(batch, self.out_channels, out_h * out_w)
+        chunks = []
+        for start in range(0, batch, max(1, chunk)):
+            stop = min(start + chunk, batch)
+            columns = scratch[:stop - start]
+            unfolded = columns.reshape(-1, self.in_channels, k, k, out_h, out_w)
+            chunks.append((unfolded, windows[start:stop], columns,
+                           flat[start:stop]))
+
+        def run() -> None:
+            weight = self.weight.reshape(self.out_channels, -1)
+            bias = self.bias[:, None]
+            for unfolded, window, columns, result in chunks:
+                np.copyto(unfolded, window)
+                blas.gemm(weight, columns, result)
+                np.add(result, bias, out=result)
+
+        return run
+
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        if inputs.ndim != 4 or inputs.shape[1] != self.in_channels:
-            raise ModelError(
-                f"Conv2d expected NCHW with C={self.in_channels}, got {inputs.shape}"
-            )
-        cols, out_h, out_w = _im2col(inputs, self.kernel_size, self.stride,
-                                     self.padding)
-        weight_matrix = self.weight.reshape(self.out_channels, -1)
-        out = np.einsum("of,bfp->bop", weight_matrix, cols)
-        out += self.bias[None, :, None]
+        out_shape = self.output_shape(inputs.shape[1:])
+        batch, pad = inputs.shape[0], self.padding
+        source = inputs
+        if pad:
+            source = np.zeros(
+                inputs.shape[:2] + (inputs.shape[2] + 2 * pad,
+                                    inputs.shape[3] + 2 * pad),
+                dtype=inputs.dtype)
+            source[:, :, pad:-pad, pad:-pad] = inputs
+        cols = np.empty((batch, *self.scratch_shape(inputs.shape[1:])),
+                        dtype=inputs.dtype)
+        out = np.empty((batch, *out_shape),
+                       dtype=np.result_type(inputs.dtype, self.weight.dtype))
+        self.step(source, out, cols)()
         if training:
             self._cache = (inputs.shape, cols)
-        return out.reshape(inputs.shape[0], self.out_channels, out_h, out_w)
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -148,10 +229,23 @@ class Conv2d(Layer):
         return {"weight": self.weight_grad, "bias": self.bias_grad}
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
+        if len(input_shape) != 3 or input_shape[0] != self.in_channels:
+            raise ModelError(
+                f"Conv2d expected (C={self.in_channels}, H, W) per example, "
+                f"got {tuple(input_shape)}"
+            )
         _, height, width = input_shape
         out_h = (height + 2 * self.padding - self.kernel_size) // self.stride + 1
         out_w = (width + 2 * self.padding - self.kernel_size) // self.stride + 1
+        if out_h <= 0 or out_w <= 0:
+            raise ModelError(
+                f"convolution output would be empty for input {tuple(input_shape)}"
+            )
         return (self.out_channels, out_h, out_w)
+
+    def scratch_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
+        _, out_h, out_w = self.output_shape(input_shape)
+        return (self.in_channels * self.kernel_size ** 2, out_h * out_w)
 
     def flops(self, input_shape: tuple[int, ...]) -> float:
         _, out_h, out_w = self.output_shape(input_shape)
@@ -161,6 +255,9 @@ class Conv2d(Layer):
 
 class Linear(Layer):
     """Fully connected layer."""
+
+    planned = True
+    dense_out = True
 
     def __init__(self, in_features: int, out_features: int, seed: int = 0) -> None:
         if in_features <= 0 or out_features <= 0:
@@ -176,14 +273,22 @@ class Linear(Layer):
         self.bias_grad = np.zeros_like(self.bias)
         self._inputs: np.ndarray | None = None
 
+    def step(self, source: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray | None = None) -> Callable[[], None]:
+        def run() -> None:
+            blas.gemm(source, self.weight.T, out)
+            np.add(out, self.bias, out=out)
+
+        return run
+
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        if inputs.ndim != 2 or inputs.shape[1] != self.in_features:
-            raise ModelError(
-                f"Linear expected (N, {self.in_features}), got {inputs.shape}"
-            )
+        out_shape = self.output_shape(inputs.shape[1:])
         if training:
             self._inputs = inputs
-        return inputs @ self.weight.T + self.bias
+        out = np.empty((inputs.shape[0], *out_shape),
+                       dtype=np.result_type(inputs.dtype, self.weight.dtype))
+        self.step(inputs, out)()
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._inputs is None:
@@ -200,6 +305,11 @@ class Linear(Layer):
         return {"weight": self.weight_grad, "bias": self.bias_grad}
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
+        if tuple(input_shape) != (self.in_features,):
+            raise ModelError(
+                f"Linear expected ({self.in_features},) per example, "
+                f"got {tuple(input_shape)}"
+            )
         return (self.out_features,)
 
     def flops(self, input_shape: tuple[int, ...]) -> float:
@@ -209,13 +319,22 @@ class Linear(Layer):
 class ReLU(Layer):
     """Rectified linear activation."""
 
+    planned = True
+    in_place = True
+
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
+
+    def step(self, source: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray | None = None) -> Callable[[], None]:
+        return functools.partial(np.maximum, source, 0.0, out=out)
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         if training:
             self._mask = inputs > 0
-        return np.maximum(inputs, 0.0)
+        out = np.empty(inputs.shape, dtype=np.result_type(inputs.dtype, 0.0))
+        self.step(inputs, out)()
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -228,6 +347,9 @@ class ReLU(Layer):
 
 class BatchNorm2d(Layer):
     """Batch normalization over NCHW activations."""
+
+    planned = True
+    in_place = True
 
     def __init__(self, num_features: int, momentum: float = 0.9,
                  eps: float = 1e-5) -> None:
@@ -244,32 +366,47 @@ class BatchNorm2d(Layer):
         self.running_var = np.ones(num_features, dtype=np.float32)
         self._cache: tuple | None = None
 
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        if inputs.ndim != 4 or inputs.shape[1] != self.num_features:
-            raise ModelError(
-                f"BatchNorm2d expected NCHW with C={self.num_features}, "
-                f"got {inputs.shape}"
-            )
-        if training:
-            mean = inputs.mean(axis=(0, 2, 3))
-            var = inputs.var(axis=(0, 2, 3))
-            self.running_mean = (
-                self.momentum * self.running_mean + (1 - self.momentum) * mean
-            )
-            self.running_var = (
-                self.momentum * self.running_var + (1 - self.momentum) * var
-            )
-        else:
-            mean = self.running_mean
-            var = self.running_var
+    def _normalize(self, inputs: np.ndarray, mean: np.ndarray, var: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+        """``(inputs - mean) / std`` per channel into ``out``; returns 1/std."""
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalized = (inputs - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        if training:
-            self._cache = (normalized, inv_std)
-        return (
-            self.gamma[None, :, None, None] * normalized
-            + self.beta[None, :, None, None]
+        np.subtract(inputs, mean[:, None, None], out=out)
+        np.multiply(out, inv_std[:, None, None], out=out)
+        return inv_std
+
+    def _affine(self, normalized: np.ndarray, out: np.ndarray) -> None:
+        """``gamma * normalized + beta`` per channel into ``out``."""
+        np.multiply(normalized, self.gamma[:, None, None], out=out)
+        np.add(out, self.beta[:, None, None], out=out)
+
+    def step(self, source: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray | None = None) -> Callable[[], None]:
+        def run() -> None:
+            self._normalize(source, self.running_mean, self.running_var, out)
+            self._affine(out, out)
+
+        return run
+
+    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
+        self.output_shape(inputs.shape[1:])
+        out = np.empty(inputs.shape,
+                       dtype=np.result_type(inputs.dtype, self.gamma.dtype))
+        if not training:
+            self.step(inputs, out)()
+            return out
+        mean = inputs.mean(axis=(0, 2, 3))
+        var = inputs.var(axis=(0, 2, 3))
+        self.running_mean = (
+            self.momentum * self.running_mean + (1 - self.momentum) * mean
         )
+        self.running_var = (
+            self.momentum * self.running_var + (1 - self.momentum) * var
+        )
+        normalized = np.empty_like(out)
+        inv_std = self._normalize(inputs, mean, var, normalized)
+        self._cache = (normalized, inv_std)
+        self._affine(normalized, out)
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -292,12 +429,22 @@ class BatchNorm2d(Layer):
     def grads(self) -> dict[str, np.ndarray]:
         return {"gamma": self.gamma_grad, "beta": self.beta_grad}
 
+    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
+        if len(input_shape) != 3 or input_shape[0] != self.num_features:
+            raise ModelError(
+                f"BatchNorm2d expected (C={self.num_features}, H, W) per "
+                f"example, got {tuple(input_shape)}"
+            )
+        return tuple(input_shape)
+
     def flops(self, input_shape: tuple[int, ...]) -> float:
         return 2.0 * float(np.prod(input_shape))
 
 
 class MaxPool2d(Layer):
     """Max pooling with a square window."""
+
+    planned = True
 
     def __init__(self, kernel_size: int = 2, stride: int | None = None) -> None:
         if kernel_size <= 0:
@@ -306,22 +453,30 @@ class MaxPool2d(Layer):
         self.stride = stride or kernel_size
         self._cache: tuple | None = None
 
+    def step(self, source: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray | None = None) -> Callable[[], None]:
+        """A running maximum over the ``k**2`` window taps of ``source``."""
+        k = self.kernel_size
+        windows = _windows(source, k, self.stride)
+        first, *rest = (windows[:, :, ky, kx]
+                        for ky in range(k) for kx in range(k))
+
+        def run() -> None:
+            np.maximum(first, rest[0] if rest else first, out=out)
+            for window in rest[1:]:
+                np.maximum(out, window, out=out)
+
+        return run
+
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        batch, channels, height, width = inputs.shape
-        k, s = self.kernel_size, self.stride
-        out_h = (height - k) // s + 1
-        out_w = (width - k) // s + 1
-        windows = np.empty((batch, channels, out_h, out_w, k * k),
-                           dtype=inputs.dtype)
-        for ky in range(k):
-            for kx in range(k):
-                windows[..., ky * k + kx] = inputs[
-                    :, :, ky:ky + s * out_h:s, kx:kx + s * out_w:s
-                ]
-        argmax = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+        out_shape = self.output_shape(inputs.shape[1:])
+        out = np.empty((inputs.shape[0], *out_shape), dtype=inputs.dtype)
+        self.step(inputs, out)()
         if training:
-            self._cache = (inputs.shape, argmax)
+            k = self.kernel_size
+            taps = _windows(inputs, k, self.stride).reshape(
+                *inputs.shape[:2], k * k, *out_shape[1:])
+            self._cache = (inputs.shape, taps.argmax(axis=2))
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -341,9 +496,19 @@ class MaxPool2d(Layer):
         return grad_input
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
+        if len(input_shape) != 3:
+            raise ModelError(
+                f"MaxPool2d expected (C, H, W) per example, "
+                f"got {tuple(input_shape)}"
+            )
         channels, height, width = input_shape
         out_h = (height - self.kernel_size) // self.stride + 1
         out_w = (width - self.kernel_size) // self.stride + 1
+        if out_h <= 0 or out_w <= 0:
+            raise ModelError(
+                f"a {self.kernel_size}x{self.kernel_size} pooling window does "
+                f"not fit input {tuple(input_shape)}"
+            )
         return (channels, out_h, out_w)
 
     def flops(self, input_shape: tuple[int, ...]) -> float:
@@ -353,15 +518,23 @@ class MaxPool2d(Layer):
 class GlobalAvgPool2d(Layer):
     """Average pooling over the full spatial extent, producing (N, C)."""
 
+    planned = True
+
     def __init__(self) -> None:
         self._input_shape: tuple[int, ...] | None = None
 
+    def step(self, source: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray | None = None) -> Callable[[], None]:
+        return functools.partial(np.mean, source, axis=(2, 3), out=out)
+
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        if inputs.ndim != 4:
-            raise ModelError("GlobalAvgPool2d expects NCHW input")
+        out_shape = self.output_shape(inputs.shape[1:])
         if training:
             self._input_shape = inputs.shape
-        return inputs.mean(axis=(2, 3))
+        out = np.empty((inputs.shape[0], *out_shape),
+                       dtype=np.result_type(inputs.dtype, np.float32))
+        self.step(inputs, out)()
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
@@ -373,6 +546,11 @@ class GlobalAvgPool2d(Layer):
         ).copy()
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
+        if len(input_shape) != 3:
+            raise ModelError(
+                f"GlobalAvgPool2d expected (C, H, W) per example, "
+                f"got {tuple(input_shape)}"
+            )
         return (input_shape[0],)
 
     def flops(self, input_shape: tuple[int, ...]) -> float:
@@ -380,7 +558,11 @@ class GlobalAvgPool2d(Layer):
 
 
 class Flatten(Layer):
-    """Flatten all dimensions except the batch dimension."""
+    """Flatten all dimensions except the batch dimension.
+
+    Not ``planned``: its ``forward`` is a reshape, which the plan runs as it
+    runs any layer that brings no ``step`` of its own.
+    """
 
     def __init__(self) -> None:
         self._input_shape: tuple[int, ...] | None = None

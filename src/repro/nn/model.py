@@ -8,6 +8,7 @@ accurate, which is the property the planner exploits.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,19 @@ from repro.nn.layers import (
     ReLU,
     softmax,
 )
+from repro.nn.plan import Arena
 
 
 class Sequential:
-    """A sequential stack of layers with forward/backward and prediction."""
+    """A sequential stack of layers with forward/backward and prediction.
+
+    Inference (``training=False``: ``predict``, ``predict_proba``) runs the
+    ahead-of-time plan of :mod:`repro.nn.plan` in float32: each thread that
+    calls it owns one arena on this model, sized for the largest batch that
+    thread has sent, and the input is cast into it (``same_kind``: float64
+    narrows, integers widen, complex is a :class:`ModelError`).  Training
+    runs the layers' allocating ``forward`` in the input's own dtype.
+    """
 
     def __init__(self, layers: list[Layer], name: str = "model",
                  input_shape: tuple[int, int, int] = (3, 32, 32)) -> None:
@@ -35,13 +45,32 @@ class Sequential:
         self.layers = layers
         self.name = name
         self.input_shape = input_shape
+        self._arenas = threading.local()
+
+    def __getstate__(self) -> dict:
+        # Arenas are per-thread scratch; a copy of the model builds its own.
+        return {k: v for k, v in self.__dict__.items() if k != "_arenas"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._arenas = threading.local()
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Run the full forward pass, returning logits."""
-        activations = inputs
-        for layer in self.layers:
-            activations = layer.forward(activations, training=training)
-        return activations
+        if training:
+            activations = inputs
+            for layer in self.layers:
+                activations = layer.forward(activations, training=True)
+            return activations
+        if inputs.ndim < 1:
+            raise ModelError("model inputs need a batch axis")
+        arena = getattr(self._arenas, "arena", None)
+        if arena is None or not arena.fits(self.layers, inputs.shape):
+            # Dropped before the rebuild so the two are never held at once.
+            self._arenas.arena = arena = None
+            arena = self._arenas.arena = Arena(
+                self.layers, inputs.shape[1:], inputs.shape[0])
+        return arena.run(inputs)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate through all layers (after a training forward pass)."""

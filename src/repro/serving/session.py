@@ -26,6 +26,7 @@ from repro.fuse.compiler import get_kernel
 from repro.obs import NULL_OBS
 from repro.inference.perfmodel import EngineConfig, PerformanceModel
 from repro.nn.model import Sequential, build_mini_resnet
+from repro.nn.plan import PLAN_STATS
 from repro.preprocessing.dag import PreprocessingDAG
 from repro.preprocessing.ops import (
     CenterCropOp,
@@ -144,7 +145,7 @@ class FunctionalSession(EngineSession):
         if probe is None:
             probe = np.zeros((48, 48, 3), dtype=np.uint8)
         preprocessed = self._preprocessing.execute(probe)
-        self._model.predict(preprocessed[None].astype(np.float32))
+        self._model.predict(preprocessed[None])
         super().warmup()
 
     def _payloads(self, requests: Sequence[InferenceRequest]) -> list:
@@ -163,8 +164,11 @@ class FunctionalSession(EngineSession):
             raise ServingError("cannot execute an empty batch")
         stacked = self._kernel.execute_stacked(
             self._payloads(requests), faults=self._faults, obs=self._obs
-        ).astype(np.float32)
-        return BatchResult(predictions=self._model.predict(stacked))
+        )
+        predictions = self._model.predict(stacked)
+        if self._obs.enabled:
+            PLAN_STATS.publish(self._obs)
+        return BatchResult(predictions=predictions)
 
 
 def session_stage_estimate(performance_model: PerformanceModel, plan: Plan,

@@ -15,6 +15,7 @@ from repro.nn.layers import (
     cross_entropy_loss,
     softmax,
 )
+from repro.nn.model import Sequential
 
 
 def _numeric_grad(layer, inputs, grad_output, epsilon=1e-4):
@@ -108,6 +109,38 @@ class TestActivationsAndPooling:
         grad = pool.backward(np.ones((1, 1, 2, 2)))
         assert grad.sum() == pytest.approx(4.0)
         assert grad[0, 0, 1, 1] == 1.0  # position of value 5
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (1, 3, 4, 4, 4), (2, 3)])
+    def test_maxpool_rejects_inputs_that_are_not_nchw(self, shape):
+        with pytest.raises(ModelError, match="MaxPool2d expected"):
+            MaxPool2d(2).forward(np.zeros(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_maxpool_rejects_a_window_larger_than_the_input(self, training):
+        """It used to return ``(N, C, 0, 0)``, which the global average
+        pool turned into NaN logits and a RuntimeWarning."""
+        pool = MaxPool2d(kernel_size=3)
+        with pytest.raises(ModelError, match="does not fit"):
+            pool.forward(np.zeros((2, 4, 2, 5), dtype=np.float32),
+                         training=training)
+        with pytest.raises(ModelError, match="does not fit"):
+            pool.output_shape((4, 5, 2))
+
+    def test_a_model_that_pools_too_far_fails_at_plan_compile(self):
+        layers = [Conv2d(3, 4), MaxPool2d(2), MaxPool2d(2), MaxPool2d(2),
+                  GlobalAvgPool2d(), Linear(4, 2)]
+        model = Sequential(layers, input_shape=(3, 4, 4))
+        with pytest.raises(ModelError, match="does not fit"):
+            model.predict(np.zeros((1, 3, 4, 4), dtype=np.float32))
+        with pytest.raises(ModelError, match="does not fit"):
+            model.forward(np.zeros((1, 3, 4, 4), dtype=np.float32),
+                          training=True)
+
+    def test_maxpool_picks_the_first_of_equal_maxima_in_backward(self):
+        pool = MaxPool2d(kernel_size=2)
+        pool.forward(np.ones((1, 1, 2, 2)), training=True)
+        grad = pool.backward(np.ones((1, 1, 1, 1)))
+        np.testing.assert_array_equal(grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_global_avg_pool(self):
         gap = GlobalAvgPool2d()
