@@ -53,10 +53,6 @@ class EngineError(ReproError):
     """Raised by the runtime engine for pipeline execution failures."""
 
 
-class BufferPoolExhaustedError(EngineError):
-    """Raised when the engine's buffer pool cannot satisfy an allocation."""
-
-
 class HardwareError(ReproError):
     """Raised for unknown devices, instances, or invalid hardware configs."""
 

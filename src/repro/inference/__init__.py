@@ -3,10 +3,9 @@
 Components:
 
 * :mod:`repro.inference.mpmc` -- a thread-safe multi-producer, multi-consumer
-  queue (the pipelining primitive Smol uses between preprocessing workers and
-  accelerator streams).
-* :mod:`repro.inference.memory` -- buffer pools with pinned-memory accounting
-  and reuse, modelling the paper's memory optimizations.
+  queue (the hand-off primitive of the cluster's workers and dispatcher).
+* :mod:`repro.inference.memory` -- buffer-reuse and pinned-memory accounting
+  for the engine's batch slots, modelling the paper's memory optimizations.
 * :mod:`repro.inference.backends` -- execution-backend efficiency models
   (Keras-, PyTorch-, and TensorRT-like) reproducing Table 1.
 * :mod:`repro.inference.perfmodel` -- calibrated per-stage cost models for
@@ -14,12 +13,12 @@ Components:
 * :mod:`repro.inference.pipeline_sim` -- an event-driven simulator of the
   producer/consumer pipeline, used to "measure" pipelined throughput.
 * :mod:`repro.inference.engine` -- the Smol runtime engine facade with both a
-  functional mode (real arrays through real threads) and a simulated mode
-  (calibrated costs through the pipeline simulator).
+  functional mode (producer threads fill the model's input batches in place)
+  and a simulated mode (calibrated costs through the pipeline simulator).
 """
 
 from repro.inference.mpmc import MpmcQueue, QueueClosed
-from repro.inference.memory import BufferPool, PinnedBufferPool, MemoryStats
+from repro.inference.memory import MemoryStats
 from repro.inference.backends import ExecutionBackend, get_backend, list_backends
 from repro.inference.perfmodel import (
     EngineConfig,
@@ -37,8 +36,6 @@ __all__ = [
     "FormatProfile",
     "MpmcQueue",
     "QueueClosed",
-    "BufferPool",
-    "PinnedBufferPool",
     "MemoryStats",
     "ExecutionBackend",
     "get_backend",

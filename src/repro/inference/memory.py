@@ -1,22 +1,16 @@
-"""Buffer pools with reuse and pinned-memory accounting.
+"""Buffer-reuse accounting and the pinned-copy factor.
 
 Unlike training data loaders (which must hand freshly allocated buffers to the
 caller), an inference engine only needs to return predictions, so Smol reuses
-preprocessed-image buffers between batches and keeps them pinned for fast
-copies to the accelerator (Section 6.1 and Appendix A).  The pools below
-implement that reuse and track the statistics the systems-optimization
-benchmarks (Figures 7 and 8) report: allocations avoided, bytes pinned, and
-copy-speed factors.
+its input buffers between batches and keeps them pinned for fast copies to the
+accelerator (Section 6.1 and Appendix A).  The engine's buffers are the slots
+of its batch ring (:mod:`repro.inference.engine`); :class:`MemoryStats` holds
+what the systems-optimization benchmarks (Figures 7 and 8) report about them.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.errors import BufferPoolExhaustedError, EngineError
 
 # Pinned (page-locked) host memory roughly doubles host-to-device copy
 # bandwidth compared to pageable memory; this factor feeds the perf model.
@@ -25,108 +19,22 @@ PINNED_COPY_SPEEDUP = 2.0
 
 @dataclass
 class MemoryStats:
-    """Counters describing pool behaviour during a run."""
+    """Counters describing the engine's batch slots during a run.
+
+    A *request* is one batch needing a slot: ``allocations`` counts the
+    requests that built a new ``(batch, *tensor_shape)`` array, ``reuses``
+    those served by a slot an earlier batch had freed.  ``outstanding`` is
+    the number of batches holding a slot right now.
+    """
 
     allocations: int = 0
     reuses: int = 0
     bytes_allocated: int = 0
-    bytes_pinned: int = 0
     peak_outstanding: int = 0
     outstanding: int = field(default=0, repr=False)
 
     @property
     def reuse_fraction(self) -> float:
-        """Fraction of buffer requests served without a new allocation."""
+        """Fraction of slot requests served without a new allocation."""
         total = self.allocations + self.reuses
         return self.reuses / total if total else 0.0
-
-
-class BufferPool:
-    """A pool of reusable fixed-shape numpy buffers.
-
-    When reuse is disabled (``reuse=False``) the pool degenerates to plain
-    allocation, which is the "- mem reuse" lesion condition.
-    """
-
-    def __init__(self, shape: tuple[int, ...], dtype: str = "float32",
-                 max_buffers: int = 64, reuse: bool = True) -> None:
-        if max_buffers <= 0:
-            raise EngineError("max_buffers must be positive")
-        self._shape = tuple(shape)
-        self._dtype = np.dtype(dtype)
-        self._max_buffers = max_buffers
-        self._reuse = reuse
-        self._free: list[np.ndarray] = []
-        self._lock = threading.Lock()
-        self.stats = MemoryStats()
-
-    @property
-    def buffer_nbytes(self) -> int:
-        """Size in bytes of one buffer."""
-        return int(np.prod(self._shape)) * self._dtype.itemsize
-
-    def acquire(self) -> np.ndarray:
-        """Get a buffer, reusing a released one when possible."""
-        with self._lock:
-            if self._reuse and self._free:
-                buffer = self._free.pop()
-                self.stats.reuses += 1
-            else:
-                if self.stats.outstanding >= self._max_buffers:
-                    raise BufferPoolExhaustedError(
-                        f"pool exhausted: {self._max_buffers} buffers outstanding"
-                    )
-                buffer = np.empty(self._shape, dtype=self._dtype)
-                self.stats.allocations += 1
-                self.stats.bytes_allocated += self.buffer_nbytes
-            self.stats.outstanding += 1
-            self.stats.peak_outstanding = max(
-                self.stats.peak_outstanding, self.stats.outstanding
-            )
-            return buffer
-
-    def release(self, buffer: np.ndarray) -> None:
-        """Return a buffer to the pool."""
-        if buffer.shape != self._shape or buffer.dtype != self._dtype:
-            raise EngineError(
-                "released buffer does not match the pool's shape/dtype"
-            )
-        with self._lock:
-            self.stats.outstanding = max(0, self.stats.outstanding - 1)
-            if self._reuse and len(self._free) < self._max_buffers:
-                self._free.append(buffer)
-
-
-class PinnedBufferPool(BufferPool):
-    """A buffer pool whose buffers model pinned (page-locked) host memory.
-
-    There is no real pinning in numpy; the pool tracks pinned bytes and
-    exposes the copy-speed factor the performance model applies to
-    host-to-device transfers.
-    """
-
-    def __init__(self, shape: tuple[int, ...], dtype: str = "float32",
-                 max_buffers: int = 64, reuse: bool = True,
-                 pinned: bool = True) -> None:
-        super().__init__(shape=shape, dtype=dtype, max_buffers=max_buffers,
-                         reuse=reuse)
-        self._pinned = pinned
-
-    @property
-    def pinned(self) -> bool:
-        """Whether buffers are (modelled as) page-locked."""
-        return self._pinned
-
-    @property
-    def copy_speedup(self) -> float:
-        """Host-to-device copy speedup factor for these buffers."""
-        return PINNED_COPY_SPEEDUP if self._pinned else 1.0
-
-    def acquire(self) -> np.ndarray:
-        buffer = super().acquire()
-        if self._pinned:
-            self.stats.bytes_pinned = max(
-                self.stats.bytes_pinned,
-                self.stats.outstanding * self.buffer_nbytes,
-            )
-        return buffer

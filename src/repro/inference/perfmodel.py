@@ -60,7 +60,8 @@ class EngineConfig:
     use_threading, reuse_buffers, pinned_memory, optimize_dag:
         The four systems optimizations studied in Figures 7 and 8.
     queue_capacity:
-        Bounded MPMC queue capacity in batches.
+        Upper bound on the batch slots of the functional engine's ring (also
+        capped at ``num_producers + 1``); the simulator's queue, in batches.
     """
 
     num_producers: int = 4

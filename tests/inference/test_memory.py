@@ -1,68 +1,14 @@
-"""Tests for buffer pools and pinned-memory accounting."""
+"""Tests for the engine's batch-slot accounting."""
 
-import numpy as np
 import pytest
 
-from repro.errors import BufferPoolExhaustedError, EngineError
-from repro.inference.memory import BufferPool, PinnedBufferPool
+from repro.inference.memory import MemoryStats
 
 
-class TestBufferPool:
-    def test_reuse_avoids_new_allocations(self):
-        pool = BufferPool(shape=(4, 4), dtype="float32", max_buffers=4)
-        first = pool.acquire()
-        pool.release(first)
-        second = pool.acquire()
-        assert second is first
-        assert pool.stats.allocations == 1
-        assert pool.stats.reuses == 1
-        assert pool.stats.reuse_fraction == pytest.approx(0.5)
+class TestMemoryStats:
+    def test_reuse_fraction_is_the_share_of_requests_not_allocated(self):
+        stats = MemoryStats(allocations=1, reuses=3)
+        assert stats.reuse_fraction == pytest.approx(0.75)
 
-    def test_reuse_disabled_always_allocates(self):
-        pool = BufferPool(shape=(4, 4), max_buffers=8, reuse=False)
-        first = pool.acquire()
-        pool.release(first)
-        pool.acquire()
-        assert pool.stats.allocations == 2
-        assert pool.stats.reuses == 0
-
-    def test_exhaustion_raises(self):
-        pool = BufferPool(shape=(2, 2), max_buffers=2)
-        pool.acquire()
-        pool.acquire()
-        with pytest.raises(BufferPoolExhaustedError):
-            pool.acquire()
-
-    def test_release_wrong_shape_rejected(self):
-        pool = BufferPool(shape=(2, 2))
-        with pytest.raises(EngineError):
-            pool.release(np.zeros((3, 3), dtype=np.float32))
-
-    def test_peak_outstanding_tracked(self):
-        pool = BufferPool(shape=(2, 2), max_buffers=4)
-        buffers = [pool.acquire() for _ in range(3)]
-        for buffer in buffers:
-            pool.release(buffer)
-        assert pool.stats.peak_outstanding == 3
-
-    def test_invalid_max_buffers(self):
-        with pytest.raises(EngineError):
-            BufferPool(shape=(2, 2), max_buffers=0)
-
-
-class TestPinnedBufferPool:
-    def test_pinned_copy_speedup(self):
-        pinned = PinnedBufferPool(shape=(2, 2), pinned=True)
-        pageable = PinnedBufferPool(shape=(2, 2), pinned=False)
-        assert pinned.copy_speedup > pageable.copy_speedup
-        assert pageable.copy_speedup == 1.0
-
-    def test_pinned_bytes_tracked(self):
-        pool = PinnedBufferPool(shape=(8, 8), dtype="float32", pinned=True)
-        pool.acquire()
-        assert pool.stats.bytes_pinned == 8 * 8 * 4
-
-    def test_unpinned_pool_reports_zero_pinned_bytes(self):
-        pool = PinnedBufferPool(shape=(8, 8), pinned=False)
-        pool.acquire()
-        assert pool.stats.bytes_pinned == 0
+    def test_reuse_fraction_of_an_idle_run_is_zero(self):
+        assert MemoryStats().reuse_fraction == 0.0

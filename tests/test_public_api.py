@@ -68,6 +68,21 @@ class TestPublicApi:
         for name in ("DrrScheduler", "ClassBatch", "ClassPolicy"):
             assert getattr(tenant, name) is getattr(scheduler, name), name
 
+    def test_inference_exports_no_buffer_pool(self):
+        # The engine's buffers are the slots of its batch ring; the pool
+        # classes and their exhaustion error left with the per-image queue.
+        inference = importlib.import_module("repro.inference")
+        memory = importlib.import_module("repro.inference.memory")
+        errors = importlib.import_module("repro.errors")
+        for name in ("BufferPool", "PinnedBufferPool"):
+            assert name not in inference.__all__
+            assert not hasattr(inference, name), name
+            assert not hasattr(memory, name), name
+        assert not hasattr(errors, "BufferPoolExhaustedError")
+        assert inference.MemoryStats is memory.MemoryStats
+        # Still the cluster's hand-off primitive.
+        assert "MpmcQueue" in inference.__all__
+
     def test_fuse_exports_exactly_the_kernel_cache_and_transport(self):
         # One arithmetic per operator: batch capability is declared on the
         # op class (``batched``), so the package exports no per-op
