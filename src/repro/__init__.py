@@ -36,10 +36,10 @@ full system and every substrate it depends on in pure Python/numpy:
   runtime, and exactly merged per-shard statistics (results bit-identical
   to the single-process engines).
 * :mod:`repro.store` -- Smol-Store, the persistent rendition & score
-  store: content-addressed chunked storage with an in-memory LRU tier, an
-  atomic versioned manifest with fingerprint invalidation, read/write-
-  through scan sessions, and cache-aware plan costing for materialized
-  renditions.
+  store: content-addressed chunked storage with an in-memory LRU tier, a
+  log-structured versioned manifest with fingerprint invalidation, read/
+  write-through scan sessions, and cache-aware plan costing for
+  materialized renditions.
 * :mod:`repro.adapt` -- Smol-Adapt, online cost-feedback replanning:
   runtime stage-cost telemetry from serving, cluster, and scan execution,
   an EWMA/quantile-guarded online calibrator feeding the cost model, a

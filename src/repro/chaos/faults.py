@@ -28,6 +28,9 @@ Sites instrumented across the stack:
                         races the collector against the health monitor)
 ``store.manifest.save`` :class:`~repro.store.store.RenditionStore`, inside
                         the manifest lock before the commit (torn writes)
+``store.checkpoint``    :class:`~repro.store.manifest.Manifest`, between
+                        replacing the checkpoint and resetting the log (a
+                        raise is a writer dying between the two steps)
 ``serving.admit``       :class:`~repro.serving.scheduler.DrrScheduler`, on
                         the submitter's thread before an item enters its
                         class queue (a raise is a clean shed; a stall
@@ -143,9 +146,9 @@ class Fault:
     action:
         ``"stall"`` (sleep ``seconds`` on the hitting thread), ``"raise"``
         (throw :class:`ChaosFault`), ``"kill"`` (call ``ctx["worker"]
-        .kill()``), or ``"torn-manifest"`` (write a garbage ``.tmp``
-        manifest under ``ctx["root"]`` and throw, simulating a writer
-        crashing mid-save).
+        .kill()``), or ``"torn-manifest"`` (append a torn record to
+        the manifest log under ``ctx["root"]`` and throw, simulating a
+        writer crashing mid-commit).
     at_hit:
         1-based hit index at the site when the fault fires; each fault
         fires at most once.
@@ -289,14 +292,15 @@ class FaultInjector(FaultHook):
             return
         if fault.action == "torn-manifest":
             root = ctx.get("root")
-            if root is not None:
-                torn = os.path.join(
-                    str(root),
-                    f"manifest.json.tmp-chaos-{os.getpid()}"
-                    f"-{threading.get_ident()}",
-                )
-                with open(torn, "w", encoding="utf-8") as handle:
-                    handle.write('{"schema_version": 1, "entries": {"torn')
+            log = os.path.join(str(root), "manifest.log")
+            if root is not None and os.path.exists(log):
+                # What a writer that died mid-commit leaves at the log's
+                # tail: half a record, or (odd hits) a whole line whose
+                # check does not match.  A root with no log yet has no
+                # tail to tear.
+                torn = b'00000000 {"seq":1,"op":"put","key":"torn'
+                with open(log, "ab") as handle:
+                    handle.write(torn + b'"}\n' * (fault.at_hit % 2))
             raise ChaosFault(
                 f"injected torn manifest write at {fault.site} "
                 f"(hit {fault.at_hit})"

@@ -654,26 +654,35 @@ class ChaosRunner:
                                  .startswith(prefix)}
                 elif op == "gc":
                     store.gc(min_age_seconds=0.0)
-            # Crash safety: whatever torn writes happened, the on-disk
-            # manifest must load and a *fresh* handle must serve exactly
-            # the committed entries -- before and after a final GC.
+            # Crash safety: whatever torn records and half-done
+            # checkpoints happened, the on-disk manifest must load, and
+            # the live handle and a *fresh* one must both serve exactly
+            # the committed entries -- no torn put visible, no committed
+            # put lost -- before and after a final GC.
             for phase in ("post-ops", "post-gc"):
                 try:
-                    Manifest.load(Path(root))
+                    on_disk = Manifest.load(Path(root)).version.entries
                 except Exception as exc:
                     violations.append(InvariantViolation(
                         "store.crash_safety",
                         f"manifest unreadable {phase}: {exc}"))
                     break
+                if set(on_disk) != {_score_key(key).key()
+                                    for key in committed}:
+                    violations.append(InvariantViolation(
+                        "store.crash_safety",
+                        f"manifest lists {sorted(on_disk)} {phase}, "
+                        f"committed were {sorted(committed)}"))
                 fresh = RenditionStore(root, chunk_frames=4)
                 for key, expected in committed.items():
-                    stored = fresh.get_scores(_score_key(key))
-                    if stored is None or \
-                            not np.array_equal(stored, expected):
-                        violations.append(InvariantViolation(
-                            "store.durability",
-                            f"committed entry {key!r} lost or corrupt "
-                            f"{phase}"))
+                    for handle in (store, fresh):
+                        stored = handle.get_scores(_score_key(key))
+                        if stored is None or \
+                                not np.array_equal(stored, expected):
+                            violations.append(InvariantViolation(
+                                "store.durability",
+                                f"committed entry {key!r} lost or "
+                                f"corrupt {phase}"))
                 if phase == "post-ops":
                     try:
                         fresh.gc(min_age_seconds=0.0)

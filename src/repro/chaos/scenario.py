@@ -310,11 +310,19 @@ class ScenarioGen:
             tenant_classes = tuple(rng.randrange(3)
                                    for _ in range(len(tenants)))
             tenant_extra = self._tenant_faults(rng, scenario)
+        # The checkpoint seam draws last (same append-only discipline):
+        # a store's first commit checkpoints, so hit 1 kills that writer
+        # between the checkpoint's rename and the log's.
+        store_extra: tuple[Fault, ...] = ()
+        if any(op == "put" for op, _ in scenario.store_ops) \
+                and scenario.faults.faults and rng.random() < 0.3:
+            store_extra = (Fault(site="store.checkpoint", action="raise",
+                                 at_hit=1),)
         return replace(
             scenario, serving=serving, fuse=fuse, proc_kill=proc_kill,
             tenant_serving=tenant_serving, tenant_classes=tenant_classes,
-            faults=FaultPlan(
-                faults=scenario.faults.faults + extra + tenant_extra),
+            faults=FaultPlan(faults=scenario.faults.faults + extra
+                             + tenant_extra + store_extra),
         )
 
     # -- dimension generators -------------------------------------------

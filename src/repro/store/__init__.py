@@ -6,8 +6,9 @@ worth persisting and reusing.  This package provides:
 
 * :class:`~repro.store.store.RenditionStore` -- content-addressed on-disk
   store for chunked, codec-compressed renditions and score tables, with an
-  in-memory LRU tier, an atomic versioned manifest, fingerprint-based
-  invalidation, and GC.
+  in-memory LRU tier, a log-structured versioned manifest (one appended
+  record per commit, lock-free readers), fingerprint-based invalidation,
+  and GC.
 * :class:`~repro.store.store.ChunkedReader` -- streaming reads over stored
   chunks: a shard scan touches one chunk at a time instead of the full
   array.
@@ -28,7 +29,7 @@ from repro.store.catalog import (
     materialized_discount,
 )
 from repro.store.lru import ByteLruCache, ChunkCacheStats
-from repro.store.manifest import Manifest, ManifestEntry
+from repro.store.manifest import Manifest, ManifestEntry, ManifestVersion
 from repro.store.store import (
     ChunkedReader,
     GcReport,
@@ -47,6 +48,7 @@ __all__ = [
     "GcReport",
     "Manifest",
     "ManifestEntry",
+    "ManifestVersion",
     "MATERIALIZED_DECODE_FRACTION",
     "RenditionKey",
     "RenditionStore",

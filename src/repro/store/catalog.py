@@ -44,8 +44,8 @@ class StoreCatalog:
 
     Built via :meth:`repro.store.store.RenditionStore.catalog`.  The
     materialized set is snapshotted once at construction (one manifest
-    read, fresh across processes); the planner then queries it once per
-    candidate plan without touching disk.  Catalogs are rebuilt per
+    version, caught up with every process's commits); the planner then
+    queries it once per candidate plan without touching disk.  Catalogs are rebuilt per
     planning pass (e.g. ``QueryEngine`` builds one per ``stage_plans``
     call), so plans priced after a warmup see the new materializations.
     """

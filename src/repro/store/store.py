@@ -16,7 +16,8 @@ the per-frame scores computed from them first-class, *reusable* artifacts.
 On-disk layout (all under one ``root`` directory)::
 
     root/
-      manifest.json           # atomic (write-then-rename), versioned
+      manifest.json           # checkpoint: every entry as of sequence S
+      manifest.log            # one checksummed record per commit since S
       objects/<aa>/<sha256>   # content-addressed chunk payloads
 
 Chunks are content-addressed: an object's filename is the SHA-256 of its
@@ -42,6 +43,7 @@ import os
 import threading
 import time
 import warnings
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -58,7 +60,7 @@ from repro.codecs.chunked import decode_array, encode_array
 from repro.errors import StoreCorruptionError, StoreError
 from repro.obs import NULL_OBS
 from repro.store.lru import ByteLruCache, ChunkCacheStats
-from repro.store.manifest import Manifest, ManifestEntry
+from repro.store.manifest import Manifest, ManifestEntry, ManifestVersion
 
 DEFAULT_CHUNK_FRAMES = 2048
 DEFAULT_CACHE_BYTES = 32 * 1024 * 1024
@@ -81,7 +83,7 @@ def _warn_no_flock() -> None:
     warnings.warn(
         "fcntl is unavailable on this platform: manifest mutations are "
         "serialized in-process only, and cross-process writers on the "
-        "same store root may clobber each other's entries",
+        "same store root may clobber each other's commits",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -175,6 +177,9 @@ class StoreStats:
     read_through_hits: int
     read_through_misses: int
     chunk_cache: ChunkCacheStats
+    manifest_sequence: int
+    manifest_log_records: int
+    manifest_checkpoints: int
 
     def describe(self) -> str:
         """Multi-line human-readable summary (the ``store stats`` CLI)."""
@@ -185,6 +190,9 @@ class StoreStats:
             f"{self.rendition_entries} renditions",
             f"objects:      {self.objects} chunks, "
             f"{self.disk_bytes / 1e6:.2f} MB on disk",
+            f"manifest:     sequence {self.manifest_sequence}, "
+            f"{self.manifest_log_records} log records since checkpoint "
+            f"{self.manifest_checkpoints}",
             f"read-through: {self.read_through_hits}/{total} warm "
             f"({hit_rate * 100:.1f}%)",
             f"chunk cache:  {self.chunk_cache.entries} chunks, "
@@ -313,10 +321,12 @@ class RenditionStore:
         The default :data:`~repro.obs.NULL_OBS` keeps every store path
         observation-free; :meth:`attach_obs` rebinds a live handle later.
 
-    The store is safe for concurrent use from multiple threads: manifest
-    mutations serialize on an internal lock, object writes are
-    write-to-temp-then-rename, and identical content always lands at the
-    same content-addressed name, so racing writers are idempotent.
+    The store is safe for concurrent use from multiple threads, handles
+    and processes: manifest commits serialize on the root's writer lock
+    and readers take none of it (:mod:`repro.store.manifest`), object
+    writes are write-to-temp-then-rename, and identical content always
+    lands at the same content-addressed name, so racing writers are
+    idempotent.
     """
 
     def __init__(self, root: str | Path,
@@ -326,14 +336,19 @@ class RenditionStore:
                  faults=NULL_FAULTS) -> None:
         if chunk_frames <= 0:
             raise StoreError("chunk_frames must be positive")
+        if not -1 <= compression_level <= 9:
+            raise StoreError("compression_level must be a zlib level, "
+                             f"-1 to 9, not {compression_level}")
         self._faults = faults if faults is not None else NULL_FAULTS
         self._root = Path(root)
         self._objects = self._root / "objects"
         self._objects.mkdir(parents=True, exist_ok=True)
         self._chunk_frames = chunk_frames
         self._level = compression_level
-        self._lock = threading.RLock()
-        self._manifest = Manifest.load(self._root)
+        self._writer = threading.Lock()     # this handle's commits, in turn
+        self._lock = threading.RLock()      # the fields below
+        self._manifest = Manifest.load(self._root, self._faults)
+        self._readers: weakref.WeakSet[ChunkedReader] = weakref.WeakSet()
         self._cache = ByteLruCache(cache_bytes)
         self._read_through_hits = 0
         self._read_through_misses = 0
@@ -354,6 +369,12 @@ class RenditionStore:
         self._puts_metric = self._obs.counter("store_puts_total")
         self._invalidations_metric = self._obs.counter(
             "store_invalidated_entries_total")
+        self._appends_metric = self._obs.counter(
+            "store_manifest_appends_total")
+        self._checkpoints_metric = self._obs.counter(
+            "store_manifest_checkpoints_total")
+        self._log_bytes_metric = self._obs.gauge("store_manifest_log_bytes")
+        self._sequence_metric = self._obs.gauge("store_manifest_sequence")
 
     @property
     def root(self) -> Path:
@@ -373,22 +394,26 @@ class RenditionStore:
 
     def _write_object(self, payload: bytes) -> str:
         digest = hashlib.sha256(payload).hexdigest()
-        path = self._object_path(digest)
-        if path.exists():
-            try:
-                # Refresh the mtime: GC's age guard treats young objects
-                # as possibly-uncommitted, so a re-put of content that
-                # already exists (e.g. after an invalidation) must look
-                # young again or a concurrent GC could sweep it between
-                # this dedupe and the manifest commit.
-                os.utime(path)
-                return digest
-            except OSError:
-                pass  # reaped concurrently; fall through and rewrite
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}"
-                             f"-{threading.get_ident()}")
-        tmp.write_bytes(payload)
+        shard = f"{self._objects}/{digest[:2]}"
+        path = f"{shard}/{digest}"
+        try:
+            # Refresh the mtime: GC's age guard treats young objects as
+            # possibly-uncommitted, so a re-put of content that already
+            # exists (e.g. after an invalidation) must look young again or
+            # a concurrent GC could sweep it between this dedupe and the
+            # manifest commit.
+            os.utime(path)
+            return digest
+        except FileNotFoundError:
+            pass  # new content (or reaped concurrently): write it
+        tmp = f"{path}.tmp{os.getpid()}-{threading.get_ident()}"
+        try:
+            handle = open(tmp, "wb")
+        except FileNotFoundError:
+            os.makedirs(shard, exist_ok=True)
+            handle = open(tmp, "wb")
+        with handle:
+            handle.write(payload)
         os.replace(tmp, path)
         return digest
 
@@ -419,15 +444,16 @@ class RenditionStore:
     # ------------------------------------------------------------------
     @contextlib.contextmanager
     def _manifest_lock(self):
-        """Serialize manifest read-modify-write across handles & processes.
+        """Serialize manifest *writers* across handles & processes.
 
-        The in-process ``RLock`` serializes this handle's threads; the
-        ``flock`` on a sibling lockfile serializes *other* handles and
-        processes on the same root, so two concurrent puts merge instead
-        of the later ``os.replace`` dropping the earlier writer's entry.
-        (On platforms without ``fcntl`` only the in-process lock applies.)
+        The in-process lock puts this handle's writing threads in turn;
+        the ``flock`` on a sibling lockfile does the same for *other*
+        handles and processes on the same root, so every commit's
+        sequence follows the one before it and a GC sweep sees no commit
+        land under it.  Readers never come here.  (On platforms without
+        ``fcntl`` only the in-process lock applies.)
         """
-        with self._lock:
+        with self._writer:
             if fcntl is None:
                 _warn_no_flock()
                 yield
@@ -463,35 +489,52 @@ class RenditionStore:
             self._obs.record("store.put", 0.0, key=key, kind=kind,
                              chunks=len(objects), rows=int(arr.shape[0]))
         with self._manifest_lock():
-            # Chaos seam: a torn-manifest fault here leaves garbage
-            # ``.tmp`` debris (and aborts the commit) exactly where a
+            # Chaos seam: a torn-manifest fault here leaves a torn record
+            # at the log's tail (and aborts the commit) exactly where a
             # crashed writer would -- the entry must NOT become visible.
             self._faults.hit("store.manifest.save", store=self,
                              root=self._root, key=key)
-            # Reload before mutating so entries committed by other store
-            # handles on the same root are merged, not clobbered (the
-            # lock makes reload-modify-save atomic across processes).
-            self._manifest = Manifest.load(self._root)
-            self._manifest.entries[key] = entry
-            self._manifest.save(self._root)
+            self._commit("put", key=key, entry=entry)
         self._notify(StoreEvent(kind=kind, key=key))
+
+    def _commit(self, op: str, **fields) -> None:
+        """One manifest commit; the caller holds :meth:`_manifest_lock`."""
+        with self._lock:
+            manifest = self._manifest
+            checkpoints = manifest.checkpoints
+            version = manifest.commit(op, **fields)
+            checkpointed = manifest.checkpoints - checkpoints
+            log_bytes, base = manifest.log_bytes, manifest.log_base
+            seconds = manifest.checkpoint_seconds
+        self._appends_metric.inc()
+        self._log_bytes_metric.set(log_bytes)
+        self._sequence_metric.set(version.sequence)
+        if checkpointed:
+            self._checkpoints_metric.inc(checkpointed)
+            if self._obs.enabled:
+                self._obs.record("store.checkpoint", seconds, sequence=base)
+
+    def _refresh(self) -> ManifestVersion:
+        """The newest committed version, other handles' commits included.
+
+        Reads only the log bytes past this handle's offset and takes no
+        ``flock``: a half-written record fails its check and is simply
+        not committed yet.  The version returned is immutable, so callers
+        use it after the mutex is released.
+        """
+        with self._lock:
+            return self._manifest.refresh()
 
     def _open_entry(self, key: str, kind: str,
                     fingerprint: str) -> ChunkedReader | None:
-        with self._lock:
-            entry = self._manifest.get(key, fingerprint)
-            if entry is None:
-                # Reload once on a miss: another handle or process may
-                # have committed the entry since this handle last read
-                # the manifest (e.g. `store warm` ran while a server with
-                # a long-lived handle was up).  A miss is about to
-                # trigger an expensive recompute, so the reload is free
-                # by comparison.
-                self._manifest = Manifest.load(self._root)
-                entry = self._manifest.get(key, fingerprint)
-        if entry is None or entry.kind != kind:
+        entry = self._refresh().entries.get(key)
+        if entry is None or entry.fingerprint != fingerprint \
+                or entry.kind != kind:
             return None
-        return ChunkedReader(self, entry)
+        reader = ChunkedReader(self, entry)
+        with self._lock:
+            self._readers.add(reader)   # pins the entry's objects against gc
+        return reader
 
     # -- scores --------------------------------------------------------
     def put_scores(self, key: ScoreKey, scores: np.ndarray,
@@ -561,42 +604,18 @@ class RenditionStore:
         change must not count as materialized, or the planner would price
         a discount the read path cannot deliver.
         """
-        def match() -> bool:
-            for entry in self._manifest.entries.values():
-                if entry.kind != "rendition":
-                    continue
-                if entry.meta.get("rendition") != rendition:
-                    continue
-                if item is not None and entry.meta.get("item") != item:
-                    continue
-                if fingerprint is not None \
-                        and entry.fingerprint != fingerprint:
-                    continue
-                return True
-            return False
-
-        with self._lock:
-            if match():
-                return True
-            # Reload once on a miss (see _open_entry): another process may
-            # have materialized the rendition since this handle last read
-            # the manifest.
-            self._manifest = Manifest.load(self._root)
-            return match()
+        return rendition in self.materialized_renditions(item, fingerprint)
 
     def materialized_renditions(self, item: str | None = None,
                                 fingerprint: str | None = None) -> set[str]:
         """Rendition spec names with at least one stored decoded copy."""
-        with self._lock:
-            self._manifest = Manifest.load(self._root)
-            return {
-                entry.meta.get("rendition", "")
-                for entry in self._manifest.entries.values()
-                if entry.kind == "rendition"
-                and (item is None or entry.meta.get("item") == item)
-                and (fingerprint is None
-                     or entry.fingerprint == fingerprint)
-            }
+        return {
+            entry.meta.get("rendition", "")
+            for entry in self._refresh().entries.values()
+            if entry.kind == "rendition"
+            and (item is None or entry.meta.get("item") == item)
+            and (fingerprint is None or entry.fingerprint == fingerprint)
+        }
 
     def catalog(self, item: str | None = None,
                 fingerprint: str | None = None):
@@ -651,13 +670,10 @@ class RenditionStore:
         :meth:`gc` afterwards to reclaim the disk space.
         """
         with self._manifest_lock():
-            self._manifest = Manifest.load(self._root)
-            doomed = [key for key in self._manifest.entries
+            doomed = [key for key in self._refresh().entries
                       if key.startswith(prefix)]
-            for key in doomed:
-                del self._manifest.entries[key]
             if doomed:
-                self._manifest.save(self._root)
+                self._commit("drop", keys=doomed)
         if doomed:
             self._invalidations_metric.inc(len(doomed))
             if self._obs.enabled:
@@ -669,9 +685,11 @@ class RenditionStore:
     def gc(self, min_age_seconds: float = TMP_REAP_SECONDS) -> GcReport:
         """Remove object files no manifest entry references.
 
-        The manifest is reloaded from disk first, so entries committed by
-        other store handles (or processes) on the same root are counted as
-        live -- GC never deletes data a committed manifest references.
+        The manifest is refreshed first, so entries committed by other
+        store handles (or processes) on the same root are counted as live
+        -- GC never deletes data a committed manifest references -- and so
+        are the objects of every :class:`ChunkedReader` this handle opened
+        that is still alive: a scan outlives the invalidation of its entry.
 
         ``min_age_seconds`` guards against racing in-flight writers: a
         concurrent ``put`` renames its chunk objects into place *before*
@@ -710,8 +728,11 @@ class RenditionStore:
         # pre-commit object writes/utimes can still interleave -- the
         # age guard covers those.)
         with self._manifest_lock():
-            self._manifest = Manifest.load(self._root)
-            referenced = self._manifest.referenced_objects()
+            with self._lock:
+                pinned = [self._refresh().entries.values(),
+                          [reader._entry for reader in self._readers]]
+            referenced = {digest for entries in pinned
+                          for entry in entries for digest in entry.objects}
             temps = [path
                      for path in (list(self._objects.glob("*/*"))
                                   + [p for p in self._root.iterdir()
@@ -747,19 +768,18 @@ class RenditionStore:
     def stats(self) -> StoreStats:
         """Snapshot of entries, disk usage, and cache traffic.
 
-        Entry counts reflect the on-disk manifest (reloaded here, so
+        Entry counts reflect the on-disk manifest (refreshed here, so
         entries committed by other handles are visible); in-flight or
         crashed writers' ``.tmp`` files are not counted as objects --
         they are uncommitted, the same view :meth:`gc` takes.
         """
         with self._lock:
-            self._manifest = Manifest.load(self._root)
-            scores = sum(1 for e in self._manifest.entries.values()
-                         if e.kind == "scores")
-            renditions = sum(1 for e in self._manifest.entries.values()
-                             if e.kind == "rendition")
+            version = self._refresh()
+            log_records = self._manifest.log_records
+            checkpoints = self._manifest.checkpoints
             hits = self._read_through_hits
             misses = self._read_through_misses
+        kinds = [entry.kind for entry in version.entries.values()]
         objects = 0
         disk = 0
         for path in self._objects.glob("*/*"):
@@ -768,11 +788,14 @@ class RenditionStore:
             objects += 1
             disk += path.stat().st_size
         return StoreStats(
-            score_entries=scores,
-            rendition_entries=renditions,
+            score_entries=kinds.count("scores"),
+            rendition_entries=kinds.count("rendition"),
             objects=objects,
             disk_bytes=disk,
             read_through_hits=hits,
             read_through_misses=misses,
             chunk_cache=self._cache.stats(),
+            manifest_sequence=version.sequence,
+            manifest_log_records=log_records,
+            manifest_checkpoints=checkpoints,
         )

@@ -103,6 +103,26 @@ class TestFaultedRuns:
         assert report.ok, report.describe()
         assert any(f["action"] == "torn-manifest" for f in report.fired)
 
+    def test_writer_dying_between_checkpoint_and_log_reset_loses_nothing(
+            self):
+        # The first commit on a root checkpoints (hit 1): that put must
+        # fail whole, and every later one must land and survive gc.
+        scenario = Scenario(
+            seed=0, items=1, batch=1, workers=1, arrival=(0,),
+            store_ops=(("put", "key-0"), ("put", "key-1"),
+                       ("put", "key-0"), ("invalidate", "key-1"),
+                       ("gc", ""), ("put", "key-2")),
+            faults=FaultPlan(faults=(
+                Fault(site="store.checkpoint", action="raise", at_hit=1),
+                Fault(site="store.manifest.save", action="torn-manifest",
+                      at_hit=3),
+            )),
+        )
+        report = ChaosRunner().run(scenario)
+        assert report.ok, report.describe()
+        assert {f["site"] for f in report.fired} == {
+            "store.checkpoint", "store.manifest.save"}
+
     def test_injected_session_failures_retry_to_success(self):
         scenario = Scenario(
             seed=0, items=2, batch=1, workers=2, max_attempts=3,

@@ -114,15 +114,30 @@ class TestInjector:
         injector.hit("worker.ack", worker=worker)
         assert worker.killed
 
-    def test_torn_manifest_writes_debris_and_raises(self, tmp_path):
+    @pytest.mark.parametrize("at_hit, whole_line", [(1, True), (2, False)])
+    def test_torn_manifest_tears_the_log_tail_and_raises(
+            self, tmp_path, at_hit, whole_line):
+        log = tmp_path / "manifest.log"
+        log.write_bytes(b"header\n")
+        injector = FaultInjector(FaultPlan(faults=(
+            Fault(site="store.manifest.save", action="torn-manifest",
+                  at_hit=at_hit),
+        )))
+        for _ in range(at_hit - 1):
+            injector.hit("store.manifest.save", root=tmp_path)
+        with pytest.raises(ChaosFault):
+            injector.hit("store.manifest.save", root=tmp_path)
+        torn = log.read_bytes().removeprefix(b"header\n")
+        assert torn.startswith(b'00000000 {"seq"')
+        assert torn.endswith(b"\n") == whole_line
+
+    def test_torn_manifest_without_a_log_only_raises(self, tmp_path):
         injector = FaultInjector(FaultPlan(faults=(
             Fault(site="store.manifest.save", action="torn-manifest"),
         )))
         with pytest.raises(ChaosFault):
             injector.hit("store.manifest.save", root=tmp_path)
-        debris = list(tmp_path.glob("manifest.json.tmp-chaos-*"))
-        assert len(debris) == 1
-        assert debris[0].read_text().startswith('{"schema_version"')
+        assert list(tmp_path.iterdir()) == []
 
     def test_concurrent_hits_fire_exactly_once(self):
         clock = VirtualFaultClock()

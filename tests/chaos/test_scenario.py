@@ -51,10 +51,12 @@ class TestScenarioGen:
         # replica, injected session failures stay below max_attempts.
         # Serving- and tenant-site faults live outside the dispatcher's
         # retry budget (the serving, fuse, and tenant passes run their own
-        # bounded resubmission loops), so only cluster-path raises count
-        # against it.
+        # bounded resubmission loops) and so does the store's checkpoint
+        # seam (the store pass absorbs a failed put), so only cluster-path
+        # raises count against it.
         from repro.chaos.scenario import _SERVING_SITES, _TENANT_SITES
-        outside = set(_SERVING_SITES) | set(_TENANT_SITES)
+        outside = set(_SERVING_SITES) | set(_TENANT_SITES) \
+            | {"store.checkpoint"}
         gen = ScenarioGen()
         for seed in range(300):
             scenario = gen.generate(seed)
@@ -106,6 +108,18 @@ class TestScenarioGen:
                 puts = sum(1 for op, _ in scenario.store_ops
                            if op == "put")
                 assert puts >= 1, seed
+
+    def test_checkpoint_seam_rides_some_faulted_put_scenarios(self):
+        gen = ScenarioGen()
+        seamed = 0
+        for seed in range(300):
+            scenario = gen.generate(seed)
+            sites = [f.site for f in scenario.faults.faults]
+            if "store.checkpoint" in sites:
+                seamed += 1
+                assert sites[-1] == "store.checkpoint", seed  # drawn last
+                assert any(op == "put" for op, _ in scenario.store_ops)
+        assert 0 < seamed < 150
 
     def test_bounds_are_validated(self):
         with pytest.raises(ReproError):

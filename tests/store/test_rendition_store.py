@@ -2,9 +2,11 @@
 
 Covers the PR 4 acceptance surface: read-through/write-through behavior,
 fingerprint invalidation when a preprocessing DAG changes, crash-safety of
-the write-then-rename manifest, content-address verification, and GC.
+the manifest (checkpoint + log; ``test_manifest_log.py`` has the log's own
+cases), content-address verification, and GC.
 """
 
+import gc
 import json
 
 import numpy as np
@@ -19,7 +21,7 @@ from repro.store import (
     ScoreKey,
     dag_fingerprint,
 )
-from repro.store.manifest import MANIFEST_NAME
+from repro.store.manifest import LOG_NAME, MANIFEST_NAME
 from repro.utils.rng import deterministic_rng
 
 
@@ -150,6 +152,23 @@ def test_invalidate_prefix_then_gc_reclaims_disk(tmp_path, scores, key):
     assert store.gc(min_age_seconds=0.0).removed_objects == 0
 
 
+def test_open_reader_survives_invalidate_and_gc(tmp_path, scores, key):
+    # A scan in flight pins its entry: gc must count a live reader's
+    # objects as referenced even after the entry left the manifest.
+    store = make_store(tmp_path, cache_bytes=1)     # every read hits disk
+    store.put_scores(key, scores, fingerprint="v1")
+    reader = store.open_scores(key, fingerprint="v1")
+    assert reader.read(0, 16).tobytes() == scores[:16].tobytes()
+    assert store.invalidate("scores/") == 1
+    assert store.gc(min_age_seconds=0.0).removed_objects == 0
+    got = reader.read_all()
+    assert got.view(np.int64).tobytes() == scores.view(np.int64).tobytes()
+    # Once the reader is gone its objects are ordinary garbage.
+    del reader, got
+    gc.collect()
+    assert store.gc(min_age_seconds=0.0).removed_objects == 10
+
+
 # ----------------------------------------------------------------------
 # Crash safety
 # ----------------------------------------------------------------------
@@ -158,8 +177,8 @@ def test_torn_manifest_tmp_is_ignored(tmp_path, scores, key):
 
     store = make_store(tmp_path)
     store.put_scores(key, scores, fingerprint="v1")
-    # Simulate a writer that crashed mid-write: a torn temp file exists,
-    # but the rename that commits it never happened.
+    # Simulate a writer that crashed mid-checkpoint: a torn temp file
+    # exists, but the rename that publishes it never happened.
     torn = store.root / (MANIFEST_NAME + ".123-456.tmp")
     torn.write_text("{ torn garbage")
     reborn = make_store(tmp_path)
@@ -179,7 +198,7 @@ def test_reads_see_entries_committed_by_other_handles(tmp_path, scores,
                                                       key):
     # A long-lived handle must notice entries another handle (stand-in
     # for another process, e.g. `store warm`) commits after it opened:
-    # a miss reloads the manifest once before giving up.
+    # every open reads what the log gained since the handle last looked.
     handle_a = make_store(tmp_path)
     handle_b = make_store(tmp_path)
     assert handle_a.get_scores(key, fingerprint="v1") is None
@@ -196,7 +215,7 @@ def test_reads_see_entries_committed_by_other_handles(tmp_path, scores,
 
 
 def test_concurrent_writers_merge_instead_of_clobbering(tmp_path, scores):
-    # Interleaved puts from two handles (reload-modify-save under the
+    # Interleaved puts from two handles (catch up, then append, under the
     # cross-process lock) must both survive in the final manifest.
     handle_a = make_store(tmp_path)
     handle_b = make_store(tmp_path)
@@ -213,13 +232,13 @@ def test_concurrent_writers_merge_instead_of_clobbering(tmp_path, scores):
 
 def test_gc_sees_entries_committed_by_other_handles(tmp_path, scores, key):
     # Handle A opens first; handle B then commits a new entry on the same
-    # root.  A's gc() must reload the manifest and treat B's chunks as
+    # root.  A's gc() must refresh its manifest and treat B's chunks as
     # live, not sweep them as unreferenced.
     handle_a = make_store(tmp_path)
     handle_b = make_store(tmp_path)
     handle_b.put_scores(key, scores, fingerprint="v1")
     # min_age_seconds=0 defeats the age guard on purpose: only the
-    # manifest reload protects B's chunks here.
+    # manifest refresh protects B's chunks here.
     report = handle_a.gc(min_age_seconds=0.0)
     assert report.removed_objects == 0
     assert report.live_objects > 0
@@ -229,14 +248,14 @@ def test_gc_sees_entries_committed_by_other_handles(tmp_path, scores, key):
 def test_crash_before_rename_keeps_previous_manifest(tmp_path, scores, key):
     store = make_store(tmp_path)
     store.put_scores(key, scores, fingerprint="v1")
-    committed = (store.root / MANIFEST_NAME).read_text()
+    committed = (store.root / LOG_NAME).read_bytes()
     other = ScoreKey.for_scan("rialto", "specialized-nn", "480p-h264",
                               accuracy=0.9, frames=10)
     store.put_scores(other, np.arange(10.0), fingerprint="v1")
-    # Roll the committed manifest back to the pre-crash state: the second
-    # put's chunks exist on disk but are unreferenced -- exactly what a
-    # crash between object writes and the manifest rename leaves behind.
-    (store.root / MANIFEST_NAME).write_text(committed)
+    # Roll the log back to the pre-crash state: the second put's chunks
+    # exist on disk but are unreferenced -- exactly what a crash between
+    # object writes and the manifest commit leaves behind.
+    (store.root / LOG_NAME).write_bytes(committed)
     reborn = make_store(tmp_path)
     assert reborn.get_scores(key, fingerprint="v1") is not None
     assert reborn.get_scores(other, fingerprint="v1") is None
@@ -282,6 +301,12 @@ def test_flipped_bit_in_object_fails_content_address(tmp_path, scores, key):
 def test_rejects_bad_parameters(tmp_path):
     with pytest.raises(StoreError):
         RenditionStore(tmp_path / "s", chunk_frames=0)
+    for level in (-2, 10, 42):      # zlib takes -1 (its default) to 9
+        with pytest.raises(StoreError, match="compression_level"):
+            RenditionStore(tmp_path / "s", compression_level=level)
+    for level in (-1, 0, 9):
+        RenditionStore(tmp_path / "s", compression_level=level).put_scores(
+            ScoreKey("d", "m", str(level)), np.arange(4.0))
     store = make_store(tmp_path)
     with pytest.raises(StoreError):
         store.put_scores(ScoreKey("d", "m", "r"), np.float64(3.0),

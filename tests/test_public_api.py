@@ -98,6 +98,19 @@ class TestPublicApi:
         assert fuse.dag_fingerprint is importlib.import_module(
             "repro.store").dag_fingerprint
 
+    def test_store_manifest_is_a_log_not_a_file_it_saves_whole(self):
+        # The handle catches up, appends and folds; the catalog itself is
+        # the immutable ``ManifestVersion`` it publishes.  ``save``,
+        # ``get``, ``entries`` and ``referenced_objects`` left with the
+        # reload-merge-rewrite manifest.
+        store = importlib.import_module("repro.store")
+        public = {name for name in vars(store.Manifest)
+                  if not name.startswith("_")}
+        assert public == {"load", "refresh", "commit", "checkpoint"}
+        version = store.Manifest.load("/nonexistent-store-root").version
+        assert isinstance(version, store.ManifestVersion)
+        assert (version.sequence, version.entries) == (0, {})
+
     def test_smol_facade_exported_at_top_level(self):
         assert repro.Smol is importlib.import_module("repro.core.smol").Smol
 
