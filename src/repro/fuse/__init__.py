@@ -1,9 +1,12 @@
 """Smol-Fuse: compiled fused batch kernels for the plan hot path.
 
 ``compile_dag`` turns a preprocessing DAG into a :class:`FusedKernel`
-executing whole micro-batches: ops whose class declares ``batched`` run
-their one ``apply`` body on the stacked batch, any other op is looped per
-image.  ``get_kernel`` memoizes kernels by plan fingerprint, and
+executing whole micro-batches: a leading resize -> crop pair and the
+convert -> normalize -> reorder tail run as fused steps in per-thread
+scratch, other ops whose class declares ``batched`` run their one ``apply``
+body on the stacked batch, any other op is looped per image
+(``FUSE_STATS`` counts compiled programs and scratch bytes).
+``get_kernel`` memoizes kernels by plan fingerprint, and
 :class:`ShmBatchTransport` moves prediction batches across process
 boundaries through zero-copy shared memory.  Per-image
 ``PreprocessingDAG.execute`` remains the reference oracle: batching may not
@@ -16,7 +19,7 @@ from repro.fuse.compiler import (
     compile_dag,
     get_kernel,
 )
-from repro.fuse.kernel import FusedKernel
+from repro.fuse.kernel import FUSE_STATS, FusedKernel
 from repro.fuse.shm import (
     HAS_SHM,
     ShmBatchRef,
@@ -27,6 +30,7 @@ from repro.preprocessing.dag import dag_fingerprint
 
 __all__ = [
     "DEFAULT_KERNEL_CACHE",
+    "FUSE_STATS",
     "FusedKernel",
     "HAS_SHM",
     "KernelCache",

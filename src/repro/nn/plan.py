@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -46,6 +45,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.nn import blas
 from repro.nn.layers import Layer
+from repro.obs.metrics import ArenaStats
 
 _SLOTS = ("slot0", "slot1")
 _SCRATCH = "scratch"
@@ -64,45 +64,9 @@ def _chunk(scratch_shape: tuple[int, ...], batch: int) -> int:
     return max(1, min(batch, _COLS_BYTES // per_example))
 
 
-class PlanStats:
-    """Process-wide plan counters, as ``DEFAULT_KERNEL_CACHE`` is for fuse."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._compiles = 0
-        self._arena_bytes = 0
-
-    @property
-    def compiles(self) -> int:
-        """Step lists compiled so far (one per arena per batch size)."""
-        with self._lock:
-            return self._compiles
-
-    @property
-    def arena_bytes(self) -> int:
-        """Bytes held by the arenas alive now, over all models and threads."""
-        with self._lock:
-            return self._arena_bytes
-
-    def _count_compile(self) -> None:
-        with self._lock:
-            self._compiles += 1
-
-    def _hold(self, nbytes: int) -> None:
-        with self._lock:
-            self._arena_bytes += nbytes
-
-    def publish(self, obs) -> None:
-        """Mirror the counters onto ``obs``'s metrics registry."""
-        compiles = obs.counter("nn_plan_compiles_total")
-        with self._lock:
-            compiles.inc(self._compiles - compiles.value)
-            obs.gauge("nn_arena_bytes").set(self._arena_bytes)
-        obs.gauge("nn_gemm_threads").set(blas.gemm_threads())
-
-
 #: The counters every arena in this process reports to.
-PLAN_STATS = PlanStats()
+PLAN_STATS = ArenaStats("nn_plan_compiles_total", "nn_arena_bytes",
+                        nn_gemm_threads=blas.gemm_threads)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "percentile",
@@ -362,3 +363,50 @@ class MetricsRegistry:
             else:
                 result[key] = instrument.value
         return result
+
+
+class ArenaStats:
+    """Process-wide counters of a layer that compiles programs over
+    per-thread arenas: programs compiled, arena bytes alive now.
+
+    The layer counts as it runs; :meth:`publish` mirrors the two onto a
+    registry under the layer's metric names, with the layer's own gauges
+    (``name=callable`` read at publish time) beside them.
+    """
+
+    def __init__(self, compiles_metric: str, bytes_metric: str,
+                 **gauges: Callable[[], float]) -> None:
+        self._metrics = (compiles_metric, bytes_metric)
+        self._gauges = gauges
+        self._lock = threading.Lock()
+        self._compiles = 0
+        self._arena_bytes = 0
+
+    @property
+    def compiles(self) -> int:
+        """Programs compiled so far."""
+        with self._lock:
+            return self._compiles
+
+    @property
+    def arena_bytes(self) -> int:
+        """Bytes held by the arenas alive now, over every owner and thread."""
+        with self._lock:
+            return self._arena_bytes
+
+    def _count_compile(self) -> None:
+        with self._lock:
+            self._compiles += 1
+
+    def _hold(self, nbytes: int) -> None:
+        with self._lock:
+            self._arena_bytes += nbytes
+
+    def publish(self, obs) -> None:
+        """Mirror the counters onto ``obs``'s metrics registry."""
+        compiles = obs.counter(self._metrics[0])
+        with self._lock:
+            compiles.inc(self._compiles - compiles.value)
+            obs.gauge(self._metrics[1]).set(self._arena_bytes)
+        for name, read in self._gauges.items():
+            obs.gauge(name).set(read())

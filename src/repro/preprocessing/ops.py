@@ -19,6 +19,7 @@ whole batches and loops every other op per image.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,22 +139,20 @@ class ResizeOp(PreprocessingOp):
         if self.short_side <= 0:
             raise PreprocessingError("short_side must be positive")
 
-    def apply(self, array: np.ndarray) -> np.ndarray:
-        height, width = _image_axes(array, "resize")
+    def target_size(self, height: int, width: int) -> tuple[int, int]:
+        """``(new_height, new_width)`` of a ``height`` x ``width`` image."""
         scale = self.short_side / min(height, width)
-        new_h = max(1, int(round(height * scale)))
-        new_w = max(1, int(round(width * scale)))
-        return bilinear_resize(array, new_h, new_w)
+        return (max(1, int(round(height * scale))),
+                max(1, int(round(width * scale))))
+
+    def apply(self, array: np.ndarray) -> np.ndarray:
+        return bilinear_resize(
+            array, *self.target_size(*_image_axes(array, "resize")))
 
     def output_spec(self, spec: TensorSpec) -> TensorSpec:
-        scale = self.short_side / min(spec.height, spec.width)
-        return TensorSpec(
-            height=max(1, int(round(spec.height * scale))),
-            width=max(1, int(round(spec.width * scale))),
-            channels=spec.channels,
-            dtype=spec.dtype,
-            layout=spec.layout,
-        )
+        height, width = self.target_size(spec.height, spec.width)
+        return TensorSpec(height=height, width=width, channels=spec.channels,
+                          dtype=spec.dtype, layout=spec.layout)
 
     def arithmetic_ops(self, spec: TensorSpec) -> float:
         out = self.output_spec(spec)
@@ -175,16 +174,19 @@ class CenterCropOp(PreprocessingOp):
         if self.size <= 0:
             raise PreprocessingError("crop size must be positive")
 
-    def apply(self, array: np.ndarray) -> np.ndarray:
-        height, width = _image_axes(array, "crop")
+    def window(self, height: int, width: int) -> tuple[int, int, int, int]:
+        """``(top, left, rows, cols)`` of the crop in a ``height`` x
+        ``width`` image."""
         if height < self.size or width < self.size:
             raise PreprocessingError(
                 f"cannot crop {self.size}x{self.size} from {height}x{width}"
             )
-        top = (height - self.size) // 2
-        left = (width - self.size) // 2
-        return array[..., top:top + self.size, left:left + self.size,
-                     :].copy()
+        return ((height - self.size) // 2, (width - self.size) // 2,
+                self.size, self.size)
+
+    def apply(self, array: np.ndarray) -> np.ndarray:
+        top, left, rows, cols = self.window(*_image_axes(array, "crop"))
+        return array[..., top:top + rows, left:left + cols, :].copy()
 
     def output_spec(self, spec: TensorSpec) -> TensorSpec:
         if spec.height < self.size or spec.width < self.size:
@@ -285,7 +287,7 @@ class FusedNormalizeReorderOp(PreprocessingOp):
     batched = True
 
     def apply(self, array: np.ndarray) -> np.ndarray:
-        return _channels_first(_normalize(array, self.mean, self.std))
+        return normalize_channels_first(array, self.mean, self.std)
 
     def output_spec(self, spec: TensorSpec) -> TensorSpec:
         return TensorSpec(height=spec.height, width=spec.width,
@@ -304,16 +306,24 @@ def _image_axes(array: np.ndarray, what: str) -> tuple[int, int]:
     return array.shape[-3], array.shape[-2]
 
 
-def _normalize(array: np.ndarray, mean: tuple[float, ...],
-               std: tuple[float, ...]) -> np.ndarray:
+def _check_channels(array: np.ndarray, mean: tuple[float, ...]) -> None:
     if array.ndim < 3 or array.shape[-1] != len(mean):
         raise PreprocessingError(
             f"normalize expects HWC with {len(mean)} channels, "
             f"got shape {array.shape[-3:]}"
         )
-    data = array.astype(np.float32) / 255.0
-    return ((data - np.asarray(mean, dtype=np.float32))
-            / np.asarray(std, dtype=np.float32))
+
+
+def _normalize(array: np.ndarray, mean: tuple[float, ...],
+               std: tuple[float, ...],
+               out: np.ndarray | None = None) -> np.ndarray:
+    _check_channels(array, mean)
+    if out is None:
+        out = np.empty(array.shape, dtype=np.float32)
+    np.copyto(out, array, casting="unsafe")
+    np.divide(out, 255.0, out=out)
+    np.subtract(out, np.asarray(mean, dtype=np.float32), out=out)
+    return np.divide(out, np.asarray(std, dtype=np.float32), out=out)
 
 
 def _channels_first(array: np.ndarray) -> np.ndarray:
@@ -322,45 +332,110 @@ def _channels_first(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(array, -1, -3))
 
 
+def normalize_channels_first(array: np.ndarray, mean: tuple[float, ...],
+                             std: tuple[float, ...],
+                             out: np.ndarray | None = None) -> np.ndarray:
+    """Normalize ``(..., H, W, C)`` into a float32 ``(..., C, H, W)`` array.
+
+    The normalization runs in place on the channels-last view of the
+    channels-first result, so the reorder is where the values are written,
+    not a copy afterwards; each element sees :func:`_normalize`'s arithmetic.
+    """
+    _check_channels(array, mean)
+    if out is None:
+        out = np.empty((*array.shape[:-3], array.shape[-1],
+                        *array.shape[-3:-1]), dtype=np.float32)
+    _normalize(array, mean, std, out=np.moveaxis(out, -3, -1))
+    return out
+
+
+@functools.lru_cache(maxsize=64)
 def _bilinear_taps(size: int, new_size: int):
-    """Per output position: the two source indices and the blend weight."""
+    """Per output position: the two source indices and the blend weight
+    (cached, so shared: read-only)."""
     positions = np.linspace(0, size - 1, new_size)
     low = np.floor(positions).astype(np.int64)
-    high = np.minimum(low + 1, size - 1)
-    return low, high, positions - low
+    taps = low, np.minimum(low + 1, size - 1), positions - low
+    for table in taps:
+        table.flags.writeable = False
+    return taps
 
 
-def bilinear_resize(array: np.ndarray, new_height: int, new_width: int) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _window_taps(height: int, width: int, new_height: int, new_width: int,
+                 window: tuple[int, int, int, int], channels: int):
+    """What the output pixels of ``window`` read and how they blend.
+
+    ``indices`` are positions on the flattened ``H * W`` axis: the
+    (row0, col0), (row0, col1), (row1, col0) and (row1, col1) source pixel
+    of every output pixel, corner after corner.  ``col_weights`` is
+    ``(4, 1, cols * channels)`` and ``row_weights`` ``(2, rows, 1)``, both
+    shaped to broadcast against the gathered ``(..., 4, rows, cols *
+    channels)`` corners.  Cached, so shared: read-only.
+    """
+    top, left, rows, cols = window
+    row0, row1, row_frac = (taps[top:top + rows]
+                            for taps in _bilinear_taps(height, new_height))
+    col0, col1, col_frac = (taps[left:left + cols]
+                            for taps in _bilinear_taps(width, new_width))
+    indices = np.concatenate([
+        (row[:, None] * width + col[None, :]).ravel()
+        for row in (row0, row1) for col in (col0, col1)]).astype(np.intp)
+    col_frac = np.repeat(col_frac, channels)
+    col_weights = np.stack([1 - col_frac, col_frac] * 2)[:, None, :]
+    row_weights = np.stack([1 - row_frac, row_frac])[:, :, None]
+    for table in (indices, col_weights, row_weights):
+        table.flags.writeable = False
+    return indices, col_weights, row_weights
+
+
+def bilinear_resize(array: np.ndarray, new_height: int, new_width: int,
+                    window: tuple[int, int, int, int] | None = None,
+                    out: np.ndarray | None = None,
+                    empty=np.empty) -> np.ndarray:
     """Bilinear resize of an ``(..., H, W, C)`` array, preserving its dtype.
 
-    Leading axes ride in front of every gather and broadcast, so each
-    image of a batch sees the per-element arithmetic it would see alone.
+    ``window = (top, left, rows, cols)`` asks for that part of the resized
+    image only (default: all of it).  Nothing outside it is read: the four
+    source pixels of each output pixel are gathered from the payload in its
+    own dtype and only they are converted to float64, so every output pixel
+    gets the taps, weights and blend order it has in the full resize.
+    Leading axes ride in front of every gather and broadcast, so each image
+    of a batch sees the per-element arithmetic it would see alone.
+
+    The result is written to ``out`` when given; ``empty(shape, dtype)``
+    supplies the two temporaries (a caller's scratch, else fresh arrays).
     """
     height, width = _image_axes(array, "resize")
     if new_height <= 0 or new_width <= 0:
         raise PreprocessingError("target dimensions must be positive")
+    top, left, rows, cols = window or (0, 0, new_height, new_width)
+    lead, channels = array.shape[:-3], array.shape[-1]
+    if out is None:
+        out = np.empty((*lead, rows, cols, channels), dtype=array.dtype)
     if (new_height, new_width) == (height, width):
-        return array.copy()
-    row0, row1, row_frac = _bilinear_taps(height, new_height)
-    col0, col1, col_frac = _bilinear_taps(width, new_width)
-    row_frac = row_frac[:, None, None]
-    col_frac = col_frac[:, None]
-    data = array.astype(np.float64)
-
-    def corner(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        # The row gather is re-done per corner, not shared: holding it
-        # across the blends keeps one more batch-sized temporary live,
-        # which makes glibc trim and re-fault a serving thread's arena on
-        # every micro-batch (~20% of serve_closed's request rate).
-        return np.take(np.take(data, rows, axis=-3), cols, axis=-2)
-
-    top = corner(row0, col0) * (1 - col_frac) + corner(row0, col1) * col_frac
-    bottom = (corner(row1, col0) * (1 - col_frac)
-              + corner(row1, col1) * col_frac)
-    result = top * (1 - row_frac) + bottom * row_frac
+        np.copyto(out, array[..., top:top + rows, left:left + cols, :])
+        return out
+    indices, col_weights, row_weights = _window_taps(
+        height, width, new_height, new_width, (top, left, rows, cols),
+        channels)
+    corners = empty((*lead, 4, rows, cols * channels), array.dtype)
+    np.take(array.reshape(*lead, height * width, channels), indices, axis=-2,
+            out=corners.reshape(*lead, 4 * rows * cols, channels),
+            mode="clip")    # in range by construction; "raise" buffers out
+    blend = empty(corners.shape, np.float64)
+    np.copyto(blend, corners, casting="unsafe")
+    np.multiply(blend, col_weights, out=blend)
+    sides = blend[..., 0::2, :, :]              # top, bottom
+    np.add(sides, blend[..., 1::2, :, :], out=sides)
+    np.multiply(sides, row_weights, out=sides)
+    result = blend[..., 1, :, :]                # consumed above: reuse it
+    np.add(blend[..., 0, :, :], blend[..., 2, :, :], out=result)
     if np.issubdtype(array.dtype, np.integer):
-        return np.clip(np.round(result), 0, 255).astype(array.dtype)
-    return result.astype(array.dtype)
+        np.clip(np.round(result, out=result), 0, 255, out=result)
+    np.copyto(out, result.reshape(*lead, rows, cols, channels),
+              casting="unsafe")
+    return out
 
 
 def standard_pipeline_ops(input_short_side: int = 256, crop_size: int = 224,

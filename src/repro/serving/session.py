@@ -108,10 +108,10 @@ class FunctionalSession(EngineSession):
 
     The DAG is compiled once into a :class:`~repro.fuse.kernel.FusedKernel`
     (shared process-wide per plan fingerprint) and each micro-batch
-    executes as batched array ops.  Per-image ``PreprocessingDAG.execute``
-    is the reference oracle: the kernel runs the same ``apply`` bodies in
-    the same order, so its output is bit-identical (``tests/fuse/``
-    enforces it).  ``faults``/``obs`` thread into the kernel, which keeps
+    executes as batched array ops in the serving thread's scratch.
+    Per-image ``PreprocessingDAG.execute`` is the reference oracle: the
+    kernel runs the operators' one arithmetic in the same order, so its
+    output is bit-identical (``tests/fuse/`` enforces it).  ``faults``/``obs`` thread into the kernel, which keeps
     the ``fuse.execute`` chaos seam and per-segment spans visible.
     """
 
@@ -141,11 +141,18 @@ class FunctionalSession(EngineSession):
         return self._kernel
 
     def warmup(self, probe: np.ndarray | None = None) -> None:
-        """Run one dummy image end to end (JIT-analogue of engine warmup)."""
+        """Run one dummy image end to end on the path batches take.
+
+        The probe goes through the compiled kernel, not the per-image
+        oracle, so the kernel's program for the probe's shape (tap tables,
+        output shapes) and the model's plan exist before the first real
+        micro-batch.  Scratch and the model's arena are per thread: the
+        thread that serves batches first-touches its own on its first
+        batch, which no warm-up on the constructing thread can do for it.
+        """
         if probe is None:
             probe = np.zeros((48, 48, 3), dtype=np.uint8)
-        preprocessed = self._preprocessing.execute(probe)
-        self._model.predict(preprocessed[None])
+        self._model.predict(self._kernel.execute_stacked([probe]))
         super().warmup()
 
     def _payloads(self, requests: Sequence[InferenceRequest]) -> list:

@@ -96,7 +96,8 @@ class TestCompile:
     def test_serving_pipeline_is_fully_vectorized(self):
         kernel = compile_dag(_dag(serving_pipeline_ops(24, 16)))
         assert kernel.fully_vectorized
-        assert kernel.describe() == "[resize crop convert normalize reorder]"
+        assert kernel.describe() \
+            == "[resize+crop convert+normalize+reorder]"
 
     def test_unlowered_op_splits_an_interpreter_segment(self):
         kernel = compile_dag(_dag([
@@ -183,7 +184,7 @@ class TestOneCompiledOrder:
         resize = dag.execution_order()[-1].node_id
         dag.add_edge(resize, dag.add_op(CenterCropOp(size=16)))
         assert dag.execute(image).shape == (16, 16, 3)
-        assert compile_dag(dag).describe() == "[resize crop]"
+        assert compile_dag(dag).describe() == "[resize+crop]"
 
     def test_invalid_dag_is_rejected_on_every_execute(self):
         dag = _dag([ResizeOp(short_side=24)])

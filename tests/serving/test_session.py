@@ -52,6 +52,28 @@ class TestFunctionalSession:
         functional_session.warmup()
         assert functional_session.warmed
 
+    def test_warmup_compiles_the_path_batches_take(self, images):
+        # A plan no other test pins: the kernel cache is process-wide.
+        dag = PreprocessingDAG.from_ops(serving_pipeline_ops(input_size=41,
+                                                             crop_size=32))
+        model = build_mini_resnet(18, num_classes=2, input_size=32, seed=1)
+        session = FunctionalSession("warm-plan", dag, model)
+        assert session.kernel.program_compiles == 0
+        session.warmup(probe=np.zeros(images[0].shape, dtype=np.uint8))
+        assert session.kernel.program_compiles == 1
+        session.execute([InferenceRequest(image_id=f"img-{i}", payload=image)
+                         for i, image in enumerate(images)])
+        assert session.kernel.program_compiles == 1
+
+    def test_a_hot_swap_warms_the_kernel_too(self, functional_session):
+        dag = PreprocessingDAG.from_ops(serving_pipeline_ops(input_size=43,
+                                                             crop_size=32))
+        model = build_mini_resnet(18, num_classes=2, input_size=32, seed=1)
+        replacement = FunctionalSession("swapped-plan", dag, model)
+        SessionManager(functional_session).swap(replacement)
+        assert replacement.warmed
+        assert replacement.kernel.program_compiles == 1
+
     def test_missing_payload_rejected(self, functional_session):
         functional_session.warmup()
         with pytest.raises(ServingError):

@@ -89,8 +89,8 @@ class TestPublicApi:
         # extension entry points and has no registry module.
         fuse = importlib.import_module("repro.fuse")
         assert sorted(fuse.__all__) == [
-            "DEFAULT_KERNEL_CACHE", "FusedKernel", "HAS_SHM", "KernelCache",
-            "ShmBatchRef", "ShmBatchTransport", "compile_dag",
+            "DEFAULT_KERNEL_CACHE", "FUSE_STATS", "FusedKernel", "HAS_SHM",
+            "KernelCache", "ShmBatchRef", "ShmBatchTransport", "compile_dag",
             "dag_fingerprint", "get_kernel", "worker_shm_prefix",
         ]
         public = {name for name in vars(fuse) if not name.startswith("_")}
