@@ -1,0 +1,40 @@
+"""Print ``src/repro`` lines per package (markdown) and hold the line ratchet.
+
+    python .github/src_lines.py >> "$GITHUB_STEP_SUMMARY"
+
+Fails when the total exceeds ``CEILING``.  A PR that shrinks the tree lowers
+``CEILING`` to its own count; nothing raises it without saying why in review.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+CEILING = 27_643  # set by PR 21 to its own count
+ROADMAP_GATE = 24_500  # ROADMAP item 6, Smol-Core III: "the gate was <= 24 500"
+
+
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    lines: Counter[str] = Counter()
+    for path in sorted(root.rglob("*.py")):
+        package = "/".join(("repro", *path.relative_to(root).parts[:-1][:1]))
+        lines[package] += len(path.read_bytes().splitlines())
+    total = sum(lines.values())
+    print("## Source lines by package\n")
+    print("| Package | Lines |")
+    print("|---|---:|")
+    for package in sorted(lines):
+        print(f"| {package} | {lines[package]} |")
+    print(f"| **total** | **{total}** (ceiling {CEILING}, "
+          f"ROADMAP gate {ROADMAP_GATE}) |")
+    if total > CEILING:
+        print(f"src/repro is {total} lines, over its ceiling of {CEILING}: "
+              f"net source lines must not grow", file=sys.stderr)
+    return int(total > CEILING)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -17,12 +17,14 @@ Sites instrumented across the stack:
 
 ======================  ====================================================
 ``queue.put/get``       :class:`~repro.inference.mpmc.MpmcQueue` entry
-``worker.execute``      :class:`~repro.cluster.worker.ThreadWorker`, before
-                        the session runs (kill here simulates a crash
+``worker.execute``      the replica body, before the session runs --
+                        in-thread replicas only, a child process runs it
+                        with the null hook (kill here simulates a crash
                         mid-batch; raise simulates a session failure)
-``worker.ack``          after the outcome is delivered but before the
-                        worker acknowledges it (kill here opens the
-                        duplicate-delivery window failover must absorb)
+``worker.ack``          either replica kind, after the outcome is delivered
+                        but before the worker acknowledges it (kill here
+                        opens the duplicate-delivery window failover must
+                        absorb)
 ``dispatcher.outcome``  :meth:`~repro.cluster.dispatcher.Dispatcher`
                         collector, after the in-flight lookup (stall here
                         races the collector against the health monitor)

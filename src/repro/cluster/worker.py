@@ -1,19 +1,21 @@
 """Workers: plan-warmed engine sessions behind input/output queues.
 
 A worker is one replica of the execution tier.  It owns a warmed
-:class:`~repro.serving.session.EngineSession`, pulls :class:`WorkItem`
-batches from a private input queue, and posts :class:`WorkOutcome` records to
-a results queue shared with the dispatcher.  Two variants exist:
+:class:`~repro.serving.session.EngineSession`, takes :class:`WorkItem`
+batches, and posts :class:`WorkOutcome` records to a results queue shared
+with the dispatcher.  There is one replica body -- :func:`_run_item`
+executes, :class:`_Replica` implements the :class:`Worker` contract on one
+serving thread -- over a private *lane* that only moves work:
 
-* :class:`ThreadWorker` -- the session runs on a daemon thread in this
-  process.  This is the default replica type for both serving and offline
-  sharded runs.
-* :class:`ProcessWorker` -- the session runs in a child process built from a
-  picklable :class:`SessionSpec` (simulated engine only, since numpy model
-  weights are cheap to rebuild but not worth shipping).  It demonstrates the
-  same worker contract across a real process boundary.
+* :class:`ThreadWorker` -- the serving thread pulls from an inbox and runs
+  the session itself.  This is the default replica type for both serving
+  and offline sharded runs.
+* :class:`ProcessWorker` -- the session, built from a picklable
+  :class:`SessionSpec` (simulated engine only, since numpy model weights
+  are cheap to rebuild but not worth shipping), runs in a forked child and
+  the serving thread pumps its outcomes across the process boundary.
 
-Workers publish a heartbeat timestamp on every loop iteration; the
+The serving thread publishes a heartbeat timestamp on every poll; the
 dispatcher's health monitor treats a stale heartbeat (or a dead thread or
 process) as a crash and re-dispatches the worker's pending items elsewhere.
 ``kill()`` simulates a crash for failover tests: the worker stops abruptly
@@ -25,7 +27,9 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from queue import Empty
 
 import numpy as np
 
@@ -172,36 +176,6 @@ class WorkerCostReport:
         return self.stage_images.get(stage, self.images)
 
 
-class _CostAccumulator:
-    """Thread-safe per-stage cost accumulation shared by worker types.
-
-    Both the image count and the seconds accumulate *per stage key*, so a
-    report window spanning a hot-swap (some batches paying ``decode``,
-    later ones paying ``read``) still yields exact per-image costs for
-    every stage.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._stages: dict[str, list] = {}
-
-    def add(self, images: int,
-            stage_seconds: tuple[tuple[str, float], ...]) -> None:
-        if not stage_seconds:
-            return
-        with self._lock:
-            for stage, seconds in stage_seconds:
-                entry = self._stages.setdefault(stage, [0, 0.0])
-                entry[0] += images
-                entry[1] += seconds
-
-    def take(self) -> tuple[dict[str, int], dict[str, float]]:
-        with self._lock:
-            stages, self._stages = self._stages, {}
-        return ({stage: entry[0] for stage, entry in stages.items()},
-                {stage: entry[1] for stage, entry in stages.items()})
-
-
 class Worker:
     """Contract every replica type implements.
 
@@ -262,7 +236,244 @@ class Worker:
         raise NotImplementedError
 
 
-class ThreadWorker(Worker):
+def _run_item(session: EngineSession, item: WorkItem, worker_id: str,
+              obs=NULL_OBS, faults=NULL_FAULTS, worker=None) -> WorkOutcome:
+    """The replica body: execute one item, report what happened.
+
+    Both lanes call it -- in-thread with the replica's ``obs``/``faults``
+    seams, in a child process with the null ones.
+    """
+    echo = dict(item_id=item.item_id, worker_id=worker_id,
+                shard_id=item.shard_id, attempts=item.attempts,
+                trace=item.trace)  # trace ids ride back with the outcome
+    try:
+        # Chaos seam: a "raise" here becomes an error outcome (the retry
+        # path), a "kill" suppresses the outcome entirely (the failover
+        # path), a "stall" holds the replica busy.
+        faults.hit("worker.execute", worker=worker, item_id=item.item_id)
+        # Make the item's trace ambient so session-internal spans (e.g.
+        # store chunk reads) parent into the item's subtree.
+        traced = obs.enabled and item.trace is not None
+        with obs.activate(item.trace) if traced else nullcontext():
+            result = session.execute(list(item.requests))
+    except Exception as exc:
+        return WorkOutcome(error=f"{type(exc).__name__}: {exc}", **echo)
+    return WorkOutcome(
+        # ndarray passthrough: no per-element int boxing on the scan hot
+        # path (scores stay packed int64 bit patterns).
+        predictions=np.asarray(result.predictions, dtype=np.int64),
+        modelled_seconds=result.modelled_seconds,
+        stage_seconds=tuple(sorted((result.stage_seconds or {}).items())),
+        **echo,
+    )
+
+
+class _Replica(Worker):
+    """The one implementation of the :class:`Worker` contract.
+
+    Everything the dispatcher relies on lives here, on one serving thread;
+    the lane (``lane_type(replica, *lane_args)``) only moves work:
+    ``inbox.put(item, timeout=)``, ``next_outcome(timeout)`` (raises on a
+    timeout, :class:`QueueClosed` once nothing more can come), ``session``
+    (names the plan), ``stop(drain)`` (finish what was accepted, or crash)
+    and ``release()`` (called as the serving thread exits).
+    """
+
+    def __init__(self, worker_id: str, results: MpmcQueue[WorkOutcome],
+                 faults, lane_type, *lane_args) -> None:
+        super().__init__(worker_id)
+        self._results = results
+        self._faults = faults
+        self._pending: dict[int, WorkItem] = {}
+        self._pending_lock = threading.Lock()
+        self._stats = WorkerStats()
+        # stage -> [images, seconds], both per stage key: see
+        # :attr:`WorkerCostReport.stage_images` for why.
+        self._costs: dict[str, list] = {}
+        self._heartbeat = time.monotonic()
+        self._busy = self._killed = self._closing = False
+        self._lane = lane_type(self, *lane_args)
+        self._thread = threading.Thread(
+            target=self._loop, name=f"cluster-{worker_id}", daemon=True
+        )
+        self._thread.start()
+
+    # -- Worker contract ------------------------------------------------
+    @property
+    def plan_key(self) -> str:
+        return self._lane.session.plan_key
+
+    @property
+    def alive(self) -> bool:
+        # A lane that dies on its own ends the serving thread with it.
+        return self._thread.is_alive() and not (self._killed or self._closing)
+
+    def heartbeat_age(self, now: float | None = None) -> float:
+        # A batch mid-execution is occupancy, not silence: an in-process
+        # thread cannot die without `alive` turning false, so the heartbeat
+        # only measures staleness of the polling loop.
+        if self._busy:
+            return 0.0
+        return (now if now is not None else time.monotonic()) - self._heartbeat
+
+    def submit(self, item: WorkItem) -> None:
+        if not self.alive:
+            raise ClusterError(
+                f"worker {self._worker_id} is not accepting work"
+            )
+        with self._pending_lock:
+            self._pending[item.item_id] = item
+        try:
+            self._lane.inbox.put(item, timeout=5.0)
+        except Exception as exc:
+            # QueueClosed (shutdown race) or EngineError (inbox full past
+            # the timeout): either way the item was not accepted; surface
+            # it as the ClusterError the dispatcher routes around.
+            with self._pending_lock:
+                del self._pending[item.item_id]
+            raise ClusterError(
+                f"worker {self._worker_id} did not accept the item: {exc}"
+            ) from exc
+
+    def queue_depth(self) -> int:
+        with self._pending_lock:
+            return len(self._pending)
+
+    def pending_items(self) -> list[WorkItem]:
+        with self._pending_lock:
+            return sorted(self._pending.values(), key=lambda i: i.item_id)
+
+    def take_cost_report(self) -> WorkerCostReport | None:
+        with self._pending_lock:
+            costs, self._costs = self._costs, {}
+        if not costs:
+            return None
+        stage_images = {stage: entry[0] for stage, entry in costs.items()}
+        session = self._lane.session
+        return WorkerCostReport(
+            self._worker_id, session.plan_key, session.format_name,
+            session.model_name, images=max(stage_images.values()),
+            stage_seconds={stage: entry[1] for stage, entry in costs.items()},
+            stage_images=stage_images,
+        )
+
+    def kill(self) -> None:
+        self._killed = True
+        self._lane.stop(drain=False)
+
+    def close(self, timeout: float = 10.0) -> None:
+        self._closing = True  # an item put behind the drain would be lost
+        self._lane.stop(drain=not self._killed)
+        self._thread.join(timeout=timeout)
+        if self._thread.is_alive() and not self._killed:
+            raise ClusterError(
+                f"worker {self._worker_id} did not drain in time"
+            )
+
+    def stats(self) -> WorkerStats:
+        """Snapshot of the worker's lifetime counters."""
+        with self._pending_lock:
+            return replace(self._stats)
+
+    # -- Serving thread --------------------------------------------------
+    def _loop(self) -> None:
+        try:
+            while not self._killed:
+                self._busy = False  # set by a lane that starts executing
+                self._heartbeat = time.monotonic()
+                try:
+                    outcome = self._lane.next_outcome(timeout=0.05)
+                except QueueClosed:
+                    return
+                except Exception:
+                    continue  # poll timeout: refresh the heartbeat, re-poll
+                if outcome is not None:
+                    self._deliver(outcome)
+        finally:
+            self._lane.release()
+
+    def _deliver(self, outcome: WorkOutcome) -> None:
+        with self._pending_lock:
+            item = self._pending.get(outcome.item_id)
+            if item is not None:
+                for stage, seconds in outcome.stage_seconds:
+                    entry = self._costs.setdefault(stage, [0, 0.0])
+                    entry[0] += len(item.requests)
+                    entry[1] += seconds
+        if item is None or self._killed:
+            return
+        # Deliver, then acknowledge.  The outcome posts to the results
+        # queue *before* the item leaves the pending set: a crash in the
+        # gap (the ``worker.ack`` seam) leaves the item recoverable --
+        # the monitor re-dispatches it and the dispatcher deduplicates
+        # the already-delivered outcome -- whereas acknowledging first
+        # would lose the item outright if the worker died before the
+        # post, hanging its future until the drain timeout.
+        # A full results queue must not kill the serving thread either:
+        # keep trying (and beating -- a retrying replica is not silent)
+        # until the queue drains, closes, or this worker is killed.
+        while not self._killed:
+            self._heartbeat = time.monotonic()
+            try:
+                self._results.put(outcome, timeout=1.0)
+                break
+            except QueueClosed:
+                break
+            except Exception:
+                continue  # put timeout: the collector is behind; retry
+        self._faults.hit("worker.ack", worker=self, item_id=item.item_id)
+        if self._killed:
+            # Crashed inside the delivery/ack window: the item stays
+            # pending so failover recovers it; exactly-once resolution is
+            # now the dispatcher's duplicate-outcome check to uphold.
+            return
+        with self._pending_lock:
+            self._pending.pop(item.item_id, None)
+            if outcome.ok:
+                self._stats.executed_items += 1
+                self._stats.executed_requests += len(item.requests)
+                self._stats.modelled_seconds += outcome.modelled_seconds
+            else:
+                self._stats.failed_items += 1
+
+
+class _ThreadLane:
+    """In-thread lane: the serving thread pulls from an inbox and calls
+    the body itself -- no pump, no hop between execution and delivery."""
+
+    def __init__(self, replica: _Replica, session: EngineSession,
+                 queue_capacity: int, service_time_scale: float,
+                 obs, faults) -> None:
+        if not session.warmed:
+            session.warmup()
+        self._replica = replica
+        self.session = session
+        self.inbox: MpmcQueue[WorkItem] = MpmcQueue(queue_capacity,
+                                                    faults=faults)
+        self._service_time_scale = service_time_scale
+        self._seams = (obs, faults)
+
+    def next_outcome(self, timeout: float) -> WorkOutcome | None:
+        item = self.inbox.get(timeout=timeout)
+        if self._replica._killed:
+            # Crash semantics: the dequeued item is deliberately lost
+            # (it stays pending for the monitor to recover).
+            return None
+        self._replica._busy = True  # through delivery, until the next poll
+        outcome = _run_item(self.session, item, self._replica.worker_id,
+                            *self._seams, worker=self._replica)
+        if self._service_time_scale > 0:
+            time.sleep(outcome.modelled_seconds * self._service_time_scale)
+        return outcome
+
+    def stop(self, drain: bool) -> None:
+        self.inbox.close()  # queued items still drain before QueueClosed
+
+    def release(self) -> None:
+        pass
+
+
+class ThreadWorker(_Replica):
     """A replica running its session on a daemon thread in this process.
 
     Parameters
@@ -297,213 +508,22 @@ class ThreadWorker(Worker):
                  queue_capacity: int = 64,
                  service_time_scale: float = 0.0,
                  obs=NULL_OBS, faults=NULL_FAULTS) -> None:
-        super().__init__(worker_id)
         if service_time_scale < 0:
             raise ClusterError("service_time_scale must be non-negative")
-        self._obs = obs if obs is not None else NULL_OBS
-        self._faults = faults if faults is not None else NULL_FAULTS
-        if not session.warmed:
-            session.warmup()
-        self._session = session
-        self._results = results
-        self._inbox: MpmcQueue[WorkItem] = MpmcQueue(
-            queue_capacity, faults=self._faults)
-        self._service_time_scale = service_time_scale
-        self._pending: dict[int, WorkItem] = {}
-        self._pending_lock = threading.Lock()
-        self._stats = WorkerStats()
-        self._costs = _CostAccumulator()
-        self._heartbeat = time.monotonic()
-        self._busy = False
-        self._killed = False
-        self._thread = threading.Thread(
-            target=self._loop, name=f"cluster-{worker_id}", daemon=True
-        )
-        self._thread.start()
-
-    # -- Worker contract ------------------------------------------------
-    @property
-    def plan_key(self) -> str:
-        return self._session.plan_key
-
-    @property
-    def alive(self) -> bool:
-        return self._thread.is_alive() and not self._killed
-
-    def heartbeat_age(self, now: float | None = None) -> float:
-        # A batch mid-execution is occupancy, not silence: an in-process
-        # thread cannot die without `alive` turning false, so the heartbeat
-        # only measures staleness of the polling loop.
-        if self._busy:
-            return 0.0
-        return (now if now is not None else time.monotonic()) - self._heartbeat
-
-    def submit(self, item: WorkItem) -> None:
-        if not self.alive:
-            raise ClusterError(
-                f"worker {self._worker_id} is not accepting work"
-            )
-        with self._pending_lock:
-            self._pending[item.item_id] = item
-        try:
-            self._inbox.put(item, timeout=5.0)
-        except Exception as exc:
-            # QueueClosed (shutdown race) or EngineError (inbox full past
-            # the timeout): either way the item was not accepted; surface
-            # it as the ClusterError the dispatcher routes around.
-            with self._pending_lock:
-                self._pending.pop(item.item_id, None)
-            raise ClusterError(
-                f"worker {self._worker_id} did not accept the item: {exc}"
-            ) from exc
-
-    def queue_depth(self) -> int:
-        with self._pending_lock:
-            return len(self._pending)
-
-    def pending_items(self) -> list[WorkItem]:
-        with self._pending_lock:
-            return sorted(self._pending.values(), key=lambda i: i.item_id)
-
-    def take_cost_report(self) -> WorkerCostReport | None:
-        stage_images, stage_seconds = self._costs.take()
-        if not stage_seconds:
-            return None
-        return WorkerCostReport(
-            worker_id=self._worker_id,
-            plan_key=self._session.plan_key,
-            format_name=self._session.format_name,
-            model_name=self._session.model_name,
-            images=max(stage_images.values()),
-            stage_seconds=stage_seconds,
-            stage_images=stage_images,
-        )
-
-    def kill(self) -> None:
-        self._killed = True
-        self._inbox.close()
-
-    def close(self, timeout: float = 5.0) -> None:
-        self._inbox.close()
-        self._thread.join(timeout=timeout)
-        if self._thread.is_alive() and not self._killed:
-            raise ClusterError(
-                f"worker {self._worker_id} did not drain in time"
-            )
-
-    def stats(self) -> WorkerStats:
-        """Snapshot of the worker's lifetime counters."""
-        with self._pending_lock:
-            return WorkerStats(
-                executed_items=self._stats.executed_items,
-                executed_requests=self._stats.executed_requests,
-                failed_items=self._stats.failed_items,
-                modelled_seconds=self._stats.modelled_seconds,
-            )
-
-    # -- Worker loop -----------------------------------------------------
-    def _loop(self) -> None:
-        while True:
-            self._heartbeat = time.monotonic()
-            if self._killed:
-                return
-            try:
-                item = self._inbox.get(timeout=0.05)
-            except QueueClosed:
-                return
-            except Exception:
-                continue  # get timeout: refresh the heartbeat and re-poll
-            if self._killed:
-                # Crash semantics: the dequeued item is deliberately lost
-                # (it stays in _pending for the monitor to recover).
-                return
-            self._busy = True
-            try:
-                self._execute(item)
-            finally:
-                self._busy = False
-
-    def _execute(self, item: WorkItem) -> None:
-        try:
-            # Chaos seam: a "raise" here becomes an error outcome (the
-            # retry path), a "kill" suppresses the outcome entirely (the
-            # failover path), a "stall" holds the replica busy.
-            self._faults.hit("worker.execute", worker=self,
-                             item_id=item.item_id)
-            if self._obs.enabled and item.trace is not None:
-                # Make the item's trace ambient so session-internal spans
-                # (e.g. store chunk reads) parent into the item's subtree.
-                with self._obs.activate(item.trace):
-                    result = self._session.execute(list(item.requests))
-            else:
-                result = self._session.execute(list(item.requests))
-        except Exception as exc:
-            outcome = WorkOutcome(
-                item_id=item.item_id, worker_id=self._worker_id,
-                shard_id=item.shard_id, attempts=item.attempts,
-                error=f"{type(exc).__name__}: {exc}",
-                trace=item.trace,
-            )
-        else:
-            if self._service_time_scale > 0 and result.modelled_seconds > 0:
-                time.sleep(result.modelled_seconds * self._service_time_scale)
-            stage_seconds = tuple(sorted(
-                (result.stage_seconds or {}).items()
-            ))
-            outcome = WorkOutcome(
-                item_id=item.item_id, worker_id=self._worker_id,
-                shard_id=item.shard_id, attempts=item.attempts,
-                # ndarray passthrough: no per-element int boxing on the
-                # scan hot path (scores stay packed int64 bit patterns).
-                predictions=np.asarray(result.predictions, dtype=np.int64),
-                modelled_seconds=result.modelled_seconds,
-                stage_seconds=stage_seconds,
-                trace=item.trace,
-            )
-            self._costs.add(len(item.requests), stage_seconds)
-        if self._killed:
-            return
-        # Deliver, then acknowledge.  The outcome posts to the results
-        # queue *before* the item leaves the pending set: a crash in the
-        # gap (the ``worker.ack`` seam) leaves the item recoverable --
-        # the monitor re-dispatches it and the dispatcher deduplicates
-        # the already-delivered outcome -- whereas acknowledging first
-        # would lose the item outright if the worker died before the
-        # post, hanging its future until the drain timeout.
-        # A full results queue must not kill the worker thread either:
-        # keep trying until the queue drains, closes, or this worker is
-        # killed.
-        while not self._killed:
-            try:
-                self._results.put(outcome, timeout=1.0)
-                break
-            except QueueClosed:
-                break
-            except Exception:
-                continue  # put timeout: the collector is behind; retry
-        self._faults.hit("worker.ack", worker=self, item_id=item.item_id)
-        if self._killed:
-            # Crashed inside the delivery/ack window: the item stays
-            # pending so failover recovers it; exactly-once resolution is
-            # now the dispatcher's duplicate-outcome check to uphold.
-            return
-        with self._pending_lock:
-            self._pending.pop(item.item_id, None)
-            if outcome.ok:
-                self._stats.executed_items += 1
-                self._stats.executed_requests += len(item.requests)
-                self._stats.modelled_seconds += outcome.modelled_seconds
-            else:
-                self._stats.failed_items += 1
+        faults = faults if faults is not None else NULL_FAULTS
+        super().__init__(worker_id, results, faults, _ThreadLane, session,
+                         queue_capacity, service_time_scale,
+                         obs if obs is not None else NULL_OBS, faults)
 
 
 @dataclass(frozen=True)
 class SessionSpec:
     """A picklable recipe for rebuilding a simulated session elsewhere.
 
-    Process workers cannot share a live session object, so they ship this
-    spec instead and rebuild the session (deterministically -- the
-    performance model is calibrated, not trained) inside the child.
+    Process workers cannot share a live session object, so they are
+    declared by this spec instead: the session is built from it
+    (deterministically -- the performance model is calibrated, not trained)
+    and the forked child runs its own copy.
     """
 
     model_name: str = "resnet-18"
@@ -526,215 +546,110 @@ class SessionSpec:
         return session
 
 
-def _process_worker_main(spec: SessionSpec, inbox, outbox,
-                         shm_prefix: str | None = None,
-                         force_inline: bool = False) -> None:
-    """Child-process loop: rebuild the session, then serve the queue.
-
-    With ``shm_prefix`` set, prediction arrays travel out-of-band through
-    a :class:`~repro.fuse.shm.ShmBatchTransport` (zero-copy shared-memory
-    segments); the outcome on the mp queue then carries only the
-    descriptor.  Without it (legacy mode) predictions pickle through the
-    queue as an int64 ndarray -- already unboxed, but still copied.
-    """
-    session = spec.build()
-    plan_key = session.plan_key
-    transport = None
-    if shm_prefix is not None:
-        transport = ShmBatchTransport(shm_prefix, force_inline=force_inline)
-    while True:
-        item = inbox.get()
-        if item is None:
-            outbox.put(None)
-            return
-        try:
-            result = session.execute(list(item.requests))
-            predictions = np.asarray(result.predictions, dtype=np.int64)
-            shm_ref = None
-            if transport is not None:
-                shm_ref = transport.publish(predictions)
-                predictions = _EMPTY_PREDICTIONS
-            outcome = WorkOutcome(
-                item_id=item.item_id, worker_id=plan_key,  # rewritten below
-                shard_id=item.shard_id, attempts=item.attempts,
-                predictions=predictions,
-                modelled_seconds=result.modelled_seconds,
-                stage_seconds=tuple(sorted(
-                    (result.stage_seconds or {}).items()
-                )),
-                trace=item.trace,  # trace ids ride back over the mp queue
-                shm=shm_ref,
-            )
-        except Exception as exc:
-            outcome = WorkOutcome(
-                item_id=item.item_id, worker_id=plan_key,
-                shard_id=item.shard_id, attempts=item.attempts,
-                error=f"{type(exc).__name__}: {exc}",
-                trace=item.trace,
-            )
+def _child_main(worker_id: str, session: EngineSession, inbox, outbox,
+                shm_prefix: str) -> None:
+    """Child side of the process lane: the same body over the mp queues
+    until the ``None`` sentinel, arrays out through shared memory."""
+    transport = ShmBatchTransport(shm_prefix)
+    for item in iter(inbox.get, None):
+        outcome = _run_item(session, item, worker_id)
+        if outcome.ok:
+            outcome = replace(outcome, predictions=_EMPTY_PREDICTIONS,
+                              shm=transport.publish(outcome.predictions))
         outbox.put(outcome)
 
 
-class ProcessWorker(Worker):
-    """A replica running a simulated session in a child process.
+class _ProcessLane:
+    """Child-process lane: mp queues to a forked child; the serving thread
+    pumps its outcomes, re-materializing each batch from shared memory."""
 
-    The contract matches :class:`ThreadWorker`; a pump thread forwards the
-    child's outcomes into the dispatcher's shared results queue and doubles
-    as the heartbeat source.  Only simulated sessions are supported -- they
-    are rebuilt from a :class:`SessionSpec` rather than pickled.
-
-    Prediction batches ride zero-copy shared memory by default
-    (``use_shm=True``): the child publishes each batch into a named
-    segment under a per-worker prefix and the pump re-materializes it on
-    attach, unlinking as it goes.  ``kill``/``close`` sweep the prefix, so
-    a crashed child's in-flight segments never leak.  On platforms without
-    ``multiprocessing.shared_memory`` (or with ``use_shm=False``) the
-    transport degrades to inline bytes with identical results.
-    """
-
-    def __init__(self, worker_id: str, spec: SessionSpec,
-                 results: MpmcQueue[WorkOutcome],
-                 start_method: str = "fork",
-                 use_shm: bool = True) -> None:
-        super().__init__(worker_id)
-        self._spec = spec
-        self._results = results
-        context = multiprocessing.get_context(start_method)
-        self._inbox = context.Queue()
-        self._outbox = context.Queue()
-        self._pending: dict[int, WorkItem] = {}
-        self._pending_lock = threading.Lock()
-        self._costs = _CostAccumulator()
-        self._heartbeat = time.monotonic()
-        self._killed = False
-        self._closed = False
-        prefix = worker_shm_prefix(worker_id)
-        self._transport = ShmBatchTransport(prefix,
-                                            force_inline=not use_shm)
-        self._process = context.Process(
-            target=_process_worker_main,
-            args=(spec, self._inbox, self._outbox, prefix, not use_shm),
-            name=f"cluster-{worker_id}", daemon=True,
+    def __init__(self, replica: _Replica, spec: SessionSpec) -> None:
+        context = multiprocessing.get_context("fork")
+        self.session = spec.build()
+        self.inbox, self._outbox = context.Queue(), context.Queue()
+        prefix = worker_shm_prefix(replica.worker_id)
+        self.transport = ShmBatchTransport(prefix)
+        self._lock = threading.Lock()  # a late stop() races release()
+        self.process = context.Process(
+            target=_child_main,
+            args=(replica.worker_id, self.session, self.inbox, self._outbox,
+                  prefix),
+            name=f"cluster-{replica.worker_id}", daemon=True,
         )
-        self._process.start()
-        self._pump = threading.Thread(
-            target=self._pump_loop, name=f"cluster-{worker_id}-pump",
-            daemon=True,
-        )
-        self._pump.start()
+        self.process.start()
 
-    @property
-    def transport(self) -> ShmBatchTransport:
-        """The parent-side shared-memory transport (attach + sweep side)."""
-        return self._transport
-
-    @property
-    def plan_key(self) -> str:
-        plan = Plan.single(get_model_profile(self._spec.model_name),
-                           get_input_format(self._spec.format_name))
-        return plan.describe()
-
-    @property
-    def alive(self) -> bool:
-        return self._process.is_alive() and not self._killed
-
-    def heartbeat_age(self, now: float | None = None) -> float:
-        return (now if now is not None else time.monotonic()) - self._heartbeat
-
-    def submit(self, item: WorkItem) -> None:
-        if not self.alive or self._closed:
-            raise ClusterError(
-                f"worker {self._worker_id} is not accepting work"
-            )
-        with self._pending_lock:
-            self._pending[item.item_id] = item
-        self._inbox.put(item)
-
-    def queue_depth(self) -> int:
-        with self._pending_lock:
-            return len(self._pending)
-
-    def pending_items(self) -> list[WorkItem]:
-        with self._pending_lock:
-            return sorted(self._pending.values(), key=lambda i: i.item_id)
-
-    def take_cost_report(self) -> WorkerCostReport | None:
-        stage_images, stage_seconds = self._costs.take()
-        if not stage_seconds:
+    def next_outcome(self, timeout: float) -> WorkOutcome | None:
+        try:
+            outcome = self._outbox.get(timeout=timeout)
+        except Empty:
+            # The one way out: the child exited (on its sentinel, or not)
+            # and -- checked second -- all it flushed on the way is read.
+            if not self.process.is_alive() and self._outbox.empty():
+                raise QueueClosed("the child is gone") from None
+            raise
+        if outcome.shm is None:
+            return outcome
+        try:
+            predictions = self.transport.attach(outcome.shm)
+        except FileNotFoundError:
+            # The segment was swept after a kill: treat the outcome as
+            # lost with the crash -- the item stays pending and failover
+            # recovers it.
             return None
-        return WorkerCostReport(
-            worker_id=self._worker_id,
-            plan_key=self.plan_key,
-            format_name=self._spec.format_name,
-            model_name=self._spec.model_name,
-            images=max(stage_images.values()),
-            stage_seconds=stage_seconds,
-            stage_images=stage_images,
-        )
+        return replace(outcome, predictions=predictions, shm=None)
 
-    def kill(self) -> None:
-        self._killed = True
-        self._process.terminate()
+    def stop(self, drain: bool) -> None:
+        with self._lock:
+            if self.inbox is None:
+                return  # released: nothing is left to stop
+            if drain:
+                self.inbox.put(None)
+                return
+            self.process.terminate()
         # The child may have published batches whose descriptors never
         # reached the pump; sweeping the worker's prefix reclaims them.
         # A descriptor the pump is concurrently attaching either wins the
         # race (the attach unlinks) or sees FileNotFoundError and drops
         # the outcome -- crash semantics either way.
-        self._transport.sweep()
+        self.transport.sweep()
 
-    def close(self, timeout: float = 10.0) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._process.is_alive() and not self._killed:
-            self._inbox.put(None)
-        self._process.join(timeout=timeout)
-        self._pump.join(timeout=timeout)
-        if self._process.is_alive():
-            self._process.terminate()
-        self._transport.sweep()
-
-    def _pump_loop(self) -> None:
-        while True:
-            self._heartbeat = time.monotonic()
-            try:
-                outcome = self._outbox.get(timeout=0.05)
-            except Exception:
-                if self._killed or self._closed or not self._process.is_alive():
-                    if self._outbox.empty():
-                        return
-                continue
-            if outcome is None:
-                return
-            if outcome.shm is not None:
-                try:
-                    predictions = self._transport.attach(outcome.shm)
-                except FileNotFoundError:
-                    # The segment was swept after a kill: treat the
-                    # outcome as lost with the crash -- the item stays
-                    # pending and failover recovers it.
-                    continue
-                outcome = replace(outcome, worker_id=self._worker_id,
-                                  predictions=predictions, shm=None)
-            else:
-                outcome = replace(outcome, worker_id=self._worker_id)
-            with self._pending_lock:
-                item = self._pending.pop(outcome.item_id, None)
-            if outcome.ok and item is not None:
-                # item can be None after a kill/recover race; folding its
-                # seconds in with zero images would skew the per-image
-                # cost report, so the raced delta is dropped instead.
-                self._costs.add(len(item.requests), outcome.stage_seconds)
-            while not self._killed:
-                try:
-                    self._results.put(outcome, timeout=1.0)
-                    break
-                except QueueClosed:
-                    return
-                except Exception:
-                    continue  # put timeout: retry until the queue drains
+    def release(self) -> None:
+        self.process.join()  # already gone, or terminated by stop()
+        # The lane owns its queues: close both and join their feeder
+        # threads.  Only a child that exited on the sentinel read every
+        # byte; after a crash nobody will, so that flush is not waited on.
+        with self._lock:
+            for queue in (self.inbox, self._outbox):
+                if self.process.exitcode != 0:
+                    queue.cancel_join_thread()
+                queue.close()
+                queue.join_thread()
+            # A queue this side never put to has no feeder to close its
+            # pipe ends; dropping the last reference does.
+            self.inbox = self._outbox = None
+            self.process.close()
+        self.transport.sweep()
 
 
-def predictions_array(outcome: WorkOutcome) -> np.ndarray:
-    """The outcome's predictions as an int64 array (empty on failure)."""
-    return np.asarray(outcome.predictions, dtype=np.int64)
+class ProcessWorker(_Replica):
+    """A replica running a simulated session in a child process.
+
+    Only simulated sessions are supported -- built from a
+    :class:`SessionSpec`, never pickled (the child runs the copy it was
+    forked with).  Prediction batches ride zero-copy shared memory: the
+    child publishes each batch into a named segment under a per-worker
+    prefix and the pump re-materializes it on attach, unlinking as it goes.
+    ``kill``/``close`` sweep the prefix, so a crashed child's in-flight
+    segments never leak.  On platforms without
+    ``multiprocessing.shared_memory`` the transport degrades to inline
+    bytes with identical results.
+    """
+
+    def __init__(self, worker_id: str, spec: SessionSpec,
+                 results: MpmcQueue[WorkOutcome]) -> None:
+        super().__init__(worker_id, results, NULL_FAULTS, _ProcessLane, spec)
+
+    @property
+    def transport(self) -> ShmBatchTransport:
+        """The parent-side shared-memory transport (attach + sweep side)."""
+        return self._lane.transport

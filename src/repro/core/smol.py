@@ -86,11 +86,11 @@ class Smol:
     @classmethod
     def for_dataset(cls, dataset, instance: CloudInstance | str = "g4dn.xlarge",
                     **kwargs) -> "Smol":
-        """Build a Smol instance for a dataset object exposing ``name`` and
-        ``available_formats``."""
-        formats = getattr(dataset, "available_formats", None)
-        name = getattr(dataset, "name", str(dataset))
-        return cls(instance=instance, dataset_name=name, formats=formats, **kwargs)
+        """Build a Smol instance for a dataset declaring ``name`` and
+        ``available_formats`` (both dataset classes do); anything else
+        fails here with :class:`AttributeError`, not later in planning."""
+        return cls(instance=instance, dataset_name=dataset.name,
+                   formats=dataset.available_formats, **kwargs)
 
     # ------------------------------------------------------------------
     # Planning

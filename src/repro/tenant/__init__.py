@@ -8,8 +8,8 @@ The package layers four mechanisms onto the single-tenant server:
 * :mod:`repro.tenant.quota` -- per-tenant token-bucket rate limits and
   in-flight caps at admission (:class:`QuotaGate`);
 * :mod:`repro.serving.scheduler` -- the server's deficit-round-robin
-  micro-batching over per-class queues (:class:`DrrScheduler`, re-exported
-  here; a server without tenants runs it with one class);
+  micro-batching over per-class queues (``DrrScheduler``, imported from
+  there; a server without tenants runs it with one class);
 * :mod:`repro.tenant.deadline` -- a pre-warmed ladder of plan renditions
   consulted when a batch's deadline budget can't afford the current plan
   (:class:`PlanLadder`);
@@ -17,7 +17,6 @@ The package layers four mechanisms onto the single-tenant server:
   (:class:`TenantSloBoard`).
 """
 
-from repro.serving.scheduler import ClassBatch, DrrScheduler
 from repro.tenant.deadline import LadderRung, PlanLadder
 from repro.tenant.quota import QuotaGate, TenantQuotaStats, TokenBucket
 from repro.tenant.slo import TenantSloBoard
@@ -38,8 +37,6 @@ __all__ = [
     "TokenBucket",
     "QuotaGate",
     "TenantQuotaStats",
-    "ClassBatch",
-    "DrrScheduler",
     "LadderRung",
     "PlanLadder",
     "TenantSloBoard",

@@ -8,6 +8,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.inference.mpmc import MpmcQueue
 from repro.serving.session import BatchResult, EngineSession
 from repro.utils.rng import stable_hash
 
@@ -27,6 +28,34 @@ def wait_until(predicate: Callable[[], bool], timeout: float = 5.0,
             return
         time.sleep(interval)
     raise AssertionError(f"timed out after {timeout}s waiting for {message}")
+
+
+def replica_threads(worker_id: str) -> list[str]:
+    """Names of live threads belonging to replica ``worker_id``."""
+    return [thread.name for thread in threading.enumerate()
+            if thread.name.startswith(f"cluster-{worker_id}")]
+
+
+class FullResultsQueue(MpmcQueue):
+    """A capacity-1 results queue, already full, that signals the first
+    attempt to post into it -- the instant a replica holds a computed
+    outcome it cannot deliver."""
+
+    def __init__(self) -> None:
+        super().__init__(1)
+        super().put("filler")
+        self.attempted = threading.Event()
+
+    def put(self, item, timeout=None):
+        self.attempted.set()
+        super().put(item, timeout=timeout)
+
+    def drain(self) -> list:
+        """Everything queued right now (the filler excluded)."""
+        items = []
+        while len(self):
+            items.append(self.get(timeout=1.0))
+        return [item for item in items if item != "filler"]
 
 
 class GatedSession(EngineSession):

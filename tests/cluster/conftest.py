@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
-from repro.cluster import SessionSpec, ThreadWorker
+from repro.cluster import ProcessWorker, SessionSpec, ThreadWorker
 
 from cluster_testlib import ScriptedSession
 
@@ -27,3 +29,32 @@ def scripted_factory():
 def simulated_spec():
     """A small-arity simulated session spec shared by cluster tests."""
     return SessionSpec(num_classes=8)
+
+
+@pytest.fixture(params=[
+    "thread",
+    pytest.param("process", marks=pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="process workers need the fork start method")),
+])
+def replica_factory(request, simulated_spec):
+    """``factory(worker_id, results)`` for each replica kind in turn.
+
+    Both kinds run a session built from the same :class:`SessionSpec`, so
+    a contract test states its expectation once.  Replicas still open at
+    teardown are crashed and closed.
+    """
+    made = []
+
+    def factory(worker_id, results):
+        if request.param == "thread":
+            worker = ThreadWorker(worker_id, simulated_spec.build(), results)
+        else:
+            worker = ProcessWorker(worker_id, simulated_spec, results)
+        made.append(worker)
+        return worker
+
+    yield factory
+    for worker in made:
+        worker.kill()
+        worker.close()

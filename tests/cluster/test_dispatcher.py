@@ -10,7 +10,12 @@ from repro.cluster.worker import Worker, WorkOutcome
 from repro.errors import ClusterError, WorkerCrashedError
 from repro.serving.request import InferenceRequest
 
-from cluster_testlib import ScriptedSession, expected_prediction
+from cluster_testlib import (
+    ScriptedSession,
+    expected_prediction,
+    replica_threads,
+    wait_until,
+)
 
 
 def _requests(*image_ids):
@@ -446,3 +451,62 @@ class TestDuplicateOutcomeRace:
         assert stats.failed == 0
         assert stats.completed + stats.failed == stats.submitted
         assert stats.worker_deaths == 1
+
+
+class _BackedUpCollector(_CollectorGate):
+    """A collector gate that also counts every attempt to post to the
+    results queue (``queue.put`` fires on entry, before a full queue
+    blocks the poster)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.posts = 0
+
+    def hit(self, site: str, **ctx) -> None:
+        if site == "queue.put":
+            self.posts += 1
+        super().hit(site, **ctx)
+
+
+class TestKillWhileResultsBackedUp:
+    """A replica killed holding an outcome it could not post loses no item.
+
+    With the collector behind and the results queue full, the third
+    outcome is computed but blocked at the post.  Killing the replica
+    there must leave the item where the health pass finds it: the future
+    resolves by failover (or fails as crashed) at once, not at the drain
+    timeout -- for either replica kind.
+    """
+
+    def test_future_resolves_by_failover_not_by_timeout(self,
+                                                        replica_factory):
+        hook = _BackedUpCollector()
+        dispatcher = Dispatcher(replica_factory, num_workers=1,
+                                results_capacity=1, monitor_interval_s=0.0,
+                                heartbeat_timeout_s=60.0, faults=hook)
+        try:
+            first = dispatcher.submit(_requests("img-a"))
+            assert hook.reached.wait(20.0)  # the collector holds outcome 1
+            second = dispatcher.submit(_requests("img-b"))
+            wait_until(lambda: len(dispatcher.results_queue) == 1,
+                       message="outcome 2 to fill the results queue")
+            third = dispatcher.submit(_requests("img-c"))
+            wait_until(lambda: hook.posts >= 3,
+                       message="outcome 3 to block at the post")
+            dispatcher.worker("worker-0").kill()
+            wait_until(lambda: not replica_threads("worker-0"),
+                       timeout=10.0, message="the killed replica to stop")
+            dispatcher.add_worker()
+            hook.release.set()
+            assert dispatcher.check_workers() == ["worker-0"]
+            assert first.result(timeout=10.0).worker_id == "worker-0"
+            assert second.result(timeout=10.0).worker_id == "worker-0"
+            try:
+                assert third.result(timeout=10.0).worker_id == "worker-1"
+            except WorkerCrashedError:
+                pass  # also a prompt resolution
+        finally:
+            hook.release.set()
+            dispatcher.close(timeout=10.0)
+        stats = dispatcher.stats()
+        assert stats.completed + stats.failed == stats.submitted == 3

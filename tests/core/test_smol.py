@@ -52,6 +52,12 @@ class TestSmolFacade:
         # Easy binary task: accuracy stays high even on cheap formats.
         assert max(e.accuracy for e in frontier) > 0.98
 
+    def test_for_dataset_rejects_a_non_dataset_at_construction(self):
+        # name / available_formats are declared by both dataset classes;
+        # anything else fails loudly here rather than planning over None.
+        with pytest.raises(AttributeError):
+            Smol.for_dataset("bike-bird")
+
     def test_feature_flags_disable_preproc_optimizations(self):
         smol = Smol(dataset_name="imagenet",
                     features=PlannerFeatures().without("preproc-opt"))

@@ -185,16 +185,21 @@ class TestProcessWorkerLifecycle:
             worker.submit(self._item(0))
             results.get(timeout=20.0)
             worker.kill()
-            worker._process.join(timeout=10.0)
+            worker._thread.join(timeout=10.0)
         finally:
             worker.close()
         assert _segments(worker.transport.prefix) == []
 
-    def test_inline_worker_matches_shm_worker(self, results, spec):
+    def test_inline_worker_matches_shm_worker(self, results, spec,
+                                              monkeypatch):
         shm_worker = ProcessWorker("shm-a", spec, results)
         inline_results = MpmcQueue(64)
-        inline_worker = ProcessWorker("shm-b", spec, inline_results,
-                                      use_shm=False)
+        # shm vs inline is the platform's choice, not a worker option: a
+        # worker built (and forked) where shared memory is missing rides
+        # inline bytes on both sides of the process boundary.
+        monkeypatch.setattr("repro.fuse.shm.HAS_SHM", False)
+        inline_worker = ProcessWorker("shm-b", spec, inline_results)
+        monkeypatch.undo()
         try:
             assert not inline_worker.transport.uses_shm
             shm_worker.submit(self._item(0))
