@@ -53,13 +53,14 @@ class PngEncoded:
 def _filter_rows(rows: np.ndarray) -> np.ndarray:
     """Apply an up-predictor filter: each row stores its delta to the row above."""
     filtered = rows.astype(np.int16)
-    filtered[1:] -= rows[:-1].astype(np.int16)
-    return filtered.astype(np.int16)
+    filtered[1:] -= rows[:-1]
+    return filtered
 
 
 def _unfilter_rows(filtered: np.ndarray) -> np.ndarray:
     """Invert the up-predictor filter via a cumulative sum down the rows."""
-    return np.cumsum(filtered.astype(np.int64), axis=0).astype(np.int64)
+    # A strip has at most 65 535 rows of int16 deltas: an int32 holds the sum.
+    return np.cumsum(filtered, axis=0, dtype=np.int32)
 
 
 class PngCodec:

@@ -3,10 +3,11 @@
 The engine executes a (DNN, input format) plan end-to-end.  It has two modes:
 
 * **functional** -- real decoded arrays flow through the plan's fused
-  preprocessing kernel and a real numpy model: producer threads decode a few
+  preprocessing kernel and a real numpy model: worker threads decode a few
   images at a time and write the preprocessed chunk straight into a ring of
-  batch slots, and the calling thread runs the model on each slot as it
-  fills.  Used by the tests, the examples and the accuracy experiments.
+  batch slots, and the first ``num_streams`` of them run the model on each
+  slot as it completes, in place, while the calling thread waits.
+  Used by the tests, the examples and the accuracy experiments.
 * **simulated** -- per-image costs from the calibrated performance model flow
   through the event-driven pipeline simulator.  Used by the throughput
   benchmarks, where the absolute rates must match modern-accelerator scales
@@ -70,26 +71,25 @@ class InferenceResult:
     memory_stats: MemoryStats | None = None
 
 
-# Images a producer decodes, preprocesses and writes per claim.  Measured
-# with the kernel gathering only the crop's taps (so a chunk's temporaries
-# are a few hundred KB per image, not the 128-px frames in float64): 8
-# against 4, two sweeps of three alternating runs, was +3.6 % and +8.6 %
-# images/s on the full-resolution scan and +3.3 % and +3.1 % on the
-# thumbnail scan (six of six each) for 1.5 % peak RSS.
+# Images a worker decodes, preprocesses and writes per claim.  Measured
+# with the kernel gathering only the crop's taps (a chunk's temporaries are
+# a few hundred KB per image): 8 against 4, two sweeps of three alternating
+# runs, was +3.6 % and +8.6 % images/s on the full-resolution scan and +3.3 %
+# and +3.1 % on the thumbnail scan (six of six each) for 1.5 % peak RSS.
 _CHUNK_IMAGES = 8
-_STALL_TIMEOUT_S = 30.0     # consumer: no producer finished a chunk
-_JOIN_TIMEOUT_S = 10.0      # producers: to notice the ring has closed
+_STALL_TIMEOUT_S = 30.0     # caller: no chunk finished, no batch predicted
+_JOIN_TIMEOUT_S = 10.0      # workers: to notice the ring has closed
 
 
 class _BatchRing:
     """The model's input batches as a ring of preallocated slots.
 
     Batch ``b`` is assembled in slot ``b % depth``, a ``(batch,
-    *tensor_shape)`` array the model reads directly.  Producers claim
-    consecutive image ranges that never straddle a batch, and may only claim
-    into a batch whose slot the consumer has freed; the consumer takes
-    batches in order once every image of the batch is written.  One
-    condition variable guards all of it.
+    *tensor_shape)`` array the model reads directly.  Workers claim
+    consecutive image ranges that never straddle a batch, and only into a
+    batch whose slot no earlier batch owns; a complete batch waits for the
+    next *stream* worker, which predicts it and frees the slot -- in any
+    order, so ownership is per slot.  One condition variable guards all of it.
     """
 
     def __init__(self, num_images: int, batch: int, chunk: int, depth: int,
@@ -101,35 +101,43 @@ class _BatchRing:
         self._depth = depth
         self._reuse = reuse
         self._slots: list[np.ndarray | None] = [None] * depth
-        self._filled = [0] * depth      # images written, per slot
+        self._filled: list[int | None] = [None] * depth  # images in; None: free
         self._tensor: tuple | None = None   # (shape, dtype) of one image
         self._next = 0                  # first unclaimed image
-        self._freed = 0                 # batches the consumer is done with
+        self._ready: list[tuple] = []   # complete batches nobody has taken
+        self._pending = -(-num_images // batch)     # batches not yet freed
         self._closed = False
-        self.errors: list[str] = []
+        self.errors: list[tuple[str, BaseException]] = []
         self.stats = MemoryStats()
 
-    def claim(self) -> tuple[int, int] | None:
-        """The next ``[start, stop)`` image range, once its batch has a free
-        slot; ``None`` when every image is claimed or the ring has closed."""
+    def claim(self, stream: bool) -> tuple[int, int, np.ndarray | None] | None:
+        """A worker's next piece of work.  For a stream worker first the oldest
+        complete batch, ``(first, stop, inputs)``: the slot itself, cut to the
+        batch's length.  Else ``(start, stop, None)``, the next image range,
+        once its batch has its slot.  ``None``: nothing is left, or closed."""
         with self._cond:
-            self._cond.wait_for(lambda: (
-                self._closed or self._next >= self._num_images
-                or self._next // self._batch < self._freed + self._depth))
-            start = self._next
-            if self._closed or start >= self._num_images:
-                return None
-            index, offset = divmod(start, self._batch)
-            if offset == 0:
-                stats = self.stats
-                if self._slots[index % self._depth] is not None:
-                    stats.reuses += 1
-                stats.outstanding += 1
-                stats.peak_outstanding = max(stats.peak_outstanding,
-                                             stats.outstanding)
-            self._next = min(start + self._chunk, (index + 1) * self._batch,
-                             self._num_images)
-            return start, self._next
+            while not self._closed:
+                if stream and self._ready:
+                    return self._ready.pop(0)
+                start = self._next
+                index, offset = divmod(start, self._batch)
+                position = index % self._depth
+                if start >= self._num_images:
+                    if not (stream and self._pending):
+                        break
+                elif offset or self._filled[position] is None:
+                    if offset == 0:
+                        stats = self.stats
+                        stats.reuses += self._slots[position] is not None
+                        self._filled[position] = 0
+                        stats.outstanding += 1
+                        stats.peak_outstanding = max(stats.peak_outstanding,
+                                                     stats.outstanding)
+                    self._next = min(start + self._chunk,
+                                     (index + 1) * self._batch, self._num_images)
+                    return start, self._next, None
+                self._cond.wait()
+            return None
 
     def fill(self, start: int, tensors: np.ndarray) -> None:
         """Write the preprocessed images ``start, start + 1, ...``."""
@@ -143,47 +151,44 @@ class _BatchRing:
                                   f"run's tensors are {expected[0]} {expected[1]}")
             slot = self._slots[position]
             if slot is None:
-                slot = np.empty((self._batch, *tensor[0]), dtype=tensor[1])
-                self._slots[position] = slot
+                slot = self._slots[position] = np.empty(
+                    (self._batch, *tensor[0]), dtype=tensor[1])
                 self.stats.allocations += 1
                 self.stats.bytes_allocated += slot.nbytes
         slot[offset:offset + len(tensors)] = tensors
+        first = index * self._batch
+        stop = min(first + self._batch, self._num_images)
         with self._cond:
             self._filled[position] += len(tensors)
+            if self._filled[position] == stop - first:
+                self._ready.append((first, stop, slot[:stop - first]))
             self._cond.notify_all()
 
-    def wait_filled(self, index: int) -> np.ndarray | None:
-        """Batch ``index`` once complete (the slot itself, cut to the batch's
-        length), or ``None`` if the ring closed first."""
-        position = index % self._depth
-        length = min(self._batch, self._num_images - index * self._batch)
-        with self._cond:
-            while self._filled[position] < length and not self._closed:
-                # Every finished chunk notifies: this times a stall.
-                if not self._cond.wait(_STALL_TIMEOUT_S):
-                    raise EngineError(
-                        f"no producer finished a chunk in {_STALL_TIMEOUT_S:g}"
-                        f" s; batch {index} is {self._filled[position]}/{length}")
-            if self._closed:
-                return None
-            return self._slots[position][:length]
-
     def free(self, index: int) -> None:
-        """Hand batch ``index``'s slot to batch ``index + depth``."""
+        """Batch ``index`` is predicted: its slot is the next batch's."""
         position = index % self._depth
         with self._cond:
-            self._filled[position] = 0
+            self._filled[position] = None
             if not self._reuse:
                 self._slots[position] = None
-            self._freed += 1
+            self._pending -= 1
             self.stats.outstanding -= 1
             self._cond.notify_all()
 
-    def close(self, error: str | None = None) -> None:
+    def wait_done(self) -> None:
+        """Return once every batch is freed or the ring has closed."""
+        with self._cond:
+            # Every finished chunk and freed batch notifies: this times a stall.
+            while self._pending and not self._closed:
+                if not self._cond.wait(_STALL_TIMEOUT_S):
+                    raise EngineError(f"no chunk finished, no batch predicted in "
+                                      f"{_STALL_TIMEOUT_S:g} s; {self._pending} to go")
+
+    def close(self, error: str | None = None, cause=None) -> None:
         """Stop handing out work and wake every waiter."""
         with self._cond:
             if error is not None:
-                self.errors.append(error)
+                self.errors.append((error, cause))
             self._closed = True
             self._cond.notify_all()
 
@@ -258,12 +263,16 @@ class SmolRuntimeEngine:
     ) -> InferenceResult:
         """Run real data through the threaded pipeline.
 
+        ``model.predict`` is entered from up to ``min(num_streams,
+        producers)`` worker threads at once (``num_streams=1``: strictly one
+        call at a time); a failure there is raised here, chained to its cause.
+
         Parameters
         ----------
         decode_fn:
             Callable mapping an image index to a decoded HWC uint8 array
             (typically a closure over a dataset and codec); called once per
-            index, from the producer threads.
+            index, from the worker threads.
         preprocessing:
             The preprocessing DAG; its fused kernel runs on each decoded chunk.
         model:
@@ -280,77 +289,61 @@ class SmolRuntimeEngine:
         kernel = get_kernel(preprocessing)
         config = self._config
         batch = min(batch_size or config.batch_size, num_images)
-        producers = config.num_producers if config.use_threading else 1
-        num_batches = -(-num_images // batch)
+        workers = config.num_producers if config.use_threading else 1
         ring = _BatchRing(
             num_images, batch, reuse=config.reuse_buffers,
-            chunk=min(_CHUNK_IMAGES, -(-batch // producers)),
-            depth=min(num_batches, producers + 1, config.queue_capacity))
+            chunk=min(_CHUNK_IMAGES, -(-batch // workers)),
+            depth=min(-(-num_images // batch), workers + 1,
+                      config.queue_capacity))
+        predictions = np.full(num_images, -1, dtype=np.int64)
 
-        def produce() -> None:
-            while (claim := ring.claim()) is not None:
-                start, stop = claim
-                decoded = []
+        def work(stream: bool) -> None:
+            while (claim := ring.claim(stream)) is not None:
+                start, stop, inputs = claim
                 try:
+                    if inputs is not None:
+                        where = f"batch {start // batch} (from image {start})"
+                        predictions[start:stop] = model.predict(inputs)
+                        ring.free(start // batch)
+                        continue
+                    decoded = []
                     for index in range(start, stop):
+                        where = f"image {index}"
                         decoded.append(decode_fn(index))
-                except Exception as exc:
-                    ring.close(f"image {index}: {exc}")
-                    return
-                try:
+                    where = f"images {start}..{stop - 1}"
                     ring.fill(start, kernel.execute_stacked(decoded))
                 except Exception as exc:
-                    ring.close(f"images {start}..{stop - 1}: {exc}")
-                    return
+                    return ring.close(f"{where}: {exc}", exc)
 
-        threads = [threading.Thread(target=produce, daemon=True)
-                   for _ in range(producers)]
-        predictions = np.full(num_images, -1, dtype=np.int64)
+        # Only the first ``num_streams`` workers run the model and hold an arena.
+        threads = [threading.Thread(target=work, daemon=True,
+                                    args=(number < config.num_streams,))
+                   for number in range(workers)]
         started = time.perf_counter()
         for thread in threads:
             thread.start()
         try:
-            for index in range(num_batches):
-                inputs = ring.wait_filled(index)
-                if inputs is None:
-                    break
-                first = index * batch
-                try:
-                    predictions[first:first + len(inputs)] = model.predict(inputs)
-                except Exception as exc:
-                    raise EngineError(
-                        f"batch {index} (from image {first}): {exc}") from exc
-                ring.free(index)
+            ring.wait_done()
         finally:
             ring.close()
             for thread in threads:
                 thread.join(timeout=_JOIN_TIMEOUT_S)
             stuck = sum(thread.is_alive() for thread in threads)
             if stuck:
-                raise EngineError(
-                    f"{stuck} of {producers} producers still running "
-                    f"{_JOIN_TIMEOUT_S:g} s after the ring closed")
+                raise EngineError(f"{stuck} of {workers} workers still running "
+                                  f"{_JOIN_TIMEOUT_S:g} s after the ring closed")
         if ring.errors:
-            raise EngineError("; ".join(ring.errors))
+            raise EngineError("; ".join(error for error, _ in ring.errors)
+                              ) from ring.errors[0][1]
         return InferenceResult(
-            num_images=num_images,
-            predictions=predictions,
-            throughput=num_images / (time.perf_counter() - started),
-            memory_stats=ring.stats,
-        )
+            num_images, predictions, memory_stats=ring.stats,
+            throughput=num_images / (time.perf_counter() - started))
 
-    def run_functional_batched(
-        self,
-        images: Sequence[np.ndarray],
-        preprocessing: PreprocessingDAG,
-        model: Sequential,
-    ) -> InferenceResult:
+    def run_functional_batched(self, images: Sequence[np.ndarray],
+                               preprocessing: PreprocessingDAG,
+                               model: Sequential) -> InferenceResult:
         """Convenience wrapper running a list of decoded images."""
         if not images:
             raise EngineError("images must be non-empty")
-        return self.run_functional(
-            decode_fn=lambda index: images[index],
-            preprocessing=preprocessing,
-            model=model,
-            num_images=len(images),
-        )
+        return self.run_functional(lambda index: images[index], preprocessing,
+                                   model, len(images))

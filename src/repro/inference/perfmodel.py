@@ -54,7 +54,10 @@ class EngineConfig:
         Preprocessing worker threads; Smol's heuristic sets this to the vCPU
         count on non-NUMA servers.
     num_streams:
-        Accelerator execution streams (CUDA streams).
+        Execution streams: CUDA streams when simulated.  Functionally,
+        ``model.predict`` may be entered from up to ``min(num_streams,
+        producers)`` threads at once, and ``num_streams=1`` keeps the calls
+        strictly one at a time for a model that is not thread-safe.
     batch_size:
         DNN execution batch size.
     use_threading, reuse_buffers, pinned_memory, optimize_dag:

@@ -49,12 +49,13 @@ from repro.obs.metrics import ArenaStats
 
 _SLOTS = ("slot0", "slot1")
 _SCRATCH = "scratch"
-#: Most bytes of im2col columns alive at once.  Small enough that the
-#: columns of a 32-image batch do not triple the arena, large enough that a
-#: convolution stays a handful of numpy calls: each call gives up the GIL,
-#: and taking it back from a busy producer thread costs more than any cache
-#: miss (512 KiB chunks were 19 % faster alone and 30 % slower in the engine).
-_COLS_BYTES = 1 << 22
+#: Most bytes of im2col columns alive at once.  Large enough that a
+#: convolution stays a handful of numpy calls (each gives up the GIL: 512 KiB
+#: chunks were 19 % faster alone and 30 % slower in the engine), small enough
+#: for one arena per engine stream.  In the engine, ResNet-50 at batch 32 on
+#: two streams, 2 runs each: 1 MiB 1 421-1 664 images/s at 110.7 MB peak RSS,
+#: 2 MiB 1 693-1 761 at 112.7, 4 MiB 1 606-1 835 at 117.8 (the parent: 104).
+_COLS_BYTES = 1 << 21
 _ITEMSIZE = np.dtype(np.float32).itemsize
 
 
