@@ -73,18 +73,6 @@ def blockify(channel: np.ndarray) -> np.ndarray:
     )
 
 
-def unblockify(blocks: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`blockify`: reassemble blocks into channels."""
-    if blocks.ndim < 4 or blocks.shape[-2:] != (BLOCK_SIZE, BLOCK_SIZE):
-        raise CodecError(f"expected (..., by, bx, 8, 8) blocks, got {blocks.shape}")
-    *lead, blocks_y, blocks_x = blocks.shape[:-2]
-    return (
-        blocks.swapaxes(-3, -2)
-        .reshape(*lead, blocks_y * BLOCK_SIZE, blocks_x * BLOCK_SIZE)
-        .copy()
-    )
-
-
 def forward_dct_blocks(blocks: np.ndarray) -> np.ndarray:
     """Apply a 2-D type-II DCT to each 8x8 block (expects level-shifted input)."""
     return dctn(blocks, type=2, axes=(-2, -1), norm="ortho")
@@ -102,7 +90,7 @@ def quantize_blocks(coeffs: np.ndarray, quant_table: np.ndarray) -> np.ndarray:
 
 def dequantize_blocks(quantized: np.ndarray, quant_table: np.ndarray) -> np.ndarray:
     """Dequantize int16 coefficient blocks back to float."""
-    return quantized.astype(np.float64) * quant_table
+    return np.multiply(quantized, quant_table, dtype=np.float64)
 
 
 def _zigzag_order() -> np.ndarray:

@@ -29,9 +29,6 @@ _TABLE_START = 8   # after the magic and the uint32 block count
 # End-of-block marker: a run of 0xFFFF (an impossible run length for 64
 # coefficient blocks) signals the remaining coefficients are zero.
 _EOB = 0xFFFF
-# No run, zig-zag-signed int16 value or EOB exceeds 0xFFFF, so the encoder's
-# varints are one to three bytes; the decoder calls anything wider too long.
-_MAX_VARINT_BYTES = 3
 
 
 def encode_coefficients(flat_coeffs: np.ndarray) -> bytes:
@@ -68,20 +65,20 @@ def decode_blocks(data: bytes, block_indices: np.ndarray, length: int) -> np.nda
     if index.min() < 0 or index.max() >= count:
         raise CorruptBitstreamError(f"block index out of range [0, {count})")
     table = np.frombuffer(data, dtype="<u4", count=count + 1, offset=_TABLE_START)
-    start = table[index].astype(np.intp)
-    end = table[index + 1].astype(np.intp)
+    start = table.take(index).astype(np.intp)
+    end = table.take(index + 1).astype(np.intp)
     if (start > end).any() or end.max() > len(data) - payload_start:
         raise CorruptBitstreamError("block offsets reversed or past the payload")
     edges = np.concatenate(([0], np.cumsum(end - start)))
     payload = np.frombuffer(data, dtype=np.uint8, offset=payload_start)
-    if (np.diff(index) == 1).all():
+    if (index[1:] == index[:-1] + 1).all():
         # Neighbours in the stream (a full decode): their bytes are one slice.
         return _decode_payloads(payload[start[0]:end[-1]], edges, length)
     # Gather the chosen blocks' bytes back to back: output byte p of block b
     # comes from payload byte p + (start[b] - edges[b]).
     take = np.arange(edges[-1], dtype=np.int32)
     take += np.repeat((start - edges[:-1]).astype(np.int32), end - start)
-    return _decode_payloads(payload[take], edges, length)
+    return _decode_payloads(payload.take(take), edges, length)
 
 
 def _encode_payloads(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,59 +119,71 @@ def _decode_payloads(buf: np.ndarray, edges: np.ndarray, length: int) -> np.ndar
     """Decode blocks lying back to back in ``buf``; block b is
     ``buf[edges[b]:edges[b + 1]]``.  Bytes after a block's EOB are ignored."""
     blocks = len(edges) - 1
-    tokens, first, too_long = _varint_tokens(buf, edges)
+    tokens, first, three, too_long = _varint_tokens(buf, edges)
     # Tokens alternate run, value from each block's first token; the first
-    # run equal to EOB ends the block.  EOB candidates are few, so find each
-    # block's among them instead of scanning every token.
-    marks = np.flatnonzero(tokens == _EOB).astype(np.int32)
+    # run equal to EOB ends the block.  EOB is a three-byte varint and those
+    # are few, so find each block's among them instead of scanning every token.
+    marks = three[tokens.take(three) == _EOB]
     owner = np.searchsorted(first, marks, side="right") - 1
-    is_run = (marks - first[owner]) & 1 == 0
+    is_run = (marks - first.take(owner)) & 1 == 0
     marks, owner = marks[is_run], owner[is_run]
     eob = marks[np.flatnonzero(np.diff(owner, prepend=-1))]
     if len(eob) != blocks:
         raise CorruptBitstreamError("truncated varint: block has no end-of-block")
-    if (too_long <= eob[np.searchsorted(first, too_long, side="right") - 1]).any():
+    if (too_long <= eob.take(np.searchsorted(first, too_long, side="right") - 1)).any():
         raise CorruptBitstreamError("varint too long")
-    # The tokens a block's decoder reads: its (run, value) pairs, then EOB.
-    pairs = (eob - first[:-1]) // 2
-    pair_block = np.repeat(np.arange(blocks), pairs)
-    before = np.cumsum(pairs) - pairs
-    at = (first[:-1] + 1 - 2 * before).astype(np.int32)[pair_block]
-    at += 2 * np.arange(len(at), dtype=np.int32)
-    run, value = tokens[at - 1], tokens[at]
-    del tokens, at
-    if (value > 0xFFFF).any():
+    # Without each block's EOB and the ignored tokens after it (rare) the
+    # tokens are every block's (run, value) pairs back to back.
+    keep = np.ones(len(tokens), dtype=bool)
+    keep[eob] = False
+    ignored = first[1:] - eob - 1
+    skip = np.repeat(first[1:] - np.cumsum(ignored), ignored)
+    keep[skip + np.arange(len(skip))] = False
+    run, value = tokens[keep].reshape(-1, 2).T
+    del tokens      # the largest array here: the sums below reuse its memory
+    if value.max(initial=0) > 0xFFFF:
         raise CorruptBitstreamError("coefficient outside int16")
-    # A coefficient's index is its block's running sum of (run + 1), less one.
-    total = np.concatenate(([0], np.cumsum(run.astype(np.intp) + 1)))
-    index = total[1:] - 1 - total[before][pair_block]
-    if len(index) and index.max() >= length:
+    # A coefficient's index is its block's running sum of (run + 1), less
+    # one: sum over all pairs at once (in intp, which no corrupt run wraps),
+    # then shift each block's sums to its row of the flattened output.
+    total = np.zeros(len(run) + 1, dtype=np.intp)
+    np.cumsum(run + 1, out=total[1:])
+    pairs = (eob - first[:-1]) // 2
+    through = np.cumsum(pairs)
+    before = total.take(through - pairs)
+    if (total.take(through) - before).max() > length:
         raise CorruptBitstreamError(f"coefficient index exceeds block length {length}")
+    total[1:] += np.repeat(np.arange(0, blocks * length, length) - 1 - before, pairs)
     coeffs = np.zeros((blocks, length), dtype=np.int16)
-    coeffs[pair_block, index] = (value >> 1) ^ -(value & 1)
+    value = value.astype(np.uint16)     # fits; zig-zag unsigning wraps in 16 bits
+    coeffs.reshape(-1)[total[1:]] = ((value >> 1) ^ -(value & 1)).view(np.int16)
     return coeffs
 
 
 def _varint_tokens(buf: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, ...]:
     """Every varint of ``buf`` as an int32 token, the index of each block's
-    first token (and, last, the token count), and the indices of tokens
-    wider than ``_MAX_VARINT_BYTES``, whose value is not meaningful."""
+    first token (and, last, the token count), the indices of the tokens of
+    three bytes or more, and of those of four or more: too long (the encoder
+    writes no token above 0xFFFF), they hold only their first three groups."""
     # A block must end on a varint's last byte, or the varint would run on
     # into the next block (this also rejects an empty block).
-    if (np.diff(edges) <= 0).any() or (buf[edges[1:] - 1] & 0x80).any():
+    if (edges[1:] <= edges[:-1]).any() or (buf.take(edges[1:] - 1) & 0x80).any():
         raise CorruptBitstreamError("truncated varint")
-    # Varints end where the continuation bit is clear.  Most are one byte:
-    # take every first group, then the second and third of the few with them.
-    ends = np.flatnonzero(buf < 0x80).astype(np.int32)
-    starts = np.roll(ends, 1) + 1
-    starts[0] = 0
-    tokens = (buf[starts] & 0x7F).astype(np.int32)
-    two = np.flatnonzero(ends > starts)
-    tokens[two] |= (buf[starts[two] + 1] & 0x7F).astype(np.int32) << 7
-    three = two[ends[two] - starts[two] > 1]
-    tokens[three] |= (buf[starts[three] + 2] & 0x7F).astype(np.int32) << 14
-    first = np.searchsorted(ends, edges.astype(np.int32)).astype(np.int32)
-    return tokens, first, three[ends[three] - starts[three] >= _MAX_VARINT_BYTES]
+    # A varint's last byte (continuation bit clear) is its high group, and
+    # for most the whole token.  Continuation bytes are few: the one at p is
+    # in token p - (continuation bytes before p), and begins it when the byte
+    # before p ends one (before p = 0 that reads the final byte, which does).
+    last = buf < 0x80
+    tokens = buf[last].astype(np.int32)
+    more = np.flatnonzero(~last)
+    begins = last.take(more - 1)
+    wide, at = (more - np.arange(len(more)))[begins], more[begins]
+    tokens[wide] = buf.take(at) & 0x7F | (buf.take(at + 1) & 0x7F).astype(np.int32) << 7
+    longer = ~last.take(at + 1)
+    three, at = wide[longer], at[longer]
+    tokens[three] |= (buf.take(at + 2) & 0x7F).astype(np.int32) << 14
+    first = edges - np.searchsorted(more, edges)
+    return tokens, first, three, three[~last.take(at + 2)]
 
 
 def pack_blocks(block_payloads: list[bytes]) -> bytes:

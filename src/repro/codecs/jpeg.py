@@ -15,6 +15,7 @@ fidelity and size).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from repro.codecs.image import Image, Resolution
 from repro.codecs.roi import RegionOfInterest, expand_to_blocks
 from repro.errors import CodecError
 
-_BLOCK_LENGTH = blk.BLOCK_SIZE * blk.BLOCK_SIZE
+_SIZE = blk.BLOCK_SIZE
+_BLOCK_LENGTH = _SIZE * _SIZE
 
 
 @dataclass(frozen=True)
@@ -114,41 +116,51 @@ class JpegCodec:
         image's size is the block-aligned expansion of the request clipped to
         the frame, which is what the downstream crop consumes.
         """
-        quant_table = blk.quality_to_quant_table(encoded.quality)
-        aligned = expand_to_blocks(roi, encoded.resolution)
-        block_left = aligned.left // blk.BLOCK_SIZE
-        block_top = aligned.top // blk.BLOCK_SIZE
-        blocks_w = (aligned.width + blk.BLOCK_SIZE - 1) // blk.BLOCK_SIZE
-        blocks_h = (aligned.height + blk.BLOCK_SIZE - 1) // blk.BLOCK_SIZE
+        left, top, across, down = window = _block_window(encoded, roi)
+        block_indices, quant_table = _decode_plan(
+            encoded.quality, encoded.channels, encoded.blocks_x, encoded.blocks_y, *window)
         # One array program over the touched blocks of every channel: stream
         # indices (channel, by, bx) -> coefficients -> pixels.  A full decode
         # is the same lines with every block touched.
-        rows = (block_top + np.arange(blocks_h)) * encoded.blocks_x
-        cols = block_left + np.arange(blocks_w)
-        planes = np.arange(encoded.channels) * (encoded.blocks_x * encoded.blocks_y)
-        block_indices = planes[:, np.newaxis, np.newaxis] + rows[:, np.newaxis] + cols
         flat = entropy.decode_blocks(encoded.data, block_indices, _BLOCK_LENGTH)
         samples = blk.inverse_dct_blocks(
-            blk.dequantize_blocks(blk.zigzag_unscan(flat), quant_table)
-        )
+            blk.dequantize_blocks(blk.zigzag_unscan(flat), quant_table))
         # In place: the float64 samples are the decoder's largest array.
         samples += 128.0
         np.clip(np.rint(samples, out=samples), 0, 255, out=samples)
-        channels = blk.unblockify(
-            samples.astype(np.uint8).reshape(*block_indices.shape, *samples.shape[1:])
-        )
+        # One cast-and-transpose: (channel, by, bx, 8, 8) samples land in the
+        # padded (H, W, channel) frame, seen as (by, 8, bx, 8, channel).
+        pixels = np.empty((down, _SIZE, across, _SIZE, encoded.channels), dtype=np.uint8)
+        np.copyto(pixels, samples.reshape(-1, down, across, _SIZE, _SIZE).transpose(1, 3, 2, 4, 0),
+                  casting="unsafe")
         # Clip to the frame: edge blocks may extend past the true image size.
-        height = min(aligned.height, encoded.height - aligned.top)
-        width = min(aligned.width, encoded.width - aligned.left)
-        pixels = channels[:, :height, :width].transpose(1, 2, 0)
+        pixels = pixels.reshape(down * _SIZE, across * _SIZE, -1)
+        pixels = pixels[:encoded.height - top * _SIZE, :encoded.width - left * _SIZE]
         return Image(pixels=np.ascontiguousarray(pixels))
 
-    def decoded_block_fraction(self, encoded: JpegEncoded,
-                               roi: RegionOfInterest) -> float:
+    def decoded_block_fraction(self, encoded: JpegEncoded, roi: RegionOfInterest) -> float:
         """Fraction of macroblocks an ROI decode touches (cost proxy)."""
-        aligned = expand_to_blocks(roi, encoded.resolution)
-        blocks_w = (aligned.width + blk.BLOCK_SIZE - 1) // blk.BLOCK_SIZE
-        blocks_h = (aligned.height + blk.BLOCK_SIZE - 1) // blk.BLOCK_SIZE
-        touched = blocks_w * blocks_h
+        _, _, across, down = _block_window(encoded, roi)
         total = encoded.blocks_x * encoded.blocks_y
-        return touched / total if total else 0.0
+        return across * down / total if total else 0.0
+
+
+def _block_window(encoded: JpegEncoded, roi: RegionOfInterest) -> tuple[int, int, int, int]:
+    """The blocks of one channel an ROI decode touches: (left, top, across, down)."""
+    aligned = expand_to_blocks(roi, encoded.resolution)
+    return (aligned.left // _SIZE, aligned.top // _SIZE,
+            -(-aligned.width // _SIZE), -(-aligned.height // _SIZE))
+
+
+@lru_cache(maxsize=32)
+def _decode_plan(quality: int, channels: int, blocks_x: int, blocks_y: int, left: int,
+                 top: int, across: int, down: int) -> tuple[np.ndarray, np.ndarray]:
+    """One geometry's touched blocks as stream indices, in the stream's (channel, by,
+    bx) order, and its quantization table: shared by every thread, so read-only."""
+    if top + down > blocks_y or left + across > blocks_x:
+        raise CodecError(f"block window outside the {blocks_x}x{blocks_y} block grid")
+    window = np.ix_(range(channels), range(top, top + down), range(left, left + across))
+    block_indices = np.ravel_multi_index(window, (channels, blocks_y, blocks_x)).reshape(-1)
+    quant_table = blk.quality_to_quant_table(quality)
+    block_indices.flags.writeable = quant_table.flags.writeable = False
+    return block_indices, quant_table

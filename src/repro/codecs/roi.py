@@ -90,22 +90,13 @@ def central_crop_roi(resolution: Resolution, crop_size: int,
     return RegionOfInterest(left=left, top=top, width=width, height=height)
 
 
-def expand_to_blocks(roi: RegionOfInterest, resolution: Resolution,
-                     block_size: int = BLOCK_SIZE) -> RegionOfInterest:
+def expand_to_blocks(roi: RegionOfInterest, resolution: Resolution) -> RegionOfInterest:
     """Expand an ROI to the smallest rectangle aligned to the macroblock grid."""
-    if block_size <= 0:
-        raise CodecError("block size must be positive")
     clamped = roi.clamp_to(resolution)
-    left = (clamped.left // block_size) * block_size
-    top = (clamped.top // block_size) * block_size
-    right = min(
-        resolution.width,
-        ((clamped.right + block_size - 1) // block_size) * block_size,
-    )
-    bottom = min(
-        resolution.height,
-        ((clamped.bottom + block_size - 1) // block_size) * block_size,
-    )
+    left = (clamped.left // BLOCK_SIZE) * BLOCK_SIZE
+    top = (clamped.top // BLOCK_SIZE) * BLOCK_SIZE
+    right = min(resolution.width, -(-clamped.right // BLOCK_SIZE) * BLOCK_SIZE)
+    bottom = min(resolution.height, -(-clamped.bottom // BLOCK_SIZE) * BLOCK_SIZE)
     return RegionOfInterest(left=left, top=top, width=right - left,
                             height=bottom - top)
 

@@ -198,9 +198,9 @@ class PreprocessingCostModel:
             stage: per_image_total * fraction
             for stage, fraction in STAGE_FRACTIONS.items()
         }
-        # ROI / partial decoding reduces only the decode stage; lossless
-        # raster formats (early stopping) save proportionally fewer blocks
-        # because rows above the ROI must still be decoded.
+        # ROI / partial decoding reduces only the decode stage; raster formats (early
+        # stopping) still decode the rows above the ROI.  Both factors are `modelled`:
+        # measured, this repo's JPEG decodes a 0.56 window in 0.70 of a full decode.
         capability = fmt.capability
         if roi_fraction < 1.0 and capability.supports_roi():
             if capability.partial_decoding:

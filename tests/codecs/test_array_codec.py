@@ -99,3 +99,24 @@ class TestJpegAgainstTheOracle:
         assert partial.dtype == np.uint8 and partial.flags.c_contiguous
         assert partial.shape == expected.shape
         np.testing.assert_array_equal(partial, expected)
+
+    @pytest.mark.parametrize("quality", [95, 100])
+    def test_the_benchmarks_scale_matches_the_oracle(self, quality):
+        """128 x 128 x 3: 768 blocks of mostly two-byte varints, where the
+        hypothesis cases above stop at 40 px.  Full frame and the central
+        window (block fraction 0.56), stream and pixels."""
+        image = random_image(quality, 128, 128, 3)
+        codec = JpegCodec(quality=quality)
+        encoded = codec.encode(image)
+        assert encoded == oracle.jpeg_encode(image, quality)
+        assert encoded.num_blocks == 768
+        for roi, fraction in ((RegionOfInterest(0, 0, 128, 128), 1.0),
+                              (RegionOfInterest(21, 21, 86, 86), 0.5625)):
+            assert codec.decoded_block_fraction(encoded, roi) == fraction
+            np.testing.assert_array_equal(codec.decode_roi(encoded, roi).pixels,
+                                          oracle.jpeg_decode_roi(encoded, roi).pixels)
+        indices = np.arange(768)
+        for chosen in (indices, indices[::-1], indices[5::3]):
+            np.testing.assert_array_equal(
+                entropy.decode_blocks(encoded.data, chosen, 64),
+                oracle.decode_blocks(encoded.data, chosen, 64))

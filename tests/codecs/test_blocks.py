@@ -28,7 +28,8 @@ class TestBlockify:
         channel = rng.integers(0, 255, size=(24, 32)).astype(np.float64)
         blocks = blk.blockify(channel)
         assert blocks.shape == (3, 4, 8, 8)
-        np.testing.assert_array_equal(blk.unblockify(blocks), channel)
+        np.testing.assert_array_equal(blocks[1, 2], channel[8:16, 16:24])
+        np.testing.assert_array_equal(blocks.swapaxes(1, 2).reshape(24, 32), channel)
 
     def test_pad_to_blocks(self):
         channel = np.ones((10, 13))

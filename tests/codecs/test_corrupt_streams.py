@@ -20,7 +20,7 @@ from repro.codecs import entropy
 from repro.codecs.image import Image
 from repro.codecs.jpeg import JpegCodec
 from repro.codecs.roi import RegionOfInterest
-from repro.errors import CorruptBitstreamError
+from repro.errors import CodecError, CorruptBitstreamError
 
 EOB = b"\xff\xff\x03"
 
@@ -169,6 +169,69 @@ class TestHandBuiltStreams:
         assert self.decode_one(payload + b"\x85") is None
         assert oracle.decode_coefficients(payload + b"\x85", 64)[3] == 4
 
+    def decode_many(self, payloads):
+        """Several blocks through the one-slice path, the gather path and
+        alone; a block's outcome must not depend on its neighbours."""
+        stream = entropy.pack_blocks(payloads)
+        count = len(payloads)
+        whole = assert_oracle_or_corrupt(stream, np.arange(count))
+        gathered = assert_oracle_or_corrupt(stream, np.arange(count)[::-1])
+        alone = [assert_oracle_or_corrupt(stream, [index]) for index in range(count)]
+        assert (whole is None) == (gathered is None) == any(one is None for one in alone)
+        if whole is not None:
+            np.testing.assert_array_equal(whole, gathered[::-1])
+            np.testing.assert_array_equal(whole, np.concatenate(alone))
+        return whole
+
+    DENSE = b"".join(varint(0) + varint(2 * k + 1) for k in range(64)) + EOB
+    SPARSE = varint(5) + varint(8) + varint(57) + varint(3) + EOB
+
+    def test_bytes_after_a_middle_blocks_end_of_block_are_ignored(self):
+        middle = varint(3) + varint(8) + EOB + b"\x85\x01\x7f\xff\xff\x03\x02"
+        decoded = self.decode_many([self.DENSE, middle, self.SPARSE])
+        assert decoded[1, 3] == 4 and np.count_nonzero(decoded[1]) == 1
+        np.testing.assert_array_equal(decoded[0], -np.arange(1, 65))
+        assert decoded[2, 5] == 4 and decoded[2, 63] == -2
+        # Cut mid-varint, the middle block would run on into its neighbour.
+        assert self.decode_many([self.DENSE, middle + b"\x85", self.SPARSE]) is None
+
+    def test_an_all_zero_block_between_two_dense_ones(self):
+        decoded = self.decode_many([self.DENSE, EOB, self.DENSE, EOB, EOB, self.SPARSE])
+        assert not decoded[[1, 3, 4]].any()
+        np.testing.assert_array_equal(decoded[0], decoded[2])
+        assert np.count_nonzero(decoded[0]) == 64 and np.count_nonzero(decoded[5]) == 2
+
+    def test_a_three_byte_value_then_end_of_block(self):
+        # 0xFFFE and 0xFFFF are three-byte values (32767 and -32768): the
+        # second is the EOB's own bytes, at a value's place.
+        block = varint(0) + varint(0xFFFE) + varint(0) + varint(0xFFFF) + EOB
+        decoded = self.decode_many([self.SPARSE, block, block + b"\x00", EOB])
+        for row in decoded[1:3]:
+            assert list(row[:3]) == [32767, -32768, 0] and np.count_nonzero(row) == 2
+
+    @pytest.mark.parametrize("pairs", [1100, 2048])
+    def test_runs_that_would_wrap_a_32_bit_sum_are_refused(self, pairs):
+        # 1 100 runs of 0x1FFFFF sum past 2**31, and 2 048 of them (each
+        # counts run + 1) to 2**32 exactly: a wrapped sum would read the
+        # block as ending on a valid index.
+        block = (varint(0x1FFFFF) + varint(2)) * pairs + EOB
+        assert len(block) == 4 * pairs + 3
+        assert self.decode_many([self.SPARSE, block, self.DENSE]) is None
+        assert self.decode_many([block]) is None
+        with pytest.raises(CorruptBitstreamError, match="coefficient index exceeds"):
+            entropy.decode_coefficients(block, 64)
+
+    def test_a_four_byte_varint_counts_only_before_end_of_block(self):
+        wide = varint(5, pad_to=4)
+        after = self.decode_many([self.DENSE, varint(3) + varint(8) + EOB + wide + varint(1),
+                                  self.SPARSE])
+        assert after[1, 3] == 4 and np.count_nonzero(after[1]) == 1
+        assert self.decode_many([self.DENSE, wide + varint(8) + EOB, self.SPARSE]) is None
+        assert self.decode_many([self.DENSE, varint(3) + wide + EOB, self.SPARSE]) is None
+        # ... in its own block only: the next block's decoder never sees it.
+        assert self.decode_many([EOB + wide, wide + varint(8) + EOB]) is None
+        assert self.decode_many([EOB + wide, varint(3) + varint(8) + EOB]) is not None
+
     def test_bad_index_tables_are_refused(self):
         rows = oracle.coefficient_rows(3, 4, 64)
         stream = entropy.encode_blocks(rows)
@@ -194,3 +257,16 @@ class TestHandBuiltStreams:
         # Blocks the damage does not touch still decode.
         np.testing.assert_array_equal(
             entropy.decode_blocks(with_table(past_payload), [0, 1, 2], 64), rows[:3])
+
+
+@pytest.mark.parametrize("field, value", [("blocks_x", 4), ("blocks_y", 2), ("blocks_x", 6)])
+def test_a_block_grid_that_disagrees_with_the_frame_is_refused(field, value):
+    """A window past the grid must not be cut to fit it (nor a grid past the
+    stream read): a 40x24 frame is 5x3 blocks."""
+    rng = np.random.default_rng(0)
+    image = Image(pixels=rng.integers(0, 256, size=(24, 40, 3)).astype(np.uint8))
+    encoded = dataclasses.replace(JpegCodec().encode(image), **{field: value})
+    with pytest.raises(CodecError):
+        JpegCodec().decode(encoded)
+    with pytest.raises(CodecError):
+        JpegCodec().decode_roi(encoded, RegionOfInterest(30, 14, 10, 10))
