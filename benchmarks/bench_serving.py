@@ -3,9 +3,12 @@
 Not a paper figure: this benchmarks the Smol-Serve subsystem the repo adds on
 top of the paper's offline engine.  The same open-loop Poisson trace is
 replayed against the server under the two standard micro-batching policies,
-reporting achieved request rate and p50/p95/p99 latency for each.  The
-latency policy must win on p95 under light load; both must keep up with the
-offered rate.
+reporting achieved request rate and p50/p95/p99 latency for each.  A
+session-backed server is its own executor and never holds a batch open, so
+here the presets differ only in ``max_batch_size``: neither may spend a
+moment in a hold, the long-hold preset's p95 must sit far below its own
+``max_wait_ms`` (it read 20.6 ms of a 25 ms bound when every partial batch
+waited), and both must keep up with the offered rate.
 
 The scorecard is also recorded as ``BENCH_serving.json`` at the repo root
 so the performance trajectory is machine-trackable.
@@ -38,6 +41,7 @@ def run_policies(perf_model: PerformanceModel) -> Table:
         get_model_profile("resnet-18"), THUMB_JPEG_161_Q75, perf_model
     )
     pool = [(f"img-{i}", None) for i in range(POOL_SIZE)]
+    held = {}
     table = Table(
         "Smol-Serve: micro-batching policy comparison (simulated session)",
         ["Policy", "Batch", "Wait (ms)", "Req/s", "p50 (ms)", "p95 (ms)",
@@ -56,11 +60,13 @@ def run_policies(perf_model: PerformanceModel) -> Table:
             round(report.latency.p99_ms, 3),
             round(stats.cache.hit_rate * 100, 1),
         )
-    return table
+        held[policy.name] = (stats.batcher.hold_s,
+                             stats.batcher.timeout_batches)
+    return table, held
 
 
 def test_serving_policy_latency_throughput(benchmark, perf_model):
-    table = benchmark(run_policies, perf_model)
+    table, held = benchmark(run_policies, perf_model)
     emit(table)
     write_bench_json(
         BENCH_PATH, "serving-policies",
@@ -78,6 +84,7 @@ def test_serving_policy_latency_throughput(benchmark, perf_model):
     for p50, p95, p99, achieved in rows.values():
         assert 0 <= p50 <= p95 <= p99
         assert achieved > 0
-    # The short-wait policy must bound the tail under light load: its p95
-    # cannot exceed the long-wait policy's wait bound plus service time.
-    assert rows["latency"][1] < rows["throughput"][2] + 10.0
+    # Work conservation: an idle executor is never kept waiting, so no
+    # batch was held and no lone request paid the hold bound.
+    assert held == {"latency": (0.0, 0), "throughput": (0.0, 0)}
+    assert rows["throughput"][1] < BatchPolicy.throughput().max_wait_ms / 2

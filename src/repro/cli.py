@@ -1169,7 +1169,9 @@ def build_parser() -> argparse.ArgumentParser:
                           default="poisson")
     loadtest.add_argument("--burst-size", type=int, default=8)
     loadtest.add_argument("--max-batch", type=int, default=32)
-    loadtest.add_argument("--max-wait-ms", type=float, default=5.0)
+    loadtest.add_argument("--max-wait-ms", type=float, default=5.0,
+                          help="bound on holding a partial batch open; only "
+                               "a busy executor (never a session) is held for")
     loadtest.add_argument("--queue-capacity", type=int, default=256)
     loadtest.add_argument("--deadline-ms", type=float, default=None)
     loadtest.add_argument("--shed", action="store_true",

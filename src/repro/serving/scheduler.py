@@ -4,9 +4,10 @@ The accelerator wants large batches; interactive traffic wants low latency.
 The scheduler mediates with the classic serving policy (Clipper, and the
 dynamic batching of production serving systems): a batch opens on the
 first queued request and ships once ``max_batch_size`` requests are in
-hand or ``max_wait_ms`` has elapsed.  Under heavy load batches fill
-instantly (throughput mode); under light load the wait bound caps the
-latency a lone request pays (latency mode).
+hand -- or at once, unless its executor is busy.  Holding a partial batch
+open for stragglers (up to ``max_wait_ms``) pays only while nothing could
+run it anyway, so ``next_batch`` is told whether the executor is ``busy``:
+an idle one gets whatever queued while its last batch ran, at no wait.
 
 Requests wait in one bounded queue per priority class, drained by a
 deficit-round-robin (DRR) scan.  Each class holds a *deficit* counter;
@@ -23,7 +24,8 @@ arithmetic:
 
 * **work conservation** -- the scan always lands on *some* backlogged
   class and ``deficit >= quantum >= 1`` after the top-up, so a
-  ``next_batch`` call never returns empty while any queue holds work;
+  ``next_batch`` call never returns empty while any queue holds work
+  (nor, by the ``busy`` rule, sleeps on work an idle executor could run);
 * **bounded unfairness** -- under saturation the residual deficit after
   a serve is the fractional part (< 1 request), so over any window a
   class's served count stays within one micro-batch of its weighted
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Generic, Sequence, TypeVar
 
 from repro.chaos.faults import NULL_FAULTS
@@ -69,7 +71,8 @@ class BatchPolicy:
     max_batch_size:
         Hard cap on requests per micro-batch (the engine batch size).
     max_wait_ms:
-        Longest a batch stays open after its first request arrives.
+        Bound on holding a partial batch open for stragglers -- a hold
+        only a busy executor permits (``DrrScheduler.next_batch``).
     """
 
     name: str
@@ -84,23 +87,28 @@ class BatchPolicy:
 
     @classmethod
     def latency(cls) -> "BatchPolicy":
-        """Small batches, short waits: optimize tail latency."""
+        """Small batches, short holds: optimize tail latency."""
         return cls(name="latency", max_batch_size=8, max_wait_ms=2.0)
 
     @classmethod
     def throughput(cls) -> "BatchPolicy":
-        """Engine-sized batches, longer waits: optimize images/second."""
+        """Engine-sized batches, longer holds: optimize images/second."""
         return cls(name="throughput", max_batch_size=64, max_wait_ms=25.0)
 
 
 @dataclass
 class BatcherStats:
-    """Lifetime micro-batch counters."""
+    """Lifetime micro-batch counters.
+
+    A batch closes full, timed out (``max_wait_ms`` ran out during a hold)
+    or, counted as neither, partial to an executor that was free to run it.
+    """
 
     batches: int = 0
     items: int = 0
     full_batches: int = 0
     timeout_batches: int = 0
+    hold_s: float = 0.0  # seconds partial batches were held open
     size_histogram: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -182,9 +190,9 @@ class DrrScheduler(Generic[T]):
         The priority classes (visited in ``rank`` order each round).
     policy:
         Micro-batching shape: ``max_batch_size`` caps every batch and
-        ``max_wait_ms`` bounds how long a lone batch waits for company
-        (the wait only happens when *every* queue is otherwise empty, so
-        waiting never idles past available work).
+        ``max_wait_ms`` bounds how long a partial batch is held for
+        company (only while *every* queue is empty and the executor is
+        busy, so a hold never idles past available work or capacity).
     capacity:
         Bound on queued items per class (backpressure depth).
     class_of:
@@ -229,6 +237,7 @@ class DrrScheduler(Generic[T]):
         self._depth_metric = obs.gauge("serving_queue_depth")
         self._batches_metric = obs.counter("serving_batches_total",
                                            policy=policy.name)
+        self._hold_metric = obs.counter("serving_batch_hold_seconds")
 
     # ------------------------------------------------------------------
     # Producer side
@@ -304,15 +313,23 @@ class DrrScheduler(Generic[T]):
             self._closed = True
             self._cond.notify_all()
 
+    def wake(self) -> None:
+        """Make a held batch ask ``busy`` again (an executor just freed)."""
+        with self._cond:
+            self._cond.notify_all()
+
     # ------------------------------------------------------------------
     # Consumer side
     # ------------------------------------------------------------------
-    def next_batch(self, poll_timeout: float = 0.1) -> ClassBatch | None:
+    def next_batch(self, poll_timeout: float = 0.1,
+                   busy=lambda: False) -> ClassBatch | None:
         """Form the next micro-batch by deficit round-robin.
 
         Returns ``None`` once closed and fully drained, an empty list when
         ``poll_timeout`` expires with every queue empty, and otherwise a
-        :class:`ClassBatch` from the chosen class.
+        :class:`ClassBatch` from the chosen class.  A partial batch is held
+        open only while ``busy()`` says no executor could start it now; it is
+        called under the scheduler lock, and :meth:`wake` re-asks it early.
         """
         # Chaos seam: before any dequeue, so an injected raise aborts the
         # attempt with no request in hand (the serving loop retries).
@@ -338,7 +355,7 @@ class DrrScheduler(Generic[T]):
             take = min(allowance, len(state.queue))
             batch: list[T] = [state.queue.popleft() for _ in range(take)]
             self._depth -= take
-            batch += self._wait_fill(state, len(batch))
+            batch += self._wait_fill(state, len(batch), busy)
             state.deficit = max(0.0, state.deficit - len(batch))
             if not state.queue:
                 # An emptied class banks nothing: credit accrues only
@@ -359,32 +376,34 @@ class DrrScheduler(Generic[T]):
                 return name
         return None
 
-    def _wait_fill(self, state: _ClassState[T], have: int) -> list[T]:
-        """Under light load, hold the batch open for stragglers.
+    def _wait_fill(self, state: _ClassState[T], have: int, busy) -> list[T]:
+        """Top the batch up from its class; hold it open while ``busy()``.
 
-        Only waits while *every* queue is empty -- the moment any class
-        has queued work the batch ships, so the wait can never idle the
-        scheduler past available work (the work-conservation property).
-        Called with the lock held.
+        Only waits while *every* queue is empty and the executor is busy:
+        the moment any class has work or the executor frees the batch
+        ships, so the wait never idles past available work or capacity
+        (the work-conservation property).  Called with the lock held.
         """
         extras: list[T] = []
-        if have >= self._policy.max_batch_size \
-                or self._policy.max_wait_ms <= 0:
+        room = self._policy.max_batch_size - have
+        if room <= 0 or self._policy.max_wait_ms <= 0:
             return extras
         deadline = monotonic() + self._policy.max_wait_ms / 1000.0
-        while have + len(extras) < self._policy.max_batch_size:
-            if self._depth > len(state.queue):
-                break  # another class has work: ship now
-            while state.queue \
-                    and have + len(extras) < self._policy.max_batch_size:
+        while self._depth == len(state.queue):  # else another class has work
+            while state.queue and len(extras) < room:
                 extras.append(state.queue.popleft())
                 self._depth -= 1
-            if state.queue or self._closed:
+            if len(extras) == room or self._closed or not busy():
+                break  # full (perhaps only just), or nobody to wait for
+            now = monotonic()
+            if now >= deadline:
+                self._stats.timeout_batches += 1
                 break
-            remaining = deadline - monotonic()
-            if remaining <= 0:
-                break
-            self._cond.wait(remaining)
+            self._cond.notify_all()  # the drain above freed queue space
+            self._cond.wait(deadline - now)
+            held = monotonic() - now
+            self._stats.hold_s += held
+            self._hold_metric.inc(held)
         return extras
 
     def _record(self, batch: list[T]) -> None:
@@ -392,8 +411,6 @@ class DrrScheduler(Generic[T]):
         self._stats.items += len(batch)
         if len(batch) == self._policy.max_batch_size:
             self._stats.full_batches += 1
-        else:
-            self._stats.timeout_batches += 1
         size = len(batch)
         self._stats.size_histogram[size] = (
             self._stats.size_histogram.get(size, 0) + 1)
@@ -405,13 +422,8 @@ class DrrScheduler(Generic[T]):
     def batch_stats(self) -> BatcherStats:
         """Snapshot of the micro-batch counters."""
         with self._lock:
-            return BatcherStats(
-                batches=self._stats.batches,
-                items=self._stats.items,
-                full_batches=self._stats.full_batches,
-                timeout_batches=self._stats.timeout_batches,
-                size_histogram=dict(self._stats.size_histogram),
-            )
+            return replace(self._stats,
+                           size_histogram=dict(self._stats.size_histogram))
 
     def stats(self) -> dict:
         """Admission counters plus per-class DRR state."""

@@ -33,11 +33,16 @@ across a replica pool.  In cluster mode the serving thread hands each
 micro-batch to the dispatcher asynchronously and keeps batching while
 replicas execute in parallel, so one slow batch no longer serializes the
 pipeline.  The server borrows the dispatcher -- the caller closes it.
+
+Batching is work-conserving on either backend: a partial batch is held
+open (up to ``max_wait_ms``) only while every executor slot -- the one
+session, or each live replica -- already has a batch outstanding.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -143,7 +148,8 @@ class ServerStats:
             f"batches:    {self.batcher.batches} "
             f"(mean size {self.batcher.mean_batch_size:.1f}, "
             f"{self.batcher.full_batches} full / "
-            f"{self.batcher.timeout_batches} timed out)",
+            f"{self.batcher.timeout_batches} timed out, "
+            f"held {self.batcher.hold_s * 1000.0:.1f} ms)",
             f"latency:    {self.latency.describe()}",
             f"deadlines:  {self.deadline_missed} missed",
             f"plan swaps: {self.plan_swaps}",
@@ -572,16 +578,30 @@ class SmolServer:
     # Serving loop
     # ------------------------------------------------------------------
     def _serve_loop(self) -> None:
+        failures = 0
         while True:
+            # The one hold rule: a partial batch waits only while every
+            # executor slot has a batch outstanding -- never for a session
+            # (one slot, this thread, idle whenever it asks), per live
+            # replica for a cluster (counted here: ``busy`` runs under the
+            # scheduler's lock).
+            slots = len(self._cluster.live_workers()) if self._cluster else 1
             try:
-                batch = self._scheduler.next_batch()
+                batch = self._scheduler.next_batch(
+                    busy=lambda: self._outstanding >= slots)
             except Exception:
-                # An injected (or organic) failure forming a batch must not
-                # take the serving thread down -- no request was dequeued
-                # (the ``serving.batch`` seam fires before any dequeue),
-                # so retrying loses nothing.
-                self._obs.note("serving.batcher_failed")
+                # A failure forming a batch (injected or organic) must not
+                # take the serving thread down: the ``serving.batch`` seam
+                # fires before any dequeue, so retrying loses nothing.  Back
+                # off, or a persistent one spins a core; after 8 in a row a
+                # closed server stops draining, or close() never returns.
+                failures += 1
+                self._obs.note("serving.batcher_failed", consecutive=failures)
+                if self._closed and failures > 8:
+                    return
+                time.sleep(min(0.1, 0.002 * failures))
                 continue
+            failures = 0
             if batch is None:
                 return
             if not batch:
@@ -697,6 +717,8 @@ class SmolServer:
             self._outstanding -= 1
             if self._outstanding == 0:
                 self._outstanding_drained.notify_all()
+        # A replica freed: a batch held for it ships now, not at the bound.
+        self._scheduler.wake()
 
     def _batch_budget(self, batch: list[_Pending]) -> float | None:
         """Tightest remaining deadline across ``batch`` (None: no deadlines)."""

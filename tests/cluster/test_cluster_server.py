@@ -1,12 +1,18 @@
 """Tests for SmolServer's cluster-backed submit path."""
 
+import time
+
 import pytest
 
-from repro.cluster import Dispatcher
+from repro.cluster import Dispatcher, ThreadWorker
 from repro.errors import ServingError
 from repro.serving import BatchPolicy, InferenceRequest, SmolServer
 
-from cluster_testlib import ScriptedSession, expected_prediction
+from cluster_testlib import (
+    GatedSession,
+    ScriptedSession,
+    expected_prediction,
+)
 
 
 class TestClusterBackedServer:
@@ -79,3 +85,35 @@ class TestClusterBackedServer:
             server.close()
             # Every future resolved by the time close() returned.
             assert all(f.done() for f in futures)
+
+    def test_held_batch_ships_when_a_replica_frees_not_at_the_bound(self):
+        # One gated replica.  The first request ships alone to the idle
+        # replica; the next three are held because it is busy, under a
+        # 60 s bound that would time the test out -- they must ship as one
+        # batch the moment the replica frees.  queue_capacity=1 makes each
+        # submit return only once the previous request was dequeued, so
+        # held-0 is provably in the open batch before the gate opens.
+        session = GatedSession()
+
+        def factory(worker_id, results):
+            return ThreadWorker(worker_id, session, results)
+
+        policy = BatchPolicy(name="hold", max_batch_size=64,
+                             max_wait_ms=60_000.0)
+        with Dispatcher(factory, num_workers=1) as dispatcher:
+            with SmolServer(cluster=dispatcher, cache_capacity=0,
+                            queue_capacity=1, policy=policy) as server:
+                first = server.submit(InferenceRequest(image_id="first"))
+                assert session.started.wait(10.0)
+                held = [server.submit(InferenceRequest(image_id=f"held-{n}"))
+                        for n in range(3)]
+                assert dispatcher.stats().submitted == 1
+                begin = time.monotonic()
+                session.release.set()
+                responses = [f.result(timeout=10.0) for f in [first] + held]
+                elapsed = time.monotonic() - begin
+                stats = server.stats().batcher
+        assert [r.batch_size for r in responses] == [1, 3, 3, 3]
+        assert elapsed < 10.0
+        assert stats.timeout_batches == 0 and stats.full_batches == 0
+        assert stats.hold_s > 0.0

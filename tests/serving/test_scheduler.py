@@ -152,13 +152,59 @@ class TestDrrArithmetic:
         assert batches == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
     @both_shapes
-    def test_wait_bound_closes_partial_batch(self, classes):
+    @pytest.mark.parametrize("busy", [True, False], ids=["busy", "idle"])
+    def test_wait_bound_closes_partial_batch(self, classes, busy):
+        # A partial batch is held to the bound only for a busy executor;
+        # an idle one gets it at once, and that is not a timeout.
         scheduler = make_scheduler(max_batch=64, max_wait_ms=5.0,
                                    classes=classes)
         preload(scheduler, {"standard": 1})
-        assert len(scheduler.next_batch()) == 1
+        assert len(scheduler.next_batch(busy=lambda: busy)) == 1
         stats = scheduler.batch_stats()
-        assert stats.timeout_batches == 1 and stats.full_batches == 0
+        assert stats.timeout_batches == busy and stats.full_batches == 0
+        assert (stats.hold_s >= 0.004) if busy else (stats.hold_s == 0.0)
+
+    def test_a_batch_topped_up_to_full_is_not_held(self):
+        # The 1x class's quantum takes one request and the top-up the other
+        # seven, emptying the queue exactly: full, so there is nothing to
+        # wait for even though the executor is busy (it used to sleep out
+        # the bound here -- 2 s would fail the hold_s check).
+        scheduler = make_scheduler(max_batch=8, max_wait_ms=2000.0)
+        preload(scheduler, {"batch": 8})
+        assert len(scheduler.next_batch(busy=lambda: True)) == 8
+        stats = scheduler.batch_stats()
+        assert (stats.full_batches, stats.timeout_batches) == (1, 0)
+        assert stats.hold_s == 0.0
+
+    def test_held_batch_takes_stragglers_and_ships_when_executor_frees(self):
+        # The bound (30 s) would fail the test: only the executor freeing,
+        # announced by wake(), can ship the held batch.
+        scheduler = make_scheduler(max_batch=64, max_wait_ms=30_000.0,
+                                   classes=ONE_CLASS)
+        preload(scheduler, {"standard": 1})
+        busy = threading.Event()
+        busy.set()
+        holding = threading.Event()
+
+        def executor_busy():
+            holding.set()
+            return busy.is_set()
+
+        got = []
+        consumer = threading.Thread(
+            target=lambda: got.append(
+                scheduler.next_batch(busy=executor_busy)), daemon=True)
+        consumer.start()
+        assert holding.wait(5.0)
+        scheduler.admit(Item("standard", 1))  # a straggler joins the hold
+        busy.clear()
+        scheduler.wake()
+        consumer.join(5.0)
+        assert not consumer.is_alive()
+        assert [item.index for item in got[0]] == [0, 1]
+        stats = scheduler.batch_stats()
+        assert stats.timeout_batches == 0 and stats.full_batches == 0
+        assert 0.0 < stats.hold_s < 5.0
 
     def test_work_conserving_while_backlogged(self):
         scheduler = make_scheduler(max_batch=8)
@@ -231,6 +277,37 @@ class TestQueueSurface:
 
 
 class TestStats:
+    def test_hold_seconds_are_published_and_described(self):
+        from repro.obs import Observability
+        from repro.obs.metrics import LatencySummary
+        from repro.serving.server import ServerStats
+
+        obs = Observability()
+        scheduler = DrrScheduler(
+            ONE_CLASS, BatchPolicy(name="held", max_batch_size=8,
+                                   max_wait_ms=3.0), obs=obs)
+        preload(scheduler, {"standard": 1})
+        scheduler.next_batch(busy=lambda: True)   # held to the bound
+        preload(scheduler, {"standard": 8})
+        scheduler.next_batch(busy=lambda: True)   # full: no hold
+        preload(scheduler, {"standard": 2})
+        scheduler.next_batch()                    # idle executor: no hold
+        stats = scheduler.batch_stats()
+        assert (stats.batches, stats.full_batches,
+                stats.timeout_batches) == (3, 1, 1)
+        published = obs.counter("serving_batch_hold_seconds").value
+        assert published == pytest.approx(stats.hold_s) and published > 0
+        assert obs.counter("serving_batches_total",
+                           policy="held").value == 3
+        described = ServerStats(
+            submitted=11, completed=11, executed=11, cache_hits=0,
+            rejected=0, cancelled=0, deadline_missed=0, errors=0,
+            plan_swaps=0, latency=LatencySummary.empty(), batcher=stats,
+            cache=None,
+        ).describe()
+        assert (f"1 full / 1 timed out, held {stats.hold_s * 1000.0:.1f} ms"
+                in described)
+
     def test_stats_count_admissions_and_per_class_service(self):
         scheduler = make_scheduler()
         preload(scheduler, {"interactive": 3, "batch": 2})

@@ -1,7 +1,12 @@
 """Tests for the SmolServer facade, including the end-to-end serving path."""
 
+import statistics
+import threading
+import time
+
 import pytest
 
+from repro.chaos.faults import ChaosFault, FaultHook
 from repro.codecs.formats import FULL_JPEG, THUMB_PNG_161
 from repro.datasets.synthetic import SyntheticImageGenerator
 from repro.errors import AdmissionError, ServingError
@@ -37,6 +42,26 @@ def build_functional_session(plan_key: str = "serve-test",
     session = FunctionalSession(plan_key, dag, model)
     session.warmup()
     return session
+
+
+class GateSession(FunctionalSession):
+    """A functional session whose every ``execute`` waits for the test.
+
+    ``started`` is set when a batch enters execution and the batch runs
+    once ``release`` is set, so a test knows the serving thread is inside
+    ``execute`` -- and whatever it submits meanwhile is still queued.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def execute(self, requests):
+        self.started.set()
+        if not self.release.wait(timeout=30.0):
+            raise RuntimeError("GateSession was never released")
+        return super().execute(requests)
 
 
 class TestEndToEnd:
@@ -141,24 +166,92 @@ class TestServerBehavior:
         assert stats.completed == 60 - rejected
 
     def test_cancelled_future_does_not_kill_serving_thread(self, image_pool):
-        session = build_functional_session()
-        # Long wait bound so the cancel lands while the batch is still open.
-        with SmolServer(session, policy=BatchPolicy(name="slow",
-                                                    max_batch_size=64,
-                                                    max_wait_ms=200.0),
-                        cache_capacity=0) as server:
+        inner = build_functional_session()
+        session = GateSession("serve-test", inner.preprocessing, inner.model)
+        with SmolServer(session, cache_capacity=0) as server:
             image_id, payload = image_pool[0]
+            blocker = server.submit(InferenceRequest(image_id="blocker",
+                                                     payload=payload))
+            assert session.started.wait(10.0)
+            # The serving thread is inside execute(): the doomed request
+            # is provably still queued when the cancel lands.
             doomed = server.submit(InferenceRequest(image_id="doomed",
                                                     payload=payload))
             assert doomed.cancel()
+            session.release.set()
             # The server must survive and keep answering later requests.
             survivor = server.submit(
                 InferenceRequest(image_id=image_id, payload=payload)
             ).result(timeout=30.0)
+            assert blocker.result(timeout=30.0).prediction >= 0
             stats = server.stats()
         assert survivor.prediction >= 0
         assert stats.cancelled == 1
-        assert stats.completed == 1
+        assert stats.completed == 2
+
+    def test_closed_loop_windows_never_wait_out_the_bound(self, image_pool):
+        # Two closed-loop clients of window 8 cannot fill two batches of
+        # 8 between them while one is executing, so the stragglers a held
+        # batch would wait for are blocked on that very batch: a server
+        # that holds pays the full 200 ms bound in every window.
+        windows_per_client = 6
+        durations: list[float] = []
+        with SmolServer(build_functional_session(),
+                        policy=BatchPolicy(name="closed", max_batch_size=8,
+                                           max_wait_ms=200.0),
+                        cache_capacity=0) as server:
+            def client(name: str) -> None:
+                for window in range(windows_per_client):
+                    begin = time.monotonic()
+                    futures = [server.submit(InferenceRequest(
+                        image_id=f"{name}-{window}-{n}",
+                        payload=image_pool[n][1])) for n in range(8)]
+                    for future in futures:
+                        future.result(timeout=30.0)
+                    durations.append(time.monotonic() - begin)
+
+            clients = [threading.Thread(target=client, args=(f"c{n}",),
+                                        daemon=True) for n in range(2)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(60.0)
+                assert not thread.is_alive()
+            stats = server.stats()
+        assert len(durations) == 2 * windows_per_client
+        assert stats.completed == 16 * windows_per_client
+        assert stats.batcher.hold_s == 0.0
+        assert stats.batcher.timeout_batches == 0
+        # A window is ~5 ms of numpy; the median forgives a host stall.
+        assert statistics.median(durations) < 0.1
+
+    def test_persistently_failing_batcher_neither_spins_nor_blocks_close(
+            self):
+        class BrokenBatcher(FaultHook):
+            """Every ``next_batch`` raises; keeps the serving thread's CPU
+            clock (``hit`` runs on that thread)."""
+
+            __slots__ = ("cpu_s",)
+
+            def __init__(self) -> None:
+                self.cpu_s: list[float] = []
+
+            def hit(self, site: str, **ctx) -> None:
+                if site == "serving.batch":
+                    self.cpu_s.append(time.thread_time())
+                    raise ChaosFault("batcher is broken")
+
+        faults = BrokenBatcher()
+        server = SmolServer(build_functional_session(), cache_capacity=0,
+                            faults=faults)
+        time.sleep(0.6)
+        begin = time.monotonic()
+        server.close(timeout=10.0)  # raises if the thread did not exit
+        assert time.monotonic() - begin < 5.0
+        # Backed off, not spinning: a handful of attempts (a spin makes
+        # tens of thousands), next to no CPU on the serving thread.
+        assert 3 <= len(faults.cpu_s) < 60
+        assert faults.cpu_s[-1] - faults.cpu_s[0] < 0.1
 
     def test_cache_disabled(self, image_pool):
         session = build_functional_session()
