@@ -4,20 +4,10 @@ Subcommands:
 
 * ``plan``          -- print the Pareto frontier and the selected plan for a dataset.
 * ``run``           -- execute the selected plan in the simulated runtime.
-* ``measure``       -- print the Section 2 measurement study tables.
-* ``costs``         -- print the Section 7 / Table 8 cost analyses.
-* ``video``         -- run the BlazeIt-vs-Smol video aggregation comparison.
-* ``serve-bench``   -- compare micro-batching policies on the online server.
-* ``loadtest``      -- drive the online server with open-loop traffic.
-* ``cluster-bench`` -- sharded multi-worker scaling study (offline + online).
 * ``query``         -- run a declarative analytics query sharded over the
   cluster runtime, verifying bit-identical results across worker counts.
 * ``store``         -- inspect (``stats``), garbage-collect (``gc``), or
   pre-materialize (``warm``) the persistent rendition & score store.
-* ``adapt``         -- run the online cost-feedback replanning demo: a
-  frozen-plan run and an adaptive run through the same mid-run decode
-  slowdown, reporting throughput recovery (and, for the scan scenario,
-  verifying results stay bit-identical across the hot-swap).
 * ``obs``           -- observability tooling: ``demo`` runs a fully traced
   workload across every subsystem (serving, cluster, query, store, adapt)
   and exports the span log, Chrome trace, and Prometheus metrics;
@@ -37,10 +27,11 @@ Subcommands:
 * ``bench-diff``    -- compare two ``BENCH_*.json`` scorecards field by
   field and exit 1 on regressions beyond tolerance.
 
-The serving/cluster/query benchmarks also record their scorecards as
-machine-readable artifacts (``BENCH_serving.json`` / ``BENCH_cluster.json``
-/ ``BENCH_query.json``, see ``--bench-json``) so the performance trajectory
-is trackable.
+Scorecards (``BENCH_*.json``) are written by the ``benchmarks/`` drivers;
+the paper's measurement, cost and video tables, and the serving, cluster
+and adaptive-replanning studies, live there too
+(``pytest benchmarks/bench_*.py --benchmark-disable``).  ``query`` writes
+its sweep as a scorecard only when ``--bench-json`` names a path.
 
 Errors from the library (unknown datasets, infeasible constraints, bad
 serving parameters) exit with status 2 and a one-line message rather than a
@@ -50,19 +41,12 @@ Examples
 --------
     python -m repro.cli plan --dataset imagenet --accuracy-floor 0.74
     python -m repro.cli run --dataset bike-bird --images 8192
-    python -m repro.cli measure
-    python -m repro.cli video --dataset taipei --error 0.03
-    python -m repro.cli serve-bench --mode simulated --requests 2000
-    python -m repro.cli loadtest --rate 500 --duration 2 --pattern burst
-    python -m repro.cli cluster-bench --workers 1 2 4 --images 4096
     python -m repro.cli query --kind aggregate --dataset taipei --error 0.05 \
         --workers 1 4
     python -m repro.cli store warm --root .smol-store --dataset taipei
     python -m repro.cli query --kind aggregate --dataset taipei --error 0.05 \
         --store-root .smol-store      # warm cache hit, streamed shards
     python -m repro.cli store stats --root .smol-store
-    python -m repro.cli adapt --scenario serving --drift-factor 4
-    python -m repro.cli adapt --scenario scan --frames 2400 --segments 6
     python -m repro.cli obs demo --dataset taipei --frames 2400
     python -m repro.cli query --kind aggregate --dataset taipei --error 0.05 \
         --trace-out TRACE_query.jsonl
@@ -85,21 +69,9 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.baselines.blazeit import BlazeItBaseline, SmolVideoRunner
-from repro.cluster import (
-    Dispatcher,
-    LabeledExample,
-    ShardedCorpusRunner,
-    ThreadWorker,
-)
 from repro.core.smol import Smol
-from repro.datasets.synthetic import SyntheticImageGenerator
 from repro.datasets.video import load_video_dataset
 from repro.errors import ReproError, ServingError
-from repro.hardware.instance import get_instance
-from repro.inference.perfmodel import PerformanceModel
-from repro.measurement.costs import CostAnalysis
-from repro.measurement.study import MeasurementStudy
 from repro.obs import (
     NULL_OBS,
     Observability,
@@ -109,14 +81,8 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.query import QueryEngine, QuerySpec
-from repro.serving import (
-    BatchPolicy,
-    LoadGenerator,
-    SimulatedSession,
-    SmolServer,
-    functional_session_for_plan,
-)
-from repro.utils.benchio import latency_metrics, write_bench_json
+from repro.serving import BatchPolicy, SmolServer
+from repro.utils.benchio import write_bench_json
 from repro.utils.tables import Table
 
 
@@ -139,88 +105,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_measure(args: argparse.Namespace) -> int:
-    study = MeasurementStudy(args.instance)
-    table = Table("ResNet-50 by execution backend",
-                  ["Backend", "Batch", "Throughput (im/s)"])
-    for row in study.backend_comparison():
-        table.add_row(row.backend_name, row.batch_size, round(row.throughput))
-    print(table)
-    print()
-    table = Table("ResNet-50 by GPU generation",
-                  ["GPU", "Year", "Throughput (im/s)"])
-    for row in study.gpu_generation_trend():
-        table.add_row(row["gpu"], row["release_year"], round(row["throughput"]))
-    print(table)
-    print()
-    for model in ("resnet-50", "resnet-18"):
-        gap = study.preprocessing_vs_execution(model)
-        print(f"{model}: DNN execution is {gap['ratio']:.1f}x faster than "
-              f"preprocessing ({gap['dnn_throughput']:,.0f} vs "
-              f"{gap['preprocessing_throughput']:,.0f} im/s)")
-    return 0
-
-
-def _cmd_costs(args: argparse.Namespace) -> int:
-    analysis = CostAnalysis(args.instance)
-    table = Table("Throughput and cost at 75% ImageNet accuracy",
-                  ["Condition", "vCPUs", "Throughput (im/s)", "Cents / 1M images"])
-    for point in analysis.accuracy_target_scaling():
-        table.add_row(point.condition, point.vcpus, round(point.throughput),
-                      round(point.cents_per_million_images, 2))
-    print(table)
-    return 0
-
-
-def _cmd_video(args: argparse.Namespace) -> int:
-    perf = PerformanceModel(get_instance(args.instance))
-    dataset = load_video_dataset(args.dataset)
-    blazeit = BlazeItBaseline(perf).run(dataset, args.error, seed=args.seed)
-    smol = SmolVideoRunner(perf).run(dataset, args.error, seed=args.seed)
-    table = Table(f"Aggregation query on {dataset.name} (error {args.error})",
-                  ["System", "Query time (s)", "Target invocations", "Estimate"])
-    table.add_row("BlazeIt", round(blazeit.total_seconds, 1),
-                  blazeit.target_invocations, round(blazeit.estimate, 3))
-    table.add_row("Smol", round(smol.total_seconds, 1),
-                  smol.target_invocations, round(smol.estimate, 3))
-    print(table)
-    print(f"speedup: {blazeit.total_seconds / smol.total_seconds:.2f}x")
-    return 0
-
-
-def _select_estimate(args: argparse.Namespace) -> tuple[Smol, object]:
-    """The plan the serving/cluster commands execute: the constrained best
-    plan when a floor is given, else the frontier's throughput champion."""
-    smol = Smol(instance=args.instance, dataset_name=args.dataset)
-    estimate = (smol.best_plan(accuracy_floor=args.accuracy_floor)
-                if args.accuracy_floor is not None
-                else max(smol.pareto_frontier(), key=lambda e: e.throughput))
-    return smol, estimate
-
-
-def _make_session(args: argparse.Namespace, smol: Smol, estimate,
-                  num_classes: int | None = None):
-    """Wrap the selected plan in a warmed serving session."""
-    if args.mode == "functional":
-        return functional_session_for_plan(estimate)
-    kwargs = {} if num_classes is None else {"num_classes": num_classes}
-    session = SimulatedSession(estimate.plan, smol.performance_model,
-                               config=smol.engine_config, **kwargs)
-    session.warmup()
-    return session
-
-
-def _build_session(args: argparse.Namespace):
-    """Select a plan for the dataset and wrap it in a serving session."""
-    smol, estimate = _select_estimate(args)
-    return estimate, _make_session(args, smol, estimate)
-
-
-def _tracing_obs(args: argparse.Namespace):
-    """An Observability when ``--trace-out`` was given, else NULL_OBS."""
-    return Observability() if getattr(args, "trace_out", None) else NULL_OBS
-
-
 def _finish_trace(obs, trace_out: str | None) -> None:
     """Write ``obs``'s finished spans as JSONL when a path was given."""
     if not trace_out:
@@ -229,188 +113,6 @@ def _finish_trace(obs, trace_out: str | None) -> None:
 
     count = write_spans_jsonl(obs.spans(), trace_out)
     print(f"wrote {count} spans to {trace_out}")
-
-
-def _image_pool(args: argparse.Namespace) -> list:
-    """A pool of (image_id, payload) pairs sized for cache-hit traffic."""
-    if args.mode != "functional":
-        return [(f"img-{i}", None) for i in range(args.pool_size)]
-    generator = SyntheticImageGenerator(num_classes=2, image_size=48,
-                                        seed=args.seed)
-    return [(f"img-{i}", generator.generate_image(i % 2, i).pixels)
-            for i in range(args.pool_size)]
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    if args.rate <= 0:
-        raise ServingError("--rate must be positive")
-    estimate, session = _build_session(args)
-    pool = _image_pool(args)
-    obs = _tracing_obs(args)
-    duration = args.requests / args.rate
-    table = Table(
-        f"Serving latency/throughput by batching policy ({args.mode} mode)",
-        ["Policy", "Batch", "Wait (ms)", "Req/s", "p50 (ms)", "p95 (ms)",
-         "p99 (ms)"],
-    )
-    print(f"plan: {estimate.plan.describe()}")
-    rows = []
-    for policy in (BatchPolicy.latency(), BatchPolicy.throughput()):
-        with SmolServer(session, policy=policy,
-                        cache_capacity=args.cache_capacity,
-                        obs=obs) as server:
-            generator = LoadGenerator(server, pool, seed=args.seed)
-            report = generator.run(rate_per_s=args.rate, duration_s=duration,
-                                   pattern="poisson")
-        table.add_row(policy.name, policy.max_batch_size,
-                      policy.max_wait_ms, round(report.throughput),
-                      round(report.latency.p50_ms, 2),
-                      round(report.latency.p95_ms, 2),
-                      round(report.latency.p99_ms, 2))
-        rows.append({
-            "policy": policy.name,
-            "max_batch_size": policy.max_batch_size,
-            "max_wait_ms": policy.max_wait_ms,
-            **latency_metrics(report),
-        })
-    print(table)
-    written = write_bench_json(
-        args.bench_json, "serve-bench", rows,
-        meta={"mode": args.mode, "plan": estimate.plan.describe(),
-              "rate_per_s": args.rate, "requests": args.requests,
-              "seed": args.seed},
-    )
-    print(f"wrote {written}")
-    _finish_trace(obs, args.trace_out)
-    return 0
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    estimate, session = _build_session(args)
-    pool = _image_pool(args)
-    obs = _tracing_obs(args)
-    policy = BatchPolicy(name="custom", max_batch_size=args.max_batch,
-                         max_wait_ms=args.max_wait_ms)
-    print(f"plan: {estimate.plan.describe()}")
-    with SmolServer(session, policy=policy,
-                    queue_capacity=args.queue_capacity,
-                    cache_capacity=args.cache_capacity,
-                    obs=obs) as server:
-        generator = LoadGenerator(server, pool, seed=args.seed)
-        report = generator.run(
-            rate_per_s=args.rate, duration_s=args.duration,
-            pattern=args.pattern, burst_size=args.burst_size,
-            deadline_s=(args.deadline_ms / 1000.0
-                        if args.deadline_ms is not None else None),
-            shed_on_full=args.shed,
-        )
-        stats = server.stats()
-    print(report.describe())
-    print()
-    print(stats.describe())
-    written = write_bench_json(
-        args.bench_json, "loadtest",
-        [{"pattern": args.pattern, "rate_per_s": args.rate,
-          "cache_hits": report.cache_hits, **latency_metrics(report)}],
-        meta={"mode": args.mode, "plan": estimate.plan.describe(),
-              "duration_s": args.duration, "seed": args.seed},
-    )
-    print(f"wrote {written}")
-    _finish_trace(obs, args.trace_out)
-    return 0
-
-
-def _cluster_worker_factory(args: argparse.Namespace, smol: Smol, estimate,
-                            obs=NULL_OBS):
-    """A worker factory building one warmed replica per call."""
-    def factory(worker_id: str, results):
-        session = _make_session(args, smol, estimate,
-                                num_classes=args.num_classes)
-        return ThreadWorker(worker_id, session, results,
-                            service_time_scale=args.service_scale,
-                            obs=obs)
-    return factory
-
-
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    if args.rate <= 0:
-        raise ServingError("--rate must be positive")
-    if any(count <= 0 for count in args.workers):
-        raise ServingError("--workers counts must be positive")
-    smol, estimate = _select_estimate(args)
-    obs = _tracing_obs(args)
-    factory = _cluster_worker_factory(args, smol, estimate, obs=obs)
-    if args.mode == "functional":
-        # Functional replicas run real pixels through a binary model.
-        generator = SyntheticImageGenerator(num_classes=2, image_size=48,
-                                            seed=args.seed)
-        examples = [
-            LabeledExample(image_id=f"img-{i}", label=i % 2,
-                           payload=generator.generate_image(i % 2, i).pixels)
-            for i in range(args.images)
-        ]
-    else:
-        examples = [
-            LabeledExample(image_id=f"img-{i}", label=i % args.num_classes)
-            for i in range(args.images)
-        ]
-    pool = _image_pool(args)
-    print(f"plan: {estimate.plan.describe()}")
-    table = Table(
-        f"Smol-Cluster scaling ({args.mode} mode, {args.images} images, "
-        f"router {args.router})",
-        ["Workers", "Shard im/s", "Speedup", "Req/s", "p50 (ms)",
-         "p95 (ms)", "p99 (ms)"],
-    )
-    rows = []
-    baseline = None
-    for count in args.workers:
-        with Dispatcher(factory, num_workers=count,
-                        router=args.router, obs=obs) as dispatcher:
-            runner = ShardedCorpusRunner(
-                factory, num_workers=count, num_classes=args.num_classes,
-                batch_size=args.max_batch, router=args.router,
-                format_name=estimate.plan.input_format.name, obs=obs,
-            )
-            corpus = runner.run(examples, dispatcher=dispatcher)
-            with SmolServer(cluster=dispatcher,
-                            policy=BatchPolicy(name="cluster",
-                                               max_batch_size=args.max_batch,
-                                               max_wait_ms=2.0),
-                            cache_capacity=args.cache_capacity,
-                            obs=obs) as server:
-                generator = LoadGenerator(server, pool, seed=args.seed)
-                online = generator.run(rate_per_s=args.rate,
-                                       duration_s=args.duration,
-                                       pattern=args.pattern,
-                                       burst_size=args.burst_size)
-        if baseline is None:
-            baseline = corpus.simulated_throughput
-        speedup = (corpus.simulated_throughput / baseline
-                   if baseline > 0 else 0.0)
-        table.add_row(count, round(corpus.simulated_throughput),
-                      round(speedup, 2), round(online.throughput),
-                      round(online.latency.p50_ms, 2),
-                      round(online.latency.p95_ms, 2),
-                      round(online.latency.p99_ms, 2))
-        rows.append({
-            "workers": count,
-            "simulated_throughput": round(corpus.simulated_throughput, 2),
-            "speedup": round(speedup, 3),
-            "corpus_accuracy": round(corpus.total.accuracy, 4),
-            "pattern": args.pattern,
-            **latency_metrics(online),
-        })
-    print(table)
-    written = write_bench_json(
-        args.bench_json, "cluster-bench", rows,
-        meta={"mode": args.mode, "plan": estimate.plan.describe(),
-              "images": args.images, "router": args.router,
-              "rate_per_s": args.rate, "seed": args.seed},
-    )
-    print(f"wrote {written}")
-    _finish_trace(obs, args.trace_out)
-    return 0
 
 
 def _query_spec(args: argparse.Namespace) -> QuerySpec:
@@ -485,7 +187,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if any(count <= 0 for count in args.workers):
         raise ServingError("--workers counts must be positive")
     spec = _query_spec(args)
-    obs = _tracing_obs(args)
+    obs = Observability() if args.trace_out else NULL_OBS
     engine = QueryEngine(instance=args.instance,
                          frame_limit=args.frame_limit,
                          batch_size=args.max_batch,
@@ -530,14 +232,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
     print("bit-identical across worker counts: OK")
     print()
     print(result.describe())
-    written = write_bench_json(
-        args.bench_json, "query", rows,
-        meta={"spec": spec.describe(),
-              "cheap_plan": reference.plans.cheap.plan.describe(),
-              "accurate_plan": reference.plans.accurate.plan.describe(),
-              "frame_limit": args.frame_limit, "seed": args.seed},
-    )
-    print(f"wrote {written}")
+    if args.bench_json:
+        written = write_bench_json(
+            args.bench_json, "query", rows,
+            meta={"spec": spec.describe(),
+                  "cheap_plan": reference.plans.cheap.plan.describe(),
+                  "accurate_plan": reference.plans.accurate.plan.describe(),
+                  "frame_limit": args.frame_limit, "seed": args.seed},
+        )
+        print(f"wrote {written}")
     _finish_trace(obs, args.trace_out)
     if engine.store is not None:
         print()
@@ -583,93 +286,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
           + (f", {args.rendition_frames} rendition frames materialized"
              if args.rendition_frames else ""))
     print(store.stats().describe())
-    return 0
-
-
-def _adapt_scenario_reports(args: argparse.Namespace):
-    """Run the frozen and adaptive variants of the selected scenario."""
-    from repro.adapt import (
-        ScanDriftConfig,
-        ServingDriftConfig,
-        run_scan_drift_scenario,
-        run_serving_drift_scenario,
-    )
-
-    if args.dataset is None:
-        # Per-scenario default: serving plans an image dataset, the scan
-        # scenario streams a video dataset.
-        args.dataset = "imagenet" if args.scenario == "serving" else "taipei"
-    if args.scenario == "serving":
-        config = ServingDriftConfig(
-            dataset=args.dataset, instance=args.instance,
-            waves=args.waves, wave_requests=args.wave_requests,
-            drift_wave=args.drift_wave, drift_factor=args.drift_factor,
-            materialize_format=args.materialize_format,
-            threshold=args.threshold, hysteresis=args.hysteresis,
-            min_improvement=args.min_improvement,
-        )
-        runner = run_serving_drift_scenario
-    else:
-        config = ScanDriftConfig(
-            dataset=args.dataset,
-            instance=args.instance,
-            frames=args.frames, segments=args.segments,
-            drift_segment=args.drift_segment,
-            drift_factor=args.drift_factor,
-            materialize=not args.no_materialize,
-            workers=args.adapt_workers, batch_size=args.max_batch,
-            threshold=args.threshold, hysteresis=args.hysteresis,
-            min_improvement=args.min_improvement, seed=args.seed,
-        )
-        runner = run_scan_drift_scenario
-    return config, runner(False, config), runner(True, config)
-
-
-def _cmd_adapt(args: argparse.Namespace) -> int:
-    config, frozen, adaptive = _adapt_scenario_reports(args)
-    phase_name = "Wave" if args.scenario == "serving" else "Segment"
-    table = Table(
-        f"Smol-Adapt {args.scenario} drift recovery "
-        f"({args.drift_factor:g}x decode slowdown at {phase_name.lower()} "
-        f"{frozen.drift_phase})",
-        [phase_name, "Frozen (im/s)", "Adaptive (im/s)", "Decision", "Plan"],
-    )
-    for frozen_phase, adaptive_phase in zip(frozen.phases, adaptive.phases):
-        table.add_row(
-            frozen_phase.index,
-            round(frozen_phase.throughput),
-            round(adaptive_phase.throughput),
-            adaptive_phase.decision or "-",
-            adaptive_phase.plan_key,
-        )
-    print(table)
-    print(f"frozen:    {frozen.recovery * 100:6.1f}% of pre-drift throughput")
-    print(f"adaptive:  {adaptive.recovery * 100:6.1f}% of pre-drift "
-          f"throughput ({adaptive.swaps} hot-swap(s), "
-          f"{adaptive.replans} replans)")
-    meta = {"scenario": args.scenario, "drift_factor": args.drift_factor,
-            "seed": args.seed}
-    if args.scenario == "scan":
-        from repro.adapt import scan_identity
-
-        identity = scan_identity(frozen, adaptive)
-        identical = all(identity.values())
-        meta.update(identity)
-        print("results bit-identical across the hot-swap: "
-              + ("OK" if identical else "BROKEN"))
-        if not identical:
-            raise ServingError(
-                "adaptive scan diverged from the frozen-plan run -- "
-                "replan safety is broken"
-            )
-    # ScenarioReport.scorecard_row is the single source of the row
-    # schema, shared with benchmarks/bench_adapt.py (which sweeps both
-    # scenarios); the CLI regenerates the selected scenario's rows.
-    rows = [report.scorecard_row(args.scenario)
-            for report in (frozen, adaptive)]
-    written = write_bench_json(args.bench_json, "adapt-drift-recovery",
-                               rows, meta=meta)
-    print(f"wrote {written}")
     return 0
 
 
@@ -1121,97 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--images", type=int, default=4096)
     run.set_defaults(func=_cmd_run)
 
-    measure = subparsers.add_parser("measure", help="Section 2 measurement study")
-    measure.set_defaults(func=_cmd_measure)
-
-    costs = subparsers.add_parser("costs", help="Section 7 / Table 8 cost analysis")
-    costs.set_defaults(func=_cmd_costs)
-
-    video = subparsers.add_parser("video", help="video aggregation comparison")
-    video.add_argument("--dataset", default="taipei")
-    video.add_argument("--error", type=float, default=0.03)
-    video.add_argument("--seed", type=int, default=0)
-    video.set_defaults(func=_cmd_video)
-
-    def add_serving_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--dataset", default="imagenet")
-        sub.add_argument("--accuracy-floor", type=float, default=None)
-        sub.add_argument("--mode", choices=("simulated", "functional"),
-                         default="simulated")
-        sub.add_argument("--rate", type=float, default=2000.0,
-                         help="offered requests/second")
-        sub.add_argument("--pool-size", type=int, default=64,
-                         help="distinct images in the traffic mix")
-        sub.add_argument("--cache-capacity", type=int, default=2048)
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--trace-out", default=None,
-                         help="trace the run and write the span log here as "
-                              "JSONL (see 'obs summarize' / 'obs analyze')")
-
-    serve_bench = subparsers.add_parser(
-        "serve-bench", help="compare micro-batching policies on SmolServer"
-    )
-    add_serving_arguments(serve_bench)
-    serve_bench.add_argument("--requests", type=int, default=2000,
-                             help="approximate requests per policy")
-    serve_bench.add_argument("--bench-json", default="BENCH_serving.json",
-                             help="where to write the machine-readable "
-                                  "scorecard")
-    serve_bench.set_defaults(func=_cmd_serve_bench)
-
-    loadtest = subparsers.add_parser(
-        "loadtest", help="drive SmolServer with open-loop traffic"
-    )
-    add_serving_arguments(loadtest)
-    loadtest.add_argument("--duration", type=float, default=2.0,
-                          help="seconds of offered traffic")
-    loadtest.add_argument("--pattern", choices=("poisson", "burst"),
-                          default="poisson")
-    loadtest.add_argument("--burst-size", type=int, default=8)
-    loadtest.add_argument("--max-batch", type=int, default=32)
-    loadtest.add_argument("--max-wait-ms", type=float, default=5.0,
-                          help="bound on holding a partial batch open; only "
-                               "a busy executor (never a session) is held for")
-    loadtest.add_argument("--queue-capacity", type=int, default=256)
-    loadtest.add_argument("--deadline-ms", type=float, default=None)
-    loadtest.add_argument("--shed", action="store_true",
-                          help="reject instead of blocking when the queue fills")
-    loadtest.add_argument("--bench-json", default="BENCH_serving.json",
-                          help="where to write the machine-readable scorecard")
-    loadtest.set_defaults(func=_cmd_loadtest)
-
-    cluster_bench = subparsers.add_parser(
-        "cluster-bench",
-        help="sharded multi-worker scaling study (offline corpus + online "
-             "traffic per worker count)",
-    )
-    add_serving_arguments(cluster_bench)
-    cluster_bench.add_argument("--workers", type=int, nargs="+",
-                               default=[1, 2, 4],
-                               help="worker counts to sweep")
-    cluster_bench.add_argument("--images", type=int, default=4096,
-                               help="offline corpus size per sweep point")
-    cluster_bench.add_argument("--num-classes", type=int, default=8,
-                               help="label/prediction arity for the "
-                                    "confusion matrix")
-    cluster_bench.add_argument("--router",
-                               choices=("round-robin", "consistent-hash"),
-                               default="round-robin")
-    cluster_bench.add_argument("--duration", type=float, default=0.25,
-                               help="seconds of online traffic per sweep "
-                                    "point")
-    cluster_bench.add_argument("--pattern", choices=("poisson", "burst"),
-                               default="poisson")
-    cluster_bench.add_argument("--burst-size", type=int, default=8)
-    cluster_bench.add_argument("--max-batch", type=int, default=32)
-    cluster_bench.add_argument("--service-scale", type=float, default=0.0,
-                               help="sleep modelled service time times this "
-                                    "factor on each replica")
-    cluster_bench.add_argument("--bench-json", default="BENCH_cluster.json",
-                               help="where to write the machine-readable "
-                                    "scorecard")
-    cluster_bench.set_defaults(func=_cmd_cluster_bench)
-
     query = subparsers.add_parser(
         "query",
         help="run a declarative analytics query sharded over the cluster "
@@ -1242,8 +767,9 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--specialized-accuracy", type=float, default=0.9)
     query.add_argument("--accuracy-floor", type=float, default=None)
     query.add_argument("--seed", type=int, default=0)
-    query.add_argument("--bench-json", default="BENCH_query.json",
-                       help="where to write the machine-readable scorecard")
+    query.add_argument("--bench-json", default=None,
+                       help="also write the sweep as a machine-readable "
+                            "scorecard here")
     query.add_argument("--store-root", default=None,
                        help="rendition/score store directory; when given, "
                             "the cheap pass reads/writes the store and "
@@ -1275,51 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decoded rendition frames to materialize "
                             "(0 disables; enables cache-aware planning)")
     store.set_defaults(func=_cmd_store)
-
-    adapt = subparsers.add_parser(
-        "adapt",
-        help="online cost-feedback replanning demo: frozen vs adaptive "
-             "through the same mid-run decode slowdown",
-    )
-    adapt.add_argument("--scenario", choices=("serving", "scan"),
-                       default="serving")
-    adapt.add_argument("--dataset", default=None,
-                       help="image dataset (serving; default imagenet) or "
-                            "video dataset (scan; default taipei)")
-    adapt.add_argument("--drift-factor", type=float, default=4.0,
-                       help="decode slowdown injected mid-run")
-    adapt.add_argument("--threshold", type=float, default=1.5,
-                       help="drift detector deviation threshold (>1)")
-    adapt.add_argument("--hysteresis", type=int, default=2,
-                       help="consecutive drifting updates before a replan")
-    adapt.add_argument("--min-improvement", type=float, default=0.1,
-                       help="relative gain required to accept a swap")
-    adapt.add_argument("--waves", type=int, default=6,
-                       help="serving: request waves to run")
-    adapt.add_argument("--wave-requests", type=int, default=256,
-                       help="serving: requests per wave")
-    adapt.add_argument("--drift-wave", type=int, default=2,
-                       help="serving: wave at which decode drifts")
-    adapt.add_argument("--materialize-format", default="161-jpeg-q95",
-                       help="serving: rendition that becomes warm at the "
-                            "drift wave ('' disables)")
-    adapt.add_argument("--frames", type=int, default=3000,
-                       help="scan: functional frames to stream")
-    adapt.add_argument("--segments", type=int, default=6,
-                       help="scan: stream segments (replan points)")
-    adapt.add_argument("--drift-segment", type=int, default=2,
-                       help="scan: segment at which decode drifts")
-    adapt.add_argument("--no-materialize", action="store_true",
-                       help="scan: do not warm the scanned rendition at "
-                            "the drift segment")
-    adapt.add_argument("--workers", dest="adapt_workers", type=int,
-                       default=2, help="scan: shard replicas")
-    adapt.add_argument("--max-batch", type=int, default=256,
-                       help="scan: frames per dispatched micro-batch")
-    adapt.add_argument("--seed", type=int, default=0)
-    adapt.add_argument("--bench-json", default="BENCH_adapt.json",
-                       help="where to write the machine-readable scorecard")
-    adapt.set_defaults(func=_cmd_adapt)
 
     obs = subparsers.add_parser(
         "obs",

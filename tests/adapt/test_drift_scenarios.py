@@ -20,7 +20,11 @@ class TestConfigValidation:
         dict(drift_wave=0),
         dict(drift_wave=5, waves=6),
         dict(drift_factor=0.0),
+        dict(drift_factor=-2.0),
         dict(wave_requests=0),
+        dict(threshold=1.0),
+        dict(hysteresis=0),
+        dict(min_improvement=-0.5),
     ])
     def test_invalid_serving_config_rejected(self, kwargs):
         with pytest.raises(AdaptError):
@@ -32,6 +36,9 @@ class TestConfigValidation:
         dict(drift_segment=5, segments=6),
         dict(drift_factor=-1.0),
         dict(frames=2, segments=3),
+        dict(threshold=1.0),
+        dict(hysteresis=0),
+        dict(min_improvement=-0.5),
     ])
     def test_invalid_scan_config_rejected(self, kwargs):
         with pytest.raises(AdaptError):

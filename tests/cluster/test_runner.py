@@ -162,6 +162,47 @@ class TestShardedCorpusRunner:
         assert sharded.total.correct == single.total.correct
         assert np.array_equal(sharded.total.confusion, single.total.confusion)
 
+    def test_traced_run_records_one_cluster_item_per_batch(self):
+        from repro.obs import Observability
+
+        obs = Observability()
+        runner = ShardedCorpusRunner(_factory, num_workers=2, num_classes=7,
+                                     batch_size=8, obs=obs)
+        report = runner.run(_corpus(64))
+        items = [span for span in obs.spans() if span.name == "cluster.item"]
+        assert report.total.count == 64
+        assert sum(span.attrs["batch"] for span in items) == 64
+
+    def test_functional_replicas_classify_decoded_payloads(self, resnet18):
+        # Functional replicas run real pixels, so every example must carry
+        # its decoded payload; the sharded totals match one process.
+        from repro.codecs.formats import THUMB_PNG_161
+        from repro.core.plans import Plan
+        from repro.datasets.synthetic import SyntheticImageGenerator
+        from repro.serving import functional_session_for_plan
+
+        plan = Plan.single(resnet18, THUMB_PNG_161)
+        generator = SyntheticImageGenerator(num_classes=2, image_size=48,
+                                            seed=0)
+        corpus = [LabeledExample(image_id=f"img-{i}", label=i % 2,
+                                 payload=generator.generate_image(i % 2,
+                                                                  i).pixels)
+                  for i in range(24)]
+
+        def factory(worker_id, results):
+            return ThreadWorker(worker_id, functional_session_for_plan(plan),
+                                results)
+
+        runner = ShardedCorpusRunner(factory, num_workers=2, num_classes=2,
+                                     batch_size=8,
+                                     format_name=THUMB_PNG_161.name)
+        sharded = runner.run(corpus)
+        single = run_single_process(corpus, functional_session_for_plan(plan),
+                                    num_classes=2, batch_size=8,
+                                    format_name=THUMB_PNG_161.name)
+        assert sharded.total.count == single.total.count == 24
+        assert np.array_equal(sharded.total.confusion, single.total.confusion)
+
     def test_empty_corpus_rejected(self):
         runner = ShardedCorpusRunner(_factory, num_workers=2)
         with pytest.raises(ClusterError):

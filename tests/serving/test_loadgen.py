@@ -141,6 +141,30 @@ class TestLoadGenerator:
         with pytest.raises(ServingError):
             generator.run(100.0, 0.1, time_scale=0.0)
 
+    @pytest.mark.parametrize("rate", [0.0, -5.0])
+    def test_non_positive_rate_rejected(self, simulated_server, rate):
+        generator = LoadGenerator(simulated_server, [("img-0", None)])
+        with pytest.raises(ServingError):
+            generator.run(rate_per_s=rate, duration_s=0.1)
+
+    @pytest.mark.parametrize("pattern", ["poisson", "burst"])
+    def test_traced_run_records_one_request_span_per_submission(
+            self, perf_model, resnet18, pattern):
+        from repro.obs import Observability
+
+        obs = Observability()
+        session = simulated_session_for_format(resnet18, THUMB_PNG_161,
+                                               perf_model)
+        pool = [(f"img-{i}", None) for i in range(8)]
+        with SmolServer(session, policy=BatchPolicy.latency(),
+                        cache_capacity=256, obs=obs) as server:
+            report = LoadGenerator(server, pool, seed=7).run(
+                rate_per_s=400.0, duration_s=0.2, pattern=pattern)
+        requests = [span for span in obs.spans()
+                    if span.name == "serving.request"]
+        assert report.submitted > 0
+        assert len(requests) == report.submitted
+
     def test_deadline_accounting(self, perf_model, resnet50):
         from repro.codecs.formats import FULL_JPEG
 

@@ -15,6 +15,34 @@ class TestCliParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explode"])
 
+    @pytest.mark.parametrize("command", [
+        "serve-bench", "loadtest", "cluster-bench", "adapt", "measure",
+        "costs", "video",
+    ])
+    def test_benchmark_duplicating_command_is_gone(self, command):
+        # These ran the benchmarks/ drivers' workloads a second time; the
+        # drivers are now the only way to run them.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command])
+        assert excinfo.value.code == 2
+
+    def test_no_subcommand_writes_a_scorecard_by_default(self):
+        # Committed BENCH_*.json files belong to the benchmarks/ drivers; a
+        # CLI command may write one only where --bench-json points.
+        import argparse
+
+        def walk(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from walk(sub)
+                elif action.dest == "bench_json":
+                    yield action
+
+        flags = list(walk(build_parser()))
+        assert flags
+        assert all(action.default is None for action in flags)
+
 
 class TestCliCommands:
     def test_plan_command_prints_frontier(self, capsys):
@@ -30,89 +58,6 @@ class TestCliCommands:
         output = capsys.readouterr().out
         assert "simulated:" in output
 
-    def test_measure_command(self, capsys):
-        assert main(["measure"]) == 0
-        output = capsys.readouterr().out
-        assert "tensorrt" in output
-        assert "K80" in output
-
-    def test_costs_command(self, capsys):
-        assert main(["costs"]) == 0
-        output = capsys.readouterr().out
-        assert "Cents / 1M images" in output
-
-    def test_video_command(self, capsys):
-        assert main(["video", "--dataset", "amsterdam", "--error", "0.05"]) == 0
-        output = capsys.readouterr().out
-        assert "speedup" in output
-        assert "BlazeIt" in output
-
-    def test_serve_bench_command(self, capsys, tmp_path):
-        assert main(["serve-bench", "--mode", "simulated", "--requests", "200",
-                     "--rate", "2000",
-                     "--bench-json", str(tmp_path / "bench.json")]) == 0
-        output = capsys.readouterr().out
-        assert "latency" in output and "throughput" in output
-        assert "p99 (ms)" in output
-
-    def test_loadtest_command(self, capsys, tmp_path):
-        bench = tmp_path / "BENCH_serving.json"
-        assert main(["loadtest", "--mode", "simulated", "--rate", "400",
-                     "--duration", "0.2", "--pattern", "burst",
-                     "--bench-json", str(bench)]) == 0
-        output = capsys.readouterr().out
-        assert "throughput:" in output
-        assert "p95" in output
-
-    def test_serve_bench_writes_machine_readable_scorecard(self, capsys,
-                                                           tmp_path):
-        import json
-
-        bench = tmp_path / "BENCH_serving.json"
-        assert main(["serve-bench", "--mode", "simulated", "--requests",
-                     "200", "--rate", "2000",
-                     "--bench-json", str(bench)]) == 0
-        payload = json.loads(bench.read_text())
-        assert payload["bench"] == "serve-bench"
-        assert {row["policy"] for row in payload["rows"]} == \
-            {"latency", "throughput"}
-        for row in payload["rows"]:
-            assert row["throughput_rps"] > 0
-            assert 0 <= row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
-
-    def test_loadtest_writes_machine_readable_scorecard(self, capsys,
-                                                        tmp_path):
-        import json
-
-        bench = tmp_path / "BENCH_serving.json"
-        assert main(["loadtest", "--mode", "simulated", "--rate", "400",
-                     "--duration", "0.2",
-                     "--bench-json", str(bench)]) == 0
-        payload = json.loads(bench.read_text())
-        assert payload["bench"] == "loadtest"
-        (row,) = payload["rows"]
-        assert row["pattern"] == "poisson"
-        assert row["completed"] > 0
-
-    def test_cluster_bench_command(self, capsys, tmp_path):
-        import json
-
-        bench = tmp_path / "BENCH_cluster.json"
-        assert main(["cluster-bench", "--workers", "1", "2",
-                     "--images", "256", "--rate", "1000",
-                     "--duration", "0.1",
-                     "--bench-json", str(bench)]) == 0
-        output = capsys.readouterr().out
-        assert "Smol-Cluster scaling" in output
-        payload = json.loads(bench.read_text())
-        assert payload["bench"] == "cluster-bench"
-        by_workers = {row["workers"]: row for row in payload["rows"]}
-        assert set(by_workers) == {1, 2}
-        # Near-linear simulated scaling at two workers.
-        assert by_workers[2]["speedup"] >= 1.7
-        for row in payload["rows"]:
-            assert 0 <= row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
-
 
 class TestCliErrorHandling:
     def test_unknown_dataset_exits_2_with_one_line_error(self, capsys):
@@ -123,9 +68,24 @@ class TestCliErrorHandling:
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
 
-    def test_unknown_video_dataset_exits_2(self, capsys):
-        assert main(["video", "--dataset", "nope"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+    @pytest.mark.parametrize("argv", [
+        ["run", "--dataset", "imagenet", "--accuracy-floor", "0.999"],
+        ["query", "--kind", "limit", "--dataset", "rialto"],
+        ["query", "--kind", "aggregate", "--dataset", "taipei"],
+        ["query", "--workers", "0", "--error", "0.05"],
+        ["query", "--error", "0.05", "--frame-limit", "0"],
+        ["store", "stats", "--root", "no-such-store"],
+        ["bench-diff", "no-such-a.json", "no-such-b.json"],
+    ])
+    def test_library_error_is_one_line_on_stderr(self, capsys, tmp_path,
+                                                 monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_infeasible_constraint_exits_2(self, capsys):
         assert main(["run", "--dataset", "imagenet",
@@ -133,32 +93,6 @@ class TestCliErrorHandling:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
-
-    def test_bad_serving_flag_value_exits_2(self, capsys):
-        assert main(["loadtest", "--mode", "simulated", "--rate", "-5",
-                     "--duration", "0.1"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_serve_bench_zero_rate_exits_2(self, capsys):
-        assert main(["serve-bench", "--mode", "simulated", "--rate", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
-        assert "Traceback" not in captured.err
-
-    def test_cluster_bench_functional_mode(self, capsys, tmp_path):
-        # Functional replicas need decoded payloads on the corpus examples;
-        # regression test for the payload-less functional corpus.
-        assert main(["cluster-bench", "--mode", "functional",
-                     "--workers", "1", "--images", "24", "--rate", "200",
-                     "--duration", "0.1", "--pool-size", "8",
-                     "--max-batch", "8",
-                     "--bench-json", str(tmp_path / "b.json")]) == 0
-        assert "Smol-Cluster scaling" in capsys.readouterr().out
-
-    def test_cluster_bench_bad_workers_exits_2(self, capsys, tmp_path):
-        assert main(["cluster-bench", "--workers", "0",
-                     "--bench-json", str(tmp_path / "b.json")]) == 2
-        assert capsys.readouterr().err.startswith("error:")
 
     def test_non_numeric_flag_value_exits_2_via_argparse(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -185,39 +119,42 @@ class TestQueryCommand:
         by_workers = {row["workers"]: row for row in payload["rows"]}
         assert by_workers[2]["cheap_pass_speedup"] > 1.5
 
-    def test_limit_query_command(self, capsys, tmp_path):
+    def test_query_without_bench_json_writes_no_file(self, capsys,
+                                                      tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(["query", "--kind", "limit", "--dataset", "rialto",
                      "--min-count", "5", "--limit", "5",
-                     "--workers", "1", "2", "--frame-limit", "2000",
-                     "--bench-json", str(tmp_path / "b.json")]) == 0
+                     "--workers", "1", "--frame-limit", "1000"]) == 0
+        assert "wrote" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_limit_query_command(self, capsys):
+        assert main(["query", "--kind", "limit", "--dataset", "rialto",
+                     "--min-count", "5", "--limit", "5",
+                     "--workers", "1", "2", "--frame-limit", "2000"]) == 0
         assert "found" in capsys.readouterr().out
 
-    def test_cascade_query_command(self, capsys, tmp_path):
+    def test_cascade_query_command(self, capsys):
         assert main(["query", "--kind", "cascade", "--dataset", "animals-10",
                      "--num-classes", "10", "--images", "256",
-                     "--workers", "1", "2",
-                     "--bench-json", str(tmp_path / "b.json")]) == 0
+                     "--workers", "1", "2"]) == 0
         assert "cascade" in capsys.readouterr().out
 
-    def test_limit_query_missing_flags_exits_2(self, capsys, tmp_path):
-        assert main(["query", "--kind", "limit", "--dataset", "rialto",
-                     "--bench-json", str(tmp_path / "b.json")]) == 2
+    def test_limit_query_missing_flags_exits_2(self, capsys):
+        assert main(["query", "--kind", "limit", "--dataset", "rialto"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_aggregate_missing_error_bound_exits_2(self, capsys, tmp_path):
-        assert main(["query", "--kind", "aggregate", "--dataset", "taipei",
-                     "--bench-json", str(tmp_path / "b.json")]) == 2
+    def test_aggregate_missing_error_bound_exits_2(self, capsys):
+        assert main(["query", "--kind", "aggregate", "--dataset", "taipei"]) == 2
         assert "--error" in capsys.readouterr().err
 
-    def test_unknown_video_dataset_exits_2(self, capsys, tmp_path):
+    def test_unknown_video_dataset_exits_2(self, capsys):
         assert main(["query", "--kind", "aggregate", "--dataset", "nope",
-                     "--error", "0.05",
-                     "--bench-json", str(tmp_path / "b.json")]) == 2
+                     "--error", "0.05"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_bad_worker_count_exits_2(self, capsys, tmp_path):
-        assert main(["query", "--workers", "0", "--error", "0.05",
-                     "--bench-json", str(tmp_path / "b.json")]) == 2
+    def test_bad_worker_count_exits_2(self, capsys):
+        assert main(["query", "--workers", "0", "--error", "0.05"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_store_warm_query_stats_gc_roundtrip(self, capsys, tmp_path):
@@ -233,8 +170,7 @@ class TestQueryCommand:
         # shards through the chunk reader.
         assert main(["query", "--kind", "aggregate", "--dataset", "taipei",
                      "--error", "0.05", "--workers", "1", "2",
-                     "--frame-limit", "2000", "--store-root", root,
-                     "--bench-json", str(tmp_path / "b.json")]) == 0
+                     "--frame-limit", "2000", "--store-root", root]) == 0
         output = capsys.readouterr().out
         assert "bit-identical across worker counts: OK" in output
         assert "read-through:" in output
@@ -266,85 +202,20 @@ class TestQueryCommand:
         # The mistyped path must not have been conjured into being.
         assert not missing.exists()
 
-    def test_query_non_positive_frame_limit_exits_2(self, capsys, tmp_path):
+    def test_query_non_positive_frame_limit_exits_2(self, capsys):
         assert main(["query", "--kind", "aggregate", "--dataset", "taipei",
-                     "--error", "0.05", "--frame-limit", "0",
-                     "--bench-json", str(tmp_path / "b.json")]) == 2
+                     "--error", "0.05", "--frame-limit", "0"]) == 2
         assert "frame_limit" in capsys.readouterr().err
 
-    def test_query_non_positive_batch_exits_2(self, capsys, tmp_path):
+    def test_query_non_positive_batch_exits_2(self, capsys):
         assert main(["query", "--kind", "aggregate", "--dataset", "taipei",
-                     "--error", "0.05", "--max-batch", "0",
-                     "--bench-json", str(tmp_path / "b.json")]) == 2
+                     "--error", "0.05", "--max-batch", "0"]) == 2
         assert "batch_size" in capsys.readouterr().err
 
-    def test_query_bad_specialized_accuracy_exits_2(self, capsys, tmp_path):
+    def test_query_bad_specialized_accuracy_exits_2(self, capsys):
         assert main(["query", "--kind", "aggregate", "--dataset", "taipei",
-                     "--error", "0.05", "--specialized-accuracy", "1.5",
-                     "--bench-json", str(tmp_path / "b.json")]) == 2
+                     "--error", "0.05", "--specialized-accuracy", "1.5"]) == 2
         assert capsys.readouterr().err.startswith("error:")
-
-
-class TestAdaptCli:
-    def test_serving_scenario_reports_recovery_and_scorecard(self, capsys,
-                                                             tmp_path):
-        bench = tmp_path / "BENCH_adapt.json"
-        assert main(["adapt", "--scenario", "serving", "--waves", "4",
-                     "--wave-requests", "64", "--drift-wave", "1",
-                     "--hysteresis", "1",
-                     "--bench-json", str(bench)]) == 0
-        output = capsys.readouterr().out
-        assert "drift recovery" in output
-        assert "hot-swap" in output
-        assert bench.exists()
-        import json
-
-        payload = json.loads(bench.read_text())
-        assert payload["bench"] == "adapt-drift-recovery"
-        modes = {row["mode"]: row for row in payload["rows"]}
-        assert modes["adaptive"]["recovery"] > modes["frozen"]["recovery"]
-        assert modes["adaptive"]["swaps"] == 1
-        # Same row schema as benchmarks/bench_adapt.py.
-        assert modes["adaptive"]["scenario"] == "serving"
-        assert "initial_plan" in modes["adaptive"]
-
-    def test_scan_scenario_verifies_bit_identity(self, capsys, tmp_path):
-        bench = tmp_path / "b.json"
-        assert main(["adapt", "--scenario", "scan", "--frames", "900",
-                     "--segments", "3", "--drift-segment", "1",
-                     "--max-batch", "128",
-                     "--bench-json", str(bench)]) == 0
-        output = capsys.readouterr().out
-        assert "results bit-identical across the hot-swap: OK" in output
-        import json
-
-        meta = json.loads(bench.read_text())["meta"]
-        assert meta["scores_identical"] and meta["estimate_identical"]
-
-    @pytest.mark.parametrize("argv", [
-        ["adapt", "--drift-factor", "0"],
-        ["adapt", "--drift-factor", "-2"],
-        ["adapt", "--waves", "2"],
-        ["adapt", "--drift-wave", "0"],
-        ["adapt", "--drift-wave", "9", "--waves", "5"],
-        ["adapt", "--wave-requests", "0"],
-        ["adapt", "--hysteresis", "0"],
-        ["adapt", "--threshold", "1.0"],
-        ["adapt", "--min-improvement", "-0.5"],
-        ["adapt", "--scenario", "scan", "--segments", "2"],
-        ["adapt", "--scenario", "scan", "--drift-segment", "0"],
-        ["adapt", "--scenario", "scan", "--frames", "2", "--segments", "3"],
-    ])
-    def test_invalid_flags_exit_2_with_one_line_error(self, capsys, argv,
-                                                      tmp_path):
-        assert main(argv + ["--bench-json", str(tmp_path / "b.json")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert err.count("\n") == 1
-
-    def test_unknown_scenario_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["adapt", "--scenario", "warp"])
 
 
 class TestObsCommands:
@@ -387,7 +258,6 @@ class TestObsCommands:
         assert main(["query", "--kind", "aggregate", "--dataset", "taipei",
                      "--error", "0.05", "--workers", "2",
                      "--frame-limit", "1200",
-                     "--bench-json", str(tmp_path / "b.json"),
                      "--trace-out", str(trace)]) == 0
         output = capsys.readouterr().out
         assert str(trace) in output
@@ -538,43 +408,6 @@ class TestBenchDiff:
         assert bench.exists()
         assert main(["bench-diff", str(bench), str(bench)]) == 0
         assert "no regressions" in capsys.readouterr().out
-
-
-class TestServingTraceOut:
-    def test_serve_bench_trace_out(self, capsys, tmp_path):
-        trace = tmp_path / "serve.jsonl"
-        assert main(["serve-bench", "--mode", "simulated",
-                     "--requests", "64", "--rate", "2000",
-                     "--bench-json", str(tmp_path / "b.json"),
-                     "--trace-out", str(trace)]) == 0
-        assert str(trace) in capsys.readouterr().out
-        import json
-
-        names = {json.loads(line)["name"]
-                 for line in trace.read_text().splitlines()}
-        assert "serving.request" in names
-
-    def test_loadtest_trace_out(self, capsys, tmp_path):
-        trace = tmp_path / "load.jsonl"
-        assert main(["loadtest", "--mode", "simulated", "--rate", "400",
-                     "--duration", "0.2",
-                     "--bench-json", str(tmp_path / "b.json"),
-                     "--trace-out", str(trace)]) == 0
-        assert str(trace) in capsys.readouterr().out
-        assert trace.read_text().splitlines()
-
-    def test_cluster_bench_trace_out(self, capsys, tmp_path):
-        trace = tmp_path / "cluster.jsonl"
-        assert main(["cluster-bench", "--images", "256", "--workers", "2",
-                     "--rate", "2000", "--duration", "0.2",
-                     "--bench-json", str(tmp_path / "b.json"),
-                     "--trace-out", str(trace)]) == 0
-        assert str(trace) in capsys.readouterr().out
-        import json
-
-        names = {json.loads(line)["name"]
-                 for line in trace.read_text().splitlines()}
-        assert "cluster.item" in names
 
 
 class TestChaosCli:
