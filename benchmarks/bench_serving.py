@@ -4,8 +4,9 @@ Not a paper figure: this benchmarks the Smol-Serve subsystem the repo adds on
 top of the paper's offline engine.  The same open-loop Poisson trace is
 replayed against the server under the two standard micro-batching policies,
 reporting achieved request rate and p50/p95/p99 latency for each.  A
-session-backed server is its own executor and never holds a batch open, so
-here the presets differ only in ``max_batch_size``: neither may spend a
+session-backed server executes batches inline on its lanes (one per stream
+the session declares), each asking only when idle, so it never holds a batch
+open and here the presets differ only in ``max_batch_size``: neither may spend a
 moment in a hold, the long-hold preset's p95 must sit far below its own
 ``max_wait_ms`` (it read 20.6 ms of a 25 ms bound when every partial batch
 waited), and both must keep up with the offered rate.

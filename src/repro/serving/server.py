@@ -2,10 +2,10 @@
 
 Requests enter through :meth:`SmolServer.submit`, which returns a
 :class:`concurrent.futures.Future` resolving to an
-:class:`~repro.serving.request.InferenceResponse`.  Internally a single
-serving thread pulls micro-batches from the scheduler and executes each on
-the live plan session (a functional session preprocesses the whole batch
-on its compiled fused kernel):
+:class:`~repro.serving.request.InferenceResponse`.  Internally each serving
+lane (one per ``EngineSession.streams``) pulls micro-batches from the
+scheduler and executes each on the live plan session (a functional session
+preprocesses the whole batch on its compiled fused kernel):
 
     submit() -> cache? -> DrrScheduler -> EngineSession (FusedKernel -> model)
                    |                                 |
@@ -29,14 +29,14 @@ blocking the serving loop.
 The execution backend is pluggable: pass ``session=`` for the classic
 single-session path, or ``cluster=`` (a
 :class:`~repro.cluster.dispatcher.Dispatcher`) to fan micro-batches out
-across a replica pool.  In cluster mode the serving thread hands each
+across a replica pool.  In cluster mode the one serving lane hands each
 micro-batch to the dispatcher asynchronously and keeps batching while
 replicas execute in parallel, so one slow batch no longer serializes the
 pipeline.  The server borrows the dispatcher -- the caller closes it.
 
 Batching is work-conserving on either backend: a partial batch is held
-open (up to ``max_wait_ms``) only while every executor slot -- the one
-session, or each live replica -- already has a batch outstanding.
+open (up to ``max_wait_ms``) only while every executor slot has a batch
+outstanding -- never by a session lane, which asks only when it is idle.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ class SmolServer:
     Parameters
     ----------
     session:
-        The initial engine session (or a prebuilt :class:`SessionManager`).
-        Mutually exclusive with ``cluster``.
+        The initial engine session (or a prebuilt :class:`SessionManager`),
+        served on its ``streams`` lanes.  Mutually exclusive with ``cluster``.
     policy:
         Micro-batching policy; defaults to the latency preset.
     queue_capacity:
@@ -277,6 +277,10 @@ class SmolServer:
             raise ServingError(
                 "the deadline ladder applies to session-backed servers"
             )
+        # One lane per session stream; a cluster's replicas are its lanes.
+        self._streams = self._sessions.lanes if cluster is None else 1
+        for rung in ladder.rungs if ladder is not None else ():
+            self._sessions.check(rung.session)
         # Tenants configure the one request path: their classes replace
         # the sole class, a quota gate sits in front of admission, and
         # per-class books are kept (tenant_stats).
@@ -314,10 +318,11 @@ class SmolServer:
         self._closed = False
         self._outstanding = 0
         self._outstanding_drained = threading.Condition(self._counters_lock)
-        self._worker = threading.Thread(
-            target=self._serve_loop, name="smol-serve", daemon=True
-        )
-        self._worker.start()
+        self._lanes = [threading.Thread(target=self._serve_loop,
+                                        name=f"smol-serve-{i}", daemon=True)
+                       for i in range(self._streams)]
+        for lane in self._lanes:
+            lane.start()
 
     # ------------------------------------------------------------------
     # Client API
@@ -496,7 +501,12 @@ class SmolServer:
         return future
 
     def swap_plan(self, session: EngineSession) -> None:
-        """Hot-swap the live plan session (in-flight batches finish first)."""
+        """Hot-swap the live plan session (in-flight batches finish first).
+
+        A session declaring fewer ``streams`` than the server has lanes is
+        refused (:meth:`SessionManager.check`): it is never entered from
+        two lanes at once.
+        """
         if self._sessions is None:
             raise ServingError(
                 "plan swaps apply to session-backed servers; rebuild the "
@@ -548,7 +558,7 @@ class SmolServer:
         )
 
     def close(self, timeout: float = 30.0) -> None:
-        """Stop accepting requests, drain the queue, and join the worker.
+        """Stop accepting requests, drain the queue, and join every lane.
 
         In cluster mode this also waits for every micro-batch already handed
         to the dispatcher to resolve (the dispatcher itself stays open).
@@ -557,9 +567,13 @@ class SmolServer:
             return
         self._closed = True
         self._scheduler.close()
-        self._worker.join(timeout=timeout)
-        if self._worker.is_alive():
-            raise ServingError("serving thread did not drain in time")
+        deadline = monotonic() + timeout
+        for lane in self._lanes:
+            lane.join(timeout=max(0.0, deadline - monotonic()))
+        alive = sum(lane.is_alive() for lane in self._lanes)
+        if alive:
+            raise ServingError(f"{alive} of {len(self._lanes)} serving lanes "
+                               "did not drain in time")
         with self._outstanding_drained:
             if not self._outstanding_drained.wait_for(
                 lambda: self._outstanding == 0, timeout=timeout
@@ -582,9 +596,9 @@ class SmolServer:
         while True:
             # The one hold rule: a partial batch waits only while every
             # executor slot has a batch outstanding -- never for a session
-            # (one slot, this thread, idle whenever it asks), per live
-            # replica for a cluster (counted here: ``busy`` runs under the
-            # scheduler's lock).
+            # (this lane executes it, and is idle whenever it asks), per
+            # live replica for a cluster (counted here: ``busy`` runs under
+            # the scheduler's lock).
             slots = len(self._cluster.live_workers()) if self._cluster else 1
             try:
                 batch = self._scheduler.next_batch(

@@ -71,12 +71,17 @@ class EngineSession:
     modelled hardware it is priced on, and ``modelled_throughput`` its
     images/second under that model (None: the session cannot be priced);
     sessions that know them override the declared defaults.
+
+    ``streams`` is how many threads may be inside :meth:`execute` at once
+    (``EngineConfig.num_streams``): a ``SmolServer`` serves it on that many
+    lanes, so a session that is not thread-safe declares 1.
     """
 
     format_name = ""
     model_name = ""
     performance_model = None
     modelled_throughput = None
+    streams = EngineConfig.num_streams
 
     def __init__(self, plan_key: str) -> None:
         if not plan_key:
@@ -108,7 +113,7 @@ class FunctionalSession(EngineSession):
 
     The DAG is compiled once into a :class:`~repro.fuse.kernel.FusedKernel`
     (shared process-wide per plan fingerprint) and each micro-batch
-    executes as batched array ops in the serving thread's scratch.
+    executes as batched array ops in the serving lane's scratch.
     Per-image ``PreprocessingDAG.execute`` is the reference oracle: the
     kernel runs the operators' one arithmetic in the same order, so its
     output is bit-identical (``tests/fuse/`` enforces it).  ``faults``/``obs`` thread into the kernel, which keeps
@@ -146,9 +151,9 @@ class FunctionalSession(EngineSession):
         The probe goes through the compiled kernel, not the per-image
         oracle, so the kernel's program for the probe's shape (tap tables,
         output shapes) and the model's plan exist before the first real
-        micro-batch.  Scratch and the model's arena are per thread: the
-        thread that serves batches first-touches its own on its first
-        batch, which no warm-up on the constructing thread can do for it.
+        micro-batch.  Scratch and the model's arena are per thread: each
+        serving lane first-touches its own arena on its first batch, which
+        no warm-up on the constructing thread can do for it.
         """
         if probe is None:
             probe = np.zeros((48, 48, 3), dtype=np.uint8)
@@ -330,7 +335,9 @@ class SessionManager:
 
     ``ensure`` is the planner-facing entry point: handed the plan key the
     planner currently favors and a factory for the matching session, it swaps
-    only when the plan actually changed.
+    only when the plan actually changed.  ``lanes`` is the first session's
+    ``streams``: every session it makes live may be entered from that many
+    serving lanes at once, so one declaring fewer is refused.
     """
 
     def __init__(self, session: EngineSession) -> None:
@@ -339,6 +346,13 @@ class SessionManager:
         self._session = session
         self._lock = threading.Lock()
         self._swaps = 0
+        self.lanes = session.streams
+
+    def check(self, session: EngineSession) -> None:
+        """Raise unless ``session`` may be entered from every lane at once."""
+        if session.streams < self.lanes:
+            raise ServingError(f"{session.plan_key!r} declares {session.streams}"
+                               f" stream(s) for {self.lanes} serving lanes")
 
     def current(self) -> EngineSession:
         """The live session."""
@@ -353,6 +367,7 @@ class SessionManager:
 
     def swap(self, session: EngineSession) -> EngineSession:
         """Warm ``session`` and atomically make it live; returns the old one."""
+        self.check(session)
         if not session.warmed:
             session.warmup()
         with self._lock:

@@ -17,6 +17,7 @@ bit-identical to that plan's serial oracle.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,6 +65,7 @@ class PlanLadder:
         self._rungs = tuple(ordered)
         self._safety = safety
         self._downgrades = 0
+        self._lock = threading.Lock()  # select() runs on every serving lane
 
     @property
     def rungs(self) -> tuple[LadderRung, ...]:
@@ -89,15 +91,13 @@ class PlanLadder:
             return current
         if self._fits(self._cost_of(current), batch_size, budget_s):
             return current
-        for rung in self._rungs:
-            if self._fits(rung.per_image_s, batch_size, budget_s):
-                if rung.session is not current:
-                    self._downgrades += 1
-                return rung.session
-        fastest = self._rungs[-1].session
-        if fastest is not current:
-            self._downgrades += 1
-        return fastest
+        chosen = next((rung.session for rung in self._rungs
+                       if self._fits(rung.per_image_s, batch_size, budget_s)),
+                      self._rungs[-1].session)
+        if chosen is not current:
+            with self._lock:
+                self._downgrades += 1
+        return chosen
 
     def _fits(self, per_image_s: float | None, batch_size: int,
               budget_s: float) -> bool:

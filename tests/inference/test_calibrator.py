@@ -1,5 +1,7 @@
 """Tests for the profile-based preprocessing calibrator."""
 
+import statistics
+
 import pytest
 
 from repro.codecs.formats import FULL_JPEG, THUMB_JPEG_161_Q75, THUMB_PNG_161
@@ -28,10 +30,10 @@ class TestPreprocessingCalibrator:
         assert 0.0 <= profile.decode_fraction <= 1.0
         assert profile.single_thread_throughput > 0
 
-    # The two timing tests below read the fastest of a few profiles: host
-    # noise only ever adds time, and since the JPEG-like decoder became an
-    # array program a 64-px decode is about a millisecond (it was ten), so
-    # one scheduling hiccup outweighs the differences they assert.
+    # Since the JPEG-like decoder became an array program a 64-px decode is
+    # about a millisecond (it was ten), so one scheduling hiccup outweighs
+    # the differences the two timing tests below assert.  Decode dominating
+    # is a wide margin: the fastest of a few profiles settles it.
 
     def test_decode_dominates_measured_cost(self, calibrator):
         profiles = [calibrator.profile_format(FULL_JPEG, sample_size=3)
@@ -41,12 +43,17 @@ class TestPreprocessingCalibrator:
         assert fastest(profiles).decode_fraction > 0.5
 
     def test_thumbnails_cheaper_than_full_resolution(self, calibrator):
-        runs = [calibrator.profile_all(sample_size=3) for _ in range(5)]
-        profiles = {name: fastest([run[name] for run in runs])
-                    for name in runs[0]}
-        relative = calibrator.relative_costs(profiles)
-        assert relative["full-jpeg"] > relative["161-jpeg-q75"]
-        assert relative[min(relative, key=relative.get)] == pytest.approx(1.0)
+        # Every rendition here is 64 px, so q95 against q75 is a ~10 % margin
+        # -- well inside what a slow host phase does to one profile.  Each
+        # repeat profiles all formats back to back, so a phase lands on both
+        # sides of that repeat's ratio; the median of the paired ratios
+        # compares like with like, where a fastest-of-n per format does not.
+        relatives = [calibrator.relative_costs(
+            calibrator.profile_all(sample_size=3)) for _ in range(9)]
+        assert statistics.median(r["full-jpeg"] / r["161-jpeg-q75"]
+                                 for r in relatives) > 1.0
+        for relative in relatives:
+            assert min(relative.values()) == pytest.approx(1.0)
 
     def test_throughput_scales_with_vcpus(self, calibrator):
         profile = calibrator.profile_format(THUMB_PNG_161, sample_size=2)

@@ -1,8 +1,15 @@
 """Tests for the deadline-aware plan ladder."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.chaos.runner import HashSession
 from repro.errors import TenantError
+from repro.serving.request import InferenceRequest
+from repro.serving.scheduler import BatchPolicy
+from repro.serving.server import SmolServer
 from repro.serving.session import EngineSession
 from repro.tenant import LadderRung, PlanLadder
 
@@ -129,3 +136,38 @@ class TestFromSessions:
     def test_rejects_unpriceable_sessions(self):
         with pytest.raises(TenantError):
             PlanLadder.from_sessions([StubSession("opaque")])
+
+
+class TestConcurrentSelection:
+    """``select`` runs on every serving lane: no downgrade may be lost."""
+
+    def test_two_lanes_downgrade_every_doomed_batch_exactly_once(self):
+        ladder = PlanLadder((LadderRung(HashSession("fast"), 0.0005),
+                             LadderRung(HashSession("slow"), 0.010)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # two lanes + two clients on two cores
+        try:
+            with SmolServer(ladder.rungs[0].session, ladder=ladder,
+                            policy=BatchPolicy("small", 2, 0.0),
+                            cache_capacity=0) as server:
+                assert server.sessions.current().streams == 2
+
+                def client(name: str) -> None:
+                    futures = [server.submit(InferenceRequest(
+                        image_id=f"{name}-{n}", deadline_s=1e-9))
+                        for n in range(300)]
+                    for future in futures:
+                        assert future.result(timeout=30.0).plan_key == "fast"
+
+                clients = [threading.Thread(target=client, args=(f"c{n}",))
+                           for n in range(2)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(60.0)
+                    assert not thread.is_alive()
+                stats = server.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats.completed == 600
+        assert ladder.downgrades == stats.batcher.batches
