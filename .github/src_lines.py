@@ -18,8 +18,12 @@ from pathlib import Path
 # that already ran the same experiments.  Smol-Serve III raised it by exactly
 # the 29 lines the session server's lanes cost (27 158 -> 27 187): a lane per
 # declared session stream, the session manager's streams check, the lane
-# census at close, and the ladder's downgrade lock.
-CEILING = 27_187
+# census at close, and the ladder's downgrade lock.  Smol-Bus lowered it
+# 27 187 -> 26 996: stage costs reach the adaptive loop over the obs stage
+# bus alone, so TelemetryCollector (adapt/telemetry.py),
+# SmolServer(telemetry=), Dispatcher.attach_telemetry and
+# AdaptiveController.watch_slo were deleted.
+CEILING = 26_996
 ROADMAP_GATE = 24_500  # ROADMAP item 9, Smol-Core IV: "the gate was <= 24 500"
 
 

@@ -7,8 +7,9 @@ rendition in the store, the "becomes warm mid-query" trigger) and compare a
 frozen-plan run against an adaptive run through the identical schedule:
 
 * **serving** -- a :class:`~repro.serving.server.SmolServer` serves waves
-  of requests; the adaptive run detects the drift through batch telemetry,
-  replans, and hot-swaps the live session onto the warm rendition.
+  of requests; the adaptive run detects the drift through the batches'
+  stage costs on the stage bus, replans, and hot-swaps the live session
+  onto the warm rendition.
 * **scan** -- an aggregate query's cheap pass streams over the cluster
   runtime in segments; the adaptive run hot-swaps the shared
   :class:`~repro.query.scan.ScanPace` onto warm chunk reads.  Scores and

@@ -5,9 +5,9 @@ The offline planner picks a plan once, from calibrated constants.  This
 walkthrough (referenced from ``docs/adaptive.md``) shows what happens when
 the world then moves -- and how the adaptive loop reacts, step by step:
 
-1. Serve two waves of traffic on the planner's cold choice: telemetry
-   reports per-stage costs, the calibrator's scales sit at 1.0, the drift
-   detector stays quiet.
+1. Serve two waves of traffic on the planner's cold choice: the server
+   publishes per-stage costs on the stage bus, the calibrator's scales sit
+   at 1.0, the drift detector stays quiet.
 2. Inject a 4x decode slowdown for the live plan's rendition and warm a
    decoded rendition of a *different* format in the store.
 3. Watch the loop fire: the calibrator folds the slow decode observations
@@ -41,7 +41,7 @@ def main() -> None:
     print(frozen.describe())
     print()
 
-    print("=== adaptive (telemetry -> calibrate -> drift -> swap) " + "=" * 11)
+    print("=== adaptive (stage bus -> calibrate -> drift -> swap) " + "=" * 11)
     adaptive = run_serving_drift_scenario(True, config)
     print(adaptive.describe())
     print()

@@ -41,15 +41,16 @@ full system and every substrate it depends on in pure Python/numpy:
   write-through scan sessions, and cache-aware plan costing for
   materialized renditions.
 * :mod:`repro.adapt` -- Smol-Adapt, online cost-feedback replanning:
-  runtime stage-cost telemetry from serving, cluster, and scan execution,
-  an EWMA/quantile-guarded online calibrator feeding the cost model, a
+  stage costs measured by serving, cluster, and scan execution (read off
+  the observability stage bus), an EWMA/quantile-guarded online
+  calibrator feeding the cost model, a
   hysteresis drift detector, and a replanner that hot-swaps the chosen
   plan into live servers and in-flight shard scans without changing any
   query result.
 * :mod:`repro.obs` -- Smol-Scope, the observability layer: structured
   tracing with trace contexts that ride requests and work items across
   thread and process hops, a unified metrics registry (counters, gauges,
-  histograms), a stage-event bus feeding the adaptive telemetry, and
+  histograms), a stage-event bus feeding the adaptive loop, and
   exporters for JSONL span logs, Chrome ``trace_event`` profiles, and
   Prometheus text -- all behind an allocation-free null default.
 
@@ -95,7 +96,6 @@ from repro.adapt import (
     DriftDetector,
     OnlineCalibrator,
     Replanner,
-    TelemetryCollector,
 )
 from repro.obs import NULL_OBS, Observability
 
@@ -129,7 +129,6 @@ __all__ = [
     "DriftDetector",
     "OnlineCalibrator",
     "Replanner",
-    "TelemetryCollector",
     "Observability",
     "NULL_OBS",
 ]

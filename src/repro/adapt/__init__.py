@@ -1,10 +1,11 @@
 """Smol-Adapt: online cost-feedback replanning across every execution surface.
 
 The offline planner prices plans once, from calibrated constants; this
-package keeps that choice honest at runtime.  A telemetry collector gathers
-observed per-stage costs (decode, preprocessing DAG ops, inference) from
-serving sessions, cluster workers, and scan shard streams; an online
-calibrator (EWMA with quantile guards and hard bounds) folds the
+package keeps that choice honest at runtime.  Serving sessions, cluster
+workers, and scan shard streams publish observed per-stage costs (decode,
+preprocessing DAG ops, inference) on the observability stage bus -- the
+one way those costs travel -- and the adaptive controller listens there;
+an online calibrator (EWMA with quantile guards and hard bounds) folds the
 observations into throughput scales the core cost model consumes; a drift
 detector with hysteresis decides when the world has genuinely moved; and a
 replanner re-runs the core planner against the live store catalog and the
@@ -13,23 +14,24 @@ observed scales, hot-swapping the winning plan into
 :class:`~repro.query.scan.ScanSession` shard streams -- without changing
 the value of any query result.
 
-* :mod:`repro.adapt.telemetry` -- :class:`TelemetryCollector` and the
-  (stage, subject) observation records.
-* :mod:`repro.adapt.calibrator` -- :class:`OnlineCalibrator` and the
+* :mod:`repro.adapt.calibrator` -- the (stage, subject)
+  :class:`StageObservation` records, :class:`OnlineCalibrator`, and the
   :class:`ObservedCosts` snapshot the cost model prices against.
 * :mod:`repro.adapt.drift` -- :class:`DriftDetector` with hysteresis.
 * :mod:`repro.adapt.replanner` -- :class:`Replanner`,
-  :class:`AdaptiveController`, and the swap targets.
+  :class:`AdaptiveController` (the stage-bus listener), and the swap
+  targets.
 * :mod:`repro.adapt.session` -- :class:`DriftEnvironment` /
   :class:`DriftableSession` drift injection plus baseline registration.
 * :mod:`repro.adapt.scenario` -- deterministic end-to-end drift scenarios
-  shared by the ``adapt`` CLI, ``bench_adapt``, and the integration tests.
+  shared by ``bench_adapt``, the example, and the integration tests.
 """
 
 from repro.adapt.calibrator import (
     ObservationKey,
     ObservedCosts,
     OnlineCalibrator,
+    StageObservation,
 )
 from repro.adapt.drift import DriftDetector, DriftSnapshot
 from repro.adapt.replanner import (
@@ -55,11 +57,6 @@ from repro.adapt.session import (
     plan_baselines,
     register_plan_baselines,
 )
-from repro.adapt.telemetry import (
-    StageObservation,
-    TelemetryCollector,
-    TelemetryCounters,
-)
 
 __all__ = [
     "AdaptiveController",
@@ -80,8 +77,6 @@ __all__ = [
     "ServerSwapTarget",
     "ServingDriftConfig",
     "StageObservation",
-    "TelemetryCollector",
-    "TelemetryCounters",
     "plan_baselines",
     "register_plan_baselines",
     "run_scan_drift_scenario",

@@ -35,15 +35,59 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-from repro.adapt.telemetry import StageObservation
 from repro.errors import AdaptError
 
+#: The coarse runtime stages measured costs are attributed to.  ``read`` is
+#: the chunk-read residual paid instead of decode when an executor streams
+#: a materialized rendition; it is reported under its own key so warm-read
+#: costs can never contaminate the cold-decode calibration of a format.
+STAGES = ("decode", "preprocess", "inference", "read")
+
+#: Stages whose subject is the input-format name (the remaining stage,
+#: ``inference``, is keyed by the model name).
+FORMAT_STAGES = ("decode", "preprocess", "read")
+
 #: The stages a *decoding* plan pays on the preprocessing side.  This is
-#: deliberately not :data:`repro.adapt.telemetry.FORMAT_STAGES`: that
-#: tuple also contains ``read`` (the warm chunk-read residual), which a
-#: decoding plan never pays -- folding it in would let warm-read
-#: calibration contaminate cold-decode pricing.
+#: deliberately not :data:`FORMAT_STAGES`: that tuple also contains
+#: ``read`` (the warm chunk-read residual), which a decoding plan never
+#: pays -- folding it in would let warm-read calibration contaminate
+#: cold-decode pricing.
 _DECODING_STAGES = ("decode", "preprocess")
+
+
+@dataclass(frozen=True)
+class StageObservation:
+    """One measured (stage, subject) cost sample.
+
+    Attributes
+    ----------
+    stage:
+        One of :data:`STAGES`.
+    subject:
+        Input-format name for :data:`FORMAT_STAGES`, model name for
+        inference.
+    images:
+        How many images/frames the ``seconds`` cover (per-image cost is
+        ``seconds / images``).
+    seconds:
+        Total resource seconds the stage consumed for those images.
+    source:
+        Which surface reported it (``"serving"`` / ``"serving/<class>"``
+        / ``"cluster"``) -- diagnostic only.
+    """
+
+    stage: str
+    subject: str
+    images: int
+    seconds: float
+    source: str = ""
+
+    @property
+    def valid(self) -> bool:
+        """Known stage, named subject, images > 0, finite seconds >= 0."""
+        return (self.stage in STAGES and bool(self.subject)
+                and self.images > 0 and math.isfinite(self.seconds)
+                and self.seconds >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -236,12 +280,10 @@ class OnlineCalibrator:
         return self._clamp(state, value)
 
     def observe(self, observation: StageObservation) -> bool:
-        """Fold one telemetry observation in; False when it was rejected."""
-        if observation.images <= 0:
+        """Fold one observation in; False when it was rejected."""
+        if not observation.valid:
             return False
         per_image = observation.seconds / observation.images
-        if not math.isfinite(per_image) or per_image < 0:
-            return False
         key = ObservationKey(observation.stage, observation.subject)
         with self._lock:
             state = self._states.get(key)
@@ -258,7 +300,7 @@ class OnlineCalibrator:
         return True
 
     def observe_all(self, observations) -> int:
-        """Fold a drained telemetry batch in; returns how many were used."""
+        """Fold a drained batch in; returns how many were used."""
         return sum(1 for obs in observations if self.observe(obs))
 
     # ------------------------------------------------------------------

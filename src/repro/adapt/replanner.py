@@ -7,9 +7,11 @@ the current plan and the best candidate under the **same** feedback-aware
 costing, and demanding a minimum relative improvement before swapping
 (small wins never justify swap churn).
 
-The :class:`AdaptiveController` closes the loop: it drains telemetry into
-the calibrator, runs the drift detector, replans when drift (or a store
-catalog change) fires, and applies accepted swaps to its *swap targets* --
+The :class:`AdaptiveController` closes the loop: it listens to the
+observability stage bus, drains the measured stage costs into the
+calibrator, runs the drift detector, replans when drift (or a store
+catalog change, or an SLO burn) fires, and applies accepted swaps to its
+*swap targets* --
 :class:`ServerSwapTarget` hot-swaps a :class:`~repro.serving.server
 .SmolServer` session, :class:`ScanPaceTarget` hot-swaps the shared
 :class:`~repro.query.scan.ScanPace` of in-flight shard scan streams.  By
@@ -20,15 +22,22 @@ value of any query result.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.adapt.calibrator import ObservedCosts, OnlineCalibrator
+from repro.adapt.calibrator import (
+    ObservedCosts,
+    OnlineCalibrator,
+    StageObservation,
+)
 from repro.adapt.drift import DriftDetector
-from repro.adapt.telemetry import TelemetryCollector
 from repro.core.plans import PlanConstraints, PlanEstimate
 from repro.errors import AdaptError
-from repro.obs import NULL_OBS
+
+#: Stage samples a controller buffers between steps.  When nobody steps,
+#: the oldest fall off instead of growing without bound (freshest wins).
+PENDING_BOUND = 8192
 
 
 @dataclass(frozen=True)
@@ -169,7 +178,12 @@ class ScanPaceTarget:
 
 @dataclass(frozen=True)
 class ControllerStats:
-    """Lifetime counters of one adaptive controller."""
+    """Lifetime counters of one adaptive controller.
+
+    ``observations`` counts stage samples the calibrator used,
+    ``rejected`` malformed ones (unknown stage, empty subject, no images,
+    non-finite or negative seconds) that never reached it.
+    """
 
     steps: int
     observations: int
@@ -180,45 +194,57 @@ class ControllerStats:
     last_reason: str
     target_failures: int = 0
     slo_events: int = 0
+    rejected: int = 0
 
 
 class AdaptiveController:
-    """The telemetry -> calibrate -> detect -> replan -> swap loop.
+    """The stage bus -> calibrate -> detect -> replan -> swap loop.
 
-    Drive :meth:`step` periodically (between serving waves, between scan
-    segments, or from a timer).  Each step drains the telemetry collector
-    into the calibrator, updates the drift detector with the fresh scales,
-    and -- when drift or a store catalog change fires -- replans and
-    applies an accepted swap to every registered target.
+    At construction the controller subscribes to ``obs``'s stage-event bus
+    (what :class:`~repro.serving.server.SmolServer` and
+    :class:`~repro.cluster.dispatcher.Dispatcher` publish measured stage
+    costs on): stage samples are buffered (at most :data:`PENDING_BOUND`)
+    and ``slo.burn`` events mark the controller SLO-dirty.  Drive
+    :meth:`step` periodically (between serving waves, between scan
+    segments, or from a timer).  Each step drains the buffer into the
+    calibrator, updates the drift detector with the fresh scales, and --
+    when drift, a store catalog change or an SLO burn fires -- replans and
+    applies an accepted swap to every registered target.  :meth:`close`
+    unsubscribes.
 
     The controller itself never touches result values: swap targets change
     where and at what cost execution happens, and the replanner's
     candidate scoring is advisory until a target applies it.
     """
 
-    def __init__(self, telemetry: TelemetryCollector,
-                 calibrator: OnlineCalibrator,
+    def __init__(self, calibrator: OnlineCalibrator,
                  replanner: Replanner,
                  current_plan: PlanEstimate,
+                 obs,
                  detector: DriftDetector | None = None,
-                 targets: Sequence | None = None, obs=NULL_OBS) -> None:
-        self._telemetry = telemetry
+                 targets: Sequence | None = None) -> None:
+        if obs is None or not obs.enabled:
+            raise AdaptError(
+                "the controller learns stage costs from the observability "
+                "stage bus: pass an enabled Observability as obs="
+            )
         self._calibrator = calibrator
         self._replanner = replanner
         self._detector = detector or DriftDetector()
         self._targets = list(targets or ())
-        self._obs = obs if obs is not None else NULL_OBS
-        self._steps_metric = self._obs.counter("adapt_steps_total")
-        self._replans_metric = self._obs.counter("adapt_replans_total")
-        self._swaps_metric = self._obs.counter("adapt_swaps_total")
+        self._obs = obs
+        self._steps_metric = obs.counter("adapt_steps_total")
+        self._replans_metric = obs.counter("adapt_replans_total")
+        self._swaps_metric = obs.counter("adapt_swaps_total")
         self._lock = threading.Lock()
         self._current = current_plan
+        self._pending: deque[StageObservation] = deque(maxlen=PENDING_BOUND)
         self._catalog_dirty = False
         self._slo_dirty = False
         self._watched: list = []
-        self._watched_buses: list = []
         self._steps = 0
         self._observations = 0
+        self._rejected = 0
         self._drifts = 0
         self._catalog_events = 0
         self._slo_events = 0
@@ -226,6 +252,7 @@ class AdaptiveController:
         self._swaps = 0
         self._target_failures = 0
         self._last_reason = "idle"
+        obs.add_stage_listener(self._on_stage)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -262,34 +289,36 @@ class AdaptiveController:
         store.subscribe(on_event)
         self._watched.append((store, on_event))
 
-    def watch_slo(self, obs) -> None:
-        """Subscribe to ``slo.burn`` bus events as a replan trigger.
+    def _on_stage(self, event) -> None:
+        """Stage-bus listener: buffer a stage sample, or note an SLO burn.
 
         An SLO burning its error budget is the user-facing symptom of the
         same condition the drift detector infers from cost scales --
         except it also fires when the cause is *not* a stage cost (queue
-        pressure, failover churn).  The subscription marks the controller
-        SLO-dirty so the next :meth:`step` replans even if the detector
-        is quiet, closing the loop from promise to plan.
+        pressure, failover churn) -- so it forces the next :meth:`step`
+        to replan even if the detector is quiet.
         """
-        def on_event(event) -> None:
-            if event.stage != "slo.burn":
-                return
+        if event.stage == "slo.burn":
             with self._lock:
                 self._slo_dirty = True
                 self._slo_events += 1
-
-        obs.add_stage_listener(on_event)
-        self._watched_buses.append((obs, on_event))
+            return
+        observation = StageObservation(
+            stage=event.stage, subject=event.subject, images=event.images,
+            seconds=event.seconds, source=event.source,
+        )
+        with self._lock:
+            if observation.valid:
+                self._pending.append(observation)
+            else:
+                self._rejected += 1
 
     def close(self) -> None:
-        """Unsubscribe from every watched store and stage bus."""
+        """Unsubscribe from the stage bus and every watched store."""
+        self._obs.remove_stage_listener(self._on_stage)
         for store, listener in self._watched:
             store.unsubscribe(listener)
         self._watched.clear()
-        for obs, listener in self._watched_buses:
-            obs.remove_stage_listener(listener)
-        self._watched_buses.clear()
 
     # ------------------------------------------------------------------
     # The loop
@@ -297,8 +326,6 @@ class AdaptiveController:
     def step(self) -> ReplanDecision:
         """Run one adaptation pass; returns what was decided."""
         self._steps_metric.inc()
-        if not self._obs.enabled:
-            return self._step_impl()
         # The step span parents to the ambient context (a traced workload's
         # root) and becomes ambient itself, so the swap span -- and any
         # store/planner spans a replan opens -- hang off this step.
@@ -310,7 +337,9 @@ class AdaptiveController:
             return decision
 
     def _step_impl(self) -> ReplanDecision:
-        drained = self._telemetry.drain()
+        with self._lock:
+            drained = list(self._pending)
+            self._pending.clear()
         used = self._calibrator.observe_all(drained)
         observed = self._calibrator.observed_costs()
         scales = observed.scales()
@@ -337,14 +366,12 @@ class AdaptiveController:
             self._last_reason = decision.reason
         if decision.swapped:
             self._swaps_metric.inc()
-            swap_span = None
-            if self._obs.enabled:
-                swap_span = self._obs.span(
-                    "adapt.swap",
-                    plan=decision.candidate.plan.describe(),
-                    plan_changed=decision.plan_changed,
-                    targets=len(self._targets),
-                )
+            swap_span = self._obs.span(
+                "adapt.swap",
+                plan=decision.candidate.plan.describe(),
+                plan_changed=decision.plan_changed,
+                targets=len(self._targets),
+            )
             # Adaptation is advisory end to end: one failing target (a
             # closed server, a factory bug) must neither kill the loop
             # driving step() nor block the other targets -- and the
@@ -360,8 +387,7 @@ class AdaptiveController:
             with self._lock:
                 self._current = decision.candidate
                 self._swaps += 1
-            if swap_span is not None:
-                swap_span.finish()
+            swap_span.finish()
         # Either way this world state has been considered: measure future
         # drift relative to it instead of re-firing every step.
         self._detector.acknowledge(scales)
@@ -380,4 +406,5 @@ class AdaptiveController:
                 last_reason=self._last_reason,
                 target_failures=self._target_failures,
                 slo_events=self._slo_events,
+                rejected=self._rejected,
             )

@@ -45,7 +45,6 @@ from repro.adapt.session import (
     DriftEnvironment,
     register_plan_baselines,
 )
-from repro.adapt.telemetry import TelemetryCollector
 from repro.analytics.sampling import adaptive_mean_estimate
 from repro.core.accuracy import AccuracyEstimator
 from repro.core.costmodel import SmolCostModel
@@ -54,6 +53,7 @@ from repro.core.plans import PlanEstimate
 from repro.errors import AdaptError
 from repro.hardware.instance import get_instance
 from repro.inference.perfmodel import EngineConfig, PerformanceModel
+from repro.obs import Observability
 from repro.serving.scheduler import BatchPolicy
 from repro.serving.request import InferenceRequest
 from repro.serving.server import SmolServer
@@ -305,18 +305,18 @@ def run_serving_drift_scenario(adaptive: bool,
             session.warmup()
             return session
 
-        telemetry = TelemetryCollector()
+        obs = Observability()
         controller = None
         if adaptive:
             calibrator = OnlineCalibrator()
             register_plan_baselines(calibrator, perf, candidates,
                                     engine_config)
             controller = AdaptiveController(
-                telemetry=telemetry,
                 calibrator=calibrator,
                 replanner=Replanner(planner_factory,
                                     min_improvement=config.min_improvement),
                 current_plan=initial,
+                obs=obs,
                 detector=DriftDetector(threshold=config.threshold,
                                        hysteresis=config.hysteresis),
             )
@@ -326,7 +326,7 @@ def run_serving_drift_scenario(adaptive: bool,
         policy = BatchPolicy(name="adapt", max_batch_size=config.max_batch,
                              max_wait_ms=0.5)
         with SmolServer(session_factory(initial), policy=policy,
-                        cache_capacity=0, telemetry=telemetry) as server:
+                        cache_capacity=0, obs=obs) as server:
             if controller is not None:
                 controller.add_target(
                     ServerSwapTarget(server, session_factory)
@@ -343,7 +343,10 @@ def run_serving_drift_scenario(adaptive: bool,
                             np.zeros((4, 8, 8, 3), dtype=np.uint8),
                             fingerprint=fingerprint,
                         )
-                before = telemetry.counters()
+                # Swaps land only in controller.step(), between waves: the
+                # whole wave runs on this session, which prices its batches.
+                session = server.sessions.current()
+                before = server.stats().executed
                 futures = [
                     server.submit(InferenceRequest(
                         image_id=f"wave{wave}-img{index}"
@@ -352,15 +355,14 @@ def run_serving_drift_scenario(adaptive: bool,
                 ]
                 for future in futures:
                     future.result(timeout=30.0)
-                after = telemetry.counters()
+                images = server.stats().executed - before
                 decision = ""
                 if controller is not None:
                     decision = controller.step().reason
                 phases.append(PhaseReport(
                     index=wave,
-                    images=after.images - before.images,
-                    modelled_seconds=(after.modelled_seconds
-                                      - before.modelled_seconds),
+                    images=images,
+                    modelled_seconds=session.batch_costs(images)[0],
                     plan_key=(controller.current_plan.plan.describe()
                               if controller is not None
                               else initial.plan.describe()),
@@ -495,18 +497,18 @@ def run_scan_drift_scenario(adaptive: bool,
             pace=pace,
         )
 
-        telemetry = TelemetryCollector()
+        obs = Observability()
         controller = None
         if adaptive:
             calibrator = OnlineCalibrator()
             register_plan_baselines(calibrator, perf, candidates,
                                     engine_config)
             controller = AdaptiveController(
-                telemetry=telemetry,
                 calibrator=calibrator,
                 replanner=Replanner(planner_factory, formats=formats,
                                     min_improvement=config.min_improvement),
                 current_plan=initial,
+                obs=obs,
                 detector=DriftDetector(threshold=config.threshold,
                                        hysteresis=config.hysteresis),
                 targets=[ScanPaceTarget(pace, pace_costs)],
@@ -537,8 +539,7 @@ def run_scan_drift_scenario(adaptive: bool,
                         fingerprint=fingerprint,
                     )
             dispatcher = Dispatcher(runner.worker_factory(),
-                                    num_workers=config.workers)
-            dispatcher.attach_telemetry(telemetry)
+                                    num_workers=config.workers, obs=obs)
             try:
                 report = runner.run(dispatcher, frame_range=(lo, hi))
             finally:

@@ -69,9 +69,12 @@ from repro.chaos.invariants import (
     check_span_tree,
 )
 from repro.chaos.scenario import Scenario
-from repro.adapt.calibrator import ObservationKey, OnlineCalibrator
+from repro.adapt.calibrator import (
+    ObservationKey,
+    OnlineCalibrator,
+    StageObservation,
+)
 from repro.adapt.drift import DriftDetector
-from repro.adapt.telemetry import StageObservation
 from repro.cluster.dispatcher import Dispatcher
 from repro.cluster.worker import ProcessWorker, SessionSpec, ThreadWorker
 from repro.errors import (

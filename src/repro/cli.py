@@ -310,7 +310,6 @@ def _cmd_obs_demo(args: argparse.Namespace) -> int:
         DriftDetector,
         OnlineCalibrator,
         Replanner,
-        TelemetryCollector,
     )
     from repro.core.accuracy import AccuracyEstimator
     from repro.core.costmodel import SmolCostModel
@@ -336,8 +335,6 @@ def _cmd_obs_demo(args: argparse.Namespace) -> int:
     store = RenditionStore(store_root, obs=obs)
     engine = QueryEngine(instance=args.instance, frame_limit=args.frames,
                          batch_size=args.max_batch, store=store, obs=obs)
-    telemetry = TelemetryCollector()
-    telemetry.subscribe_to(obs)
     dataset = load_video_dataset(args.dataset)
     formats = dataset.available_formats
 
@@ -356,7 +353,6 @@ def _cmd_obs_demo(args: argparse.Namespace) -> int:
     candidates = planner.score(planner.generate(formats))
     initial = max(candidates, key=lambda e: (e.throughput, e.accuracy))
     controller = AdaptiveController(
-        telemetry=telemetry,
         calibrator=OnlineCalibrator(),
         replanner=Replanner(planner_factory, formats=formats),
         current_plan=initial,

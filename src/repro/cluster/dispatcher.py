@@ -177,7 +177,6 @@ class Dispatcher:
         self._worker_deaths = 0
         self._closed = False
         self._autoscaler = None
-        self._telemetry = None
         self._obs = obs if obs is not None else NULL_OBS
         self._completed_metric = self._obs.counter("cluster_completed_total")
         self._failed_metric = self._obs.counter("cluster_failed_total")
@@ -219,22 +218,16 @@ class Dispatcher:
         """Let the monitor thread drive ``autoscaler.evaluate()``."""
         self._autoscaler = autoscaler
 
-    def attach_telemetry(self, sink) -> None:
-        """Forward worker cost reports to ``sink`` on every heartbeat pass.
-
-        ``sink`` is duck-typed with ``record_worker_report(report,
-        source="cluster")`` (see
-        :class:`~repro.adapt.telemetry.TelemetryCollector`).  Each
-        :meth:`check_workers` pass -- the same cadence that watches
-        heartbeats -- drains every live replica's accumulated per-stage
-        costs (:meth:`~repro.cluster.worker.Worker.take_cost_report`) into
-        the sink, so observed cluster costs reach the adaptive replanning
-        loop without a second reporting channel.
-        """
-        self._telemetry = sink
-
     def _flush_cost_reports(self) -> None:
-        if self._telemetry is None and not self._obs.enabled:
+        """Publish every replica's per-stage costs on the stage bus.
+
+        Runs on each :meth:`check_workers` pass -- the cadence that watches
+        heartbeats -- and once more at :meth:`close`: each live replica's
+        accumulated costs (:meth:`~repro.cluster.worker.Worker
+        .take_cost_report`) become ``cluster`` stage events, which is how
+        observed cluster costs reach the adaptive loop.
+        """
+        if not self._obs.enabled:
             return
         with self._lock:
             workers = list(self._workers.values())
@@ -245,21 +238,11 @@ class Dispatcher:
                 continue
             if report is None:
                 continue
-            if self._obs.enabled:
-                for stage, seconds in report.stage_seconds.items():
-                    subject = (report.model_name if stage == "inference"
-                               else report.format_name)
-                    self._obs.emit_stage(stage, subject,
-                                         report.images_for(stage), seconds,
-                                         source="cluster")
-            if self._telemetry is None:
-                continue
-            try:
-                self._telemetry.record_worker_report(report, source="cluster")
-            except Exception:
-                # Telemetry is advisory: a sink bug must not take the
-                # health monitor down with it.
-                continue
+            for stage, seconds in report.stage_seconds.items():
+                subject = (report.model_name if stage == "inference"
+                           else report.format_name)
+                self._obs.emit_stage(stage, subject, report.images_for(stage),
+                                     seconds, source="cluster")
 
     def add_worker(self) -> str:
         """Grow the pool by one replica; returns its worker id."""
@@ -701,7 +684,7 @@ class Dispatcher:
             pass  # the stuck futures are failed below
         finally:
             # One last flush so costs observed since the final heartbeat
-            # pass still reach the telemetry sink.
+            # pass still reach the stage bus.
             self._flush_cost_reports()
             self._monitor_stop.set()
             if self._monitor is not None:

@@ -136,11 +136,11 @@ class WorkerStats:
 class WorkerCostReport:
     """Observed per-stage costs of one replica since its last report.
 
-    Produced by :meth:`Worker.take_cost_report` and forwarded to a
-    telemetry sink by the dispatcher's heartbeat monitor
-    (:meth:`repro.cluster.dispatcher.Dispatcher.attach_telemetry`), so the
-    adaptive replanning loop sees what every replica actually paid per
-    stage -- not what the calibrated model predicted.
+    Produced by :meth:`Worker.take_cost_report` and published as
+    ``cluster`` stage events on the observability stage bus by the
+    dispatcher's heartbeat pass (``Dispatcher(obs=...)``), so the adaptive
+    replanning loop sees what every replica actually paid per stage -- not
+    what the calibrated model predicted.
 
     Attributes
     ----------

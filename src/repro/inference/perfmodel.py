@@ -140,8 +140,8 @@ class StageEstimate:
     def observed_stage_seconds(self) -> dict[str, float]:
         """Aggregate per-image seconds by coarse runtime stage.
 
-        This is the shape runtime telemetry reports in (see
-        :mod:`repro.adapt.telemetry`): ``decode`` and ``preprocess``
+        This is the shape measured stage costs travel in (see
+        :mod:`repro.adapt.calibrator`): ``decode`` and ``preprocess``
         partition the aggregate CPU-side per-image time (``1 /
         preprocessing_throughput``) by the calibrated stage shares, and
         ``inference`` is the accelerator-side per-image time.  Sessions

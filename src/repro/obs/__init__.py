@@ -11,9 +11,9 @@ stack (``SmolServer(obs=...)``, ``QueryEngine(obs=...)``,
 * a :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
   fixed-bucket histograms);
 * a **stage-event bus**: instrumented components call :meth:`emit_stage`
-  with per-batch stage costs, and consumers such as
-  ``adapt.TelemetryCollector.subscribe_to`` receive every event -- the
-  adaptive loop and the metrics registry observe the same stream.
+  with per-batch stage costs; the metrics registry counts every event and
+  listeners such as ``adapt.AdaptiveController`` receive it -- the one way
+  measured stage costs reach the adaptive loop.
 * optionally, a :class:`~repro.obs.recorder.FlightRecorder`
   (``Observability(recorder=...)``): finished spans and stage events are
   mirrored into bounded rings, and :meth:`trip` / :meth:`dump_postmortem`
@@ -160,11 +160,16 @@ class Observability:
     # -- stage-event bus ------------------------------------------------
     def emit_stage(self, stage: str, subject: str, images: int,
                    seconds: float, source: str = "") -> None:
-        """Publish one batch's stage cost to the registry and listeners."""
-        self.metrics.counter("stage_seconds_total", stage=stage,
-                             source=source).inc(seconds)
-        self.metrics.counter("stage_images_total", stage=stage,
-                             source=source).inc(images)
+        """Publish one batch's stage cost to the registry and listeners.
+
+        A listener that raises is noted as ``obs.listener_failed`` and the
+        event still reaches the remaining listeners: the emitter (a serving
+        lane, the dispatcher's health monitor) never sees the exception.
+        """
+        self.counter("stage_seconds_total", stage=stage,
+                     source=source).inc(seconds)
+        self.counter("stage_images_total", stage=stage,
+                     source=source).inc(images)
         with self._listener_lock:
             listeners = list(self._listeners)
         if not listeners and self.recorder is None:
@@ -174,7 +179,11 @@ class Observability:
         if self.recorder is not None:
             self.recorder.record_event(event)
         for listener in listeners:
-            listener(event)
+            try:
+                listener(event)
+            except Exception as exc:
+                self.note("obs.listener_failed", stage=stage,
+                          error=type(exc).__name__)
 
     def add_stage_listener(
             self, listener: Callable[[StageEvent], None]) -> None:
@@ -254,17 +263,6 @@ class RecorderObservability(Observability):
     def histogram(self, name: str, **labels: str):
         """Return the shared no-op instrument."""
         return _NULL_INSTRUMENT
-
-    def emit_stage(self, stage: str, subject: str, images: int,
-                   seconds: float, source: str = "") -> None:
-        """Ring the event and notify listeners; no metrics bookkeeping."""
-        with self._listener_lock:
-            listeners = list(self._listeners)
-        event = StageEvent(stage=stage, subject=subject, images=images,
-                           seconds=seconds, source=source)
-        self.recorder.record_event(event)
-        for listener in listeners:
-            listener(event)
 
 
 class _NullInstrument:

@@ -131,10 +131,9 @@ class StageEvent:
     """One batch's worth of work attributed to a pipeline stage.
 
     The stage-event bus on :class:`repro.obs.Observability` carries these;
-    ``adapt.TelemetryCollector.subscribe_to`` converts them into
-    :class:`~repro.adapt.telemetry.StageObservation` records, making the
-    adaptive loop one consumer of the same instrumentation events the
-    metrics registry aggregates.
+    ``adapt.AdaptiveController`` turns them into
+    :class:`~repro.adapt.calibrator.StageObservation` records, so the
+    adaptive loop consumes the same events the metrics registry counts.
     """
 
     stage: str

@@ -17,11 +17,10 @@ which suppresses both blips and stale alerts.
 
 Alerts are edge-triggered (one per entry into the burning state) with a
 ``cooldown_s`` re-arm, and are published as ``slo.burn`` stage events on
-the same bus the adaptive loop already consumes:
-``AdaptiveController.watch_slo`` turns them into first-class replan
+the same bus the adaptive loop already consumes: an
+``AdaptiveController`` on the bus turns them into first-class replan
 triggers, and the :class:`~repro.obs.recorder.FlightRecorder` rings them
-for postmortems.  ``adapt.TelemetryCollector`` ignores unknown stages,
-so the extra bus traffic is safe for existing listeners.
+for postmortems.
 
 The engine is clock-injected (``observe(..., now=...)``), so offline
 replay of a span log (:func:`replay_spans`, the ``obs slo`` CLI) and

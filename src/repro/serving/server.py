@@ -197,18 +197,15 @@ class SmolServer:
         from the store (repeat queries hit persisted score tables instead
         of rescanning) and are planned cache-aware against the store's
         materialized renditions.
-    telemetry:
-        Optional :class:`~repro.adapt.telemetry.TelemetryCollector`.  Every
-        executed micro-batch (session mode) is then reported with its
-        per-stage costs, feeding the adaptive replanning loop
-        (:mod:`repro.adapt`).  In cluster mode the dispatcher reports
-        worker costs itself (``Dispatcher.attach_telemetry``).
     obs:
         Optional :class:`~repro.obs.Observability`.  Each submitted request
         then opens a ``serving.request`` span (parented to the caller's
         ambient trace context, if any), executed micro-batches emit
         ``serving.batch`` spans with modelled per-stage child spans, and
-        stage costs are published on the stage-event bus.  The default
+        session-mode stage costs are published on the stage-event bus
+        (source ``serving``, or ``serving/<class>`` with ``tenants=``) --
+        where the adaptive loop (:mod:`repro.adapt`) reads them; in cluster
+        mode the dispatcher publishes worker costs itself.  The default
         :data:`~repro.obs.NULL_OBS` keeps the hot loop allocation-free.
     slo:
         Optional :class:`~repro.obs.slo.SloEngine`.  Every resolved
@@ -246,9 +243,9 @@ class SmolServer:
                  queue_capacity: int = 256,
                  cache_capacity: int = 2048,
                  block_on_full: bool = True,
-                 cluster=None, store=None, telemetry=None,
-                 obs=NULL_OBS, slo=None, faults=NULL_FAULTS,
-                 tenants=None, ladder=None, tenant_slo=None) -> None:
+                 cluster=None, store=None, obs=NULL_OBS, slo=None,
+                 faults=NULL_FAULTS, tenants=None, ladder=None,
+                 tenant_slo=None) -> None:
         if (session is None) == (cluster is None):
             raise ServingError(
                 "provide exactly one of session= or cluster="
@@ -310,7 +307,6 @@ class SmolServer:
         self._cancelled = 0
         self._queries = 0
         self._store = store
-        self._telemetry = telemetry
         self._slo = slo
         if slo is not None:
             slo.attach(self._obs)
@@ -331,11 +327,6 @@ class SmolServer:
     def policy(self) -> BatchPolicy:
         """The active micro-batching policy."""
         return self._policy
-
-    @property
-    def telemetry(self):
-        """The attached runtime telemetry collector, or None."""
-        return self._telemetry
 
     @property
     def sessions(self) -> SessionManager:
@@ -652,28 +643,22 @@ class SmolServer:
         except Exception as exc:
             self._fail_batch(batch, exc)
             return
-        if self._telemetry is not None:
-            # Record before resolving so a client that awaited this batch
-            # observes its telemetry too.  Telemetry is advisory: a
-            # collector bug must not take the serving loop (and every
-            # pending future) down with it.  Tenant batches report under a
-            # per-class source so the adaptive layer sees each class's
-            # cost stream separately.
-            source = (f"serving/{batch_class}" if self._tenants is not None
-                      else "serving")
-            try:
-                self._telemetry.record_session_batch(session, result,
-                                                     source=source)
-            except Exception:
-                pass
         if self._obs.enabled:
-            self._trace_session_batch(batch, session, result)
+            # Emitted before resolving, so a client that awaited this batch
+            # observes its stage events too.
+            self._trace_session_batch(batch, batch_class, session, result)
         self._resolve_batch(batch, result.predictions,
                             result.modelled_seconds, session.plan_key)
 
-    def _trace_session_batch(self, batch: list[_Pending], session,
-                             result) -> None:
-        """Emit the batch span, modelled stage spans, and stage events."""
+    def _trace_session_batch(self, batch: list[_Pending], batch_class: str,
+                             session, result) -> None:
+        """Emit the batch span, modelled stage spans, and stage events.
+
+        Tenant batches publish under ``serving/<class>``: the per-class
+        split shows in ``stage_seconds_total{source=...}``.
+        """
+        source = (f"serving/{batch_class}" if self._tenants is not None
+                  else "serving")
         parent = next(
             (item.request.trace for item in batch
              if item.request.trace is not None), None,
@@ -692,7 +677,7 @@ class SmolServer:
             subject = (session.model_name if stage == "inference"
                        else session.format_name)
             self._obs.emit_stage(stage, subject, len(batch), seconds,
-                                 source="serving")
+                                 source=source)
 
     def _dispatch_to_cluster(self, batch: list[_Pending]) -> None:
         # Hand the batch to the dispatcher and return to batching; the

@@ -53,9 +53,10 @@ class BatchResult:
     stage_seconds:
         Optional per-stage resource seconds the batch consumed (keys such
         as ``decode`` / ``preprocess`` / ``inference``).  Sessions that
-        know their stage breakdown fill this so runtime telemetry
-        (:mod:`repro.adapt.telemetry`) can calibrate observed stage costs;
-        None when the session cannot attribute cost to stages.
+        know their stage breakdown fill this; the server publishes it on
+        the stage bus, where the adaptive loop (:mod:`repro.adapt`)
+        calibrates observed stage costs.  None when the session cannot
+        attribute cost to stages.
     """
 
     predictions: np.ndarray

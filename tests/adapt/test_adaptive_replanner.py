@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.adapt.calibrator import ObservationKey, OnlineCalibrator
+from repro.adapt.calibrator import (
+    ObservationKey,
+    OnlineCalibrator,
+    StageObservation,
+)
 from repro.adapt.drift import DriftDetector
 from repro.adapt.replanner import (
     AdaptiveController,
@@ -11,13 +15,13 @@ from repro.adapt.replanner import (
     ServerSwapTarget,
 )
 from repro.adapt.session import register_plan_baselines
-from repro.adapt.telemetry import StageObservation, TelemetryCollector
 from repro.core.costmodel import SmolCostModel
 from repro.core.planner import default_planner
 from repro.core.plans import PlanConstraints
 from repro.errors import AdaptError
 from repro.hardware.instance import get_instance
 from repro.inference.perfmodel import EngineConfig, PerformanceModel
+from repro.obs import Observability
 from repro.query.scan import ScanPace
 from repro.serving.scheduler import BatchPolicy
 from repro.serving.request import InferenceRequest
@@ -189,35 +193,31 @@ def build_controller(perf, engine_config, hysteresis=1,
     factory = make_factory(perf, engine_config)
     planner = factory()
     current = champion(planner)
-    telemetry = TelemetryCollector()
+    obs = Observability()
     calibrator = OnlineCalibrator()
     register_plan_baselines(calibrator, perf, planner.generate(),
                             engine_config)
     target = RecordingTarget()
     controller = AdaptiveController(
-        telemetry=telemetry,
         calibrator=calibrator,
         replanner=Replanner(factory, min_improvement=min_improvement),
         current_plan=current,
+        obs=obs,
         detector=DriftDetector(threshold=1.5, hysteresis=hysteresis),
         targets=[target],
     )
-    return controller, telemetry, calibrator, current, target
+    return controller, obs, calibrator, current, target
 
 
-def feed_drift(telemetry, calibrator, fmt, factor, repeats=40):
-    key = ObservationKey("decode", fmt)
-    baseline = calibrator.baseline(key)
+def feed_drift(obs, calibrator, fmt, factor, repeats=40):
+    baseline = calibrator.baseline(ObservationKey("decode", fmt))
     for _ in range(repeats):
-        telemetry.record(StageObservation(
-            stage="decode", subject=fmt, images=1,
-            seconds=baseline * factor,
-        ))
+        obs.emit_stage("decode", fmt, 1, baseline * factor)
 
 
 class TestAdaptiveController:
     def test_quiet_world_never_replans(self, perf, engine_config):
-        controller, telemetry, calibrator, current, target = \
+        controller, obs, calibrator, current, target = \
             build_controller(perf, engine_config)
         for _ in range(5):
             decision = controller.step()
@@ -228,9 +228,9 @@ class TestAdaptiveController:
 
     def test_drift_triggers_one_swap_and_applies_targets(self, perf,
                                                          engine_config):
-        controller, telemetry, calibrator, current, target = \
+        controller, obs, calibrator, current, target = \
             build_controller(perf, engine_config)
-        feed_drift(telemetry, calibrator,
+        feed_drift(obs, calibrator,
                    current.plan.input_format.name, 4.0)
         decision = controller.step()
         assert decision.swapped
@@ -239,20 +239,20 @@ class TestAdaptiveController:
         stats = controller.stats()
         assert stats.swaps == 1 and stats.drifts == 1
         # The same drifted world again: acknowledged, so no further swap.
-        feed_drift(telemetry, calibrator,
+        feed_drift(obs, calibrator,
                    current.plan.input_format.name, 4.0)
         assert not controller.step().swapped
         assert controller.stats().swaps == 1
 
     def test_hysteresis_delays_the_replan(self, perf, engine_config):
-        controller, telemetry, calibrator, current, target = \
+        controller, obs, calibrator, current, target = \
             build_controller(perf, engine_config, hysteresis=3)
         fmt = current.plan.input_format.name
-        feed_drift(telemetry, calibrator, fmt, 4.0)
+        feed_drift(obs, calibrator, fmt, 4.0)
         assert controller.step().reason == "no-drift"
-        feed_drift(telemetry, calibrator, fmt, 4.0)
+        feed_drift(obs, calibrator, fmt, 4.0)
         assert controller.step().reason == "no-drift"
-        feed_drift(telemetry, calibrator, fmt, 4.0)
+        feed_drift(obs, calibrator, fmt, 4.0)
         assert controller.step().swapped
 
     def test_exploding_target_neither_kills_step_nor_blocks_others(
@@ -261,12 +261,12 @@ class TestAdaptiveController:
             def apply(self, estimate):
                 raise RuntimeError("target bug")
 
-        controller, telemetry, calibrator, current, target = \
+        controller, obs, calibrator, current, target = \
             build_controller(perf, engine_config)
         controller.add_target(ExplodingTarget())
         healthy = RecordingTarget()
         controller.add_target(healthy)
-        feed_drift(telemetry, calibrator,
+        feed_drift(obs, calibrator,
                    current.plan.input_format.name, 4.0)
         decision = controller.step()  # must not raise
         assert decision.swapped
@@ -284,7 +284,7 @@ class TestAdaptiveController:
 
         from repro.store.store import RenditionKey, RenditionStore
 
-        controller, telemetry, calibrator, current, target = \
+        controller, obs, calibrator, current, target = \
             build_controller(perf, engine_config)
         store = RenditionStore(tmp_path / "store")
         controller.watch_store(store)
@@ -315,12 +315,8 @@ class TestAdaptiveController:
         return engine
 
     def test_slo_burn_event_forces_a_replan(self, perf, engine_config):
-        from repro.obs import Observability
-
-        controller, telemetry, calibrator, current, target = \
+        controller, obs, calibrator, current, target = \
             build_controller(perf, engine_config)
-        obs = Observability()
-        controller.watch_slo(obs)
         engine = self._burning_engine(obs)
         engine.evaluate()
         decision = controller.step()
@@ -332,23 +328,15 @@ class TestAdaptiveController:
         assert controller.step().reason == "no-drift"
 
     def test_non_slo_stage_traffic_is_ignored(self, perf, engine_config):
-        from repro.obs import Observability
-
-        controller, telemetry, calibrator, current, target = \
+        controller, obs, calibrator, current, target = \
             build_controller(perf, engine_config)
-        obs = Observability()
-        controller.watch_slo(obs)
         obs.emit_stage("stage.decode", "jpeg", 32, 0.001)
         assert controller.step().reason == "no-drift"
         assert controller.stats().slo_events == 0
 
     def test_close_unsubscribes_from_the_bus(self, perf, engine_config):
-        from repro.obs import Observability
-
-        controller, telemetry, calibrator, current, target = \
+        controller, obs, calibrator, current, target = \
             build_controller(perf, engine_config)
-        obs = Observability()
-        controller.watch_slo(obs)
         controller.close()
         engine = self._burning_engine(obs)
         engine.evaluate()

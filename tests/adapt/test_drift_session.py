@@ -144,19 +144,21 @@ class TestWarmReadCalibrationIsolation:
         """Chunk-read residuals report as "read", not "decode": after a
         swap onto warm reads, the format's cold-decode calibration (and
         thus any later cold pricing) must stay untouched."""
-        from repro.adapt.telemetry import TelemetryCollector
+        from repro.adapt.calibrator import StageObservation
 
         environment = DriftEnvironment()
         environment.materialize(FMT)
         session = DriftableSession(plan, perf, environment,
                                    config=engine_config, warm_read=True)
         session.warmup()
-        telemetry = TelemetryCollector()
         calibrator = OnlineCalibrator()
         register_plan_baselines(calibrator, perf, [plan], engine_config)
         result = session.execute([InferenceRequest(image_id="x")])
-        telemetry.record_session_batch(session, result)
-        calibrator.observe_all(telemetry.drain())
+        assert "read" in result.stage_seconds
+        calibrator.observe_all(
+            StageObservation(stage, FMT, 1, seconds)
+            for stage, seconds in result.stage_seconds.items()
+            if stage != "inference")
         observed = calibrator.observed_costs()
         assert observed.scale(ObservationKey("decode", FMT)) == 1.0
         assert observed.preprocessing_scale(FMT) == 1.0

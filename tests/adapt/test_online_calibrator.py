@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.adapt.calibrator import ObservationKey, OnlineCalibrator
-from repro.adapt.telemetry import StageObservation
+from repro.adapt.calibrator import (
+    ObservationKey,
+    OnlineCalibrator,
+    StageObservation,
+)
 from repro.errors import AdaptError
 
 DECODE = ObservationKey("decode", "161-jpeg-q75")

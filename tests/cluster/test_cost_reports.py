@@ -1,7 +1,5 @@
 """Tests for worker cost reports flowing through the dispatcher heartbeat."""
 
-import threading
-
 from cluster_testlib import wait_until
 from repro.cluster.dispatcher import Dispatcher
 from repro.cluster.worker import ThreadWorker, WorkerCostReport, WorkItem
@@ -11,6 +9,7 @@ from repro.hardware.instance import get_instance
 from repro.inference.mpmc import MpmcQueue
 from repro.inference.perfmodel import EngineConfig, PerformanceModel
 from repro.nn.zoo import resnet_profile
+from repro.obs import FlightRecorder, Observability
 from repro.serving.request import InferenceRequest
 from repro.serving.session import BatchResult, EngineSession, SimulatedSession
 
@@ -120,21 +119,21 @@ class TestMixedStageWindows:
         finally:
             worker.close()
 
-    def test_telemetry_uses_per_stage_image_counts(self):
-        from repro.adapt.telemetry import TelemetryCollector
-        from repro.cluster.worker import WorkerCostReport
-
-        report = WorkerCostReport(
-            worker_id="w0", plan_key="p", format_name="480p-h264",
-            model_name="specialized-nn", images=16,
-            stage_seconds={"decode": 4 * 4e-4, "read": 12 * 1e-4},
-            stage_images={"decode": 4, "read": 12},
-        )
-        collector = TelemetryCollector()
-        collector.record_worker_report(report)
-        by_stage = {obs.stage: obs for obs in collector.drain()}
-        assert by_stage["decode"].images == 4
-        assert by_stage["read"].images == 12
+    def test_bus_events_use_per_stage_image_counts(self):
+        obs = Observability()
+        events = []
+        obs.add_stage_listener(events.append)
+        session = SwappingSession()
+        with Dispatcher(
+            lambda wid, results: ThreadWorker(wid, session, results),
+            num_workers=1, monitor_interval_s=0, obs=obs,
+        ) as dispatcher:
+            dispatcher.submit(item(0, count=4).requests).result(timeout=10.0)
+            session.warm = True
+            dispatcher.submit(item(1, count=12).requests).result(timeout=10.0)
+            dispatcher.check_workers()
+        assert {(e.stage, e.images) for e in events} == {("decode", 4),
+                                                          ("read", 12)}
 
 
 class TestProcessWorkerCostReports:
@@ -158,30 +157,24 @@ class TestProcessWorkerCostReports:
             worker.close()
 
 
-class RecordingSink:
-    """Telemetry sink stub capturing dispatcher-forwarded reports."""
-
-    def __init__(self):
-        self.reports = []
-        self.lock = threading.Lock()
-
-    def record_worker_report(self, report, source=""):
-        with self.lock:
-            self.reports.append((report, source))
-
-    def total_images(self) -> int:
-        with self.lock:
-            return sum(report.images for report, _ in self.reports)
+def bus_dispatcher(obs, num_workers=1):
+    return Dispatcher(
+        lambda wid, results: ThreadWorker(wid, make_session(), results),
+        num_workers=num_workers, monitor_interval_s=0, obs=obs,
+    )
 
 
-class TestDispatcherTelemetry:
-    def test_heartbeat_pass_flushes_worker_costs_to_the_sink(self):
-        sink = RecordingSink()
-        with Dispatcher(
-            lambda wid, results: ThreadWorker(wid, make_session(), results),
-            num_workers=2, monitor_interval_s=0,
-        ) as dispatcher:
-            dispatcher.attach_telemetry(sink)
+def inference_images(events) -> int:
+    return sum(event.images for event in events
+               if event.stage == "inference")
+
+
+class TestDispatcherStageBus:
+    def test_heartbeat_pass_publishes_worker_costs(self):
+        obs = Observability()
+        events = []
+        obs.add_stage_listener(events.append)
+        with bus_dispatcher(obs, num_workers=2) as dispatcher:
             futures = [
                 dispatcher.submit(
                     tuple(InferenceRequest(image_id=f"b{i}-{j}")
@@ -192,36 +185,40 @@ class TestDispatcherTelemetry:
             for future in futures:
                 future.result(timeout=10.0)
             dispatcher.check_workers()  # one heartbeat pass
-            assert sink.total_images() == 32
-            assert all(source == "cluster" for _, source in sink.reports)
+            assert inference_images(events) == 32
+            assert {event.source for event in events} == {"cluster"}
+            assert {(event.stage, event.subject) for event in events} == {
+                ("decode", "161-jpeg-q75"), ("preprocess", "161-jpeg-q75"),
+                ("inference", "resnet-18")}
 
     def test_close_flushes_the_final_delta(self):
-        sink = RecordingSink()
-        dispatcher = Dispatcher(
-            lambda wid, results: ThreadWorker(wid, make_session(), results),
-            num_workers=1, monitor_interval_s=0,
-        )
-        dispatcher.attach_telemetry(sink)
+        obs = Observability()
+        events = []
+        obs.add_stage_listener(events.append)
+        dispatcher = bus_dispatcher(obs)
         dispatcher.submit(
             tuple(InferenceRequest(image_id=f"x-{j}") for j in range(5))
         ).result(timeout=10.0)
         dispatcher.close()
-        assert sink.total_images() == 5
+        assert inference_images(events) == 5
 
-    def test_sink_errors_never_break_health_checks(self):
-        class ExplodingSink:
-            def record_worker_report(self, report, source=""):
-                raise RuntimeError("sink bug")
+    def test_a_raising_listener_never_breaks_health_checks(self):
+        def explode(event):
+            raise RuntimeError("listener bug")
 
-        with Dispatcher(
-            lambda wid, results: ThreadWorker(wid, make_session(), results),
-            num_workers=1, monitor_interval_s=0,
-        ) as dispatcher:
-            dispatcher.attach_telemetry(ExplodingSink())
-            dispatcher.submit(
-                (InferenceRequest(image_id="x"),)
-            ).result(timeout=10.0)
+        obs = Observability(recorder=FlightRecorder())
+        events = []
+        obs.add_stage_listener(explode)
+        obs.add_stage_listener(events.append)
+        with bus_dispatcher(obs, num_workers=2) as dispatcher:
+            for i in range(2):
+                dispatcher.submit(
+                    tuple(InferenceRequest(image_id=f"z{i}-{j}")
+                          for j in range(3))
+                ).result(timeout=10.0)
             assert dispatcher.check_workers() == []  # no deaths, no raise
+            # Every replica's report was published, not just the first.
+            assert inference_images(events) == 6
 
     def test_outcomes_carry_stage_seconds(self):
         with Dispatcher(

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.adapt import TelemetryCollector
-from repro.obs import NULL_OBS, NullObservability, Observability
+from repro.obs import (
+    NULL_OBS,
+    FlightRecorder,
+    NullObservability,
+    Observability,
+    RecorderObservability,
+)
 
 
 class TestObservabilityFacade:
@@ -74,18 +79,25 @@ class TestStageEventBus:
         assert len(kept) == 1
         assert removed == []
 
-    def test_telemetry_collector_subscribes(self):
-        obs = Observability()
-        collector = TelemetryCollector()
-        listener = collector.subscribe_to(obs)
+    @pytest.mark.parametrize("make", [
+        lambda: Observability(recorder=FlightRecorder()),
+        RecorderObservability,
+    ])
+    def test_a_raising_listener_is_contained(self, make):
+        obs = make()
+        seen = []
+
+        def explode(event):
+            raise RuntimeError("listener bug")
+
+        obs.add_stage_listener(explode)
+        obs.add_stage_listener(seen.append)
         obs.emit_stage("decode", "full-jpeg", 32, 0.5, source="serving")
-        obs.emit_stage("inference", "resnet18", 32, 0.8, source="serving")
-        drained = collector.drain()
-        assert [(o.stage, o.subject, o.images) for o in drained] == [
-            ("decode", "full-jpeg", 32), ("inference", "resnet18", 32)]
-        obs.remove_stage_listener(listener)
-        obs.emit_stage("decode", "full-jpeg", 32, 0.5)
-        assert collector.pending() == 0
+        assert [event.subject for event in seen] == ["full-jpeg"]
+        notes = [event for _, event in obs.recorder.ring_events()
+                 if isinstance(event, dict)]
+        assert notes == [{"kind": "obs.listener_failed", "stage": "decode",
+                          "error": "RuntimeError"}]
 
 
 class TestNullObservability:

@@ -19,9 +19,12 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.adapt.calibrator import ObservationKey, OnlineCalibrator
+from repro.adapt.calibrator import (
+    ObservationKey,
+    OnlineCalibrator,
+    StageObservation,
+)
 from repro.adapt.replanner import Replanner
-from repro.adapt.telemetry import StageObservation
 from repro.core.costmodel import SmolCostModel
 from repro.core.planner import PlanGenerator, default_planner
 from repro.hardware.instance import get_instance
@@ -33,7 +36,7 @@ MAX_SCALE = 64.0
 
 # Arbitrary hostile timings: tiny, huge, zero -- anything non-negative and
 # finite the guards must absorb (non-finite values are rejected upstream by
-# telemetry validation, and the calibrator rejects them again itself).
+# the controller's bus listener, and the calibrator rejects them again).
 seconds_strategy = st.one_of(
     st.just(0.0),
     st.floats(0.0, 1e-6, allow_nan=False, allow_infinity=False),

@@ -1,17 +1,19 @@
-"""Tests for per-stage cost reporting on sessions and the server wiring."""
+"""Tests for per-stage cost reporting on sessions and the server's stage bus."""
 
 import pytest
 
-from repro.adapt.telemetry import TelemetryCollector
 from repro.codecs.formats import THUMB_JPEG_161_Q75
 from repro.core.plans import Plan
 from repro.hardware.instance import get_instance
 from repro.inference.perfmodel import EngineConfig, PerformanceModel
 from repro.nn.zoo import resnet_profile
+from repro.obs import FlightRecorder, Observability
 from repro.serving.scheduler import BatchPolicy
 from repro.serving.request import InferenceRequest
 from repro.serving.server import SmolServer
 from repro.serving.session import SimulatedSession, session_stage_estimate
+
+from test_lanes import lanes
 
 
 @pytest.fixture(scope="module")
@@ -62,49 +64,53 @@ class TestObservedStageSeconds:
         assert session.model_name == "resnet-18"
 
 
-class TestServerTelemetryWiring:
-    def make_server(self, perf, engine_config, plan, telemetry):
+class TestServerStageBus:
+    def make_server(self, perf, engine_config, plan, obs):
         session = SimulatedSession(plan, perf, config=engine_config)
         session.warmup()
         return SmolServer(session, policy=BatchPolicy.latency(),
-                          cache_capacity=0, telemetry=telemetry)
+                          cache_capacity=0, obs=obs)
 
-    def test_executed_batches_reach_the_collector(self, perf, engine_config,
-                                                  plan):
-        telemetry = TelemetryCollector()
-        with self.make_server(perf, engine_config, plan, telemetry) as server:
-            assert server.telemetry is telemetry
+    def test_executed_batches_reach_the_bus(self, perf, engine_config, plan):
+        obs = Observability()
+        events = []
+        obs.add_stage_listener(events.append)
+        with self.make_server(perf, engine_config, plan, obs) as server:
             futures = [server.submit(InferenceRequest(image_id=f"i{n}"))
                        for n in range(10)]
             for future in futures:
                 future.result(timeout=10.0)
             assert server.stats().tenants is None
-        counters = telemetry.counters()
-        assert counters.images == 10
-        assert counters.modelled_seconds > 0
-        drained = telemetry.drain()
-        assert {obs.stage for obs in drained} \
-            == {"decode", "preprocess", "inference"}
+        subjects = {event.stage: event.subject for event in events}
+        assert subjects == {"decode": "161-jpeg-q75",
+                            "preprocess": "161-jpeg-q75",
+                            "inference": "resnet-18"}
+        for stage in subjects:
+            assert sum(event.images for event in events
+                       if event.stage == stage) == 10
         # Without tenants= the scheduler's one class stays out of the
-        # telemetry source (multi-tenant servers report "serving/<class>").
-        assert {obs.source for obs in drained} == {"serving"}
+        # source (multi-tenant servers publish "serving/<class>").
+        assert {event.source for event in events} == {"serving"}
 
-    def test_collector_bugs_never_fail_requests(self, perf, engine_config,
-                                                plan):
-        class ExplodingCollector:
-            def record_session_batch(self, session, result, source=""):
-                raise RuntimeError("collector bug")
+    def test_a_raising_listener_never_fails_requests_or_lanes(
+            self, perf, engine_config, plan):
+        def explode(event):
+            raise RuntimeError("listener bug")
 
-        with self.make_server(perf, engine_config, plan,
-                              ExplodingCollector()) as server:
-            response = server.submit(
-                InferenceRequest(image_id="x")
-            ).result(timeout=10.0)
-            assert response.prediction >= 0
-
-    def test_server_without_telemetry_has_none(self, perf, engine_config,
-                                               plan):
-        session = SimulatedSession(plan, perf, config=engine_config)
-        session.warmup()
-        with SmolServer(session, cache_capacity=0) as server:
-            assert server.telemetry is None
+        obs = Observability(recorder=FlightRecorder())
+        seen = []
+        obs.add_stage_listener(explode)
+        obs.add_stage_listener(seen.append)
+        before = lanes()
+        with self.make_server(perf, engine_config, plan, obs) as server:
+            for n in range(4):
+                response = server.submit(
+                    InferenceRequest(image_id=f"x{n}")).result(timeout=3.0)
+                assert response.prediction >= 0
+            assert len(lanes() - before) == 2
+        # Contained in emit_stage: noted, and the next listener still ran.
+        assert seen
+        failures = [event for _, event in obs.recorder.ring_events()
+                    if isinstance(event, dict)
+                    and event["kind"] == "obs.listener_failed"]
+        assert len(failures) == len(seen)

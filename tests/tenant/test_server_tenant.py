@@ -131,6 +131,42 @@ class TestMixedTenantServing:
         assert explicit.deadline_s == pytest.approx(9.0)  # never clobbered
 
 
+class TestPerClassTelemetry:
+    def test_stage_events_carry_the_batch_class(self):
+        """Tenant batches publish under ``serving/<class>``, so the stage
+        counters keep the per-class split (the calibrator keys on
+        (stage, subject): the source is a label, not a cost stream)."""
+        from repro.codecs.formats import THUMB_JPEG_161_Q75
+        from repro.core.plans import Plan
+        from repro.hardware.instance import get_instance
+        from repro.inference.perfmodel import PerformanceModel
+        from repro.nn.zoo import resnet_profile
+        from repro.obs import Observability
+        from repro.serving.session import SimulatedSession
+
+        session = SimulatedSession(
+            Plan.single(resnet_profile(18), THUMB_JPEG_161_Q75),
+            PerformanceModel(get_instance("g4dn.xlarge")))
+        session.warmup()
+        obs = Observability()
+        events = []
+        obs.add_stage_listener(events.append)
+        with SmolServer(session, policy=policy(), cache_capacity=0,
+                        tenants=MIXED_CONFIG, obs=obs) as server:
+            futures = [server.submit(InferenceRequest(
+                image_id=f"c{i}", tenant=tenant))
+                for i, tenant in enumerate(["dashboard", "backfill"] * 6)]
+            for future in futures:
+                future.result(timeout=30.0)
+
+        assert {event.source for event in events} == {
+            "serving/interactive", "serving/batch"}
+        snapshot = obs.metrics.snapshot()
+        for name in ("interactive", "batch"):
+            key = f"stage_images_total{{source=serving/{name},stage=decode}}"
+            assert snapshot[key] == 6.0
+
+
 class TestQuotaEnforcement:
     def test_flood_tenant_throttles_at_submit(self, image_pool):
         session = build_session()

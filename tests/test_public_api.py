@@ -126,6 +126,30 @@ class TestPublicApi:
         assert isinstance(version, store.ManifestVersion)
         assert (version.sequence, version.entries) == (0, {})
 
+    def test_stage_costs_travel_one_way_the_stage_bus(self):
+        # The direct channel beside the bus is gone end to end: no
+        # collector, no server/dispatcher hooks into it, no second SLO
+        # subscription -- the controller listens on its obs= alone.
+        import inspect
+
+        adapt = importlib.import_module("repro.adapt")
+        for name in ("TelemetryCollector", "TelemetryCounters"):
+            assert name not in adapt.__all__ and name not in repro.__all__
+            assert not hasattr(adapt, name), name
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.adapt.telemetry")
+        server = importlib.import_module("repro.serving.server").SmolServer
+        assert "telemetry" not in inspect.signature(server).parameters
+        assert not hasattr(server, "telemetry")
+        dispatcher = importlib.import_module(
+            "repro.cluster.dispatcher").Dispatcher
+        assert not hasattr(dispatcher, "attach_telemetry")
+        controller = adapt.AdaptiveController
+        assert "telemetry" not in inspect.signature(controller).parameters
+        assert not hasattr(controller, "watch_slo")
+        assert adapt.StageObservation is importlib.import_module(
+            "repro.adapt.calibrator").StageObservation
+
     def test_smol_facade_exported_at_top_level(self):
         assert repro.Smol is importlib.import_module("repro.core.smol").Smol
 
