@@ -764,7 +764,7 @@ def _fuse_kernel_pass(scenario: Scenario,
     nan_batch = [image.astype(np.float32) for image in batch]
     nan_batch[0][0, 0, :] = np.nan
     for label, chain in (("naive", ops), ("candidate", candidate)):
-        dag = PreprocessingDAG.from_ops(list(chain))
+        dag = PreprocessingDAG.from_ops(chain)
         kernel = get_kernel(dag)
         for kind, arrays in (("uint8", batch), ("nan-float32", nan_batch)):
             interpreted = [dag.execute(image) for image in arrays]

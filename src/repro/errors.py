@@ -26,7 +26,8 @@ class PreprocessingError(ReproError):
 
 
 class InvalidDAGError(PreprocessingError):
-    """Raised when a preprocessing DAG is malformed (cycles, bad edges)."""
+    """Raised when a preprocessing chain is malformed (no ops, a non-op
+    entry, an unknown device, a device list of the wrong length)."""
 
 
 class PlacementError(PreprocessingError):

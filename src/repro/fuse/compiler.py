@@ -1,15 +1,15 @@
 """The plan compiler: preprocessing DAG -> :class:`FusedKernel`, cached.
 
-``compile_dag`` reads the DAG's validated execution order -- the tuple
-``PreprocessingDAG.execute`` itself walks, computed once per graph shape --
-and hands it to a :class:`FusedKernel`, which runs the same ``apply``
+``compile_dag`` reads the DAG's operator chain -- the tuple
+``PreprocessingDAG.execute`` itself walks, fixed at construction -- and
+hands it to a :class:`FusedKernel`, which runs the same ``apply``
 bodies over stacked micro-batches.  :class:`KernelCache` memoizes kernels
 by plan fingerprint so every session, replica, and hot-swap of the same
 plan shares one kernel object.
 
 The fingerprint (:func:`repro.preprocessing.dag.dag_fingerprint`, the one
 the store persists) covers the executed semantics -- op order, every op's
-public attributes, per-node device placement -- so structurally rebuilt
+public attributes, per-op device placement -- so structurally rebuilt
 DAGs of the same plan share a kernel and any parameter change misses.
 """
 
@@ -23,11 +23,10 @@ from repro.preprocessing.dag import PreprocessingDAG, dag_fingerprint
 
 def compile_dag(dag: PreprocessingDAG,
                 fingerprint: str | None = None) -> FusedKernel:
-    """The :class:`FusedKernel` running ``dag``'s validated op order."""
-    ops = [node.op for node in dag.execution_order()]
+    """The :class:`FusedKernel` running ``dag``'s op chain."""
     if fingerprint is None:
         fingerprint = dag_fingerprint(dag)
-    return FusedKernel(fingerprint, ops)
+    return FusedKernel(fingerprint, dag.ops)
 
 
 class KernelCache:

@@ -285,7 +285,6 @@ class SmolRuntimeEngine:
         """
         if num_images <= 0:
             raise EngineError("num_images must be positive")
-        preprocessing.validate()
         kernel = get_kernel(preprocessing)
         config = self._config
         batch = min(batch_size or config.batch_size, num_images)

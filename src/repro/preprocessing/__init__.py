@@ -7,8 +7,8 @@ Standard DNN inference preprocessing (Section 2 of the paper):
 3. convert to float32 and normalize by per-channel statistics,
 4. reorder pixels to channels-first.
 
-This package provides the operators as executable numpy functions, a DAG
-representation of a preprocessing pipeline, a rule-based + cost-based DAG
+This package provides the operators as executable numpy functions, the
+operator chain a preprocessing pipeline runs, a rule-based + cost-based DAG
 optimizer (fusion, reordering, dtype-aware resizing, Section 6.2), and an
 operator placement pass that assigns operators to the CPU or the accelerator
 (Section 6.3).
@@ -25,7 +25,7 @@ from repro.preprocessing.ops import (
     FusedNormalizeReorderOp,
     standard_pipeline_ops,
 )
-from repro.preprocessing.dag import PreprocessingDAG, DagNode
+from repro.preprocessing.dag import PreprocessingDAG
 from repro.preprocessing.optimizer import DagOptimizer, OptimizationReport
 from repro.preprocessing.placement import (
     Placement,
@@ -45,7 +45,6 @@ __all__ = [
     "FusedNormalizeReorderOp",
     "standard_pipeline_ops",
     "PreprocessingDAG",
-    "DagNode",
     "DagOptimizer",
     "OptimizationReport",
     "Placement",

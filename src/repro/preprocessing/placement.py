@@ -103,14 +103,8 @@ class PlacementOptimizer:
 
     def apply(self, dag: PreprocessingDAG,
               decision: PlacementDecision) -> PreprocessingDAG:
-        """Return a copy of ``dag`` with devices assigned per ``decision``."""
-        placed = dag.copy()
-        nodes = placed.topological_ops()
-        if decision.split_index > len(nodes):
-            raise PlacementError("split index exceeds pipeline length")
-        assignment = {}
-        for index, node in enumerate(nodes):
-            device = "cpu" if index < decision.split_index else "accelerator"
-            assignment[node.node_id] = device
-        placed.assign_devices(assignment)
-        return placed
+        """Rebuild ``dag`` with devices assigned per ``decision`` (a split
+        past the end names more devices than ops: ``InvalidDAGError``)."""
+        split, count = decision.split_index, len(dag.ops)
+        return PreprocessingDAG.from_ops(
+            dag.ops, ["cpu"] * split + ["accelerator"] * (count - split))

@@ -124,7 +124,6 @@ class FunctionalSession(EngineSession):
     def __init__(self, plan_key: str, preprocessing: PreprocessingDAG,
                  model: Sequential, faults=None, obs=None) -> None:
         super().__init__(plan_key)
-        preprocessing.validate()
         self._preprocessing = preprocessing
         self._model = model
         self._faults = faults if faults is not None else NULL_FAULTS

@@ -11,7 +11,7 @@ from repro.fuse.compiler import (
     dag_fingerprint,
     get_kernel,
 )
-from repro.preprocessing import dag as dag_module
+from repro.fuse.kernel import FusedKernel
 from repro.preprocessing.dag import PreprocessingDAG
 from repro.preprocessing.ops import (
     CenterCropOp,
@@ -19,7 +19,9 @@ from repro.preprocessing.ops import (
     NormalizeOp,
     PreprocessingOp,
     ResizeOp,
+    standard_pipeline_ops,
 )
+from repro.preprocessing.placement import PlacementDecision, PlacementOptimizer
 from repro.serving.session import serving_pipeline_ops
 
 
@@ -59,10 +61,21 @@ class TestFingerprint:
         ops = serving_pipeline_ops(input_size=24, crop_size=16)
         assert dag_fingerprint(_dag(ops)) == dag_fingerprint(_dag(ops))
 
-    def test_digest_of_an_unchanged_dag_is_stable(self):
-        # Store manifests persist this digest: it must survive refactors.
-        assert dag_fingerprint(_dag(serving_pipeline_ops(48, 32))) \
-            == "cced0ad2e817a100"
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: _dag(serving_pipeline_ops(48, 32)), "cced0ad2e817a100"),
+        (lambda: _dag(standard_pipeline_ops()), "331b7e946796c591"),
+        (lambda: PreprocessingDAG.from_ops(standard_pipeline_ops(),
+                                           device="accelerator"),
+         "f0cc14a169bd0ebd"),
+        # decode, resize, crop on the CPU; convert, normalize, reorder on
+        # the accelerator.
+        (lambda: PlacementOptimizer(None, None).apply(
+            _dag(standard_pipeline_ops()), PlacementDecision(3, 1.0, 1.0)),
+         "5adce4d150d91cc8"),
+    ], ids=["serving", "standard", "accelerator", "mixed-placement"])
+    def test_digest_of_an_unchanged_dag_is_stable(self, build, digest):
+        # Store manifests persist these digests: they must survive refactors.
+        assert dag_fingerprint(build()) == digest
 
     def test_parameter_change_misses(self):
         base = dag_fingerprint(_dag([ResizeOp(short_side=24),
@@ -146,53 +159,21 @@ class TestCompile:
 
         assert RenamedCrop.batched
 
-    def test_kernel_runs_the_dags_own_cached_order(self):
-        dag = _dag(serving_pipeline_ops(24, 16))
-        order = dag.execution_order()
-        assert dag.execution_order() is order
-        assert compile_dag(dag).ops == tuple(node.op for node in order)
+    def test_kernel_runs_the_dags_own_chain(self):
+        ops = serving_pipeline_ops(24, 16)
+        dag = _dag(ops)
+        assert compile_dag(dag).ops == dag.ops == tuple(ops)
 
     def test_empty_dag_rejected(self):
-        with pytest.raises(Exception):
-            compile_dag(PreprocessingDAG())
+        with pytest.raises(InvalidDAGError):
+            PreprocessingDAG.from_ops([])
+        with pytest.raises(PreprocessingError):
+            FusedKernel("empty", [])
 
     def test_describe_brackets_segment_kinds(self):
         kernel = compile_dag(_dag([ResizeOp(short_side=24),
                                    UnloweredCrop(size=16)]))
         assert kernel.describe() == "[resize] -> {crop}"
-
-
-class TestOneCompiledOrder:
-    def test_execute_makes_no_graph_call_after_the_first(self, monkeypatch):
-        dag = _dag(serving_pipeline_ops(24, 16))
-        image = np.arange(30 * 26 * 3, dtype=np.uint8).reshape(30, 26, 3)
-        first = dag.execute(image)
-
-        class NoGraphCalls:
-            def __getattr__(self, name):
-                raise AssertionError(f"networkx.{name} called per image")
-
-        monkeypatch.setattr(dag_module, "nx", NoGraphCalls())
-        assert dag.execute(image).tobytes() == first.tobytes()
-        assert compile_dag(dag, fingerprint="cached").ops \
-            == tuple(node.op for node in dag.execution_order())
-
-    def test_add_op_after_execute_is_honoured(self):
-        dag = _dag([ResizeOp(short_side=24)])
-        image = np.arange(30 * 26 * 3, dtype=np.uint8).reshape(30, 26, 3)
-        assert dag.execute(image).shape == (28, 24, 3)
-        resize = dag.execution_order()[-1].node_id
-        dag.add_edge(resize, dag.add_op(CenterCropOp(size=16)))
-        assert dag.execute(image).shape == (16, 16, 3)
-        assert compile_dag(dag).describe() == "[resize+crop]"
-
-    def test_invalid_dag_is_rejected_on_every_execute(self):
-        dag = _dag([ResizeOp(short_side=24)])
-        dag.add_op(CenterCropOp(size=16))  # disconnected second source
-        image = np.zeros((30, 26, 3), dtype=np.uint8)
-        for _ in range(2):
-            with pytest.raises(InvalidDAGError):
-                dag.execute(image)
 
 
 class TestKernelCache:

@@ -7,7 +7,7 @@ or preprocessing step raises, and must reject malformed configurations.
 import numpy as np
 import pytest
 
-from repro.errors import EngineError
+from repro.errors import EngineError, InvalidDAGError
 from repro.inference.engine import SmolRuntimeEngine
 from repro.inference.perfmodel import EngineConfig
 from repro.nn.model import build_mini_resnet
@@ -73,10 +73,9 @@ class TestFailureInjection:
                                   num_images=0)
 
     def test_invalid_pipeline_rejected_before_threads_start(self):
-        engine = SmolRuntimeEngine(EngineConfig(num_producers=2))
-        empty = PreprocessingDAG()
-        with pytest.raises(Exception):
-            engine.run_functional(_good_image, empty, _model(), num_images=4)
+        # An empty chain cannot be built, so it never reaches an engine.
+        with pytest.raises(InvalidDAGError):
+            PreprocessingDAG.from_ops([])
 
     def test_successful_run_after_failure_recovery(self):
         # The engine holds no global state: a failed run does not poison a

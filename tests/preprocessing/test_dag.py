@@ -16,35 +16,18 @@ from repro.preprocessing.ops import (
 
 class TestDagConstruction:
     def test_from_ops_builds_chain(self):
-        dag = PreprocessingDAG.from_ops(standard_pipeline_ops())
-        assert dag.num_nodes == 6
-        dag.validate()
-
-    def test_cycle_rejected(self):
-        dag = PreprocessingDAG()
-        a = dag.add_op(ResizeOp(short_side=32))
-        b = dag.add_op(CenterCropOp(size=16))
-        dag.add_edge(a, b)
-        with pytest.raises(InvalidDAGError):
-            dag.add_edge(b, a)
+        ops = standard_pipeline_ops()
+        dag = PreprocessingDAG.from_ops(ops)
+        assert dag.ops == tuple(ops)
+        assert dag.devices == ("cpu",) * 6
 
     def test_empty_dag_invalid(self):
         with pytest.raises(InvalidDAGError):
-            PreprocessingDAG().validate()
+            PreprocessingDAG.from_ops([])
 
-    def test_multiple_sinks_invalid(self):
-        dag = PreprocessingDAG()
-        a = dag.add_op(ResizeOp(short_side=32))
-        dag.add_op(NormalizeOp())
-        dag.add_op(ChannelReorderOp())
-        # a has no edges to the others: 3 disconnected nodes.
-        with pytest.raises(InvalidDAGError):
-            dag.validate()
-        assert a  # keep the reference meaningful
-
-    def test_unknown_node_lookup(self):
-        with pytest.raises(InvalidDAGError):
-            PreprocessingDAG().node("missing")
+    def test_from_ops_is_the_one_constructor(self):
+        with pytest.raises(TypeError):
+            PreprocessingDAG()
 
 
 class TestDagExecution:
@@ -70,27 +53,25 @@ class TestDagExecution:
         assert spec.layout == "CHW"
 
     def test_device_assignment(self):
-        dag = PreprocessingDAG.from_ops(standard_pipeline_ops())
-        nodes = dag.topological_ops()
-        dag.assign_devices({nodes[-1].node_id: "accelerator"})
-        assert dag.devices()[nodes[-1].node_id] == "accelerator"
+        ops = standard_pipeline_ops()
+        dag = PreprocessingDAG.from_ops(ops, ["cpu"] * 5 + ["accelerator"])
+        assert dag.devices[-1] == "accelerator"
+        assert dag.describe().endswith("reorder@accelerator")
 
     def test_invalid_device_rejected(self):
-        dag = PreprocessingDAG.from_ops(standard_pipeline_ops())
-        node = dag.topological_ops()[0]
+        ops = standard_pipeline_ops()
         with pytest.raises(InvalidDAGError):
-            dag.assign_devices({node.node_id: "tpu"})
+            PreprocessingDAG.from_ops(ops, device="tpu")
+        with pytest.raises(InvalidDAGError):
+            PreprocessingDAG.from_ops(ops, ["tpu"] + ["cpu"] * 5)
 
     def test_copy_preserves_structure_and_devices(self):
-        dag = PreprocessingDAG.from_ops(standard_pipeline_ops())
-        nodes = dag.topological_ops()
-        dag.assign_devices({nodes[-1].node_id: "accelerator"})
-        clone = dag.copy()
-        assert clone.num_nodes == dag.num_nodes
-        assert [n.op.name for n in clone.topological_ops()] == [
-            n.op.name for n in dag.topological_ops()
-        ]
-        assert clone.topological_ops()[-1].device == "accelerator"
+        dag = PreprocessingDAG.from_ops(standard_pipeline_ops(),
+                                        ["cpu"] * 5 + ["accelerator"])
+        clone = PreprocessingDAG.from_ops(dag.ops, dag.devices)
+        assert clone.ops == dag.ops
+        assert clone.devices == dag.devices
+        assert clone.describe() == dag.describe()
 
     def test_describe_lists_ops(self):
         dag = PreprocessingDAG.from_ops(standard_pipeline_ops())

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.errors import PlacementError
+from repro.errors import InvalidDAGError, PlacementError
 from repro.preprocessing.dag import PreprocessingDAG
 from repro.preprocessing.cost import pipeline_arithmetic_ops
 from repro.preprocessing.ops import TensorSpec, standard_pipeline_ops
-from repro.preprocessing.placement import PlacementOptimizer
+from repro.preprocessing.placement import PlacementDecision, PlacementOptimizer
 
 SPEC = TensorSpec(height=375, width=500, channels=3)
 
@@ -75,6 +75,14 @@ class TestPlacementDecision:
         decision = optimizer.optimize(ops, SPEC)
         dag = PreprocessingDAG.from_ops(ops)
         placed = optimizer.apply(dag, decision)
-        devices = [node.device for node in placed.topological_ops()]
-        assert devices[:decision.split_index] == ["cpu"] * decision.split_index
+        devices = placed.devices
+        assert devices[:decision.split_index] == ("cpu",) * decision.split_index
         assert all(d == "accelerator" for d in devices[decision.split_index:])
+        assert placed.ops == dag.ops
+
+    def test_apply_rejects_a_split_past_the_end(self):
+        ops = standard_pipeline_ops()
+        with pytest.raises(InvalidDAGError):
+            _make_optimizer(1.0, 5000.0).apply(
+                PreprocessingDAG.from_ops(ops),
+                PlacementDecision(len(ops) + 1, 1.0, 1.0))

@@ -1,13 +1,19 @@
-"""Every third-party module ``src/repro`` imports is a declared dependency.
+"""Every third-party module ``src/repro`` imports is a declared dependency,
+and every declared dependency is imported.
 
 ``pip install smol-repro`` installs what ``pyproject.toml`` lists under
 ``[project] dependencies`` and nothing else, so an import the list misses
 works on the developer's machine and fails on the user's.  (``scipy`` sat
 under every JPEG and video decode for twenty PRs without being declared.)
+A listed package nothing imports is installed for nothing; ``networkx``
+stayed listed, and loaded by ``import repro``, for the one graph the
+pipeline no longer is.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,3 +58,20 @@ def test_every_third_party_import_is_declared():
     assert not undeclared, (
         f"imported under src/repro but missing from pyproject.toml's "
         f"dependencies: {undeclared}")
+
+
+def test_every_declared_dependency_is_imported():
+    # The reverse: a declared package nothing imports is installed (and,
+    # for networkx, was loaded into every process) for nothing.
+    unused = declared_dependencies() - set(imported_top_level_modules())
+    assert not unused, (
+        f"declared in pyproject.toml but imported nowhere under src/repro: "
+        f"{sorted(unused)}")
+
+
+def test_import_repro_loads_no_networkx():
+    code = "import sys, repro; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert result.stdout.strip() == "False"

@@ -150,6 +150,25 @@ class TestPublicApi:
         assert adapt.StageObservation is importlib.import_module(
             "repro.adapt.calibrator").StageObservation
 
+    def test_preprocessing_pipeline_is_a_chain_not_a_graph(self):
+        # The networkx graph, its node ids and its four order accessors
+        # are gone: a pipeline is the op tuple and per-op devices
+        # ``from_ops`` fixed, read through ``ops`` / ``devices``.
+        preprocessing = importlib.import_module("repro.preprocessing")
+        dag_module = importlib.import_module("repro.preprocessing.dag")
+        assert "DagNode" not in preprocessing.__all__
+        for module in (preprocessing, dag_module):
+            assert not hasattr(module, "DagNode")
+            assert not hasattr(module, "nx")
+        dag_class = preprocessing.PreprocessingDAG
+        for name in ("add_op", "add_edge", "node", "nodes", "num_nodes",
+                     "copy", "assign_devices", "execution_order",
+                     "topological_ops", "op_sequence", "validate"):
+            assert not hasattr(dag_class, name), name
+        for name in ("ops", "devices"):
+            assert isinstance(vars(dag_class)[name], property), name
+            assert vars(dag_class)[name].fset is None, name
+
     def test_smol_facade_exported_at_top_level(self):
         assert repro.Smol is importlib.import_module("repro.core.smol").Smol
 
