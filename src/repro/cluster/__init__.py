@@ -52,7 +52,6 @@ from repro.cluster.worker import (
     SessionSpec,
     ThreadWorker,
     Worker,
-    WorkerCostReport,
     WorkerStats,
     WorkItem,
     WorkOutcome,
@@ -83,7 +82,6 @@ __all__ = [
     "WorkItem",
     "WorkOutcome",
     "Worker",
-    "WorkerCostReport",
     "WorkerStats",
     "assign_shards",
     "split_frame_ranges",

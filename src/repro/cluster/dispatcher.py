@@ -128,8 +128,11 @@ class Dispatcher:
         then opens a ``cluster.item`` span (parented to the first
         request's trace or the caller's ambient context), with
         ``cluster.dispatch`` / ``cluster.execute`` / ``cluster.retry`` /
-        ``cluster.failover`` children and modelled per-stage spans; worker
-        cost reports are also published on the stage-event bus.
+        ``cluster.failover`` children and modelled per-stage spans.  The
+        outcome that resolves a batch publishes its ``cluster`` stage
+        events on the stage-event bus, on the collector thread, before the
+        future resolves -- once per batch, however often it ran; a failed
+        attempt or a duplicate outcome publishes nothing.
     faults:
         Chaos seam (:data:`~repro.chaos.faults.NULL_FAULTS` by default).
         ``dispatcher.outcome`` fires in the collector between fetching an
@@ -217,32 +220,6 @@ class Dispatcher:
     def attach_autoscaler(self, autoscaler) -> None:
         """Let the monitor thread drive ``autoscaler.evaluate()``."""
         self._autoscaler = autoscaler
-
-    def _flush_cost_reports(self) -> None:
-        """Publish every replica's per-stage costs on the stage bus.
-
-        Runs on each :meth:`check_workers` pass -- the cadence that watches
-        heartbeats -- and once more at :meth:`close`: each live replica's
-        accumulated costs (:meth:`~repro.cluster.worker.Worker
-        .take_cost_report`) become ``cluster`` stage events, which is how
-        observed cluster costs reach the adaptive loop.
-        """
-        if not self._obs.enabled:
-            return
-        with self._lock:
-            workers = list(self._workers.values())
-        for worker in workers:
-            try:
-                report = worker.take_cost_report()
-            except Exception:
-                continue
-            if report is None:
-                continue
-            for stage, seconds in report.stage_seconds.items():
-                subject = (report.model_name if stage == "inference"
-                           else report.format_name)
-                self._obs.emit_stage(stage, subject, report.images_for(stage),
-                                     seconds, source="cluster")
 
     def add_worker(self) -> str:
         """Grow the pool by one replica; returns its worker id."""
@@ -450,6 +427,9 @@ class Dispatcher:
                     return  # lost the race: the item already resolved
                 self._completed += 1
             self._completed_metric.inc()
+            for event in outcome.stages:
+                self._obs.emit_stage(event.stage, event.subject, event.images,
+                                     event.seconds, source=event.source)
             if self._obs.enabled and outcome.trace is not None:
                 self._trace_execution(entry, outcome)
             entry.future.set_result(ClusterResult(
@@ -517,8 +497,9 @@ class Dispatcher:
             parent=outcome.trace, worker=outcome.worker_id,
             attempt=outcome.attempts,
         )
-        for stage, seconds in outcome.stage_seconds:
-            self._obs.record(f"stage.{stage}", seconds, parent=execute)
+        for event in outcome.stages:
+            self._obs.record(f"stage.{event.stage}", event.seconds,
+                             parent=execute)
         if entry.span is not None:
             entry.span.set(worker=outcome.worker_id,
                            attempts=outcome.attempts,
@@ -613,7 +594,6 @@ class Dispatcher:
                                  attempt=retried.attempts)
             self._dispatch(retried, exclude={worker.worker_id})
         self._drain_parked()
-        self._flush_cost_reports()
         return [worker.worker_id for worker in dead]
 
     def _drain_parked(self) -> None:
@@ -683,9 +663,6 @@ class Dispatcher:
         except NoHealthyWorkerError:
             pass  # the stuck futures are failed below
         finally:
-            # One last flush so costs observed since the final heartbeat
-            # pass still reach the stage bus.
-            self._flush_cost_reports()
             self._monitor_stop.set()
             if self._monitor is not None:
                 self._monitor.join(timeout=5.0)

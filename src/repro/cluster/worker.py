@@ -39,7 +39,7 @@ from repro.fuse.shm import ShmBatchRef, ShmBatchTransport, worker_shm_prefix
 from repro.hardware.instance import get_instance
 from repro.inference.mpmc import MpmcQueue, QueueClosed
 from repro.inference.perfmodel import EngineConfig, PerformanceModel
-from repro.obs import NULL_OBS
+from repro.obs import NULL_OBS, StageEvent
 from repro.codecs.formats import get_input_format
 from repro.core.plans import Plan
 from repro.nn.zoo import get_model_profile
@@ -90,9 +90,11 @@ class WorkOutcome:
 
     Either ``predictions`` is set (success) or ``error`` is set (the session
     raised); crashed workers report nothing at all -- that silence is what
-    the heartbeat monitor detects.  ``stage_seconds`` carries the session's
-    per-stage cost breakdown (picklable key/value pairs) when the session
-    reports one, feeding the worker's cost report.
+    the heartbeat monitor detects.  ``stages`` is the batch's per-stage cost
+    as ``cluster`` :class:`~repro.obs.StageEvent` records (frozen, so they
+    pickle across the process lane), built by the session that ran it; the
+    dispatcher publishes them on the stage bus when this outcome resolves
+    its item, and only then.
 
     ``predictions`` is an int64 ndarray passed through from the session
     unboxed -- scan scores ride it as IEEE-754 bit patterns with no
@@ -112,7 +114,7 @@ class WorkOutcome:
         default_factory=lambda: _EMPTY_PREDICTIONS)
     modelled_seconds: float = 0.0
     error: str | None = None
-    stage_seconds: tuple[tuple[str, float], ...] = ()
+    stages: tuple[StageEvent, ...] = ()
     trace: tuple[int, int] | None = None
     shm: ShmBatchRef | None = None
 
@@ -130,50 +132,6 @@ class WorkerStats:
     executed_requests: int = 0
     failed_items: int = 0
     modelled_seconds: float = 0.0
-
-
-@dataclass(frozen=True)
-class WorkerCostReport:
-    """Observed per-stage costs of one replica since its last report.
-
-    Produced by :meth:`Worker.take_cost_report` and published as
-    ``cluster`` stage events on the observability stage bus by the
-    dispatcher's heartbeat pass (``Dispatcher(obs=...)``), so the adaptive
-    replanning loop sees what every replica actually paid per stage -- not
-    what the calibrated model predicted.
-
-    Attributes
-    ----------
-    worker_id / plan_key:
-        Which replica observed the costs, executing which plan.
-    format_name / model_name:
-        Telemetry subjects: decode/preprocess observations are keyed by
-        the input format, inference observations by the model ("" when
-        the session does not expose them).
-    images:
-        Requests executed since the last report (the largest per-stage
-        count).
-    stage_seconds:
-        Total per-stage resource seconds consumed since the last report.
-    stage_images:
-        Images that actually passed through each stage.  Kept per stage
-        because a mid-window plan/pace hot-swap changes which stages a
-        batch pays (decode vs chunk read): dividing a stage's seconds by
-        the window's *total* images would dilute its per-image cost and
-        mis-calibrate the drift loop.
-    """
-
-    worker_id: str
-    plan_key: str
-    format_name: str
-    model_name: str
-    images: int
-    stage_seconds: dict[str, float]
-    stage_images: dict[str, int] = field(default_factory=dict)
-
-    def images_for(self, stage: str) -> int:
-        """Images that paid ``stage`` (falls back to the window total)."""
-        return self.stage_images.get(stage, self.images)
 
 
 class Worker:
@@ -219,14 +177,6 @@ class Worker:
         """Items accepted but not completed (recovered on crash)."""
         raise NotImplementedError
 
-    def take_cost_report(self) -> WorkerCostReport | None:
-        """Per-stage costs since the last report; None when unsupported.
-
-        Called by the dispatcher's heartbeat monitor; taking resets the
-        accumulation, so each report is a delta.
-        """
-        return None
-
     def kill(self) -> None:
         """Crash the worker: stop abruptly, abandoning in-flight work."""
         raise NotImplementedError
@@ -263,7 +213,7 @@ def _run_item(session: EngineSession, item: WorkItem, worker_id: str,
         # path (scores stay packed int64 bit patterns).
         predictions=np.asarray(result.predictions, dtype=np.int64),
         modelled_seconds=result.modelled_seconds,
-        stage_seconds=tuple(sorted((result.stage_seconds or {}).items())),
+        stages=session.stage_events(result, len(item.requests), "cluster"),
         **echo,
     )
 
@@ -287,9 +237,6 @@ class _Replica(Worker):
         self._pending: dict[int, WorkItem] = {}
         self._pending_lock = threading.Lock()
         self._stats = WorkerStats()
-        # stage -> [images, seconds], both per stage key: see
-        # :attr:`WorkerCostReport.stage_images` for why.
-        self._costs: dict[str, list] = {}
         self._heartbeat = time.monotonic()
         self._busy = self._killed = self._closing = False
         self._lane = lane_type(self, *lane_args)
@@ -343,20 +290,6 @@ class _Replica(Worker):
         with self._pending_lock:
             return sorted(self._pending.values(), key=lambda i: i.item_id)
 
-    def take_cost_report(self) -> WorkerCostReport | None:
-        with self._pending_lock:
-            costs, self._costs = self._costs, {}
-        if not costs:
-            return None
-        stage_images = {stage: entry[0] for stage, entry in costs.items()}
-        session = self._lane.session
-        return WorkerCostReport(
-            self._worker_id, session.plan_key, session.format_name,
-            session.model_name, images=max(stage_images.values()),
-            stage_seconds={stage: entry[1] for stage, entry in costs.items()},
-            stage_images=stage_images,
-        )
-
     def kill(self) -> None:
         self._killed = True
         self._lane.stop(drain=False)
@@ -395,11 +328,6 @@ class _Replica(Worker):
     def _deliver(self, outcome: WorkOutcome) -> None:
         with self._pending_lock:
             item = self._pending.get(outcome.item_id)
-            if item is not None:
-                for stage, seconds in outcome.stage_seconds:
-                    entry = self._costs.setdefault(stage, [0, 0.0])
-                    entry[0] += len(item.requests)
-                    entry[1] += seconds
         if item is None or self._killed:
             return
         # Deliver, then acknowledge.  The outcome posts to the results

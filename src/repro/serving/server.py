@@ -205,8 +205,11 @@ class SmolServer:
         session-mode stage costs are published on the stage-event bus
         (source ``serving``, or ``serving/<class>`` with ``tenants=``) --
         where the adaptive loop (:mod:`repro.adapt`) reads them; in cluster
-        mode the dispatcher publishes worker costs itself.  The default
-        :data:`~repro.obs.NULL_OBS` keeps the hot loop allocation-free.
+        mode the dispatcher publishes each batch's costs as it resolves
+        (source ``cluster``).  Both name subjects through
+        :meth:`~repro.serving.session.EngineSession.stage_events`.  The
+        default :data:`~repro.obs.NULL_OBS` keeps the hot loop
+        allocation-free.
     slo:
         Optional :class:`~repro.obs.slo.SloEngine`.  Every resolved
         request is then observed (latency + deadline verdict) and every
@@ -669,15 +672,12 @@ class SmolServer:
                 "serving.batch", result.modelled_seconds, parent=parent,
                 size=len(batch), plan=session.plan_key,
             )
-        stage_seconds = result.stage_seconds or {}
-        for stage, seconds in stage_seconds.items():
+        for event in session.stage_events(result, len(batch), source):
             if batch_span is not None:
-                self._obs.record(f"stage.{stage}", seconds,
+                self._obs.record(f"stage.{event.stage}", event.seconds,
                                  parent=batch_span)
-            subject = (session.model_name if stage == "inference"
-                       else session.format_name)
-            self._obs.emit_stage(stage, subject, len(batch), seconds,
-                                 source=source)
+            self._obs.emit_stage(event.stage, event.subject, event.images,
+                                 event.seconds, source=event.source)
 
     def _dispatch_to_cluster(self, batch: list[_Pending]) -> None:
         # Hand the batch to the dispatcher and return to batching; the

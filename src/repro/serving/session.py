@@ -23,7 +23,7 @@ from repro.codecs.formats import InputFormatSpec
 from repro.core.plans import Plan, PlanEstimate
 from repro.errors import ServingError
 from repro.fuse.compiler import get_kernel
-from repro.obs import NULL_OBS
+from repro.obs import NULL_OBS, StageEvent
 from repro.inference.perfmodel import EngineConfig, PerformanceModel
 from repro.nn.model import Sequential, build_mini_resnet
 from repro.nn.plan import PLAN_STATS
@@ -107,6 +107,19 @@ class EngineSession:
     def execute(self, requests: Sequence[InferenceRequest]) -> BatchResult:
         """Run one micro-batch and return per-request predictions."""
         raise NotImplementedError
+
+    def stage_events(self, result: BatchResult, images: int,
+                     source: str) -> tuple[StageEvent, ...]:
+        """``result``'s stage costs as stage-bus events over ``images``.
+
+        The one subject rule every publisher shares: ``inference`` is
+        keyed by :attr:`model_name`, every other stage by
+        :attr:`format_name`.
+        """
+        return tuple(
+            StageEvent(stage, self.model_name if stage == "inference"
+                       else self.format_name, images, seconds, source)
+            for stage, seconds in (result.stage_seconds or {}).items())
 
 
 class FunctionalSession(EngineSession):

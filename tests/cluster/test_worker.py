@@ -158,12 +158,14 @@ class TestReplicaContract:
         first = results.get(timeout=20.0)
         assert not first.ok
         assert "empty batch" in first.error
+        assert first.stages == ()  # failures cost nothing
         worker.submit(_item(1, "img-0"))
-        assert results.get(timeout=20.0).ok
+        second = results.get(timeout=20.0)
+        assert second.ok
+        assert {event.images for event in second.stages} == {1}
         wait_until(lambda: worker.stats().executed_items == 1,
                    message="the second acknowledgement")
         assert worker.stats().failed_items == 1
-        assert worker.take_cost_report().images == 1  # failures cost nothing
 
     def test_stats_count_requests(self, replica_factory, results):
         worker = replica_factory("w0", results)
@@ -198,24 +200,23 @@ class TestReplicaContract:
         with pytest.raises(ClusterError):
             worker.submit(_item(2, "img-2"))
 
-    def test_cost_report_is_a_delta(self, replica_factory, results,
-                                    simulated_spec):
+    def test_outcomes_carry_the_batch_stage_events(
+            self, replica_factory, results, simulated_spec):
         worker = replica_factory("w0", results)
-        worker.submit(_item(0, "a", "b", "c", "d"))
-        wait_until(lambda: worker.stats().executed_items == 1,
-                   timeout=20.0, message="the acknowledgement")
-        report = worker.take_cost_report()
-        assert report.worker_id == "w0"
-        assert report.plan_key == worker.plan_key
-        assert report.plan_key == simulated_spec.build().plan_key
-        assert (report.format_name, report.model_name) == (
-            simulated_spec.format_name, simulated_spec.model_name)
-        assert report.images == 4
-        assert set(report.stage_seconds) == {"decode", "preprocess",
-                                             "inference"}
-        assert all(seconds > 0 for seconds in report.stage_seconds.values())
-        # Taking resets the accumulation: nothing new means no report.
-        assert worker.take_cost_report() is None
+        item = _item(0, "a", "b", "c", "d")
+        worker.submit(item)
+        outcome = results.get(timeout=20.0)
+        assert outcome.worker_id == "w0"
+        reference = simulated_spec.build()
+        assert worker.plan_key == reference.plan_key
+        # Built where the session ran, by the session's own subject rule.
+        assert outcome.stages == reference.stage_events(
+            reference.execute(list(item.requests)), 4, "cluster")
+        assert {(event.stage, event.subject) for event in outcome.stages} == {
+            ("decode", simulated_spec.format_name),
+            ("preprocess", simulated_spec.format_name),
+            ("inference", simulated_spec.model_name)}
+        assert all(event.seconds > 0 for event in outcome.stages)
 
     def test_heartbeat_stays_fresh_while_idle(self, replica_factory,
                                               results):

@@ -78,7 +78,7 @@ class TestPublicApi:
         worker = importlib.import_module("repro.cluster.worker")
         assert not hasattr(worker, "predictions_array")
         shared = ("submit", "queue_depth", "pending_items",
-                  "take_cost_report", "heartbeat_age", "stats", "plan_key")
+                  "heartbeat_age", "stats", "plan_key")
         for cls in (worker.ThreadWorker, worker.ProcessWorker):
             assert issubclass(cls, worker.Worker)
             assert not set(shared) & set(vars(cls)), cls.__name__
@@ -149,6 +149,21 @@ class TestPublicApi:
         assert not hasattr(controller, "watch_slo")
         assert adapt.StageObservation is importlib.import_module(
             "repro.adapt.calibrator").StageObservation
+
+    def test_cluster_costs_reach_the_bus_per_batch_not_per_report(self):
+        # A resolved batch's outcome carries its stage events; the
+        # per-replica cost window, its take and the heartbeat flush are gone.
+        cluster = importlib.import_module("repro.cluster")
+        worker = importlib.import_module("repro.cluster.worker")
+        assert "WorkerCostReport" not in cluster.__all__
+        assert not hasattr(cluster, "WorkerCostReport")
+        assert not hasattr(worker, "WorkerCostReport")
+        assert not hasattr(worker.Worker, "take_cost_report")
+        dispatcher = importlib.import_module(
+            "repro.cluster.dispatcher").Dispatcher
+        assert not hasattr(dispatcher, "_flush_cost_reports")
+        fields = worker.WorkOutcome.__dataclass_fields__
+        assert "stages" in fields and "stage_seconds" not in fields
 
     def test_preprocessing_pipeline_is_a_chain_not_a_graph(self):
         # The networkx graph, its node ids and its four order accessors
