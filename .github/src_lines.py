@@ -25,8 +25,9 @@ from pathlib import Path
 # AdaptiveController.watch_slo were deleted.
 # Smol-Chain lowered it 26 996 -> 26 894: PreprocessingDAG is an op chain, not a networkx graph.
 # Smol-Bus II lowered it 26 894 -> 26 810: cluster batches publish stage costs as they resolve.
-CEILING = 26_810
-ROADMAP_GATE = 24_500  # ROADMAP item 9, Smol-Core IV: "the gate was <= 24 500"
+# Smol-Procs I lowered it 26 810 -> 26 785: a process replica runs the session it is given.
+CEILING = 26_785
+ROADMAP_GATE = 24_500  # ROADMAP item 12, Smol-Core IV: the 24 500 gate
 
 
 def main() -> int:

@@ -20,10 +20,18 @@ from repro.cluster import (
     Dispatcher,
     LabeledExample,
     ShardedCorpusRunner,
-    SessionSpec,
     ThreadWorker,
 )
-from repro.serving import BatchPolicy, LoadGenerator, SmolServer
+from repro.codecs.formats import THUMB_JPEG_161_Q75
+from repro.hardware import get_instance
+from repro.inference.perfmodel import PerformanceModel
+from repro.nn.zoo import get_model_profile
+from repro.serving import (
+    BatchPolicy,
+    LoadGenerator,
+    SmolServer,
+    simulated_session_for_format,
+)
 from repro.utils.benchio import latency_metrics, write_bench_json
 from repro.utils.tables import Table
 
@@ -37,8 +45,11 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_cluster.json"
 
 
 def _factory(worker_id, results):
-    spec = SessionSpec(num_classes=NUM_CLASSES)
-    return ThreadWorker(worker_id, spec.build(), results)
+    session = simulated_session_for_format(
+        get_model_profile("resnet-18"), THUMB_JPEG_161_Q75,
+        PerformanceModel(get_instance("g4dn.xlarge")),
+        num_classes=NUM_CLASSES)
+    return ThreadWorker(worker_id, session, results)
 
 
 def run_scaling() -> tuple[Table, list[dict]]:

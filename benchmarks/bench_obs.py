@@ -34,16 +34,20 @@ from benchlib import emit
 
 from repro.cluster import (
     LabeledExample,
-    SessionSpec,
     ShardedCorpusRunner,
     ThreadWorker,
 )
+from repro.codecs.formats import THUMB_JPEG_161_Q75
+from repro.hardware import get_instance
+from repro.inference.perfmodel import PerformanceModel
+from repro.nn.zoo import get_model_profile
 from repro.obs import (
     NULL_OBS,
     Observability,
     RecorderObservability,
     validate_span_tree,
 )
+from repro.serving import simulated_session_for_format
 from repro.utils.benchio import write_bench_json
 from repro.utils.tables import Table
 
@@ -65,10 +69,12 @@ WALL_FLOOR_S = 0.050
 
 
 def _run_corpus(obs):
-    spec = SessionSpec(num_classes=NUM_CLASSES)
-
     def factory(worker_id, results):
-        return ThreadWorker(worker_id, spec.build(), results, obs=obs)
+        session = simulated_session_for_format(
+            get_model_profile("resnet-18"), THUMB_JPEG_161_Q75,
+            PerformanceModel(get_instance("g4dn.xlarge")),
+            num_classes=NUM_CLASSES)
+        return ThreadWorker(worker_id, session, results, obs=obs)
 
     examples = [LabeledExample(image_id=f"img-{i}", label=i % NUM_CLASSES)
                 for i in range(IMAGES)]

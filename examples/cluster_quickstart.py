@@ -33,21 +33,31 @@ from repro import (
     Dispatcher,
     InferenceRequest,
     LabeledExample,
-    SessionSpec,
     ShardedCorpusRunner,
     SmolServer,
     ThreadWorker,
 )
 from repro.cluster import run_single_process
+from repro.codecs.formats import get_input_format
+from repro.hardware import get_instance
+from repro.inference import PerformanceModel
+from repro.nn import get_model_profile
+from repro.serving import simulated_session_for_format
 
 NUM_CLASSES = 8
-SPEC = SessionSpec(model_name="resnet-18", format_name="161-jpeg-q75",
-                   num_classes=NUM_CLASSES)
+
+
+def simulated_session():
+    """A warmed simulated session: ResNet-18 on 161-px JPEG, g4dn.xlarge."""
+    return simulated_session_for_format(
+        get_model_profile("resnet-18"), get_input_format("161-jpeg-q75"),
+        PerformanceModel(get_instance("g4dn.xlarge")),
+        num_classes=NUM_CLASSES)
 
 
 def worker_factory(worker_id: str, results) -> ThreadWorker:
     """One warmed simulated replica per call (all on the same plan)."""
-    return ThreadWorker(worker_id, SPEC.build(), results)
+    return ThreadWorker(worker_id, simulated_session(), results)
 
 
 def main() -> None:
@@ -103,7 +113,7 @@ def main() -> None:
     runner = ShardedCorpusRunner(worker_factory, num_workers=4,
                                  num_classes=NUM_CLASSES, batch_size=64)
     sharded = runner.run(examples)
-    single = run_single_process(examples, SPEC.build(),
+    single = run_single_process(examples, simulated_session(),
                                 num_classes=NUM_CLASSES, batch_size=64)
     assert np.array_equal(sharded.total.confusion, single.total.confusion)
     assert sharded.total.correct == single.total.correct

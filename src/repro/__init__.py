@@ -85,7 +85,6 @@ from repro.cluster import (
     Dispatcher,
     LabeledExample,
     ProcessWorker,
-    SessionSpec,
     ShardedCorpusRunner,
     ThreadWorker,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "Dispatcher",
     "LabeledExample",
     "ProcessWorker",
-    "SessionSpec",
     "ShardedCorpusRunner",
     "ThreadWorker",
     "QueryEngine",

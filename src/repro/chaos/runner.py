@@ -31,8 +31,9 @@ from a single :class:`~repro.chaos.scenario.Scenario`:
    against an interpreted serial oracle -- exactly-once, bit-identity,
    and connected traces all hold on real pixels;
 8. **process kill** (``scenario.proc_kill``, minority of seeds) -- real
-   :class:`~repro.cluster.worker.ProcessWorker` replicas with one killed
-   mid-run: failover + exactly-once + bit-identity, plus no leaked
+   :class:`~repro.cluster.worker.ProcessWorker` replicas running forked
+   copies of a functional session, one killed mid-run: failover +
+   exactly-once + bit-identity to the serial oracle, plus no leaked
    shared-memory segments once the dispatcher closes;
 9. **multi-tenant serving** (``scenario.tenant_serving``) -- pass 4
    again with the scenario's tenants on weighted priority classes (same
@@ -76,7 +77,7 @@ from repro.adapt.calibrator import (
 )
 from repro.adapt.drift import DriftDetector
 from repro.cluster.dispatcher import Dispatcher
-from repro.cluster.worker import ProcessWorker, SessionSpec, ThreadWorker
+from repro.cluster.worker import ProcessWorker, ThreadWorker
 from repro.errors import (
     AdmissionError,
     EngineError,
@@ -473,25 +474,7 @@ class ChaosRunner:
         exercise the retry path on the kernel.
         """
         dag, model = _fuse_serving_stack()
-        rng = np.random.default_rng(
-            stable_hash("fuse-cluster", scenario.seed) % (1 << 32))
-        requests = []
-        for index in range(scenario.items):
-            batch = []
-            for j in range(scenario.batch):
-                # Two payload shapes per run exercise the kernel's
-                # shape-group scatter/gather alongside the fast path.
-                shape = (28, 28, 3) if (index + j) % 2 == 0 else (26, 30, 3)
-                batch.append(InferenceRequest(
-                    image_id=f"fuse/img-{index}-{j}",
-                    payload=rng.integers(0, 256, size=shape)
-                    .astype(np.uint8)))
-            requests.append(batch)
-        reference = [
-            model.predict(np.stack([dag.execute(request.payload)
-                                    for request in batch]))
-            for batch in requests
-        ]
+        requests, reference = _pixel_batches("fuse", scenario)
         plan = FaultPlan(faults=tuple(
             f for f in scenario.faults.faults if f.site == "fuse.execute"))
         injector = FaultInjector(plan)
@@ -547,29 +530,24 @@ class ChaosRunner:
                       report: ChaosReport) -> list[InvariantViolation]:
         """Failover across real child processes, plus shm hygiene.
 
-        Two :class:`ProcessWorker` replicas behind a dispatcher; one is
+        Two :class:`ProcessWorker` replicas, each a forked copy of one
+        warmed :class:`FunctionalSession`, behind a dispatcher; one is
         killed (SIGTERM) right after submission, so any of its pending
         items must fail over to the survivor with exactly-once resolution
-        intact -- and once the dispatcher closes, no shared-memory segment
-        under either worker's transport prefix may remain in ``/dev/shm``.
+        intact and predictions bit-identical to the serial oracle -- and
+        once the dispatcher closes, no shared-memory segment under either
+        worker's transport prefix may remain in ``/dev/shm``.
         """
         if "fork" not in multiprocessing.get_all_start_methods():
             return []
-        spec = SessionSpec()
-        oracle = spec.build()
-        requests = []
-        for index in range(scenario.items):
-            requests.append([
-                InferenceRequest(image_id=f"proc/img-{index}-{j}")
-                for j in range(scenario.batch)
-            ])
-        reference = [oracle.execute(batch).predictions
-                     for batch in requests]
+        requests, reference = _pixel_batches("proc", scenario)
+        session = FunctionalSession("proc-plan", *_fuse_serving_stack())
+        session.warmup()
         obs = Observability()
         workers: list[ProcessWorker] = []
 
         def factory(worker_id: str, results: MpmcQueue) -> ProcessWorker:
-            worker = ProcessWorker(worker_id, spec, results)
+            worker = ProcessWorker(worker_id, session, results)
             workers.append(worker)
             return worker
 
@@ -734,6 +712,29 @@ def _fuse_serving_stack():
         model = build_mini_resnet(18, num_classes=11, input_size=16, seed=7)
         _FUSE_STACK.append((dag, model))
     return _FUSE_STACK[0]
+
+
+def _pixel_batches(tag: str, scenario: Scenario) -> tuple[list, list]:
+    """Seeded pixel requests for a cluster pass and the serial oracle's
+    answer to each batch (per-image interpretation, then the model)."""
+    dag, model = _fuse_serving_stack()
+    rng = np.random.default_rng(
+        stable_hash(f"{tag}-cluster", scenario.seed) % (1 << 32))
+    requests = []
+    for index in range(scenario.items):
+        batch = []
+        for j in range(scenario.batch):
+            # Two payload shapes per run exercise the kernel's
+            # shape-group scatter/gather alongside the fast path.
+            shape = (28, 28, 3) if (index + j) % 2 == 0 else (26, 30, 3)
+            batch.append(InferenceRequest(
+                image_id=f"{tag}/img-{index}-{j}",
+                payload=rng.integers(0, 256, size=shape).astype(np.uint8)))
+        requests.append(batch)
+    reference = [model.predict(np.stack([dag.execute(request.payload)
+                                         for request in batch]))
+                 for batch in requests]
+    return requests, reference
 
 
 def _fuse_kernel_pass(scenario: Scenario,

@@ -5,7 +5,7 @@ pool of plan-warmed replicas:
 
 * :mod:`repro.cluster.worker` -- :class:`Worker` replicas wrapping a warmed
   engine session behind input/output queues (thread-backed, plus a
-  process-backed variant for the simulated engine).
+  process-backed variant that runs a forked copy of the session).
 * :mod:`repro.cluster.router` -- :class:`ShardRouter` policies: round-robin
   and consistent hashing keyed on the request/image id.
 * :mod:`repro.cluster.health` -- per-replica circuit breakers.
@@ -49,7 +49,6 @@ from repro.cluster.runner import (
 )
 from repro.cluster.worker import (
     ProcessWorker,
-    SessionSpec,
     ThreadWorker,
     Worker,
     WorkerStats,
@@ -74,7 +73,6 @@ __all__ = [
     "ProcessWorker",
     "RoundRobinRouter",
     "ScaleEvent",
-    "SessionSpec",
     "ShardAggregate",
     "ShardRouter",
     "ShardedCorpusRunner",

@@ -10,10 +10,9 @@ serving thread -- over a private *lane* that only moves work:
 * :class:`ThreadWorker` -- the serving thread pulls from an inbox and runs
   the session itself.  This is the default replica type for both serving
   and offline sharded runs.
-* :class:`ProcessWorker` -- the session, built from a picklable
-  :class:`SessionSpec` (simulated engine only, since numpy model weights
-  are cheap to rebuild but not worth shipping), runs in a forked child and
-  the serving thread pumps its outcomes across the process boundary.
+* :class:`ProcessWorker` -- a forked child runs its inherited copy of the
+  session, whatever its type, and the serving thread pumps its outcomes
+  across the process boundary.
 
 The serving thread publishes a heartbeat timestamp on every poll; the
 dispatcher's health monitor treats a stale heartbeat (or a dead thread or
@@ -36,15 +35,10 @@ import numpy as np
 from repro.chaos.faults import NULL_FAULTS
 from repro.errors import ClusterError
 from repro.fuse.shm import ShmBatchRef, ShmBatchTransport, worker_shm_prefix
-from repro.hardware.instance import get_instance
 from repro.inference.mpmc import MpmcQueue, QueueClosed
-from repro.inference.perfmodel import EngineConfig, PerformanceModel
 from repro.obs import NULL_OBS, StageEvent
-from repro.codecs.formats import get_input_format
-from repro.core.plans import Plan
-from repro.nn.zoo import get_model_profile
 from repro.serving.request import InferenceRequest
-from repro.serving.session import EngineSession, SimulatedSession
+from repro.serving.session import EngineSession
 
 #: Shared zero-length default for WorkOutcome.predictions (never mutated).
 _EMPTY_PREDICTIONS = np.empty(0, dtype=np.int64)
@@ -222,16 +216,21 @@ class _Replica(Worker):
     """The one implementation of the :class:`Worker` contract.
 
     Everything the dispatcher relies on lives here, on one serving thread;
-    the lane (``lane_type(replica, *lane_args)``) only moves work:
-    ``inbox.put(item, timeout=)``, ``next_outcome(timeout)`` (raises on a
-    timeout, :class:`QueueClosed` once nothing more can come), ``session``
-    (names the plan), ``stop(drain)`` (finish what was accepted, or crash)
-    and ``release()`` (called as the serving thread exits).
+    the lane (``lane_type(replica, session, *lane_args)``, handed the
+    warmed session) only moves work: ``inbox.put(item, timeout=)``,
+    ``next_outcome(timeout)`` (raises on a timeout, :class:`QueueClosed`
+    once nothing more can come), ``stop(drain)`` (finish what was
+    accepted, or crash) and ``release()`` (called as the serving thread
+    exits).
     """
 
     def __init__(self, worker_id: str, results: MpmcQueue[WorkOutcome],
-                 faults, lane_type, *lane_args) -> None:
+                 faults, lane_type, session: EngineSession,
+                 *lane_args) -> None:
         super().__init__(worker_id)
+        if not session.warmed:
+            session.warmup()
+        self._session = session
         self._results = results
         self._faults = faults
         self._pending: dict[int, WorkItem] = {}
@@ -239,7 +238,7 @@ class _Replica(Worker):
         self._stats = WorkerStats()
         self._heartbeat = time.monotonic()
         self._busy = self._killed = self._closing = False
-        self._lane = lane_type(self, *lane_args)
+        self._lane = lane_type(self, session, *lane_args)
         self._thread = threading.Thread(
             target=self._loop, name=f"cluster-{worker_id}", daemon=True
         )
@@ -248,7 +247,7 @@ class _Replica(Worker):
     # -- Worker contract ------------------------------------------------
     @property
     def plan_key(self) -> str:
-        return self._lane.session.plan_key
+        return self._session.plan_key
 
     @property
     def alive(self) -> bool:
@@ -370,15 +369,11 @@ class _ThreadLane:
     the body itself -- no pump, no hop between execution and delivery."""
 
     def __init__(self, replica: _Replica, session: EngineSession,
-                 queue_capacity: int, service_time_scale: float,
-                 obs, faults) -> None:
-        if not session.warmed:
-            session.warmup()
+                 queue_capacity: int, obs, faults) -> None:
         self._replica = replica
-        self.session = session
+        self._session = session
         self.inbox: MpmcQueue[WorkItem] = MpmcQueue(queue_capacity,
                                                     faults=faults)
-        self._service_time_scale = service_time_scale
         self._seams = (obs, faults)
 
     def next_outcome(self, timeout: float) -> WorkOutcome | None:
@@ -388,11 +383,8 @@ class _ThreadLane:
             # (it stays pending for the monitor to recover).
             return None
         self._replica._busy = True  # through delivery, until the next poll
-        outcome = _run_item(self.session, item, self._replica.worker_id,
-                            *self._seams, worker=self._replica)
-        if self._service_time_scale > 0:
-            time.sleep(outcome.modelled_seconds * self._service_time_scale)
-        return outcome
+        return _run_item(self._session, item, self._replica.worker_id,
+                         *self._seams, worker=self._replica)
 
     def stop(self, drain: bool) -> None:
         self.inbox.close()  # queued items still drain before QueueClosed
@@ -414,10 +406,6 @@ class ThreadWorker(_Replica):
         Shared outcome queue owned by the dispatcher.
     queue_capacity:
         Bound on accepted-but-unexecuted items.
-    service_time_scale:
-        When positive, the worker sleeps ``modelled_seconds * scale`` after
-        each simulated batch, so modelled service time occupies the replica
-        in wall-clock terms and multi-worker wall-clock speedups are real.
     obs:
         Optional :class:`~repro.obs.Observability`.  Traced items then
         execute with their trace context ambient on the worker thread, so
@@ -434,44 +422,11 @@ class ThreadWorker(_Replica):
     def __init__(self, worker_id: str, session: EngineSession,
                  results: MpmcQueue[WorkOutcome],
                  queue_capacity: int = 64,
-                 service_time_scale: float = 0.0,
                  obs=NULL_OBS, faults=NULL_FAULTS) -> None:
-        if service_time_scale < 0:
-            raise ClusterError("service_time_scale must be non-negative")
         faults = faults if faults is not None else NULL_FAULTS
         super().__init__(worker_id, results, faults, _ThreadLane, session,
-                         queue_capacity, service_time_scale,
-                         obs if obs is not None else NULL_OBS, faults)
-
-
-@dataclass(frozen=True)
-class SessionSpec:
-    """A picklable recipe for rebuilding a simulated session elsewhere.
-
-    Process workers cannot share a live session object, so they are
-    declared by this spec instead: the session is built from it
-    (deterministically -- the performance model is calibrated, not trained)
-    and the forked child runs its own copy.
-    """
-
-    model_name: str = "resnet-18"
-    format_name: str = "161-jpeg-q75"
-    instance_name: str = "g4dn.xlarge"
-    backend: str = "tensorrt"
-    num_classes: int = 1000
-
-    def build(self) -> SimulatedSession:
-        """Construct and warm the simulated session this spec describes."""
-        instance = get_instance(self.instance_name)
-        plan = Plan.single(get_model_profile(self.model_name),
-                           get_input_format(self.format_name))
-        session = SimulatedSession(
-            plan, PerformanceModel(instance, backend=self.backend),
-            config=EngineConfig(num_producers=instance.vcpus),
-            num_classes=self.num_classes,
-        )
-        session.warmup()
-        return session
+                         queue_capacity, obs if obs is not None else NULL_OBS,
+                         faults)
 
 
 def _child_main(worker_id: str, session: EngineSession, inbox, outbox,
@@ -491,16 +446,15 @@ class _ProcessLane:
     """Child-process lane: mp queues to a forked child; the serving thread
     pumps its outcomes, re-materializing each batch from shared memory."""
 
-    def __init__(self, replica: _Replica, spec: SessionSpec) -> None:
+    def __init__(self, replica: _Replica, session: EngineSession) -> None:
         context = multiprocessing.get_context("fork")
-        self.session = spec.build()
         self.inbox, self._outbox = context.Queue(), context.Queue()
         prefix = worker_shm_prefix(replica.worker_id)
         self.transport = ShmBatchTransport(prefix)
         self._lock = threading.Lock()  # a late stop() races release()
         self.process = context.Process(
             target=_child_main,
-            args=(replica.worker_id, self.session, self.inbox, self._outbox,
+            args=(replica.worker_id, session, self.inbox, self._outbox,
                   prefix),
             name=f"cluster-{replica.worker_id}", daemon=True,
         )
@@ -560,11 +514,12 @@ class _ProcessLane:
 
 
 class ProcessWorker(_Replica):
-    """A replica running a simulated session in a child process.
+    """A replica running its session in a forked child process.
 
-    Only simulated sessions are supported -- built from a
-    :class:`SessionSpec`, never pickled (the child runs the copy it was
-    forked with).  Prediction batches ride zero-copy shared memory: the
+    The session is any warmed :class:`EngineSession`, never pickled: the
+    child runs the copy it was forked with, so spans and faults on the
+    session's own ``obs`` / ``faults`` act in the child and the parent
+    never sees them.  Prediction batches ride zero-copy shared memory: the
     child publishes each batch into a named segment under a per-worker
     prefix and the pump re-materializes it on attach, unlinking as it goes.
     ``kill``/``close`` sweep the prefix, so a crashed child's in-flight
@@ -573,9 +528,10 @@ class ProcessWorker(_Replica):
     bytes with identical results.
     """
 
-    def __init__(self, worker_id: str, spec: SessionSpec,
+    def __init__(self, worker_id: str, session: EngineSession,
                  results: MpmcQueue[WorkOutcome]) -> None:
-        super().__init__(worker_id, results, NULL_FAULTS, _ProcessLane, spec)
+        super().__init__(worker_id, results, NULL_FAULTS, _ProcessLane,
+                         session)
 
     @property
     def transport(self) -> ShmBatchTransport:

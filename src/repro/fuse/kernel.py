@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import threading
 import time
 import weakref
@@ -69,6 +70,18 @@ _PROGRAMS_KEPT = 32
 
 #: The counters every kernel in this process reports to.
 FUSE_STATS = ArenaStats("fuse_program_compiles_total", "fuse_scratch_bytes")
+#: Every live kernel, held weakly so an evicted one can die.
+_KERNELS: "weakref.WeakSet[FusedKernel]" = weakref.WeakSet()
+
+
+def _free_kernel_locks() -> None:
+    # A fork copies each program lock as it was: one a parent thread held
+    # would stay held in the child, with nothing there to release it.
+    for kernel in _KERNELS:
+        kernel._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_free_kernel_locks)
 
 
 class _Scratch:
@@ -203,6 +216,7 @@ class FusedKernel:
         self._programs: dict[tuple, _Program] = {}
         self._program_compiles = 0
         self._scratch = threading.local()
+        _KERNELS.add(self)
 
     @property
     def fingerprint(self) -> str:

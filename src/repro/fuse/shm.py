@@ -1,9 +1,7 @@
 """Zero-copy shared-memory batch transport for process workers.
 
-The previous ProcessWorker protocol shipped predictions (often float64
-scores reinterpreted as int64 bit patterns) through the multiprocessing
-queue as a Python tuple -- one boxed int per element, pickled and unpickled
-per batch.  This module replaces the payload with a
+A process worker's child posts each batch's predictions (often float64
+scores reinterpreted as int64 bit patterns) in a
 :class:`multiprocessing.shared_memory` segment: the child writes the
 prediction array into a named segment once, the queue carries only a tiny
 :class:`ShmBatchRef` descriptor, and the parent maps the segment, copies the

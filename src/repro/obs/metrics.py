@@ -23,6 +23,7 @@ format via :func:`repro.obs.export.prometheus_text`.
 from __future__ import annotations
 
 import bisect
+import os
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -370,7 +371,8 @@ class ArenaStats:
 
     The layer counts as it runs; :meth:`publish` mirrors the two onto a
     registry under the layer's metric names, with the layer's own gauges
-    (``name=callable`` read at publish time) beside them.
+    (``name=callable`` read at publish time) beside them.  A forked child
+    starts with its lock free, whoever held it in the parent.
     """
 
     def __init__(self, compiles_metric: str, bytes_metric: str,
@@ -380,6 +382,12 @@ class ArenaStats:
         self._lock = threading.Lock()
         self._compiles = 0
         self._arena_bytes = 0
+        os.register_at_fork(after_in_child=self._free_lock)
+
+    def _free_lock(self) -> None:
+        # A fork copies the lock as it was: held by a parent thread that
+        # does not exist in the child, so nothing there would release it.
+        self._lock = threading.Lock()
 
     @property
     def compiles(self) -> int:

@@ -401,9 +401,11 @@ class SessionManager:
 def simulated_session_for_format(model_profile, fmt: InputFormatSpec,
                                  performance_model: PerformanceModel,
                                  config: EngineConfig | None = None,
+                                 num_classes: int = 1000,
                                  ) -> SimulatedSession:
     """Convenience builder: a warmed simulated session for (model, format)."""
     plan = Plan.single(model_profile, fmt)
-    session = SimulatedSession(plan, performance_model, config=config)
+    session = SimulatedSession(plan, performance_model, config=config,
+                               num_classes=num_classes)
     session.warmup()
     return session

@@ -8,9 +8,27 @@ from typing import Callable
 
 import numpy as np
 
+from repro.codecs.formats import THUMB_JPEG_161_Q75
+from repro.hardware.instance import get_instance
 from repro.inference.mpmc import MpmcQueue
-from repro.serving.session import BatchResult, EngineSession
+from repro.inference.perfmodel import PerformanceModel
+from repro.nn.zoo import get_model_profile
+from repro.serving.session import (
+    BatchResult,
+    EngineSession,
+    SimulatedSession,
+    simulated_session_for_format,
+)
 from repro.utils.rng import stable_hash
+
+
+def simulated_session(num_classes: int = 8) -> SimulatedSession:
+    """A warmed simulated replica session: ResNet-18 on 161-px JPEG,
+    priced on a g4dn.xlarge."""
+    return simulated_session_for_format(
+        get_model_profile("resnet-18"), THUMB_JPEG_161_Q75,
+        PerformanceModel(get_instance("g4dn.xlarge")),
+        num_classes=num_classes)
 
 
 def wait_until(predicate: Callable[[], bool], timeout: float = 5.0,
@@ -85,20 +103,25 @@ class ScriptedSession(EngineSession):
     Predictions are ``stable_hash(image_id, plan_key) % num_classes`` --
     the same convention as :class:`SimulatedSession` -- so any two scripted
     sessions on the same plan key agree, which is what replica failover
-    correctness relies on.
+    correctness relies on.  ``delay_s`` holds each batch that long in wall
+    time, so a kill lands while the replica is occupied.
     """
 
     def __init__(self, plan_key: str = "test-plan", num_classes: int = 7,
                  fail_times: int = 0,
-                 seconds_per_image: float = 1e-3) -> None:
+                 seconds_per_image: float = 1e-3,
+                 delay_s: float = 0.0) -> None:
         super().__init__(plan_key)
         self._num_classes = num_classes
         self._fail_remaining = fail_times
         self._seconds_per_image = seconds_per_image
+        self._delay_s = delay_s
         self._lock = threading.Lock()
         self.executed_batches = 0
 
     def execute(self, requests):
+        if self._delay_s:
+            time.sleep(self._delay_s)
         with self._lock:
             if self._fail_remaining > 0:
                 self._fail_remaining -= 1

@@ -6,9 +6,9 @@ import multiprocessing
 
 import pytest
 
-from repro.cluster import ProcessWorker, SessionSpec, ThreadWorker
+from repro.cluster import ProcessWorker, ThreadWorker
 
-from cluster_testlib import ScriptedSession
+from cluster_testlib import ScriptedSession, simulated_session
 
 
 @pytest.fixture()
@@ -26,9 +26,9 @@ def scripted_factory():
 
 
 @pytest.fixture(scope="session")
-def simulated_spec():
-    """A small-arity simulated session spec shared by cluster tests."""
-    return SessionSpec(num_classes=8)
+def simulated():
+    """A small-arity warmed simulated session shared by cluster tests."""
+    return simulated_session()
 
 
 @pytest.fixture(params=[
@@ -37,20 +37,20 @@ def simulated_spec():
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="process workers need the fork start method")),
 ])
-def replica_factory(request, simulated_spec):
-    """``factory(worker_id, results)`` for each replica kind in turn.
+def replica_factory(request, simulated):
+    """``factory(worker_id, results, session=simulated)`` for each replica
+    kind in turn.
 
-    Both kinds run a session built from the same :class:`SessionSpec`, so
-    a contract test states its expectation once.  Replicas still open at
-    teardown are crashed and closed.
+    Both kinds take the same arguments and run the session they are given
+    (a process replica its forked copy), so a contract test states its
+    expectation once.  Replicas still open at teardown are crashed and
+    closed.
     """
+    kind = ThreadWorker if request.param == "thread" else ProcessWorker
     made = []
 
-    def factory(worker_id, results):
-        if request.param == "thread":
-            worker = ThreadWorker(worker_id, simulated_spec.build(), results)
-        else:
-            worker = ProcessWorker(worker_id, simulated_spec, results)
+    def factory(worker_id, results, session=simulated):
+        worker = kind(worker_id, session, results)
         made.append(worker)
         return worker
 

@@ -11,34 +11,18 @@ import threading
 import numpy as np
 import pytest
 
-from cluster_testlib import ScriptedSession, wait_until
+from cluster_testlib import ScriptedSession, simulated_session, wait_until
 from repro.chaos.faults import NULL_FAULTS
 from repro.cluster.dispatcher import Dispatcher
-from repro.cluster.worker import ProcessWorker, SessionSpec, ThreadWorker, WorkItem
-from repro.codecs.formats import THUMB_JPEG_161_Q75
-from repro.core.plans import Plan
+from repro.cluster.worker import ProcessWorker, ThreadWorker, WorkItem
 from repro.errors import ClusterError
-from repro.hardware.instance import get_instance
 from repro.inference.mpmc import MpmcQueue
-from repro.inference.perfmodel import EngineConfig, PerformanceModel
-from repro.nn.zoo import resnet_profile
 from repro.obs import FlightRecorder, Observability
 from repro.serving.request import InferenceRequest
-from repro.serving.session import BatchResult, EngineSession, SimulatedSession
+from repro.serving.session import BatchResult, EngineSession
 
 SUBJECTS = {("decode", "161-jpeg-q75"), ("preprocess", "161-jpeg-q75"),
             ("inference", "resnet-18")}
-
-
-def make_session() -> SimulatedSession:
-    instance = get_instance("g4dn.xlarge")
-    session = SimulatedSession(
-        Plan.single(resnet_profile(18), THUMB_JPEG_161_Q75),
-        PerformanceModel(instance),
-        config=EngineConfig(num_producers=instance.vcpus),
-    )
-    session.warmup()
-    return session
 
 
 def item(item_id: int, count: int = 4) -> WorkItem:
@@ -67,7 +51,7 @@ def bus():
 def bus_dispatcher(obs, num_workers=1, faults=NULL_FAULTS,
                    worker_faults=NULL_FAULTS):
     return Dispatcher(
-        lambda wid, results: ThreadWorker(wid, make_session(), results,
+        lambda wid, results: ThreadWorker(wid, simulated_session(), results,
                                           faults=worker_faults),
         num_workers=num_workers, monitor_interval_s=0, obs=obs,
         faults=faults,
@@ -86,7 +70,7 @@ def run_eight_batches(dispatcher) -> None:
 class TestReplicaStages:
     def test_outcome_carries_the_batch_events_and_names_subjects(self):
         results: MpmcQueue = MpmcQueue(64)
-        worker = ThreadWorker("w0", make_session(), results)
+        worker = ThreadWorker("w0", simulated_session(), results)
         try:
             worker.submit(item(0, count=4))
             outcome = results.get(timeout=5.0)
@@ -153,7 +137,7 @@ class TestProcessWorkerStages:
     def test_child_events_reach_the_parent_bus(self):
         obs, events = bus()
         with Dispatcher(
-            lambda wid, results: ProcessWorker(wid, SessionSpec(), results),
+            lambda wid, results: ProcessWorker(wid, simulated_session(), results),
             num_workers=1, monitor_interval_s=0, obs=obs,
         ) as dispatcher:
             dispatcher.submit(batch("p", count=3)).result(timeout=20.0)
@@ -249,7 +233,7 @@ class TestDispatcherStageBus:
 
     def test_outcomes_resolve_without_a_bus(self):
         with Dispatcher(
-            lambda wid, results: ThreadWorker(wid, make_session(), results),
+            lambda wid, results: ThreadWorker(wid, simulated_session(), results),
             num_workers=1, monitor_interval_s=0,
         ) as dispatcher:
             result = dispatcher.submit(batch("y", count=3)).result(timeout=10.0)

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.chaos.runner import _fuse_serving_stack
 from repro.cluster import (
     ProcessWorker,
     ThreadWorker,
@@ -15,8 +16,13 @@ from repro.cluster import (
     WorkOutcome,
 )
 from repro.errors import ClusterError
+from repro.fuse import FUSE_STATS
 from repro.inference.mpmc import MpmcQueue
+from repro.nn import PLAN_STATS, build_mini_resnet
+from repro.preprocessing import PreprocessingDAG
+from repro.serving import serving_pipeline_ops
 from repro.serving.request import InferenceRequest
+from repro.serving.session import FunctionalSession
 
 from cluster_testlib import (
     FullResultsQueue,
@@ -33,6 +39,19 @@ def _item(item_id: int, *image_ids: str) -> WorkItem:
         item_id=item_id,
         requests=tuple(InferenceRequest(image_id=i) for i in image_ids),
     )
+
+
+def _payloads(*shapes: tuple[int, ...], count: int = 8) -> list[np.ndarray]:
+    """``count`` seeded uint8 images cycling through ``shapes``."""
+    rng = np.random.default_rng(31)
+    return [rng.integers(0, 256, size=shapes[i % len(shapes)], dtype=np.uint8)
+            for i in range(count)]
+
+
+def _pixel_item(item_id: int, payloads: list[np.ndarray]) -> WorkItem:
+    return WorkItem(item_id=item_id, requests=tuple(
+        InferenceRequest(image_id=f"px-{item_id}-{i}", payload=payload)
+        for i, payload in enumerate(payloads)))
 
 
 @pytest.fixture()
@@ -120,9 +139,6 @@ class TestThreadWorker:
     def test_invalid_parameters_rejected(self, results):
         with pytest.raises(ClusterError):
             ThreadWorker("", ScriptedSession(), results)
-        with pytest.raises(ClusterError):
-            ThreadWorker("w0", ScriptedSession(), results,
-                         service_time_scale=-1.0)
 
     def test_plan_key_exposed(self, results):
         worker = ThreadWorker("w0", ScriptedSession(plan_key="p1"), results)
@@ -134,7 +150,7 @@ class TestReplicaContract:
     """The worker contract, stated once and held by both replica kinds."""
 
     def test_executes_and_reports_outcomes(self, replica_factory, results,
-                                           simulated_spec):
+                                           simulated):
         worker = replica_factory("w0", results)
         item = _item(0, "img-0", "img-1")
         worker.submit(item)
@@ -142,7 +158,7 @@ class TestReplicaContract:
         assert outcome.ok
         assert (outcome.item_id, outcome.worker_id) == (0, "w0")
         assert outcome.shm is None
-        reference = simulated_spec.build().execute(list(item.requests))
+        reference = simulated.execute(list(item.requests))
         assert outcome.predictions.dtype == np.int64
         assert np.array_equal(outcome.predictions, reference.predictions)
         assert outcome.modelled_seconds == reference.modelled_seconds
@@ -201,22 +217,37 @@ class TestReplicaContract:
             worker.submit(_item(2, "img-2"))
 
     def test_outcomes_carry_the_batch_stage_events(
-            self, replica_factory, results, simulated_spec):
+            self, replica_factory, results, simulated):
         worker = replica_factory("w0", results)
         item = _item(0, "a", "b", "c", "d")
         worker.submit(item)
         outcome = results.get(timeout=20.0)
         assert outcome.worker_id == "w0"
-        reference = simulated_spec.build()
-        assert worker.plan_key == reference.plan_key
+        assert worker.plan_key == simulated.plan_key
         # Built where the session ran, by the session's own subject rule.
-        assert outcome.stages == reference.stage_events(
-            reference.execute(list(item.requests)), 4, "cluster")
+        assert outcome.stages == simulated.stage_events(
+            simulated.execute(list(item.requests)), 4, "cluster")
         assert {(event.stage, event.subject) for event in outcome.stages} == {
-            ("decode", simulated_spec.format_name),
-            ("preprocess", simulated_spec.format_name),
-            ("inference", simulated_spec.model_name)}
+            ("decode", simulated.format_name),
+            ("preprocess", simulated.format_name),
+            ("inference", simulated.model_name)}
         assert all(event.seconds > 0 for event in outcome.stages)
+
+    def test_a_functional_session_matches_the_serial_oracle(
+            self, replica_factory, results):
+        # Real pixels on a warmed FunctionalSession: a process replica runs
+        # its forked copy, bit-identical to per-image interpretation.
+        dag, model = _fuse_serving_stack()
+        session = FunctionalSession("fuse-plan", dag, model)
+        session.warmup()
+        payloads = _payloads((28, 28, 3), (26, 30, 3))
+        worker = replica_factory("w0", results, session)
+        worker.submit(_pixel_item(0, payloads))
+        outcome = results.get(timeout=20.0)
+        assert outcome.ok, outcome.error
+        oracle = model.predict(np.stack([dag.execute(p) for p in payloads]))
+        assert outcome.predictions.tobytes() == np.asarray(
+            oracle, dtype=np.int64).tobytes()
 
     def test_heartbeat_stays_fresh_while_idle(self, replica_factory,
                                               results):
@@ -325,16 +356,15 @@ class TestWorkItem:
 )
 class TestProcessWorker:
     def test_process_worker_matches_thread_worker(self, results,
-                                                  simulated_spec):
-        process_worker = ProcessWorker("pw", simulated_spec, results)
+                                                  simulated):
+        process_worker = ProcessWorker("pw", simulated, results)
         try:
             process_worker.submit(_item(0, "img-0", "img-1"))
             outcome = results.get(timeout=20.0)
             assert outcome.ok
             assert outcome.worker_id == "pw"
             thread_results = MpmcQueue(16)
-            thread_worker = ThreadWorker("tw", simulated_spec.build(),
-                                         thread_results)
+            thread_worker = ThreadWorker("tw", simulated, thread_results)
             thread_worker.submit(_item(0, "img-0", "img-1"))
             reference = thread_results.get(timeout=5.0)
             assert np.array_equal(outcome.predictions, reference.predictions)
@@ -343,8 +373,8 @@ class TestProcessWorker:
             process_worker.close()
         assert not process_worker.alive
 
-    def test_kill_terminates_the_process(self, results, simulated_spec):
-        worker = ProcessWorker("pw", simulated_spec, results)
+    def test_kill_terminates_the_process(self, results, simulated):
+        worker = ProcessWorker("pw", simulated, results)
         worker.kill()
         # join() blocks on the OS-level process exit -- an event, not a poll.
         worker._thread.join(timeout=10.0)
@@ -352,3 +382,56 @@ class TestProcessWorker:
         with pytest.raises(ClusterError):
             worker.submit(_item(0, "img-0"))
         worker.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="process workers need the fork start method",
+)
+class TestForkSafety:
+    """A lock another parent thread holds at the fork is free in the child.
+
+    Each test holds one lock the child's batch must take while the
+    replica forks, and releases it only afterwards.  The child's copy of a
+    held lock would stay held for good -- nothing in the child releases
+    it -- so without the fork hooks the child hangs on its first batch.
+    """
+
+    @pytest.mark.parametrize("lock", ["fuse_stats", "plan_stats", "kernel"])
+    def test_the_child_answers_a_batch(self, lock, results):
+        # A fresh model and an input shape no other test compiles: the
+        # child's batch must compile a kernel program (FUSE_STATS, the
+        # kernel's lock) and grow the model's arena (PLAN_STATS).
+        dag = PreprocessingDAG.from_ops(serving_pipeline_ops(24, 16))
+        model = build_mini_resnet(18, num_classes=5, input_size=16, seed=3)
+        session = FunctionalSession("fork-plan", dag, model)
+        session.warmup()
+        held = {"fuse_stats": FUSE_STATS._lock,
+                "plan_stats": PLAN_STATS._lock,
+                "kernel": session.kernel._lock}[lock]
+        taken, done = threading.Event(), threading.Event()
+
+        def hold():
+            with held:
+                taken.set()
+                done.wait(timeout=30.0)
+
+        holder = threading.Thread(target=hold, name="lock-holder")
+        holder.start()
+        assert taken.wait(timeout=5.0)
+        try:
+            worker = ProcessWorker("fork", session, results)
+        finally:
+            done.set()
+            holder.join()
+        try:
+            payloads = _payloads((37, 41, 3))
+            worker.submit(_pixel_item(0, payloads))
+            outcome = results.get(timeout=10.0)
+            assert outcome.ok, outcome.error
+            oracle = model.predict(
+                np.stack([dag.execute(p) for p in payloads]))
+            assert np.array_equal(outcome.predictions, oracle)
+        finally:
+            worker.kill()
+            worker.close()

@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.cluster import ProcessWorker, SessionSpec, WorkItem
+from repro.cluster import ProcessWorker, WorkItem
 from repro.fuse.shm import (
     HAS_SHM,
     SHM_DIR,
@@ -20,8 +20,13 @@ from repro.fuse.shm import (
     ShmBatchTransport,
     worker_shm_prefix,
 )
+from repro.codecs.formats import THUMB_JPEG_161_Q75
+from repro.hardware.instance import get_instance
 from repro.inference.mpmc import MpmcQueue
+from repro.inference.perfmodel import PerformanceModel
+from repro.nn.zoo import get_model_profile
 from repro.serving.request import InferenceRequest
+from repro.serving.session import simulated_session_for_format
 
 needs_shm = pytest.mark.skipif(
     not (HAS_SHM and os.path.isdir(SHM_DIR)),
@@ -155,8 +160,10 @@ class TestProcessWorkerLifecycle:
         return MpmcQueue(64)
 
     @pytest.fixture()
-    def spec(self):
-        return SessionSpec(num_classes=16)
+    def session(self):
+        return simulated_session_for_format(
+            get_model_profile("resnet-18"), THUMB_JPEG_161_Q75,
+            PerformanceModel(get_instance("g4dn.xlarge")), num_classes=16)
 
     def _item(self, item_id: int, count: int = 3) -> WorkItem:
         return WorkItem(
@@ -166,8 +173,8 @@ class TestProcessWorkerLifecycle:
         )
 
     @needs_shm
-    def test_delivery_leaves_no_segments(self, results, spec):
-        worker = ProcessWorker("shm-pw", spec, results)
+    def test_delivery_leaves_no_segments(self, results, session):
+        worker = ProcessWorker("shm-pw", session, results)
         try:
             for item_id in range(4):
                 worker.submit(self._item(item_id))
@@ -179,8 +186,8 @@ class TestProcessWorkerLifecycle:
         assert worker.transport.attached == 4
 
     @needs_shm
-    def test_kill_sweeps_in_flight_segments(self, results, spec):
-        worker = ProcessWorker("shm-kill", spec, results)
+    def test_kill_sweeps_in_flight_segments(self, results, session):
+        worker = ProcessWorker("shm-kill", session, results)
         try:
             worker.submit(self._item(0))
             results.get(timeout=20.0)
@@ -190,15 +197,15 @@ class TestProcessWorkerLifecycle:
             worker.close()
         assert _segments(worker.transport.prefix) == []
 
-    def test_inline_worker_matches_shm_worker(self, results, spec,
+    def test_inline_worker_matches_shm_worker(self, results, session,
                                               monkeypatch):
-        shm_worker = ProcessWorker("shm-a", spec, results)
+        shm_worker = ProcessWorker("shm-a", session, results)
         inline_results = MpmcQueue(64)
         # shm vs inline is the platform's choice, not a worker option: a
         # worker built (and forked) where shared memory is missing rides
         # inline bytes on both sides of the process boundary.
         monkeypatch.setattr("repro.fuse.shm.HAS_SHM", False)
-        inline_worker = ProcessWorker("shm-b", spec, inline_results)
+        inline_worker = ProcessWorker("shm-b", session, inline_results)
         monkeypatch.undo()
         try:
             assert not inline_worker.transport.uses_shm

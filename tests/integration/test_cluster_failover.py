@@ -11,10 +11,10 @@ import threading
 import numpy as np
 import pytest
 
+from cluster_testlib import ScriptedSession, simulated_session
 from repro.cluster import (
     Dispatcher,
     LabeledExample,
-    SessionSpec,
     ShardedCorpusRunner,
     ThreadWorker,
     run_single_process,
@@ -23,16 +23,15 @@ from repro.serving import BatchPolicy, InferenceRequest, LoadGenerator, SmolServ
 from repro.utils.rng import stable_hash
 
 NUM_CLASSES = 8
-SPEC = SessionSpec(num_classes=NUM_CLASSES)
 
 
 def _factory(worker_id, results):
-    return ThreadWorker(worker_id, SPEC.build(), results)
+    return ThreadWorker(worker_id, simulated_session(NUM_CLASSES), results)
 
 
 @pytest.fixture(scope="module")
 def plan_key():
-    return SPEC.build().plan_key
+    return simulated_session(NUM_CLASSES).plan_key
 
 
 class TestFailoverUnderTraffic:
@@ -81,7 +80,7 @@ class TestShardedOfflineEquality:
         runner = ShardedCorpusRunner(_factory, num_workers=4,
                                      num_classes=NUM_CLASSES, batch_size=32)
         sharded = runner.run(corpus)
-        single = run_single_process(corpus, SPEC.build(),
+        single = run_single_process(corpus, simulated_session(NUM_CLASSES),
                                     num_classes=NUM_CLASSES, batch_size=32)
         assert sharded.total.count == single.total.count
         assert sharded.total.correct == single.total.correct
@@ -89,17 +88,19 @@ class TestShardedOfflineEquality:
         assert np.array_equal(sharded.total.confusion, single.total.confusion)
         assert sharded.total.accuracy == single.total.accuracy
 
-    def test_sharded_run_with_mid_run_death_matches_single_process(self):
+    def test_sharded_run_with_mid_run_death_matches_single_process(
+            self, plan_key):
         corpus = [LabeledExample(image_id=f"img-{i}", label=i % NUM_CLASSES)
                   for i in range(600)]
-        single = run_single_process(corpus, SPEC.build(),
+        single = run_single_process(corpus, simulated_session(NUM_CLASSES),
                                     num_classes=NUM_CLASSES, batch_size=32)
 
         # Slowed replicas (each batch occupies its worker for ~50ms of wall
-        # time) so the kill deterministically lands mid-run.
+        # time) so the kill deterministically lands mid-run; a scripted
+        # session on the simulated plan key predicts what it predicts.
         def slow_factory(worker_id, results):
-            return ThreadWorker(worker_id, SPEC.build(), results,
-                                service_time_scale=10.0)
+            return ThreadWorker(worker_id, ScriptedSession(
+                plan_key, num_classes=NUM_CLASSES, delay_s=0.05), results)
 
         runner = ShardedCorpusRunner(slow_factory, num_workers=4,
                                      num_classes=NUM_CLASSES, batch_size=32)

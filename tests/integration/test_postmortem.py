@@ -10,8 +10,9 @@ import time
 
 import pytest
 
+from cluster_testlib import ScriptedSession
 from repro.cli import main
-from repro.cluster import Dispatcher, SessionSpec, ThreadWorker
+from repro.cluster import Dispatcher, ThreadWorker
 from repro.obs import (
     FlightRecorder,
     Observability,
@@ -19,9 +20,6 @@ from repro.obs import (
     validate_span_tree,
 )
 from repro.serving import InferenceRequest
-
-NUM_CLASSES = 8
-SPEC = SessionSpec(num_classes=NUM_CLASSES)
 
 
 @pytest.fixture
@@ -33,8 +31,8 @@ def crash_bundle(tmp_path):
     def slow_factory(worker_id, results):
         # Slowed replicas so the kill deterministically lands while an
         # item is executing (it stays pending until completion).
-        return ThreadWorker(worker_id, SPEC.build(), results,
-                            service_time_scale=100.0, obs=obs)
+        return ThreadWorker(worker_id, ScriptedSession(delay_s=0.017),
+                            results, obs=obs)
 
     dispatcher = Dispatcher(slow_factory, num_workers=2,
                             heartbeat_timeout_s=30.0, obs=obs)

@@ -13,18 +13,15 @@ import multiprocessing
 
 import pytest
 
-from repro.cluster import Dispatcher, ProcessWorker, SessionSpec, ThreadWorker
+from cluster_testlib import ScriptedSession, simulated_session
+from repro.cluster import Dispatcher, ProcessWorker, ThreadWorker
 from repro.obs import Observability, validate_span_tree
 from repro.query import QueryEngine, QuerySpec
 from repro.serving import InferenceRequest
 from repro.store import RenditionStore
 
-NUM_CLASSES = 8
-SPEC = SessionSpec(num_classes=NUM_CLASSES)
-
-
 def _process_factory(worker_id, results):
-    return ProcessWorker(worker_id, SPEC, results)
+    return ProcessWorker(worker_id, simulated_session(), results)
 
 
 @pytest.mark.skipif(
@@ -77,8 +74,8 @@ class TestFailoverPropagation:
         def slow_factory(worker_id, results):
             # Batches occupy their replica for real wall time so the kill
             # deterministically lands while items are queued/in flight.
-            return ThreadWorker(worker_id, SPEC.build(), results,
-                                service_time_scale=10.0, obs=obs)
+            return ThreadWorker(worker_id, ScriptedSession(delay_s=0.014),
+                                results, obs=obs)
 
         with Dispatcher(slow_factory, num_workers=3,
                         heartbeat_timeout_s=0.5, obs=obs) as dispatcher:

@@ -165,6 +165,22 @@ class TestPublicApi:
         fields = worker.WorkOutcome.__dataclass_fields__
         assert "stages" in fields and "stage_seconds" not in fields
 
+    def test_replicas_take_the_session_they_run(self):
+        # Thread and process replicas both take ``(worker_id, session,
+        # results)``: the picklable session recipe and the thread
+        # replica's modelled-time sleep are gone.
+        import inspect
+
+        cluster = importlib.import_module("repro.cluster")
+        worker = importlib.import_module("repro.cluster.worker")
+        for module in (repro, cluster, worker):
+            assert "SessionSpec" not in getattr(module, "__all__", ())
+            assert not hasattr(module, "SessionSpec")
+        assert "service_time_scale" not in inspect.signature(
+            cluster.ThreadWorker).parameters
+        assert list(inspect.signature(cluster.ProcessWorker).parameters) == [
+            "worker_id", "session", "results"]
+
     def test_preprocessing_pipeline_is_a_chain_not_a_graph(self):
         # The networkx graph, its node ids and its four order accessors
         # are gone: a pipeline is the op tuple and per-op devices
