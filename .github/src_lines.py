@@ -26,7 +26,8 @@ from pathlib import Path
 # Smol-Chain lowered it 26 996 -> 26 894: PreprocessingDAG is an op chain, not a networkx graph.
 # Smol-Bus II lowered it 26 894 -> 26 810: cluster batches publish stage costs as they resolve.
 # Smol-Procs I lowered it 26 810 -> 26 785: a process replica runs the session it is given.
-CEILING = 26_785
+# Smol-Procs II lowered it 26 785 -> 26 523: predictions ride inside their outcome, no shm.
+CEILING = 26_523
 ROADMAP_GATE = 24_500  # ROADMAP item 12, Smol-Core IV: the 24 500 gate
 
 

@@ -33,8 +33,8 @@ from a single :class:`~repro.chaos.scenario.Scenario`:
 8. **process kill** (``scenario.proc_kill``, minority of seeds) -- real
    :class:`~repro.cluster.worker.ProcessWorker` replicas running forked
    copies of a functional session, one killed mid-run: failover +
-   exactly-once + bit-identity to the serial oracle, plus no leaked
-   shared-memory segments once the dispatcher closes;
+   exactly-once + bit-identity to the serial oracle, plus no orphaned
+   replica child process once the dispatcher closes;
 9. **multi-tenant serving** (``scenario.tenant_serving``) -- pass 4
    again with the scenario's tenants on weighted priority classes (same
    server route, same ``serving.admit`` / ``serving.batch`` seams): no
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import shutil
 import tempfile
 import threading
@@ -85,7 +84,6 @@ from repro.errors import (
     StoreError,
 )
 from repro.fuse.compiler import get_kernel
-from repro.fuse.shm import HAS_SHM, SHM_DIR
 from repro.inference.mpmc import MpmcQueue
 from repro.nn.model import build_mini_resnet
 from repro.obs import FlightRecorder, Observability
@@ -528,15 +526,15 @@ class ChaosRunner:
     # ------------------------------------------------------------------
     def _process_pass(self, scenario: Scenario,
                       report: ChaosReport) -> list[InvariantViolation]:
-        """Failover across real child processes, plus shm hygiene.
+        """Failover across real child processes, plus an orphan census.
 
         Two :class:`ProcessWorker` replicas, each a forked copy of one
         warmed :class:`FunctionalSession`, behind a dispatcher; one is
         killed (SIGTERM) right after submission, so any of its pending
         items must fail over to the survivor with exactly-once resolution
         intact and predictions bit-identical to the serial oracle -- and
-        once the dispatcher closes, no shared-memory segment under either
-        worker's transport prefix may remain in ``/dev/shm``.
+        once the dispatcher closes, no child process of either worker
+        (``cluster-<id>``) may still be running.
         """
         if "fork" not in multiprocessing.get_all_start_methods():
             return []
@@ -585,15 +583,15 @@ class ChaosRunner:
                                          allow_failures=True)
         violations += check_predictions(reference, outcomes)
         violations += check_span_tree(obs.spans())
-        if HAS_SHM and os.path.isdir(SHM_DIR):
-            prefixes = tuple(worker.transport.prefix for worker in workers)
-            leaked = [name for name in os.listdir(SHM_DIR)
-                      if name.startswith(prefixes)]
-            if leaked:
-                violations.append(InvariantViolation(
-                    "fuse.shm_leak",
-                    f"{len(leaked)} shared-memory segments survived "
-                    f"close: {sorted(leaked)[:4]}"))
+        names = {f"cluster-{worker.worker_id}" for worker in workers}
+        orphans = sorted(child.name
+                         for child in multiprocessing.active_children()
+                         if child.name in names)
+        if orphans:
+            violations.append(InvariantViolation(
+                "cluster.proc_orphan",
+                f"{len(orphans)} replica processes survived close: "
+                f"{orphans}"))
         report.stats["proc"] = {
             "submitted": stats.submitted, "completed": stats.completed,
             "failed": stats.failed, "failovers": stats.failovers,

@@ -112,7 +112,7 @@ class Scenario:
     proc_kill:
         When True the run includes the process-worker kill pass: real
         child-process replicas, one killed mid-run, with failover,
-        exactly-once, and no-leaked-shm-segment invariants.  Rides a small
+        exactly-once, and no-orphaned-child invariants.  Rides a small
         minority of seeds (forking is expensive next to thread workers).
     tenant_serving / tenant_classes:
         When ``tenant_serving`` is True the run includes the multi-tenant

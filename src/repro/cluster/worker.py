@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.chaos.faults import NULL_FAULTS
 from repro.errors import ClusterError
-from repro.fuse.shm import ShmBatchRef, ShmBatchTransport, worker_shm_prefix
 from repro.inference.mpmc import MpmcQueue, QueueClosed
 from repro.obs import NULL_OBS, StageEvent
 from repro.serving.request import InferenceRequest
@@ -92,12 +91,9 @@ class WorkOutcome:
 
     ``predictions`` is an int64 ndarray passed through from the session
     unboxed -- scan scores ride it as IEEE-754 bit patterns with no
-    per-element Python int round-trip.  Between a shared-memory process
-    worker and its parent pump, the array travels out-of-band: the child
-    posts the outcome with empty ``predictions`` and ``shm`` set to a
-    :class:`~repro.fuse.shm.ShmBatchRef`, and the pump re-materializes
-    ``predictions`` (clearing ``shm``) before forwarding to the
-    dispatcher, which therefore never sees a descriptor.
+    per-element Python int round-trip.  A process replica's child pickles
+    the whole outcome, predictions included, onto its outbox, and the
+    pump forwards it as it arrives.
     """
 
     item_id: int
@@ -110,7 +106,6 @@ class WorkOutcome:
     error: str | None = None
     stages: tuple[StageEvent, ...] = ()
     trace: tuple[int, int] | None = None
-    shm: ShmBatchRef | None = None
 
     @property
     def ok(self) -> bool:
@@ -429,56 +424,38 @@ class ThreadWorker(_Replica):
                          faults)
 
 
-def _child_main(worker_id: str, session: EngineSession, inbox, outbox,
-                shm_prefix: str) -> None:
+def _child_main(worker_id: str, session: EngineSession, inbox,
+                outbox) -> None:
     """Child side of the process lane: the same body over the mp queues
-    until the ``None`` sentinel, arrays out through shared memory."""
-    transport = ShmBatchTransport(shm_prefix)
+    until the ``None`` sentinel, each outcome out as it was returned."""
     for item in iter(inbox.get, None):
-        outcome = _run_item(session, item, worker_id)
-        if outcome.ok:
-            outcome = replace(outcome, predictions=_EMPTY_PREDICTIONS,
-                              shm=transport.publish(outcome.predictions))
-        outbox.put(outcome)
+        outbox.put(_run_item(session, item, worker_id))
 
 
 class _ProcessLane:
     """Child-process lane: mp queues to a forked child; the serving thread
-    pumps its outcomes, re-materializing each batch from shared memory."""
+    pumps its outcomes."""
 
     def __init__(self, replica: _Replica, session: EngineSession) -> None:
         context = multiprocessing.get_context("fork")
         self.inbox, self._outbox = context.Queue(), context.Queue()
-        prefix = worker_shm_prefix(replica.worker_id)
-        self.transport = ShmBatchTransport(prefix)
         self._lock = threading.Lock()  # a late stop() races release()
         self.process = context.Process(
             target=_child_main,
-            args=(replica.worker_id, session, self.inbox, self._outbox,
-                  prefix),
+            args=(replica.worker_id, session, self.inbox, self._outbox),
             name=f"cluster-{replica.worker_id}", daemon=True,
         )
         self.process.start()
 
-    def next_outcome(self, timeout: float) -> WorkOutcome | None:
+    def next_outcome(self, timeout: float) -> WorkOutcome:
         try:
-            outcome = self._outbox.get(timeout=timeout)
+            return self._outbox.get(timeout=timeout)
         except Empty:
             # The one way out: the child exited (on its sentinel, or not)
             # and -- checked second -- all it flushed on the way is read.
             if not self.process.is_alive() and self._outbox.empty():
                 raise QueueClosed("the child is gone") from None
             raise
-        if outcome.shm is None:
-            return outcome
-        try:
-            predictions = self.transport.attach(outcome.shm)
-        except FileNotFoundError:
-            # The segment was swept after a kill: treat the outcome as
-            # lost with the crash -- the item stays pending and failover
-            # recovers it.
-            return None
-        return replace(outcome, predictions=predictions, shm=None)
 
     def stop(self, drain: bool) -> None:
         with self._lock:
@@ -486,14 +463,8 @@ class _ProcessLane:
                 return  # released: nothing is left to stop
             if drain:
                 self.inbox.put(None)
-                return
-            self.process.terminate()
-        # The child may have published batches whose descriptors never
-        # reached the pump; sweeping the worker's prefix reclaims them.
-        # A descriptor the pump is concurrently attaching either wins the
-        # race (the attach unlinks) or sees FileNotFoundError and drops
-        # the outcome -- crash semantics either way.
-        self.transport.sweep()
+            else:
+                self.process.terminate()
 
     def release(self) -> None:
         self.process.join()  # already gone, or terminated by stop()
@@ -510,7 +481,6 @@ class _ProcessLane:
             # pipe ends; dropping the last reference does.
             self.inbox = self._outbox = None
             self.process.close()
-        self.transport.sweep()
 
 
 class ProcessWorker(_Replica):
@@ -519,21 +489,12 @@ class ProcessWorker(_Replica):
     The session is any warmed :class:`EngineSession`, never pickled: the
     child runs the copy it was forked with, so spans and faults on the
     session's own ``obs`` / ``faults`` act in the child and the parent
-    never sees them.  Prediction batches ride zero-copy shared memory: the
-    child publishes each batch into a named segment under a per-worker
-    prefix and the pump re-materializes it on attach, unlinking as it goes.
-    ``kill``/``close`` sweep the prefix, so a crashed child's in-flight
-    segments never leak.  On platforms without
-    ``multiprocessing.shared_memory`` the transport degrades to inline
-    bytes with identical results.
+    never sees them.  Each outcome, predictions included, crosses back
+    pickled on the lane's outbox; an outcome still in the pipe when the
+    replica is killed is dropped on arrival, like any post-kill delivery.
     """
 
     def __init__(self, worker_id: str, session: EngineSession,
                  results: MpmcQueue[WorkOutcome]) -> None:
         super().__init__(worker_id, results, NULL_FAULTS, _ProcessLane,
                          session)
-
-    @property
-    def transport(self) -> ShmBatchTransport:
-        """The parent-side shared-memory transport (attach + sweep side)."""
-        return self._lane.transport

@@ -1,11 +1,13 @@
 """Tests for the chaos runner, its invariants, and postmortem bundles."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.chaos import ChaosRunner, Scenario, ScenarioGen
+from repro.chaos import runner as runner_module
 from repro.chaos.faults import Fault, FaultPlan
 from repro.chaos.invariants import (
     check_exactly_once,
@@ -13,6 +15,7 @@ from repro.chaos.invariants import (
     check_span_tree,
 )
 from repro.chaos.runner import HashSession, dump_report
+from repro.cluster import ProcessWorker
 
 #: Chaos-seed reproducers for the two seeded bugfixes this harness was
 #: built to catch (see tests/inference/test_mpmc.py and
@@ -210,6 +213,51 @@ class TestPostmortem:
         report = ChaosRunner().run(ScenarioGen().generate(0))
         assert "recorder" in report.stats  # live handle for dump_report
         assert "recorder" not in report.to_dict()["stats"]
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="process workers need the fork start method",
+)
+class TestProcessPass:
+    SCENARIO = Scenario(seed=1, items=3, batch=2, workers=2,
+                        arrival=(0, 0, 0), proc_kill=True)
+
+    def test_a_killed_process_replica_fails_over_and_leaves_no_child(self):
+        report = ChaosRunner().run(self.SCENARIO)
+        assert report.ok, report.describe()
+        proc = report.stats["proc"]
+        assert proc["submitted"] == proc["completed"] == 3
+        assert proc["worker_deaths"] >= 1
+        assert not [child.name for child in multiprocessing.active_children()
+                    if child.name.startswith("cluster-")]
+
+    def test_a_replica_child_that_outlives_close_is_flagged(
+            self, monkeypatch):
+        # A replica whose close() forgets its child: the child keeps
+        # waiting on its inbox after the dispatcher has closed.
+        forgetful = []
+
+        class ForgetfulWorker(ProcessWorker):
+            def __init__(self, *args):
+                super().__init__(*args)
+                forgetful.append(self)
+
+            def close(self, timeout=10.0):
+                pass
+
+        monkeypatch.setattr(runner_module, "ProcessWorker", ForgetfulWorker)
+        try:
+            report = ChaosRunner().run(self.SCENARIO)
+        finally:
+            for worker in forgetful:
+                ProcessWorker.close(worker)
+        orphans = [v for v in report.violations
+                   if v.invariant == "cluster.proc_orphan"]
+        # The survivor's child was never told to stop.
+        survivor = forgetful[1 - self.SCENARIO.seed % 2]
+        assert len(orphans) == 1, report.describe()
+        assert f"'cluster-{survivor.worker_id}'" in orphans[0].detail
 
 
 class TestChaosFaultIsReproError:

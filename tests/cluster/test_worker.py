@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import threading
 import time
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from repro.nn import PLAN_STATS, build_mini_resnet
 from repro.preprocessing import PreprocessingDAG
 from repro.serving import serving_pipeline_ops
 from repro.serving.request import InferenceRequest
-from repro.serving.session import FunctionalSession
+from repro.serving.session import BatchResult, EngineSession, FunctionalSession
 
 from cluster_testlib import (
     FullResultsQueue,
@@ -52,6 +53,28 @@ def _pixel_item(item_id: int, payloads: list[np.ndarray]) -> WorkItem:
     return WorkItem(item_id=item_id, requests=tuple(
         InferenceRequest(image_id=f"px-{item_id}-{i}", payload=payload)
         for i, payload in enumerate(payloads)))
+
+
+#: Bit patterns that break any repr/float round-trip: NaN with payload
+#: bits, infinities, subnormals, signed zero.
+SPECIAL_FLOATS = np.array(
+    [np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.0, -0.0,
+     np.finfo(np.float64).max],
+    dtype=np.float64,
+)
+
+
+class FixedSession(EngineSession):
+    """Answers every batch with one fixed prediction array, whatever its
+    shape, memory layout or bit patterns."""
+
+    def __init__(self, plan_key: str, predictions: np.ndarray) -> None:
+        super().__init__(plan_key)
+        self._predictions = predictions
+
+    def execute(self, requests):
+        return BatchResult(predictions=self._predictions,
+                           modelled_seconds=0.0)
 
 
 @pytest.fixture()
@@ -157,7 +180,6 @@ class TestReplicaContract:
         outcome = results.get(timeout=20.0)
         assert outcome.ok
         assert (outcome.item_id, outcome.worker_id) == (0, "w0")
-        assert outcome.shm is None
         reference = simulated.execute(list(item.requests))
         assert outcome.predictions.dtype == np.int64
         assert np.array_equal(outcome.predictions, reference.predictions)
@@ -249,6 +271,75 @@ class TestReplicaContract:
         assert outcome.predictions.tobytes() == np.asarray(
             oracle, dtype=np.int64).tobytes()
 
+    def test_special_float_bits_survive_exactly(self, replica_factory,
+                                                results):
+        # Scan scores ride predictions as float64 bit patterns: whatever
+        # lane carries them may not canonicalize a NaN or flush a subnormal.
+        worker = replica_factory("w0", results, FixedSession(
+            "floats-plan", SPECIAL_FLOATS.view(np.int64)))
+        worker.submit(_item(0, "img-0"))
+        outcome = results.get(timeout=20.0)
+        assert outcome.ok, outcome.error
+        assert outcome.predictions.dtype == np.int64
+        assert (outcome.predictions.tobytes()
+                == SPECIAL_FLOATS.view(np.int64).tobytes())
+
+    def test_multidimensional_and_noncontiguous_predictions_survive(
+            self, replica_factory, results):
+        rng = np.random.default_rng(5)
+        batch = rng.integers(-(2 ** 62), 2 ** 62, size=(6, 8),
+                             dtype=np.int64)[::2]  # a non-contiguous view
+        worker = replica_factory("w0", results,
+                                 FixedSession("rows-plan", batch))
+        worker.submit(_item(0, "img-0"))
+        outcome = results.get(timeout=20.0)
+        assert outcome.ok, outcome.error
+        assert outcome.predictions.shape == (3, 8)
+        assert (outcome.predictions.tobytes()
+                == np.ascontiguousarray(batch).tobytes())
+
+    def test_empty_predictions_survive(self, replica_factory, results):
+        worker = replica_factory("w0", results, FixedSession(
+            "empty-plan", np.empty(0, dtype=np.int64)))
+        worker.submit(_item(0, "img-0"))
+        outcome = results.get(timeout=20.0)
+        assert outcome.ok, outcome.error
+        assert outcome.predictions.dtype == np.int64
+        assert outcome.predictions.shape == (0,)
+
+    def test_a_scan_sized_batch_survives_exactly(self, replica_factory,
+                                                 results):
+        # 256 frames of full-range int64 scores: the largest batch a scan
+        # hands a replica, bit for bit.
+        scores = np.random.default_rng(7).integers(
+            np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=256,
+            dtype=np.int64)
+        worker = replica_factory("w0", results,
+                                 FixedSession("scan-plan", scores))
+        worker.submit(_item(0, *(f"frame-{i}" for i in range(256))))
+        outcome = results.get(timeout=20.0)
+        assert outcome.ok, outcome.error
+        assert outcome.predictions.tobytes() == scores.tobytes()
+
+    def test_each_outcome_carries_its_own_predictions(
+            self, replica_factory, results, simulated):
+        # Many batches queued back to back: every outcome arrives with
+        # the predictions of its own item, never a neighbour's.
+        worker = replica_factory("w0", results)
+        items = [_item(i, f"img-{i}-a", f"img-{i}-b", f"img-{i}-c")
+                 for i in range(16)]
+        for item in items:
+            worker.submit(item)
+        outcomes = {}
+        for _ in items:
+            outcome = results.get(timeout=20.0)
+            outcomes[outcome.item_id] = outcome
+        assert sorted(outcomes) == list(range(16))
+        for item in items:
+            reference = simulated.execute(list(item.requests))
+            assert np.array_equal(outcomes[item.item_id].predictions,
+                                  reference.predictions), item.item_id
+
     def test_heartbeat_stays_fresh_while_idle(self, replica_factory,
                                               results):
         worker = replica_factory("w0", results)
@@ -284,32 +375,35 @@ class TestLostItem:
         assert 0 in pending | delivered
 
 
+def _fds() -> int:
+    fd_dir = "/proc/self/fd"
+    return len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else 0
+
+
 def _census(worker, foreign=()) -> dict:
     """Everything a replica may leave behind in this process."""
-    prefix = getattr(worker, "transport", None)
-    prefix = prefix.prefix if prefix is not None else None
-    fd_dir = "/proc/self/fd"
     return {
         "threads": replica_threads(worker.worker_id) + [
             thread.name for thread in threading.enumerate()
             if thread.name == "QueueFeederThread" and thread not in foreign],
         "children": [child.name for child in multiprocessing.active_children()
                      if child.name == f"cluster-{worker.worker_id}"],
-        "fds": len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else 0,
-        "segments": [name for name in os.listdir("/dev/shm")
-                     if prefix and name.startswith(prefix)]
-                    if os.path.isdir("/dev/shm") else [],
+        "fds": _fds(),
     }
 
 
 class TestShutdownCensus:
-    """A stopped replica leaves no thread, child, descriptor or segment."""
+    """A stopped replica leaves no thread, child or descriptor."""
 
     @pytest.mark.parametrize("crash", [False, True],
                              ids=["close", "kill+close"])
     def test_nothing_outlives_the_replica(self, replica_factory, results,
                                           crash):
         foreign = set(threading.enumerate())  # other tests' leftovers
+        # Neither replica kind has a one-time cost (nothing starts a
+        # resource tracker), so the first cycle is held to the count taken
+        # before it.
+        baseline = _fds()
 
         def cycle(worker_id):
             worker = replica_factory(worker_id, results)
@@ -328,14 +422,10 @@ class TestShutdownCensus:
         def clean(worker, max_fds):
             census = _census(worker, foreign)
             return (not census["threads"] and not census["children"]
-                    and not census["segments"] and census["fds"] <= max_fds)
+                    and census["fds"] <= max_fds)
 
-        # One-time costs first (the shm resource tracker keeps a pipe).
         # A crashed child's queue feeder is told to stop, not joined (it
         # may be writing to a pipe nobody reads), hence the brief polls.
-        warm = cycle("warm")
-        wait_until(lambda: clean(warm, 1 << 20), message="the warm-up")
-        baseline = _census(warm, foreign)["fds"]
         for worker_id in ("census-a", "census-b"):
             worker = cycle(worker_id)
             wait_until(lambda: clean(worker, baseline),
@@ -382,6 +472,45 @@ class TestProcessWorker:
         with pytest.raises(ClusterError):
             worker.submit(_item(0, "img-0"))
         worker.close()
+
+    def _serve_and_close(self, results, session, worker_id):
+        worker = ProcessWorker(worker_id, session, results)
+        try:
+            for item_id in range(4):
+                worker.submit(_item(item_id, f"img-{item_id}"))
+            got = {results.get(timeout=20.0).item_id for _ in range(4)}
+            assert got == set(range(4))
+        finally:
+            worker.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="no /dev/shm to take a census of")
+    def test_answered_batches_hold_no_shared_memory_segment(self,
+                                                            simulated):
+        # The serving thread is stuck posting item 0 into a full results
+        # queue, so items 1-3 wait answered in the outbox, unread: any
+        # out-of-band copy of their predictions would still exist now.
+        results = FullResultsQueue()
+        before = set(os.listdir("/dev/shm"))
+        worker = ProcessWorker("no-shm", simulated, results)
+        try:
+            for item_id in range(4):
+                worker.submit(_item(item_id, f"img-{item_id}"))
+            assert results.attempted.wait(timeout=20.0)
+            wait_until(lambda: worker._lane._outbox.qsize() == 3,
+                       timeout=20.0, message="three answered batches")
+            assert set(os.listdir("/dev/shm")) - before == set()
+        finally:
+            worker.kill()
+            worker.close()
+
+    def test_serving_starts_no_resource_tracker(self, results, simulated):
+        # Only named shared resources need the tracker; predictions that
+        # ride their pickled outcome give it nothing to track.
+        tracker = resource_tracker._resource_tracker
+        before = tracker._pid
+        self._serve_and_close(results, simulated, "no-tracker")
+        assert tracker._pid == before
 
 
 @pytest.mark.skipif(

@@ -1,6 +1,8 @@
 """Tests for the package's public API surface."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -98,18 +100,17 @@ class TestPublicApi:
         # Still the cluster's hand-off primitive.
         assert "MpmcQueue" in inference.__all__
 
-    def test_fuse_exports_exactly_the_kernel_cache_and_transport(self):
+    def test_fuse_exports_exactly_the_kernel_cache(self):
         # One arithmetic per operator: batch capability is declared on the
         # op class (``batched``), so the package exports no per-op
         # extension entry points and has no registry module.
         fuse = importlib.import_module("repro.fuse")
         assert sorted(fuse.__all__) == [
-            "DEFAULT_KERNEL_CACHE", "FUSE_STATS", "FusedKernel", "HAS_SHM",
-            "KernelCache", "ShmBatchRef", "ShmBatchTransport", "compile_dag",
-            "dag_fingerprint", "get_kernel", "worker_shm_prefix",
+            "DEFAULT_KERNEL_CACHE", "FUSE_STATS", "FusedKernel",
+            "KernelCache", "compile_dag", "dag_fingerprint", "get_kernel",
         ]
         public = {name for name in vars(fuse) if not name.startswith("_")}
-        assert public - set(fuse.__all__) <= {"compiler", "kernel", "shm"}
+        assert public - set(fuse.__all__) <= {"compiler", "kernel"}
         assert fuse.dag_fingerprint is importlib.import_module(
             "repro.store").dag_fingerprint
 
@@ -180,6 +181,40 @@ class TestPublicApi:
             cluster.ThreadWorker).parameters
         assert list(inspect.signature(cluster.ProcessWorker).parameters) == [
             "worker_id", "session", "results"]
+
+    def test_process_predictions_travel_inside_their_outcome(self):
+        # The shared-memory batch transport is gone: no segment, descriptor
+        # or prefix, no outcome field for a descriptor and no transport on
+        # the process replica.
+        fuse = importlib.import_module("repro.fuse")
+        worker = importlib.import_module("repro.cluster.worker")
+        for name in ("ShmBatchTransport", "ShmBatchRef", "HAS_SHM",
+                     "worker_shm_prefix"):
+            assert name not in fuse.__all__ and not hasattr(fuse, name), name
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.fuse.shm")
+        assert "shm" not in worker.WorkOutcome.__dataclass_fields__
+        assert not hasattr(worker.ProcessWorker, "transport")
+
+    def test_the_cluster_tier_imports_nothing_from_fuse(self):
+        # With the transport gone, a replica moves predictions with the
+        # rest of its outcome; the kernel cache is the session's business.
+        package = Path(importlib.import_module("repro.cluster").__file__)
+        walked, fuse_imports = [], []
+        for path in sorted(package.parent.glob("*.py")):
+            walked.append(path.name)
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                fuse_imports += [f"{path.name}: {module}" for module in modules
+                                 if module == "repro.fuse"
+                                 or module.startswith("repro.fuse.")]
+        assert "worker.py" in walked
+        assert fuse_imports == []
 
     def test_preprocessing_pipeline_is_a_chain_not_a_graph(self):
         # The networkx graph, its node ids and its four order accessors
