@@ -24,3 +24,11 @@ def pytest_addoption(parser):
         "--update-golden", action="store_true", default=False,
         help="rewrite golden plan-trace snapshots instead of asserting",
     )
+
+
+def pytest_configure(config):
+    """Register ``exhaustive``: cases tier-1 runs in full and CI's 20x flake
+    loop deselects (``-m "not exhaustive"``), keeping a sample of them."""
+    config.addinivalue_line(
+        "markers", "exhaustive: a full sweep the flake loop samples instead",
+    )

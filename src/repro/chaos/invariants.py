@@ -118,9 +118,4 @@ def check_span_tree(spans: list) -> list[InvariantViolation]:
     tree = validate_span_tree(spans)
     if tree.connected:
         return []
-    return [InvariantViolation(
-        "trace.connected",
-        f"{len(tree.traces)} traces, {len(tree.roots)} roots, "
-        f"{len(tree.orphans)} orphans, {len(tree.duplicates)} duplicate "
-        "span ids",
-    )]
+    return [InvariantViolation("trace.connected", "; ".join(tree.problems))]

@@ -3,16 +3,11 @@
 The persistent store (:mod:`repro.store`) keeps decoded renditions and score
 tables on disk as sequences of independently-decodable chunks, so a reader
 can stream one shard's frames without materializing the whole array.  This
-module provides the codec for those chunks, built from the same ingredients
-the image codecs already use:
-
-* each chunk is a self-describing array payload -- a small header (dtype,
-  shape) followed by a DEFLATE-compressed body, the scheme
-  :mod:`repro.codecs.png` applies to its row strips;
-* chunks are packed into one stream with the entropy coder's random-access
-  block container (:func:`repro.codecs.entropy.pack_blocks`), whose offset
-  table lets a reader seek straight to the chunks covering a frame range --
-  the same property that makes macroblock ROI decoding possible.
+module provides the codec for those chunks: each is a self-describing array
+payload -- a small header (dtype, shape) followed by a DEFLATE-compressed
+body, the scheme :mod:`repro.codecs.png` applies to its row strips.  The
+store writes each chunk as its own content-addressed object (one file, named
+by its digest), so a reader loads only the chunks covering a frame range.
 
 The codec is bit-exact for every numpy dtype the store uses (``uint8``
 rendition pixels, ``float64``/``int64`` score tables, including NaN/inf bit
@@ -27,7 +22,6 @@ import zlib
 
 import numpy as np
 
-from repro.codecs.entropy import block_count, pack_blocks, unpack_block
 from repro.errors import CorruptBitstreamError
 
 _MAGIC = b"RCHU"
@@ -35,11 +29,10 @@ _MAX_NDIM = 8
 
 #: zlib level used for chunk bodies; level 1 keeps warm reads and writes fast
 #: while still collapsing the long runs synthetic renditions contain.
-DEFAULT_COMPRESSION_LEVEL = 1
+_COMPRESSION_LEVEL = 1
 
 
-def encode_array(array: np.ndarray,
-                 level: int = DEFAULT_COMPRESSION_LEVEL) -> bytes:
+def encode_array(array: np.ndarray) -> bytes:
     """Encode one array chunk losslessly (header + DEFLATE body)."""
     arr = np.ascontiguousarray(array)
     if arr.ndim > _MAX_NDIM:
@@ -53,7 +46,7 @@ def encode_array(array: np.ndarray,
     header += dtype_name
     header += struct.pack("<B", arr.ndim)
     header += struct.pack(f"<{arr.ndim}q", *arr.shape) if arr.ndim else b""
-    body = zlib.compress(arr.tobytes(), level)
+    body = zlib.compress(arr.tobytes(), _COMPRESSION_LEVEL)
     return bytes(header) + body
 
 
@@ -98,18 +91,3 @@ def decode_array(payload: bytes) -> np.ndarray:
     array.flags.writeable = False
     return array
 
-
-def pack_array_chunks(arrays: list[np.ndarray],
-                      level: int = DEFAULT_COMPRESSION_LEVEL) -> bytes:
-    """Encode and pack several chunks into one random-access stream."""
-    return pack_blocks([encode_array(arr, level) for arr in arrays])
-
-
-def unpack_array_chunk(data: bytes, index: int) -> np.ndarray:
-    """Decode chunk ``index`` of a packed stream without touching the rest."""
-    return decode_array(unpack_block(data, index))
-
-
-def chunk_count(data: bytes) -> int:
-    """Number of chunks in a packed stream."""
-    return block_count(data)

@@ -6,6 +6,10 @@ The offset index is the feature the paper's ROI decoding exploits: blocks are
 independently decodable, so only the macroblocks intersecting a region of
 interest need to be entropy-decoded and inverse-transformed.
 
+Decoding folds un-zig-zag, dequantization and the inverse DCT into one GEMM
+by a per-quality 64 x 64 basis, bit-identical to the separate transforms
+(:func:`_samples`).
+
 Chroma handling is simplified: all three channels use the luminance
 quantization table.  This does not change any of the behaviours the paper's
 optimizations depend on (cost scaling with decoded blocks, quality-dependent
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +29,7 @@ from repro.codecs import entropy
 from repro.codecs.image import Image, Resolution
 from repro.codecs.roi import RegionOfInterest, expand_to_blocks
 from repro.errors import CodecError
+from repro.utils import blas
 
 _SIZE = blk.BLOCK_SIZE
 _BLOCK_LENGTH = _SIZE * _SIZE
@@ -117,17 +123,14 @@ class JpegCodec:
         the frame, which is what the downstream crop consumes.
         """
         left, top, across, down = window = _block_window(encoded, roi)
-        block_indices, quant_table = _decode_plan(
+        plan = _decode_plan(
             encoded.quality, encoded.channels, encoded.blocks_x, encoded.blocks_y, *window)
         # One array program over the touched blocks of every channel: stream
         # indices (channel, by, bx) -> coefficients -> pixels.  A full decode
         # is the same lines with every block touched.
-        flat = entropy.decode_blocks(encoded.data, block_indices, _BLOCK_LENGTH)
-        samples = blk.inverse_dct_blocks(
-            blk.dequantize_blocks(blk.zigzag_unscan(flat), quant_table))
-        # In place: the float64 samples are the decoder's largest array.
-        samples += 128.0
-        np.clip(np.rint(samples, out=samples), 0, 255, out=samples)
+        flat = entropy.decode_blocks(encoded.data, plan.block_indices, _BLOCK_LENGTH)
+        samples = _samples(flat, plan)
+        np.clip(samples, 0, 255, out=samples)
         # One cast-and-transpose: (channel, by, bx, 8, 8) samples land in the
         # padded (H, W, channel) frame, seen as (by, 8, bx, 8, channel).
         pixels = np.empty((down, _SIZE, across, _SIZE, encoded.channels), dtype=np.uint8)
@@ -152,15 +155,73 @@ def _block_window(encoded: JpegEncoded, roi: RegionOfInterest) -> tuple[int, int
             -(-aligned.width // _SIZE), -(-aligned.height // _SIZE))
 
 
+class _DecodePlan(NamedTuple):
+    """Read-only arrays every thread's decode of one geometry shares."""
+    block_indices: np.ndarray   # touched blocks, in stream (channel, by, bx) order
+    quant_table: np.ndarray     # (8, 8) q, natural order
+    scan_quant: np.ndarray      # (64,) q[zz(j)]
+    basis: np.ndarray           # (64, 64) B[j, p] = q[zz(j)] * idct(e_zz(j))[p]
+
+
 @lru_cache(maxsize=32)
 def _decode_plan(quality: int, channels: int, blocks_x: int, blocks_y: int, left: int,
-                 top: int, across: int, down: int) -> tuple[np.ndarray, np.ndarray]:
-    """One geometry's touched blocks as stream indices, in the stream's (channel, by,
-    bx) order, and its quantization table: shared by every thread, so read-only."""
+                 top: int, across: int, down: int) -> _DecodePlan:
+    """One geometry's touched blocks as stream indices, and its quality's tables."""
     if top + down > blocks_y or left + across > blocks_x:
         raise CodecError(f"block window outside the {blocks_x}x{blocks_y} block grid")
     window = np.ix_(range(channels), range(top, top + down), range(left, left + across))
     block_indices = np.ravel_multi_index(window, (channels, blocks_y, blocks_x)).reshape(-1)
     quant_table = blk.quality_to_quant_table(quality)
-    block_indices.flags.writeable = quant_table.flags.writeable = False
-    return block_indices, quant_table
+    scan_quant = quant_table.reshape(-1)[blk.ZIGZAG]
+    # The orthonormal DCT-II matrix C[u, x]; C[u, x] * C[v, y] at row 8u + v,
+    # column 8x + y is the inverse transform of the unit block at (u, v).
+    x = np.arange(_SIZE)
+    dct = np.cos((2 * x + 1) * x[:, None] * np.pi / (2 * _SIZE)) * np.sqrt(2.0 / _SIZE)
+    dct[0] = np.sqrt(1.0 / _SIZE)
+    unit = (dct[:, None, :, None] * dct[None, :, None, :]).reshape(_BLOCK_LENGTH, -1)
+    basis = unit[blk.ZIGZAG] * scan_quant[:, None]
+    plan = _DecodePlan(block_indices, quant_table, scan_quant, basis)
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+def _samples(flat: np.ndarray, plan: _DecodePlan) -> np.ndarray:
+    """Level-shifted, rounded samples (n, 64) of zig-zag rows ``flat``: one
+    GEMM by ``plan.basis``, bit-identical to un-zig-zag, dequantize,
+    ``blk.inverse_dct_blocks``, ``+ 128`` and ``rint``.
+
+    The two paths round differently, so a block with a sample within eps of
+    a tie k + 1/2 is recomputed by the transforms.  With u = 2**-53 and
+    M = sum_j |c_j| q[zz(j)], a block's sample differs from exact by at most:
+    GEMM 41u M (basis entries within 24u q[zz(j)] of exact, |entries| <=
+    q[zz(j)] / 4, and a 64-term dot product in any order, fused or not, errs
+    by gamma_64 = 64u / (1 - 64u) of its terms' absolute sum); transforms
+    64u M (exact integer products c_j q[zz(j)], then two 8-point passes of
+    pocketfft's FFT-based DCT: Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm 24.2, t = 3, eta = mu + gamma_4 (sqrt(2) + mu), plus the
+    DCT's twiddles); ``+ 128`` u (M + 128) each.  So the paths differ by under
+    2**7 u (M + 256), and eps = 2**-40 (M + 256) is 64 times that: any other
+    sample rounds alike both ways.  Int16 keeps M < 2**29 and eps < 5e-4, so
+    a corrupt stream's large cancelling coefficients flag, not break, a block.
+    """
+    coefficients = flat.astype(np.float64)
+    samples = np.empty_like(coefficients)
+    blas.gemm(coefficients, plan.basis, samples)
+    # The coefficients' float copy is dead after the product: it holds |c|,
+    # then the rounded samples.
+    margin = np.matmul(np.abs(coefficients, out=coefficients), plan.scan_quant)
+    margin += 256.0
+    margin *= 2.0 ** -40
+    samples += 128.0
+    rounded = np.rint(samples, out=coefficients)
+    np.abs(np.subtract(samples, rounded, out=samples), out=samples)
+    # One whole-array maximum rules out every block at once, as it does on
+    # natural images; a maximum per block costs five times as much.
+    if samples.max(initial=0.0) >= 0.5 - margin.max(initial=0.0):
+        near = (samples.max(axis=1) >= 0.5 - margin).nonzero()[0]
+        exact = blk.inverse_dct_blocks(
+            blk.dequantize_blocks(blk.zigzag_unscan(flat[near]), plan.quant_table))
+        exact += 128.0
+        rounded[near] = np.rint(exact).reshape(-1, _BLOCK_LENGTH)
+    return rounded

@@ -8,7 +8,7 @@ Two layers of fidelity serve different parts of the reproduction:
   specialized NNs on the synthetic datasets, and the low-resolution augmented
   training procedure of Section 5.3.  Inference runs an ahead-of-time plan
   over a per-thread arena (:mod:`repro.nn.plan`), every convolution one BLAS
-  GEMM that stays on the calling thread (:mod:`repro.nn.blas`).
+  GEMM that stays on the calling thread (:mod:`repro.utils.blas`).
 * The model zoo (:mod:`repro.nn.zoo`) holds calibrated throughput and accuracy
   profiles of the paper's standard ResNets (18/34/50) and specialized NNs, so
   the planner and the benchmark harnesses reproduce the paper's trade-off

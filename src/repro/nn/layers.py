@@ -10,7 +10,7 @@ inference arithmetic once, in :meth:`Layer.step`, against arrays the caller
 provides; :mod:`repro.nn.plan` hands it views of a per-thread arena, and the
 layer's own allocating ``forward`` (training, and the tests' oracle) hands
 the same code fresh arrays.  Convolution is im2col into a scratch array
-followed by one BLAS GEMM (:mod:`repro.nn.blas`).  Steps read parameters and
+followed by one BLAS GEMM (:mod:`repro.utils.blas`).  Steps read parameters and
 running statistics from the layer each time they run, never from captured
 copies: training rebinds them and ``load_state_dict`` writes them in place.
 """
@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ModelError
-from repro.nn import blas
+from repro.utils import blas
 
 
 class Layer:

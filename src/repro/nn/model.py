@@ -144,11 +144,6 @@ class MiniConvNet:
     num_classes: int
     input_size: int = 32
 
-    @property
-    def approx_depth(self) -> int:
-        """Number of convolutional layers (the "depth" analogue)."""
-        return len(self.stage_channels) * self.blocks_per_stage + 1
-
 
 def build_mini_resnet(depth: int, num_classes: int, input_size: int = 32,
                       seed: int = 0) -> Sequential:

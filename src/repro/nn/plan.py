@@ -43,9 +43,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import ModelError
-from repro.nn import blas
 from repro.nn.layers import Layer
 from repro.obs.metrics import ArenaStats
+from repro.utils import blas
 
 _SLOTS = ("slot0", "slot1")
 _SCRATCH = "scratch"

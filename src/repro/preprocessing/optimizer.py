@@ -72,13 +72,6 @@ class OptimizationReport:
     applied_fusion: bool = False
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def cost_reduction(self) -> float:
-        """Fractional reduction in arithmetic operations."""
-        if self.original_cost <= 0:
-            return 0.0
-        return 1.0 - self.optimized_cost / self.original_cost
-
     def optimized_dag(self, device: str = "cpu") -> PreprocessingDAG:
         """Build a DAG for the optimized operator sequence."""
         return PreprocessingDAG.from_ops(self.optimized_ops, device=device)

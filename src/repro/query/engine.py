@@ -37,7 +37,6 @@ from repro.analytics.limit_queries import (
 )
 from repro.analytics.sampling import adaptive_mean_estimate
 from repro.analytics.scan import (
-    DEFAULT_TARGET_MODEL,
     compute_scan_costs,
     proxy_scan_order,
 )
@@ -56,7 +55,6 @@ from repro.datasets.video import VideoDataset, load_video_dataset
 from repro.errors import QueryError
 from repro.hardware.instance import CloudInstance, get_instance
 from repro.inference.perfmodel import EngineConfig, PerformanceModel
-from repro.nn.zoo import get_model_profile
 from repro.obs import NULL_OBS
 from repro.query.scan import ClusterScanRunner, ScanReport
 from repro.query.spec import QuerySpec
@@ -620,8 +618,3 @@ class QueryEngine:
             cascade_throughput=evaluation.throughput,
             execution=execution,
         )
-
-
-def default_target_profile():
-    """The default expensive target DNN profile (Mask R-CNN)."""
-    return get_model_profile(DEFAULT_TARGET_MODEL)

@@ -311,8 +311,6 @@ class RenditionStore:
         a reader touches one chunk (``chunk_frames`` rows) at a time.
     cache_bytes:
         Budget of the in-memory decoded-chunk LRU tier.
-    compression_level:
-        zlib level for chunk bodies (see :mod:`repro.codecs.chunked`).
     obs:
         Observability handle (:mod:`repro.obs`).  With tracing enabled,
         reads, puts, and invalidations open ``store.*`` spans parented to
@@ -332,19 +330,15 @@ class RenditionStore:
     def __init__(self, root: str | Path,
                  chunk_frames: int = DEFAULT_CHUNK_FRAMES,
                  cache_bytes: int = DEFAULT_CACHE_BYTES,
-                 compression_level: int = 1, obs=NULL_OBS,
+                 obs=NULL_OBS,
                  faults=NULL_FAULTS) -> None:
         if chunk_frames <= 0:
             raise StoreError("chunk_frames must be positive")
-        if not -1 <= compression_level <= 9:
-            raise StoreError("compression_level must be a zlib level, "
-                             f"-1 to 9, not {compression_level}")
         self._faults = faults if faults is not None else NULL_FAULTS
         self._root = Path(root)
         self._objects = self._root / "objects"
         self._objects.mkdir(parents=True, exist_ok=True)
         self._chunk_frames = chunk_frames
-        self._level = compression_level
         self._writer = threading.Lock()     # this handle's commits, in turn
         self._lock = threading.RLock()      # the fields below
         self._manifest = Manifest.load(self._root, self._faults)
@@ -476,7 +470,7 @@ class RenditionStore:
         for offset in range(0, arr.shape[0], self._chunk_frames):
             chunk = arr[offset:offset + self._chunk_frames]
             objects.append(
-                self._write_object(encode_array(chunk, self._level))
+                self._write_object(encode_array(chunk))
             )
             chunk_lengths.append(int(chunk.shape[0]))
         entry = ManifestEntry(

@@ -138,36 +138,3 @@ class PlanLadder:
                     "throughput; ladder rungs must be priceable")
             rungs.append(LadderRung(session, 1.0 / throughput))
         return cls(rungs, safety=safety)
-
-    @classmethod
-    def from_planner(cls, planner, performance_model, config=None,
-                     max_rungs: int = 3, safety: float = 1.25,
-                     ) -> "PlanLadder":
-        """Build a ladder from the planner's Pareto frontier.
-
-        Takes up to ``max_rungs`` plans spread evenly along the frontier
-        (always including the slowest/most-accurate and fastest ends) and
-        pre-warms a simulated session per rung.
-        """
-        from repro.serving.session import SimulatedSession
-
-        frontier = planner.pareto_frontier()
-        if not frontier:
-            raise TenantError("planner returned an empty Pareto frontier")
-        count = min(max_rungs, len(frontier))
-        if count == 1:
-            picks = [frontier[0]]
-        else:
-            step = (len(frontier) - 1) / (count - 1)
-            picks = [frontier[round(i * step)] for i in range(count)]
-        sessions = []
-        seen = set()
-        for estimate in picks:
-            session = SimulatedSession(estimate.plan, performance_model,
-                                       config=config)
-            session.warmup()
-            if session.plan_key in seen:
-                continue
-            seen.add(session.plan_key)
-            sessions.append(session)
-        return cls.from_sessions(sessions, safety=safety)

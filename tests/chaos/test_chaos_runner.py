@@ -182,6 +182,13 @@ class TestInvariantChecks:
     def test_empty_span_list_is_flagged(self):
         assert check_span_tree([])[0].invariant == "trace.connected"
 
+    def test_a_disconnected_trace_is_reported(self):
+        spans = [{"trace_id": trace, "span_id": trace, "parent_id": None,
+                  "name": "query.run"} for trace in (1, 2)]
+        [violation] = check_span_tree(spans)
+        assert violation.invariant == "trace.connected"
+        assert violation.detail == "2 distinct trace ids; 2 roots: [1, 2]"
+
 
 class TestHashSession:
     def test_predictions_are_deterministic_per_plan(self):

@@ -1,5 +1,10 @@
 """Tests for the JPEG-like codec and macroblock ROI decoding."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,3 +88,26 @@ class TestRoiDecoding:
         encoded = codec.encode(small_image)
         roi = RegionOfInterest(0, 0, small_image.width, small_image.height)
         assert codec.decoded_block_fraction(encoded, roi) == pytest.approx(1.0)
+
+
+def test_a_process_that_has_only_decoded_keeps_its_gemms_on_one_thread():
+    """The decoder's basis product is this process's first GEMM, so the
+    decode itself pins the BLAS to the calling thread; no model need run."""
+    script = (
+        "import numpy as np\n"
+        "from repro.codecs import Image, JpegCodec\n"
+        "from repro.utils import blas\n"
+        "assert blas._threads is None\n"
+        "codec = JpegCodec(75)\n"
+        "codec.decode(codec.encode(Image(pixels=np.zeros((16, 16, 3), np.uint8))))\n"
+        "print(blas._threads, blas._loaded_blas_paths() != [])\n")
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    threads, found = done.stdout.split()
+    if found == "False":
+        pytest.skip("no OpenBLAS mapped into this process")
+    assert threads == "1"

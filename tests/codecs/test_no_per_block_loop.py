@@ -15,19 +15,22 @@ import pytest
 from repro.codecs import blocks as blk
 from repro.codecs import entropy
 from repro.codecs.image import Image
-from repro.codecs.jpeg import JpegCodec, _block_window, _decode_plan
+from repro.codecs.jpeg import JpegCodec, JpegEncoded, _block_window, _decode_plan
 from repro.codecs.roi import RegionOfInterest
+from repro.utils import blas
 
-COUNTED = [(blk, "forward_dct_blocks"), (blk, "inverse_dct_blocks"),
+# A decode is one basis product (blas.gemm); inverse_dct_blocks runs only on
+# blocks with a sample near a rounding tie.
+COUNTED = [(blk, "forward_dct_blocks"), (blk, "inverse_dct_blocks"), (blas, "gemm"),
            (entropy, "encode_blocks"), (entropy, "decode_blocks")]
 # Python-level function calls one encode / decode / ROI decode may make,
 # numpy's and scipy's Python wrappers included.  The array program makes 93
-# (encode), 136 (a decode that builds its geometry's plan, 118 with the plan
-# cached; 141 before the decoder's passes were halved, which is a saving in
-# passes over token-sized arrays, not in calls) and 115 (ROI decode); the
-# per-block loop it replaced made over 2 000 on a 12-block image.  The count
-# must not grow.
-MAX_PYTHON_CALLS = 150
+# (encode), 117 (a decode that builds its geometry's plan, 98 with the plan
+# cached) and 95 (ROI decode); with scipy's idctn in place of the basis
+# product a decode made 136 and 118, and 141 before the decoder's passes were
+# halved.  The per-block loop it replaced made over 2 000 on a 12-block
+# image.  The count must not grow.
+MAX_PYTHON_CALLS = 120
 
 
 def image_of_blocks(side: int) -> Image:
@@ -84,11 +87,25 @@ def test_calls_do_not_grow_with_the_block_count(counters):
         decode_calls, decoded = python_calls(codec.decode, encoded)
         roi_calls, _ = python_calls(codec.decode_roi, encoded, roi)
         assert decoded.pixels.shape == image.pixels.shape
-        assert counters == {"forward_dct_blocks": 1, "encode_blocks": 1,
-                            "inverse_dct_blocks": 2, "decode_blocks": 2}
+        assert counters == {"forward_dct_blocks": 1, "encode_blocks": 1, "gemm": 2,
+                            "inverse_dct_blocks": 0, "decode_blocks": 2}
         per_size[side] = (encode_calls, decode_calls, roi_calls)
     assert per_size[2] == per_size[16]
     assert max(per_size[16]) <= MAX_PYTHON_CALLS
+
+
+def test_only_a_tie_runs_the_transforms(counters):
+    """DC 4 at quality 90 (DC step 3) puts every sample on 129.5 exactly:
+    the product's blocks are all recomputed, in one call."""
+    rows = np.zeros((3 * 4 * 4, 64), np.int16)
+    rows[:, 0] = 4
+    encoded = JpegEncoded(width=32, height=32, channels=3, quality=90, blocks_x=4,
+                          blocks_y=4, data=entropy.encode_blocks(rows))
+    counters["encode_blocks"] = 0
+    decoded = JpegCodec(quality=90).decode(encoded)
+    assert (decoded.pixels == 130).all()        # rint(129.5): ties to even
+    assert counters == {"forward_dct_blocks": 0, "encode_blocks": 0, "gemm": 1,
+                        "inverse_dct_blocks": 1, "decode_blocks": 1}
 
 
 def test_concurrent_decodes_share_the_plan():
@@ -131,6 +148,6 @@ def test_concurrent_decodes_share_the_plan():
     windows = {(job[0].blocks_x, _block_window(*job)) for job in jobs}
     assert _decode_plan.cache_info().currsize == len(windows) >= 7
     plan = _decode_plan(95, 3, 16, 16, 0, 0, 16, 16)
-    assert [array.flags.writeable for array in plan] == [False, False]
+    assert [array.flags.writeable for array in plan] == [False] * 4
     with pytest.raises(ValueError):
         plan[0][0] = 1

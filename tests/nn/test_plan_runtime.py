@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import plan_oracle
-from repro.nn import blas, plan
+from repro.nn import plan
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.model import Sequential, build_mini_resnet
 from repro.nn.plan import PLAN_STATS
@@ -31,6 +31,7 @@ from repro.obs import Observability
 from repro.preprocessing.dag import PreprocessingDAG
 from repro.serving.request import InferenceRequest
 from repro.serving.session import FunctionalSession, serving_pipeline_ops
+from repro.utils import blas
 
 
 def allocating_forward(model: Sequential, inputs: np.ndarray) -> np.ndarray:

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.codecs.chunked import (
-    chunk_count,
-    decode_array,
-    encode_array,
-    pack_array_chunks,
-    unpack_array_chunk,
-)
+from repro.codecs.chunked import decode_array, encode_array
 from repro.errors import CorruptBitstreamError
 from repro.utils.rng import deterministic_rng
 
@@ -42,16 +36,6 @@ def test_decoded_chunks_are_read_only():
     decoded = decode_array(encode_array(np.arange(4.0)))
     with pytest.raises(ValueError):
         decoded[0] = 1.0
-
-
-def test_container_random_access():
-    rng = deterministic_rng("chunk-container")
-    chunks = [rng.normal(size=n) for n in (10, 1, 0, 257)]
-    packed = pack_array_chunks(chunks)
-    assert chunk_count(packed) == len(chunks)
-    for index in (3, 0, 2, 1):
-        got = unpack_array_chunk(packed, index)
-        assert got.tobytes() == chunks[index].tobytes()
 
 
 def test_rejects_non_chunk_payloads():

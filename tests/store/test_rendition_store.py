@@ -301,12 +301,6 @@ def test_flipped_bit_in_object_fails_content_address(tmp_path, scores, key):
 def test_rejects_bad_parameters(tmp_path):
     with pytest.raises(StoreError):
         RenditionStore(tmp_path / "s", chunk_frames=0)
-    for level in (-2, 10, 42):      # zlib takes -1 (its default) to 9
-        with pytest.raises(StoreError, match="compression_level"):
-            RenditionStore(tmp_path / "s", compression_level=level)
-    for level in (-1, 0, 9):
-        RenditionStore(tmp_path / "s", compression_level=level).put_scores(
-            ScoreKey("d", "m", str(level)), np.arange(4.0))
     store = make_store(tmp_path)
     with pytest.raises(StoreError):
         store.put_scores(ScoreKey("d", "m", "r"), np.float64(3.0),

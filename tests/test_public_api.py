@@ -216,6 +216,26 @@ class TestPublicApi:
         assert "worker.py" in walked
         assert fuse_imports == []
 
+    def test_the_codecs_import_little_outside_their_package(self):
+        # The decoder's GEMM goes through repro.utils.blas, not repro.nn:
+        # the codecs depend on no model code.  The progressive codec's
+        # resize is the one other way out.
+        package = Path(importlib.import_module("repro.codecs").__file__)
+        outside = set()
+        for path in sorted(package.parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                outside |= {(path.name, module) for module in modules
+                            if module.startswith("repro.") and module != "repro.errors"
+                            and not module.startswith("repro.codecs")}
+        assert outside == {("jpeg.py", "repro.utils"),
+                           ("progressive.py", "repro.preprocessing.ops")}
+
     def test_preprocessing_pipeline_is_a_chain_not_a_graph(self):
         # The networkx graph, its node ids and its four order accessors
         # are gone: a pipeline is the op tuple and per-op devices
