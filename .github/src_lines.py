@@ -28,7 +28,8 @@ from pathlib import Path
 # Smol-Procs I lowered it 26 810 -> 26 785: a process replica runs the session it is given.
 # Smol-Procs II lowered it 26 785 -> 26 523: predictions ride inside their outcome, no shm.
 # Smol-Basis lowered it 26 523 -> 26 499: the decode basis GEMM, less a store knob and dead code.
-CEILING = 26_499
+# Smol-Cold lowered it 26 499 -> 26 237: package re-exports are one lazy {name: module} map each.
+CEILING = 26_237
 ROADMAP_GATE = 24_500  # ROADMAP item 12, Smol-Core IV: the 24 500 gate
 
 

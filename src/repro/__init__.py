@@ -64,69 +64,86 @@ Quickstart
 >>> result = smol.run(plan, limit=100)
 """
 
-from repro._version import __version__
-from repro.core.smol import Smol
-from repro.core.plans import Plan, PlanConstraints
-from repro.core.costmodel import (
-    SmolCostModel,
-    ExecutionOnlyCostModel,
-    SerialSumCostModel,
-)
-from repro.serving import (
-    BatchPolicy,
-    InferenceRequest,
-    LoadGenerator,
-    SmolServer,
-)
-from repro.cluster import (
-    AutoscalePolicy,
-    Autoscaler,
-    ClusterResult,
-    Dispatcher,
-    LabeledExample,
-    ProcessWorker,
-    ShardedCorpusRunner,
-    ThreadWorker,
-)
-from repro.query import QueryEngine, QuerySpec
-from repro.store import RenditionStore, ScoreKey, StoreCatalog
-from repro.adapt import (
-    AdaptiveController,
-    DriftDetector,
-    OnlineCalibrator,
-    Replanner,
-)
-from repro.obs import NULL_OBS, Observability
+import sys
+from types import ModuleType
 
-__all__ = [
-    "__version__",
-    "Smol",
-    "Plan",
-    "PlanConstraints",
-    "SmolCostModel",
-    "ExecutionOnlyCostModel",
-    "SerialSumCostModel",
-    "SmolServer",
-    "BatchPolicy",
-    "InferenceRequest",
-    "LoadGenerator",
-    "AutoscalePolicy",
-    "Autoscaler",
-    "ClusterResult",
-    "Dispatcher",
-    "LabeledExample",
-    "ProcessWorker",
-    "ShardedCorpusRunner",
-    "ThreadWorker",
-    "QueryEngine",
-    "QuerySpec",
-    "RenditionStore",
-    "ScoreKey",
-    "StoreCatalog",
-    "AdaptiveController",
-    "DriftDetector",
-    "OnlineCalibrator",
-    "Replanner",
-    "Observability",
-    "NULL_OBS",
-]
+
+class _Package(ModuleType):
+    """A package one of whose exports shares its submodule's name.
+
+    ``import repro.chaos.shrink`` ends by setting the submodule on
+    ``repro.chaos``, whose export ``shrink`` is the function: that one
+    rebinding is dropped, and the name resolves as any other.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if not (isinstance(value, ModuleType) and name in self._shadowed):
+            super().__setattr__(name, value)
+
+
+def _lazy_exports(package: str, exports: dict[str, str]):
+    """PEP 562 ``(__getattr__, __dir__)`` for ``package``, whose ``exports``
+    maps each re-exported name to the module that defines it.
+
+    Every package in this tree re-exports this way, so importing one module
+    runs no sibling subsystem.  A name's first read imports its module and
+    binds the value on the package; later reads are plain lookups.  The
+    helper lives here because every ``repro.*`` import runs this file first.
+    """
+    module = sys.modules[package]
+    shadowed = {name for name, source in exports.items()
+                if source == f"{package}.{name}"}
+    if shadowed:
+        module._shadowed = shadowed
+        module.__class__ = _Package
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        # ``__import__``, not ``importlib.import_module``: only the former
+        # shows in ``python -X importtime``.
+        value = getattr(__import__(exports[name], fromlist=[name]), name)
+        setattr(module, name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(module)) | set(exports))
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    "__version__": "repro._version",
+    "Smol": "repro.core.smol",
+    "Plan": "repro.core.plans",
+    "PlanConstraints": "repro.core.plans",
+    "SmolCostModel": "repro.core.costmodel",
+    "ExecutionOnlyCostModel": "repro.core.costmodel",
+    "SerialSumCostModel": "repro.core.costmodel",
+    "SmolServer": "repro.serving.server",
+    "BatchPolicy": "repro.serving.scheduler",
+    "InferenceRequest": "repro.serving.request",
+    "LoadGenerator": "repro.serving.loadgen",
+    "AutoscalePolicy": "repro.cluster.autoscaler",
+    "Autoscaler": "repro.cluster.autoscaler",
+    "ClusterResult": "repro.cluster.dispatcher",
+    "Dispatcher": "repro.cluster.dispatcher",
+    "LabeledExample": "repro.cluster.runner",
+    "ProcessWorker": "repro.cluster.worker",
+    "ShardedCorpusRunner": "repro.cluster.runner",
+    "ThreadWorker": "repro.cluster.worker",
+    "QueryEngine": "repro.query.engine",
+    "QuerySpec": "repro.query.spec",
+    "RenditionStore": "repro.store.store",
+    "ScoreKey": "repro.store.store",
+    "StoreCatalog": "repro.store.catalog",
+    "AdaptiveController": "repro.adapt.replanner",
+    "DriftDetector": "repro.adapt.drift",
+    "OnlineCalibrator": "repro.adapt.calibrator",
+    "Replanner": "repro.adapt.replanner",
+    "Observability": "repro.obs",
+    "NULL_OBS": "repro.obs",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -27,59 +27,32 @@ the value of any query result.
   shared by ``bench_adapt``, the example, and the integration tests.
 """
 
-from repro.adapt.calibrator import (
-    ObservationKey,
-    ObservedCosts,
-    OnlineCalibrator,
-    StageObservation,
-)
-from repro.adapt.drift import DriftDetector, DriftSnapshot
-from repro.adapt.replanner import (
-    AdaptiveController,
-    ControllerStats,
-    ReplanDecision,
-    Replanner,
-    ScanPaceTarget,
-    ServerSwapTarget,
-)
-from repro.adapt.scenario import (
-    PhaseReport,
-    ScanDriftConfig,
-    ScenarioReport,
-    ServingDriftConfig,
-    run_scan_drift_scenario,
-    run_serving_drift_scenario,
-    scan_identity,
-)
-from repro.adapt.session import (
-    DriftableSession,
-    DriftEnvironment,
-    plan_baselines,
-    register_plan_baselines,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AdaptiveController",
-    "ControllerStats",
-    "DriftDetector",
-    "DriftSnapshot",
-    "DriftableSession",
-    "DriftEnvironment",
-    "ObservationKey",
-    "ObservedCosts",
-    "OnlineCalibrator",
-    "PhaseReport",
-    "ReplanDecision",
-    "Replanner",
-    "ScanDriftConfig",
-    "ScanPaceTarget",
-    "ScenarioReport",
-    "ServerSwapTarget",
-    "ServingDriftConfig",
-    "StageObservation",
-    "plan_baselines",
-    "register_plan_baselines",
-    "run_scan_drift_scenario",
-    "run_serving_drift_scenario",
-    "scan_identity",
-]
+_EXPORTS = {
+    "AdaptiveController": "repro.adapt.replanner",
+    "ControllerStats": "repro.adapt.replanner",
+    "DriftDetector": "repro.adapt.drift",
+    "DriftSnapshot": "repro.adapt.drift",
+    "DriftableSession": "repro.adapt.session",
+    "DriftEnvironment": "repro.adapt.session",
+    "ObservationKey": "repro.adapt.calibrator",
+    "ObservedCosts": "repro.adapt.calibrator",
+    "OnlineCalibrator": "repro.adapt.calibrator",
+    "PhaseReport": "repro.adapt.scenario",
+    "ReplanDecision": "repro.adapt.replanner",
+    "Replanner": "repro.adapt.replanner",
+    "ScanDriftConfig": "repro.adapt.scenario",
+    "ScanPaceTarget": "repro.adapt.replanner",
+    "ScenarioReport": "repro.adapt.scenario",
+    "ServerSwapTarget": "repro.adapt.replanner",
+    "ServingDriftConfig": "repro.adapt.scenario",
+    "StageObservation": "repro.adapt.calibrator",
+    "plan_baselines": "repro.adapt.session",
+    "register_plan_baselines": "repro.adapt.session",
+    "run_scan_drift_scenario": "repro.adapt.scenario",
+    "run_serving_drift_scenario": "repro.adapt.scenario",
+    "scan_identity": "repro.adapt.scenario",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

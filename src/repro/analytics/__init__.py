@@ -10,70 +10,35 @@ re-implemented so Smol can be evaluated end-to-end (Section 3.2):
   variate to reduce sampling variance.
 """
 
-from repro.analytics.sampling import (
-    SamplingResult,
-    adaptive_mean_estimate,
-    uniform_sample_mean,
-    control_variate_mean,
-    required_sample_size,
-)
-from repro.analytics.stats import (
-    ExactSum,
-    MomentSketch,
-    PairedMomentSketch,
-    Z_95,
-    ci_half_width,
-    exact_mean,
-    exact_sum,
-)
-from repro.analytics.scan import (
-    ScanCosts,
-    TwoPassEngine,
-    compute_scan_costs,
-    proxy_scan_order,
-    scan_views,
-)
-from repro.analytics.aggregation import (
-    AggregationQuery,
-    AggregationResult,
-    AggregationEngine,
-)
-from repro.analytics.classification import (
-    CascadeClassifier,
-    CascadeEvaluation,
-    ClassificationQuery,
-)
-from repro.analytics.limit_queries import (
-    LimitQuery,
-    LimitQueryResult,
-    LimitQueryEngine,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "LimitQuery",
-    "LimitQueryResult",
-    "LimitQueryEngine",
-    "SamplingResult",
-    "adaptive_mean_estimate",
-    "uniform_sample_mean",
-    "control_variate_mean",
-    "required_sample_size",
-    "ExactSum",
-    "MomentSketch",
-    "PairedMomentSketch",
-    "Z_95",
-    "ci_half_width",
-    "exact_mean",
-    "exact_sum",
-    "ScanCosts",
-    "TwoPassEngine",
-    "compute_scan_costs",
-    "proxy_scan_order",
-    "scan_views",
-    "AggregationQuery",
-    "AggregationResult",
-    "AggregationEngine",
-    "CascadeClassifier",
-    "CascadeEvaluation",
-    "ClassificationQuery",
-]
+_EXPORTS = {
+    "LimitQuery": "repro.analytics.limit_queries",
+    "LimitQueryResult": "repro.analytics.limit_queries",
+    "LimitQueryEngine": "repro.analytics.limit_queries",
+    "SamplingResult": "repro.analytics.sampling",
+    "adaptive_mean_estimate": "repro.analytics.sampling",
+    "uniform_sample_mean": "repro.analytics.sampling",
+    "control_variate_mean": "repro.analytics.sampling",
+    "required_sample_size": "repro.analytics.sampling",
+    "ExactSum": "repro.analytics.stats",
+    "MomentSketch": "repro.analytics.stats",
+    "PairedMomentSketch": "repro.analytics.stats",
+    "Z_95": "repro.analytics.stats",
+    "ci_half_width": "repro.analytics.stats",
+    "exact_mean": "repro.analytics.stats",
+    "exact_sum": "repro.analytics.stats",
+    "ScanCosts": "repro.analytics.scan",
+    "TwoPassEngine": "repro.analytics.scan",
+    "compute_scan_costs": "repro.analytics.scan",
+    "proxy_scan_order": "repro.analytics.scan",
+    "scan_views": "repro.analytics.scan",
+    "AggregationQuery": "repro.analytics.aggregation",
+    "AggregationResult": "repro.analytics.aggregation",
+    "AggregationEngine": "repro.analytics.aggregation",
+    "CascadeClassifier": "repro.analytics.classification",
+    "CascadeEvaluation": "repro.analytics.classification",
+    "ClassificationQuery": "repro.analytics.classification",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

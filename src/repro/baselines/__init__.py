@@ -12,16 +12,14 @@
   preprocessing baseline with an unoptimized execution backend.
 """
 
-from repro.baselines.naive import NaiveResNetBaseline
-from repro.baselines.tahoma import TahomaBaseline
-from repro.baselines.blazeit import BlazeItBaseline
-from repro.baselines.dali import DaliLikeLoader
-from repro.baselines.pytorch_loader import PyTorchLikeLoader
+from repro import _lazy_exports
 
-__all__ = [
-    "NaiveResNetBaseline",
-    "TahomaBaseline",
-    "BlazeItBaseline",
-    "DaliLikeLoader",
-    "PyTorchLikeLoader",
-]
+_EXPORTS = {
+    "NaiveResNetBaseline": "repro.baselines.naive",
+    "TahomaBaseline": "repro.baselines.tahoma",
+    "BlazeItBaseline": "repro.baselines.blazeit",
+    "DaliLikeLoader": "repro.baselines.dali",
+    "PyTorchLikeLoader": "repro.baselines.pytorch_loader",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -27,52 +27,28 @@ CLI entry points: ``repro chaos run --seeds N``, ``chaos replay <seed>``,
 ``chaos shrink <seed>`` (see ``docs/chaos.md``).
 """
 
-from repro.chaos.faults import (
-    NULL_FAULTS,
-    ChaosFault,
-    Fault,
-    FaultClock,
-    FaultHook,
-    FaultInjector,
-    FaultPlan,
-    VirtualFaultClock,
-)
-from repro.chaos.invariants import InvariantViolation
-from repro.chaos.scenario import DriftPhase, Scenario, ScenarioGen
-from repro.chaos.shrink import ShrinkResult, shrink, shrink_candidates
+from repro import _lazy_exports
 
-# The runner pulls in the cluster/store layers, and those layers import
-# this package for the NULL_FAULTS seam -- so the runner exports resolve
-# lazily (PEP 562) to keep `repro.chaos.faults` importable from below.
-_RUNNER_EXPORTS = ("ChaosReport", "ChaosRunner", "HashSession",
-                   "dump_report")
-
-
-def __getattr__(name: str):
-    if name in _RUNNER_EXPORTS:
-        from repro.chaos import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "ChaosFault",
-    "ChaosReport",
-    "ChaosRunner",
-    "DriftPhase",
-    "Fault",
-    "FaultClock",
-    "FaultHook",
-    "FaultInjector",
-    "FaultPlan",
-    "HashSession",
-    "InvariantViolation",
-    "NULL_FAULTS",
-    "Scenario",
-    "ScenarioGen",
-    "ShrinkResult",
-    "VirtualFaultClock",
-    "dump_report",
-    "shrink",
-    "shrink_candidates",
-]
+_EXPORTS = {
+    "ChaosFault": "repro.chaos.faults",
+    "ChaosReport": "repro.chaos.runner",
+    "ChaosRunner": "repro.chaos.runner",
+    "DriftPhase": "repro.chaos.scenario",
+    "Fault": "repro.chaos.faults",
+    "FaultClock": "repro.chaos.faults",
+    "FaultHook": "repro.chaos.faults",
+    "FaultInjector": "repro.chaos.faults",
+    "FaultPlan": "repro.chaos.faults",
+    "HashSession": "repro.chaos.runner",
+    "InvariantViolation": "repro.chaos.invariants",
+    "NULL_FAULTS": "repro.chaos.faults",
+    "Scenario": "repro.chaos.scenario",
+    "ScenarioGen": "repro.chaos.scenario",
+    "ShrinkResult": "repro.chaos.shrink",
+    "VirtualFaultClock": "repro.chaos.faults",
+    "dump_report": "repro.chaos.runner",
+    "shrink": "repro.chaos.shrink",
+    "shrink_candidates": "repro.chaos.shrink",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

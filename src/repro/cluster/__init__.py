@@ -23,66 +23,37 @@ drop-in backend (``SmolServer(cluster=dispatcher)``), so online traffic and
 offline corpus runs share one execution tier.
 """
 
-from repro.cluster.autoscaler import AutoscalePolicy, Autoscaler, ScaleEvent
-from repro.cluster.dispatcher import (
-    ClusterResult,
-    Dispatcher,
-    DispatcherStats,
-)
-from repro.cluster.health import BreakerSnapshot, BreakerState, CircuitBreaker
-from repro.cluster.router import (
-    ROUTER_POLICIES,
-    ConsistentHashRouter,
-    RoundRobinRouter,
-    ShardRouter,
-    make_router,
-)
-from repro.cluster.runner import (
-    SHARD_POLICIES,
-    CorpusRunReport,
-    LabeledExample,
-    ShardAggregate,
-    ShardedCorpusRunner,
-    assign_shards,
-    run_single_process,
-    split_frame_ranges,
-)
-from repro.cluster.worker import (
-    ProcessWorker,
-    ThreadWorker,
-    Worker,
-    WorkerStats,
-    WorkItem,
-    WorkOutcome,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ROUTER_POLICIES",
-    "SHARD_POLICIES",
-    "AutoscalePolicy",
-    "Autoscaler",
-    "BreakerSnapshot",
-    "BreakerState",
-    "CircuitBreaker",
-    "ClusterResult",
-    "ConsistentHashRouter",
-    "CorpusRunReport",
-    "Dispatcher",
-    "DispatcherStats",
-    "LabeledExample",
-    "ProcessWorker",
-    "RoundRobinRouter",
-    "ScaleEvent",
-    "ShardAggregate",
-    "ShardRouter",
-    "ShardedCorpusRunner",
-    "ThreadWorker",
-    "WorkItem",
-    "WorkOutcome",
-    "Worker",
-    "WorkerStats",
-    "assign_shards",
-    "split_frame_ranges",
-    "make_router",
-    "run_single_process",
-]
+_EXPORTS = {
+    "ROUTER_POLICIES": "repro.cluster.router",
+    "SHARD_POLICIES": "repro.cluster.runner",
+    "AutoscalePolicy": "repro.cluster.autoscaler",
+    "Autoscaler": "repro.cluster.autoscaler",
+    "BreakerSnapshot": "repro.cluster.health",
+    "BreakerState": "repro.cluster.health",
+    "CircuitBreaker": "repro.cluster.health",
+    "ClusterResult": "repro.cluster.dispatcher",
+    "ConsistentHashRouter": "repro.cluster.router",
+    "CorpusRunReport": "repro.cluster.runner",
+    "Dispatcher": "repro.cluster.dispatcher",
+    "DispatcherStats": "repro.cluster.dispatcher",
+    "LabeledExample": "repro.cluster.runner",
+    "ProcessWorker": "repro.cluster.worker",
+    "RoundRobinRouter": "repro.cluster.router",
+    "ScaleEvent": "repro.cluster.autoscaler",
+    "ShardAggregate": "repro.cluster.runner",
+    "ShardRouter": "repro.cluster.router",
+    "ShardedCorpusRunner": "repro.cluster.runner",
+    "ThreadWorker": "repro.cluster.worker",
+    "WorkItem": "repro.cluster.worker",
+    "WorkOutcome": "repro.cluster.worker",
+    "Worker": "repro.cluster.worker",
+    "WorkerStats": "repro.cluster.worker",
+    "assign_shards": "repro.cluster.runner",
+    "split_frame_ranges": "repro.cluster.runner",
+    "make_router": "repro.cluster.router",
+    "run_single_process": "repro.cluster.runner",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

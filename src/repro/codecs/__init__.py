@@ -15,37 +15,28 @@ exactly those hooks:
 * :mod:`repro.codecs.registry` -- the format registry reproducing Table 4.
 """
 
-from repro.codecs.image import Image, ImageFormat, Resolution
-from repro.codecs.jpeg import JpegCodec, JpegEncoded
-from repro.codecs.png import PngCodec, PngEncoded
-from repro.codecs.video import VideoCodec, EncodedVideo, VideoFrameRef
-from repro.codecs.registry import (
-    FormatCapability,
-    FORMAT_REGISTRY,
-    get_format,
-    list_formats,
-)
-from repro.codecs.roi import RegionOfInterest, central_crop_roi, expand_to_blocks
-from repro.codecs.progressive import ProgressiveCodec, ProgressiveEncoded
+from repro import _lazy_exports
 
-__all__ = [
-    "ProgressiveCodec",
-    "ProgressiveEncoded",
-    "Image",
-    "ImageFormat",
-    "Resolution",
-    "JpegCodec",
-    "JpegEncoded",
-    "PngCodec",
-    "PngEncoded",
-    "VideoCodec",
-    "EncodedVideo",
-    "VideoFrameRef",
-    "FormatCapability",
-    "FORMAT_REGISTRY",
-    "get_format",
-    "list_formats",
-    "RegionOfInterest",
-    "central_crop_roi",
-    "expand_to_blocks",
-]
+_EXPORTS = {
+    "ProgressiveCodec": "repro.codecs.progressive",
+    "ProgressiveEncoded": "repro.codecs.progressive",
+    "Image": "repro.codecs.image",
+    "ImageFormat": "repro.codecs.image",
+    "Resolution": "repro.codecs.image",
+    "JpegCodec": "repro.codecs.jpeg",
+    "JpegEncoded": "repro.codecs.jpeg",
+    "PngCodec": "repro.codecs.png",
+    "PngEncoded": "repro.codecs.png",
+    "VideoCodec": "repro.codecs.video",
+    "EncodedVideo": "repro.codecs.video",
+    "VideoFrameRef": "repro.codecs.video",
+    "FormatCapability": "repro.codecs.registry",
+    "FORMAT_REGISTRY": "repro.codecs.registry",
+    "get_format": "repro.codecs.registry",
+    "list_formats": "repro.codecs.registry",
+    "RegionOfInterest": "repro.codecs.roi",
+    "central_crop_roi": "repro.codecs.roi",
+    "expand_to_blocks": "repro.codecs.roi",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

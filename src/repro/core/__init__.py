@@ -7,31 +7,23 @@ Pareto-optimal plan selection, and the low-resolution-aware training driver
 (Section 5.3).  Execution is delegated to :mod:`repro.inference`.
 """
 
-from repro.core.plans import Plan, PlanConstraints, PlanEstimate
-from repro.core.costmodel import (
-    CostModel,
-    SmolCostModel,
-    ExecutionOnlyCostModel,
-    SerialSumCostModel,
-)
-from repro.core.accuracy import AccuracyEstimator, AccuracyEstimate
-from repro.core.planner import PlanGenerator, PlannerFeatures
-from repro.core.training import LowResolutionTrainer, FineTuneResult
-from repro.core.smol import Smol
+from repro import _lazy_exports
 
-__all__ = [
-    "Plan",
-    "PlanConstraints",
-    "PlanEstimate",
-    "CostModel",
-    "SmolCostModel",
-    "ExecutionOnlyCostModel",
-    "SerialSumCostModel",
-    "AccuracyEstimator",
-    "AccuracyEstimate",
-    "PlanGenerator",
-    "PlannerFeatures",
-    "LowResolutionTrainer",
-    "FineTuneResult",
-    "Smol",
-]
+_EXPORTS = {
+    "Plan": "repro.core.plans",
+    "PlanConstraints": "repro.core.plans",
+    "PlanEstimate": "repro.core.plans",
+    "CostModel": "repro.core.costmodel",
+    "SmolCostModel": "repro.core.costmodel",
+    "ExecutionOnlyCostModel": "repro.core.costmodel",
+    "SerialSumCostModel": "repro.core.costmodel",
+    "AccuracyEstimator": "repro.core.accuracy",
+    "AccuracyEstimate": "repro.core.accuracy",
+    "PlanGenerator": "repro.core.planner",
+    "PlannerFeatures": "repro.core.planner",
+    "LowResolutionTrainer": "repro.core.training",
+    "FineTuneResult": "repro.core.training",
+    "Smol": "repro.core.smol",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -8,30 +8,20 @@ dataset is stored in multiple natively-present renditions (full resolution,
 161-pixel thumbnails in PNG and JPEG) to exercise the multi-format planner.
 """
 
-from repro.datasets.synthetic import SyntheticImageGenerator, render_class_image
-from repro.datasets.images import (
-    ImageDataset,
-    DatasetStats,
-    load_image_dataset,
-    list_image_datasets,
-)
-from repro.datasets.store import MultiResolutionStore, StoredRendition
-from repro.datasets.video import (
-    VideoDataset,
-    load_video_dataset,
-    list_video_datasets,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "SyntheticImageGenerator",
-    "render_class_image",
-    "ImageDataset",
-    "DatasetStats",
-    "load_image_dataset",
-    "list_image_datasets",
-    "MultiResolutionStore",
-    "StoredRendition",
-    "VideoDataset",
-    "load_video_dataset",
-    "list_video_datasets",
-]
+_EXPORTS = {
+    "SyntheticImageGenerator": "repro.datasets.synthetic",
+    "render_class_image": "repro.datasets.synthetic",
+    "ImageDataset": "repro.datasets.images",
+    "DatasetStats": "repro.datasets.images",
+    "load_image_dataset": "repro.datasets.images",
+    "list_image_datasets": "repro.datasets.images",
+    "MultiResolutionStore": "repro.datasets.store",
+    "StoredRendition": "repro.datasets.store",
+    "VideoDataset": "repro.datasets.video",
+    "load_video_dataset": "repro.datasets.video",
+    "list_video_datasets": "repro.datasets.video",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -11,21 +11,16 @@ body on the stacked batch, any other op is looped per image
 perturb a bit, enforced by the differential suite in ``tests/fuse/``.
 """
 
-from repro.fuse.compiler import (
-    DEFAULT_KERNEL_CACHE,
-    KernelCache,
-    compile_dag,
-    get_kernel,
-)
-from repro.fuse.kernel import FUSE_STATS, FusedKernel
-from repro.preprocessing.dag import dag_fingerprint
+from repro import _lazy_exports
 
-__all__ = [
-    "DEFAULT_KERNEL_CACHE",
-    "FUSE_STATS",
-    "FusedKernel",
-    "KernelCache",
-    "compile_dag",
-    "dag_fingerprint",
-    "get_kernel",
-]
+_EXPORTS = {
+    "DEFAULT_KERNEL_CACHE": "repro.fuse.compiler",
+    "FUSE_STATS": "repro.fuse.kernel",
+    "FusedKernel": "repro.fuse.kernel",
+    "KernelCache": "repro.fuse.compiler",
+    "compile_dag": "repro.fuse.compiler",
+    "dag_fingerprint": "repro.preprocessing.dag",
+    "get_kernel": "repro.fuse.compiler",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

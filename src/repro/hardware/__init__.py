@@ -7,35 +7,22 @@ calibration anchors (ResNet-50 throughput per GPU generation, vCPU pricing,
 power draws) come directly from the paper's Tables 1, 2 and 5 and Section 7.
 """
 
-from repro.hardware.devices import (
-    GpuSpec,
-    CpuSpec,
-    get_gpu,
-    get_cpu,
-    list_gpus,
-    GPU_CATALOG,
-)
-from repro.hardware.instance import (
-    CloudInstance,
-    get_instance,
-    list_instances,
-    estimate_core_price,
-)
-from repro.hardware.power import PowerModel, PowerBreakdown
-from repro.hardware.clock import SimClock
+from repro import _lazy_exports
 
-__all__ = [
-    "GpuSpec",
-    "CpuSpec",
-    "get_gpu",
-    "get_cpu",
-    "list_gpus",
-    "GPU_CATALOG",
-    "CloudInstance",
-    "get_instance",
-    "list_instances",
-    "estimate_core_price",
-    "PowerModel",
-    "PowerBreakdown",
-    "SimClock",
-]
+_EXPORTS = {
+    "GpuSpec": "repro.hardware.devices",
+    "CpuSpec": "repro.hardware.devices",
+    "get_gpu": "repro.hardware.devices",
+    "get_cpu": "repro.hardware.devices",
+    "list_gpus": "repro.hardware.devices",
+    "GPU_CATALOG": "repro.hardware.devices",
+    "CloudInstance": "repro.hardware.instance",
+    "get_instance": "repro.hardware.instance",
+    "list_instances": "repro.hardware.instance",
+    "estimate_core_price": "repro.hardware.instance",
+    "PowerModel": "repro.hardware.power",
+    "PowerBreakdown": "repro.hardware.power",
+    "SimClock": "repro.hardware.clock",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -17,36 +17,26 @@ Components:
   and a simulated mode (calibrated costs through the pipeline simulator).
 """
 
-from repro.inference.mpmc import MpmcQueue, QueueClosed
-from repro.inference.memory import MemoryStats
-from repro.inference.backends import ExecutionBackend, get_backend, list_backends
-from repro.inference.perfmodel import (
-    EngineConfig,
-    StageEstimate,
-    PerformanceModel,
-    PreprocessingCostModel,
-    DnnCostModel,
-)
-from repro.inference.pipeline_sim import PipelineSimulator, PipelineRunStats
-from repro.inference.engine import SmolRuntimeEngine, InferenceResult
-from repro.inference.calibrator import PreprocessingCalibrator, FormatProfile
+from repro import _lazy_exports
 
-__all__ = [
-    "PreprocessingCalibrator",
-    "FormatProfile",
-    "MpmcQueue",
-    "QueueClosed",
-    "MemoryStats",
-    "ExecutionBackend",
-    "get_backend",
-    "list_backends",
-    "EngineConfig",
-    "StageEstimate",
-    "PerformanceModel",
-    "PreprocessingCostModel",
-    "DnnCostModel",
-    "PipelineSimulator",
-    "PipelineRunStats",
-    "SmolRuntimeEngine",
-    "InferenceResult",
-]
+_EXPORTS = {
+    "PreprocessingCalibrator": "repro.inference.calibrator",
+    "FormatProfile": "repro.inference.calibrator",
+    "MpmcQueue": "repro.inference.mpmc",
+    "QueueClosed": "repro.inference.mpmc",
+    "MemoryStats": "repro.inference.memory",
+    "ExecutionBackend": "repro.inference.backends",
+    "get_backend": "repro.inference.backends",
+    "list_backends": "repro.inference.backends",
+    "EngineConfig": "repro.inference.perfmodel",
+    "StageEstimate": "repro.inference.perfmodel",
+    "PerformanceModel": "repro.inference.perfmodel",
+    "PreprocessingCostModel": "repro.inference.perfmodel",
+    "DnnCostModel": "repro.inference.perfmodel",
+    "PipelineSimulator": "repro.inference.pipeline_sim",
+    "PipelineRunStats": "repro.inference.pipeline_sim",
+    "SmolRuntimeEngine": "repro.inference.engine",
+    "InferenceResult": "repro.inference.engine",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

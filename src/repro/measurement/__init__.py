@@ -7,17 +7,14 @@ generations (Table 5), and the dollar/power asymmetry between preprocessing
 and DNN execution (Section 7, Table 8).
 """
 
-from repro.measurement.study import (
-    MeasurementStudy,
-    InferenceBreakdown,
-    BackendComparison,
-)
-from repro.measurement.costs import CostAnalysis, CostBreakdown
+from repro import _lazy_exports
 
-__all__ = [
-    "MeasurementStudy",
-    "InferenceBreakdown",
-    "BackendComparison",
-    "CostAnalysis",
-    "CostBreakdown",
-]
+_EXPORTS = {
+    "MeasurementStudy": "repro.measurement.study",
+    "InferenceBreakdown": "repro.measurement.study",
+    "BackendComparison": "repro.measurement.study",
+    "CostAnalysis": "repro.measurement.costs",
+    "CostBreakdown": "repro.measurement.costs",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -15,45 +15,32 @@ Two layers of fidelity serve different parts of the reproduction:
   curves without needing a GPU.
 """
 
-from repro.nn.layers import (
-    Layer,
-    Conv2d,
-    Linear,
-    ReLU,
-    BatchNorm2d,
-    MaxPool2d,
-    GlobalAvgPool2d,
-    Flatten,
-)
-from repro.nn.model import Sequential, MiniConvNet, build_mini_resnet
-from repro.nn.plan import PLAN_STATS
-from repro.nn.train import Trainer, TrainingConfig, TrainingResult
-from repro.nn.specialized import SpecializedNN, make_specialized_family
-from repro.nn.zoo import ModelProfile, get_model_profile, list_model_profiles
-from repro.nn.onnx_like import GraphProto, export_graph, import_graph
+from repro import _lazy_exports
 
-__all__ = [
-    "Layer",
-    "Conv2d",
-    "Linear",
-    "ReLU",
-    "BatchNorm2d",
-    "MaxPool2d",
-    "GlobalAvgPool2d",
-    "Flatten",
-    "Sequential",
-    "MiniConvNet",
-    "build_mini_resnet",
-    "PLAN_STATS",
-    "Trainer",
-    "TrainingConfig",
-    "TrainingResult",
-    "SpecializedNN",
-    "make_specialized_family",
-    "ModelProfile",
-    "get_model_profile",
-    "list_model_profiles",
-    "GraphProto",
-    "export_graph",
-    "import_graph",
-]
+_EXPORTS = {
+    "Layer": "repro.nn.layers",
+    "Conv2d": "repro.nn.layers",
+    "Linear": "repro.nn.layers",
+    "ReLU": "repro.nn.layers",
+    "BatchNorm2d": "repro.nn.layers",
+    "MaxPool2d": "repro.nn.layers",
+    "GlobalAvgPool2d": "repro.nn.layers",
+    "Flatten": "repro.nn.layers",
+    "Sequential": "repro.nn.model",
+    "MiniConvNet": "repro.nn.model",
+    "build_mini_resnet": "repro.nn.model",
+    "PLAN_STATS": "repro.nn.plan",
+    "Trainer": "repro.nn.train",
+    "TrainingConfig": "repro.nn.train",
+    "TrainingResult": "repro.nn.train",
+    "SpecializedNN": "repro.nn.specialized",
+    "make_specialized_family": "repro.nn.specialized",
+    "ModelProfile": "repro.nn.zoo",
+    "get_model_profile": "repro.nn.zoo",
+    "list_model_profiles": "repro.nn.zoo",
+    "GraphProto": "repro.nn.onnx_like",
+    "export_graph": "repro.nn.onnx_like",
+    "import_graph": "repro.nn.onnx_like",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -34,21 +34,8 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
+from repro import _lazy_exports
 from repro.errors import ReproError
-from repro.obs.analyze import (
-    CriticalPathReport,
-    analyze_critical_path,
-    bench_diff,
-)
-from repro.obs.export import (
-    chrome_trace,
-    prometheus_text,
-    read_spans_jsonl,
-    summarize_spans,
-    validate_span_tree,
-    write_chrome_trace,
-    write_spans_jsonl,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -57,13 +44,31 @@ from repro.obs.metrics import (
     StageEvent,
     percentile,
 )
-from repro.obs.recorder import (
-    FlightRecorder,
-    PostmortemBundle,
-    load_postmortem,
-)
-from repro.obs.slo import SloEngine, SloSpec, SloWindow, replay_spans
 from repro.obs.trace import Span, TraceContext, Tracer
+
+# The harness half -- exporters, analysis, SLOs, the flight recorder --
+# loads on first use; the hot path takes only the null object, metrics
+# and trace.
+_EXPORTS = {
+    "chrome_trace": "repro.obs.export",
+    "write_chrome_trace": "repro.obs.export",
+    "write_spans_jsonl": "repro.obs.export",
+    "read_spans_jsonl": "repro.obs.export",
+    "prometheus_text": "repro.obs.export",
+    "summarize_spans": "repro.obs.export",
+    "validate_span_tree": "repro.obs.export",
+    "analyze_critical_path": "repro.obs.analyze",
+    "CriticalPathReport": "repro.obs.analyze",
+    "bench_diff": "repro.obs.analyze",
+    "SloSpec": "repro.obs.slo",
+    "SloWindow": "repro.obs.slo",
+    "SloEngine": "repro.obs.slo",
+    "replay_spans": "repro.obs.slo",
+    "FlightRecorder": "repro.obs.recorder",
+    "PostmortemBundle": "repro.obs.recorder",
+    "load_postmortem": "repro.obs.recorder",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Observability",
@@ -79,23 +84,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "percentile",
-    "chrome_trace",
-    "write_chrome_trace",
-    "write_spans_jsonl",
-    "read_spans_jsonl",
-    "prometheus_text",
-    "summarize_spans",
-    "validate_span_tree",
-    "analyze_critical_path",
-    "CriticalPathReport",
-    "bench_diff",
-    "SloSpec",
-    "SloWindow",
-    "SloEngine",
-    "replay_spans",
-    "FlightRecorder",
-    "PostmortemBundle",
-    "load_postmortem",
+    *_EXPORTS,
 ]
 
 
@@ -224,14 +213,20 @@ class Observability:
     # -- export ---------------------------------------------------------
     def export_jsonl(self, path: str) -> int:
         """Write all finished spans as JSONL; returns the span count."""
+        from repro.obs.export import write_spans_jsonl
+
         return write_spans_jsonl(self.tracer.spans(), path)
 
     def export_chrome(self, path: str) -> int:
         """Write all finished spans as Chrome trace_event JSON."""
+        from repro.obs.export import write_chrome_trace
+
         return write_chrome_trace(self.tracer.spans(), path)
 
     def prometheus(self) -> str:
         """Render the metrics registry in Prometheus text format."""
+        from repro.obs.export import prometheus_text
+
         return prometheus_text(self.metrics)
 
 
@@ -249,6 +244,8 @@ class RecorderObservability(Observability):
 
     def __init__(self, recorder: FlightRecorder | None = None,
                  max_spans: int = 8_192):
+        from repro.obs.recorder import FlightRecorder
+
         super().__init__(max_spans=max_spans,
                          recorder=recorder or FlightRecorder())
 

@@ -14,42 +14,26 @@ operator placement pass that assigns operators to the CPU or the accelerator
 (Section 6.3).
 """
 
-from repro.preprocessing.ops import (
-    PreprocessingOp,
-    DecodeOp,
-    ResizeOp,
-    CenterCropOp,
-    ConvertDtypeOp,
-    NormalizeOp,
-    ChannelReorderOp,
-    FusedNormalizeReorderOp,
-    standard_pipeline_ops,
-)
-from repro.preprocessing.dag import PreprocessingDAG
-from repro.preprocessing.optimizer import DagOptimizer, OptimizationReport
-from repro.preprocessing.placement import (
-    Placement,
-    PlacementDecision,
-    PlacementOptimizer,
-)
-from repro.preprocessing.cost import arithmetic_ops, pipeline_arithmetic_ops
+from repro import _lazy_exports
 
-__all__ = [
-    "PreprocessingOp",
-    "DecodeOp",
-    "ResizeOp",
-    "CenterCropOp",
-    "ConvertDtypeOp",
-    "NormalizeOp",
-    "ChannelReorderOp",
-    "FusedNormalizeReorderOp",
-    "standard_pipeline_ops",
-    "PreprocessingDAG",
-    "DagOptimizer",
-    "OptimizationReport",
-    "Placement",
-    "PlacementDecision",
-    "PlacementOptimizer",
-    "arithmetic_ops",
-    "pipeline_arithmetic_ops",
-]
+_EXPORTS = {
+    "PreprocessingOp": "repro.preprocessing.ops",
+    "DecodeOp": "repro.preprocessing.ops",
+    "ResizeOp": "repro.preprocessing.ops",
+    "CenterCropOp": "repro.preprocessing.ops",
+    "ConvertDtypeOp": "repro.preprocessing.ops",
+    "NormalizeOp": "repro.preprocessing.ops",
+    "ChannelReorderOp": "repro.preprocessing.ops",
+    "FusedNormalizeReorderOp": "repro.preprocessing.ops",
+    "standard_pipeline_ops": "repro.preprocessing.ops",
+    "PreprocessingDAG": "repro.preprocessing.dag",
+    "DagOptimizer": "repro.preprocessing.optimizer",
+    "OptimizationReport": "repro.preprocessing.optimizer",
+    "Placement": "repro.preprocessing.placement",
+    "PlacementDecision": "repro.preprocessing.placement",
+    "PlacementOptimizer": "repro.preprocessing.placement",
+    "arithmetic_ops": "repro.preprocessing.cost",
+    "pipeline_arithmetic_ops": "repro.preprocessing.cost",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

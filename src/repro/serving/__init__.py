@@ -25,63 +25,39 @@ selection) layers on top via :mod:`repro.tenant`; pass a
 :class:`~repro.tenant.spec.TenantConfig` as ``SmolServer(tenants=...)``.
 """
 
-from repro.obs.metrics import LatencyRecorder, LatencySummary
-from repro.serving.cache import CacheStats, LruCache, PredictionCache
-from repro.serving.loadgen import (
-    ArrivalTrace,
-    LoadGenerator,
-    LoadReport,
-    MultiTenantLoadGenerator,
-    MultiTenantLoadReport,
-    TenantLoadSpec,
-    burst_arrivals,
-    diurnal_arrivals,
-    flash_crowd_arrivals,
-    poisson_arrivals,
-)
-from repro.serving.request import InferenceRequest, InferenceResponse
-from repro.serving.scheduler import BatcherStats, BatchPolicy
-from repro.serving.server import ServerStats, SmolServer, TenantServingStats
-from repro.serving.session import (
-    BatchResult,
-    EngineSession,
-    FunctionalSession,
-    SessionManager,
-    SimulatedSession,
-    functional_session_for_plan,
-    serving_pipeline_ops,
-    simulated_session_for_format,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ArrivalTrace",
-    "BatchPolicy",
-    "BatchResult",
-    "BatcherStats",
-    "CacheStats",
-    "EngineSession",
-    "FunctionalSession",
-    "InferenceRequest",
-    "InferenceResponse",
-    "LatencyRecorder",
-    "LatencySummary",
-    "LoadGenerator",
-    "LoadReport",
-    "LruCache",
-    "MultiTenantLoadGenerator",
-    "MultiTenantLoadReport",
-    "PredictionCache",
-    "ServerStats",
-    "SessionManager",
-    "SimulatedSession",
-    "SmolServer",
-    "TenantLoadSpec",
-    "TenantServingStats",
-    "burst_arrivals",
-    "diurnal_arrivals",
-    "flash_crowd_arrivals",
-    "functional_session_for_plan",
-    "poisson_arrivals",
-    "serving_pipeline_ops",
-    "simulated_session_for_format",
-]
+_EXPORTS = {
+    "ArrivalTrace": "repro.serving.loadgen",
+    "BatchPolicy": "repro.serving.scheduler",
+    "BatchResult": "repro.serving.session",
+    "BatcherStats": "repro.serving.scheduler",
+    "CacheStats": "repro.serving.cache",
+    "EngineSession": "repro.serving.session",
+    "FunctionalSession": "repro.serving.session",
+    "InferenceRequest": "repro.serving.request",
+    "InferenceResponse": "repro.serving.request",
+    "LatencyRecorder": "repro.obs.metrics",
+    "LatencySummary": "repro.obs.metrics",
+    "LoadGenerator": "repro.serving.loadgen",
+    "LoadReport": "repro.serving.loadgen",
+    "LruCache": "repro.serving.cache",
+    "MultiTenantLoadGenerator": "repro.serving.loadgen",
+    "MultiTenantLoadReport": "repro.serving.loadgen",
+    "PredictionCache": "repro.serving.cache",
+    "ServerStats": "repro.serving.server",
+    "SessionManager": "repro.serving.session",
+    "SimulatedSession": "repro.serving.session",
+    "SmolServer": "repro.serving.server",
+    "TenantLoadSpec": "repro.serving.loadgen",
+    "TenantServingStats": "repro.serving.server",
+    "burst_arrivals": "repro.serving.loadgen",
+    "diurnal_arrivals": "repro.serving.loadgen",
+    "flash_crowd_arrivals": "repro.serving.loadgen",
+    "functional_session_for_plan": "repro.serving.session",
+    "poisson_arrivals": "repro.serving.loadgen",
+    "serving_pipeline_ops": "repro.serving.session",
+    "simulated_session_for_format": "repro.serving.session",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -22,41 +22,26 @@ through the store, :class:`~repro.query.engine.QueryEngine` and
 ``smol-repro store`` CLI exposes stats/gc/warm.
 """
 
-from repro.preprocessing.dag import dag_fingerprint
-from repro.store.catalog import (
-    MATERIALIZED_DECODE_FRACTION,
-    StoreCatalog,
-    materialized_discount,
-)
-from repro.store.lru import ByteLruCache, ChunkCacheStats
-from repro.store.manifest import Manifest, ManifestEntry, ManifestVersion
-from repro.store.store import (
-    ChunkedReader,
-    GcReport,
-    RenditionKey,
-    RenditionStore,
-    ScoreKey,
-    StoreEvent,
-    StoreStats,
-    fingerprint_of,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ByteLruCache",
-    "ChunkCacheStats",
-    "ChunkedReader",
-    "GcReport",
-    "Manifest",
-    "ManifestEntry",
-    "ManifestVersion",
-    "MATERIALIZED_DECODE_FRACTION",
-    "RenditionKey",
-    "RenditionStore",
-    "ScoreKey",
-    "StoreCatalog",
-    "StoreEvent",
-    "StoreStats",
-    "dag_fingerprint",
-    "fingerprint_of",
-    "materialized_discount",
-]
+_EXPORTS = {
+    "ByteLruCache": "repro.store.lru",
+    "ChunkCacheStats": "repro.store.lru",
+    "ChunkedReader": "repro.store.store",
+    "GcReport": "repro.store.store",
+    "Manifest": "repro.store.manifest",
+    "ManifestEntry": "repro.store.manifest",
+    "ManifestVersion": "repro.store.manifest",
+    "MATERIALIZED_DECODE_FRACTION": "repro.store.catalog",
+    "RenditionKey": "repro.store.store",
+    "RenditionStore": "repro.store.store",
+    "ScoreKey": "repro.store.store",
+    "StoreCatalog": "repro.store.catalog",
+    "StoreEvent": "repro.store.store",
+    "StoreStats": "repro.store.store",
+    "dag_fingerprint": "repro.preprocessing.dag",
+    "fingerprint_of": "repro.store.store",
+    "materialized_discount": "repro.store.catalog",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -17,27 +17,20 @@ The package layers four mechanisms onto the single-tenant server:
   (:class:`TenantSloBoard`).
 """
 
-from repro.tenant.deadline import LadderRung, PlanLadder
-from repro.tenant.quota import QuotaGate, TenantQuotaStats, TokenBucket
-from repro.tenant.slo import TenantSloBoard
-from repro.tenant.spec import (
-    DEFAULT_CLASSES,
-    PRIORITY_CLASSES,
-    ClassPolicy,
-    TenantConfig,
-    TenantSpec,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "PRIORITY_CLASSES",
-    "DEFAULT_CLASSES",
-    "ClassPolicy",
-    "TenantSpec",
-    "TenantConfig",
-    "TokenBucket",
-    "QuotaGate",
-    "TenantQuotaStats",
-    "LadderRung",
-    "PlanLadder",
-    "TenantSloBoard",
-]
+_EXPORTS = {
+    "PRIORITY_CLASSES": "repro.tenant.spec",
+    "DEFAULT_CLASSES": "repro.tenant.spec",
+    "ClassPolicy": "repro.serving.scheduler",
+    "TenantSpec": "repro.tenant.spec",
+    "TenantConfig": "repro.tenant.spec",
+    "TokenBucket": "repro.tenant.quota",
+    "QuotaGate": "repro.tenant.quota",
+    "TenantQuotaStats": "repro.tenant.quota",
+    "LadderRung": "repro.tenant.deadline",
+    "PlanLadder": "repro.tenant.deadline",
+    "TenantSloBoard": "repro.tenant.slo",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
