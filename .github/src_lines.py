@@ -29,8 +29,9 @@ from pathlib import Path
 # Smol-Procs II lowered it 26 785 -> 26 523: predictions ride inside their outcome, no shm.
 # Smol-Basis lowered it 26 523 -> 26 499: the decode basis GEMM, less a store knob and dead code.
 # Smol-Cold lowered it 26 499 -> 26 237: package re-exports are one lazy {name: module} map each.
-CEILING = 26_237
-ROADMAP_GATE = 24_500  # ROADMAP item 12, Smol-Core IV: the 24 500 gate
+# Smol-Lean-Decode lowered it 26 237 -> 26 235: one entropy compaction, one outcome resolver.
+CEILING = 26_235
+ROADMAP_GATE = 24_500  # ROADMAP item 15, Smol-Core IV: the 24 500 gate
 
 
 def main() -> int:

@@ -407,40 +407,13 @@ class Dispatcher:
         # monitor's orphan path may concurrently resolve the same item.
         self._faults.hit("dispatcher.outcome", item_id=outcome.item_id,
                          ok=outcome.ok, dispatcher=self)
+        if breaker is not None and outcome.ok:
+            breaker.record_success()
         if entry is None:
             # Duplicate outcome for an item already resolved via failover
             # re-execution; the first resolution won.
-            if breaker is not None and outcome.ok:
-                breaker.record_success()
             return
-        if outcome.ok:
-            if breaker is not None:
-                breaker.record_success()
-            with self._lock:
-                # Atomic pop-and-recheck: the monitor's orphan path (or a
-                # failover re-execution) may have resolved this item since
-                # the fetch above.  Only the thread that wins the pop may
-                # count, trace, and resolve -- anything else would retire
-                # the item twice and double-count telemetry.
-                entry = self._inflight.pop(outcome.item_id, None)
-                if entry is None:
-                    return  # lost the race: the item already resolved
-                self._completed += 1
-            self._completed_metric.inc()
-            for event in outcome.stages:
-                self._obs.emit_stage(event.stage, event.subject, event.images,
-                                     event.seconds, source=event.source)
-            if self._obs.enabled and outcome.trace is not None:
-                self._trace_execution(entry, outcome)
-            entry.future.set_result(ClusterResult(
-                predictions=np.asarray(outcome.predictions, dtype=np.int64),
-                modelled_seconds=outcome.modelled_seconds,
-                worker_id=outcome.worker_id,
-                shard_id=outcome.shard_id,
-                attempts=outcome.attempts,
-            ))
-            return
-        if breaker is not None:
+        if breaker is not None and not outcome.ok:
             # The breaker has no "did this open it?" return; the
             # opened_count delta is the trip signal for the recorder.
             opened_before = breaker.snapshot().opened_count
@@ -449,30 +422,26 @@ class Dispatcher:
                 self._obs.trip("circuit_open",
                                worker_id=outcome.worker_id,
                                error=outcome.error)
-        if outcome.attempts >= self._max_attempts:
+        if outcome.ok or outcome.attempts >= self._max_attempts:
             with self._lock:
-                # Same atomic pop-and-recheck as the success path: a
-                # concurrent failover resolution must not be failed (or
-                # counted) a second time.
+                # Atomic pop-and-recheck: the monitor's orphan path (or a
+                # failover re-execution) may have resolved this item since
+                # the fetch above.  Only the thread that wins the pop may
+                # count, trace, and resolve -- anything else would retire
+                # the item twice and double-count telemetry.  Popped, it is
+                # reachable from here alone: an error before it resolves
+                # fails its future (the collector would swallow it).
                 entry = self._inflight.pop(outcome.item_id, None)
                 if entry is None:
                     return  # lost the race: the item already resolved
-                self._failed += 1
-            trace = outcome.trace
-            self._obs.trip(
-                "item_failed", item_id=outcome.item_id,
-                attempts=outcome.attempts, error=outcome.error,
-                trace_id=trace[0] if trace is not None else None,
-            )
-            self._failed_metric.inc()
-            if entry.span is not None:
-                entry.span.set(error=outcome.error,
-                               attempts=outcome.attempts)
-                entry.span.finish()
-            entry.future.set_exception(ClusterError(
-                f"item {outcome.item_id} failed after {outcome.attempts} "
-                f"attempts: {outcome.error}"
-            ))
+                if outcome.ok:
+                    self._completed += 1
+                else:
+                    self._failed += 1
+            try:
+                self._resolve(entry, outcome)
+            except Exception as error:
+                entry.future.set_exception(error)
             return
         with self._lock:
             entry = self._inflight.get(outcome.item_id)
@@ -487,6 +456,36 @@ class Dispatcher:
                              worker=outcome.worker_id,
                              attempt=outcome.attempts, error=outcome.error)
         self._dispatch(retried, exclude={outcome.worker_id})
+
+    def _resolve(self, entry: _Inflight, outcome: WorkOutcome) -> None:
+        """Publish, trace and resolve an item this thread popped: with its
+        result, or, its attempts spent, with a ``ClusterError``."""
+        if outcome.ok:
+            self._completed_metric.inc()
+            for event in outcome.stages:
+                self._obs.emit_stage(event.stage, event.subject, event.images,
+                                     event.seconds, source=event.source)
+            if self._obs.enabled and outcome.trace is not None:
+                self._trace_execution(entry, outcome)
+            entry.future.set_result(ClusterResult(
+                predictions=np.asarray(outcome.predictions, dtype=np.int64),
+                modelled_seconds=outcome.modelled_seconds,
+                worker_id=outcome.worker_id,
+                shard_id=outcome.shard_id,
+                attempts=outcome.attempts,
+            ))
+            return
+        trace = outcome.trace
+        self._obs.trip("item_failed", item_id=outcome.item_id, attempts=outcome.attempts,
+                       error=outcome.error, trace_id=trace[0] if trace is not None else None)
+        self._failed_metric.inc()
+        if entry.span is not None:
+            entry.span.set(error=outcome.error, attempts=outcome.attempts)
+            entry.span.finish()
+        entry.future.set_exception(ClusterError(
+            f"item {outcome.item_id} failed after {outcome.attempts} "
+            f"attempts: {outcome.error}"
+        ))
 
     def _trace_execution(self, entry: _Inflight,
                          outcome: WorkOutcome) -> None:

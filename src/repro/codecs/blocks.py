@@ -9,7 +9,6 @@ each block is independently decodable.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fftpack import dctn, idctn
 
 from repro.errors import CodecError
 
@@ -75,11 +74,13 @@ def blockify(channel: np.ndarray) -> np.ndarray:
 
 def forward_dct_blocks(blocks: np.ndarray) -> np.ndarray:
     """Apply a 2-D type-II DCT to each 8x8 block (expects level-shifted input)."""
+    from scipy.fftpack import dctn     # here, not at module level: a decode never needs it
     return dctn(blocks, type=2, axes=(-2, -1), norm="ortho")
 
 
 def inverse_dct_blocks(coeffs: np.ndarray) -> np.ndarray:
     """Apply the inverse DCT to each 8x8 coefficient block."""
+    from scipy.fftpack import idctn    # the decoder runs it only at a rounding tie
     return idctn(coeffs, type=2, axes=(-2, -1), norm="ortho")
 
 

@@ -42,8 +42,7 @@ def encode_coefficients(flat_coeffs: np.ndarray) -> bytes:
 
 def decode_coefficients(payload: bytes, length: int) -> np.ndarray:
     """Decode one block's payload into a coefficient vector of ``length``."""
-    edges = np.array([0, len(payload)])
-    return _decode_payloads(np.frombuffer(payload, dtype=np.uint8), edges, length)[0]
+    return decode_blocks(pack_blocks([payload]), [0], length)[0]
 
 
 def encode_blocks(coeffs: np.ndarray) -> bytes:
@@ -57,7 +56,7 @@ def decode_blocks(data: bytes, block_indices: np.ndarray, length: int) -> np.nda
     """Decode the chosen blocks of a packed stream into ``(n, length)`` int16,
     touching only those blocks' bytes (what makes ROI decoding cheap)."""
     count, payload_start = _read_header(data)
-    if len(data) > np.iinfo(np.int32).max:
+    if len(data) > 0x7FFFFFFF:
         raise CorruptBitstreamError("stream too large for 32-bit byte offsets")
     index = np.asarray(block_indices, dtype=np.intp).reshape(-1)
     if not len(index):
@@ -65,19 +64,20 @@ def decode_blocks(data: bytes, block_indices: np.ndarray, length: int) -> np.nda
     if index.min() < 0 or index.max() >= count:
         raise CorruptBitstreamError(f"block index out of range [0, {count})")
     table = np.frombuffer(data, dtype="<u4", count=count + 1, offset=_TABLE_START)
-    start = table.take(index).astype(np.intp)
-    end = table.take(index + 1).astype(np.intp)
-    if (start > end).any() or end.max() > len(data) - payload_start:
-        raise CorruptBitstreamError("block offsets reversed or past the payload")
-    edges = np.concatenate(([0], np.cumsum(end - start)))
+    start, end = table.take([index, index + 1]).astype(np.intp)
     payload = np.frombuffer(data, dtype=np.uint8, offset=payload_start)
-    if (index[1:] == index[:-1] + 1).all():
-        # Neighbours in the stream (a full decode): their bytes are one slice.
+    if (start > end).any() or end.max() > len(payload):
+        raise CorruptBitstreamError("block offsets reversed or past the payload")
+    if (index[1:] - index[:-1] == 1).all():
+        # One run of neighbours (a full decode): their bytes are one slice,
+        # their edges one rebased slice of the offset table.
+        edges = table[index[0]:index[-1] + 2] - start[0]
         return _decode_payloads(payload[start[0]:end[-1]], edges, length)
     # Gather the chosen blocks' bytes back to back: output byte p of block b
     # comes from payload byte p + (start[b] - edges[b]).
+    edges = np.concatenate(([0], (end - start).cumsum()))
     take = np.arange(edges[-1], dtype=np.int32)
-    take += np.repeat((start - edges[:-1]).astype(np.int32), end - start)
+    take += (start - edges[:-1]).astype(np.int32).repeat(end - start)
     return _decode_payloads(payload.take(take), edges, length)
 
 
@@ -118,72 +118,67 @@ def _encode_payloads(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _decode_payloads(buf: np.ndarray, edges: np.ndarray, length: int) -> np.ndarray:
     """Decode blocks lying back to back in ``buf``; block b is
     ``buf[edges[b]:edges[b + 1]]``.  Bytes after a block's EOB are ignored."""
-    blocks = len(edges) - 1
-    tokens, first, three, too_long = _varint_tokens(buf, edges)
-    # Tokens alternate run, value from each block's first token; the first
-    # run equal to EOB ends the block.  EOB is a three-byte varint and those
-    # are few, so find each block's among them instead of scanning every token.
-    marks = three[tokens.take(three) == _EOB]
-    owner = np.searchsorted(first, marks, side="right") - 1
-    is_run = (marks - first.take(owner)) & 1 == 0
-    marks, owner = marks[is_run], owner[is_run]
-    eob = marks[np.flatnonzero(np.diff(owner, prepend=-1))]
-    if len(eob) != blocks:
-        raise CorruptBitstreamError("truncated varint: block has no end-of-block")
-    if (too_long <= eob.take(np.searchsorted(first, too_long, side="right") - 1)).any():
+    blocks, tails = len(edges) - 1, edges[1:] - 1
+    # A block must end on a varint's last byte, or the varint would run on
+    # into the next block (this also rejects an empty block).
+    if (tails < edges[:-1]).any() or (buf.take(tails) > 0x7F).any():
+        raise CorruptBitstreamError("truncated varint")
+    # A varint's last byte (continuation bit clear) is its high group, and
+    # for most the whole token.  Continuation bytes are few: the one at p
+    # begins a varint when the byte before p ends one (before p = 0 that
+    # reads the final byte, which does).  A longer varint's value is written
+    # on its last byte; four bytes or more are too long (the encoder writes
+    # no token above 0xFFFF), and only their first three groups are read.
+    last = buf < 0x80
+    token = buf.astype(np.int32)
+    more = (~last).nonzero()[0]
+    at = more[last.take(more - 1)]
+    wide = ~last.take(at + 1)
+    end = at + 1 + wide
+    value = token.take(at) & 0x7F | (token.take(at + 1) & 0x7F) << 7
+    value |= (token.take(end) & 0x7F) * wide << 14
+    token[end] = value
+    too_long = at[~last.take(end)]
+    # Tokens alternate run, value from each block's first token (``first``:
+    # a token's index is its byte less the continuation bytes before it);
+    # the first run equal to EOB ends the block.
+    marks = end[value == _EOB]
+    first = edges - more.searchsorted(edges)
+    tokens = first[1:] - first[:-1]
+    if len(marks) == blocks and (marks == tails).all() and (tokens & 1).all():
+        eob, pairs = tails, tokens >> 1     # each block's one EOB, at a run's place, ends it
+    else:
+        owner = edges.searchsorted(marks, side="right") - 1
+        at_run = (marks - more.searchsorted(marks) - first.take(owner)) & 1 == 0
+        marks, owner = marks[at_run], owner[at_run]
+        eob = marks[np.flatnonzero(np.diff(owner, prepend=-1))]
+        if len(eob) != blocks:
+            raise CorruptBitstreamError("truncated varint: block has no end-of-block")
+        last[np.arange(len(last)) > eob.repeat(tails + 1 - edges[:-1])] = False   # after EOB
+        pairs = (eob - more.searchsorted(eob) - first[:-1]) >> 1
+    if (too_long < eob.take(edges.searchsorted(too_long, side="right") - 1)).any():
         raise CorruptBitstreamError("varint too long")
-    # Without each block's EOB and the ignored tokens after it (rare) the
-    # tokens are every block's (run, value) pairs back to back.
-    keep = np.ones(len(tokens), dtype=bool)
-    keep[eob] = False
-    ignored = first[1:] - eob - 1
-    skip = np.repeat(first[1:] - np.cumsum(ignored), ignored)
-    keep[skip + np.arange(len(skip))] = False
-    run, value = tokens[keep].reshape(-1, 2).T
-    del tokens      # the largest array here: the sums below reuse its memory
+    # Less each block's EOB (and what follows it) the last bytes hold every
+    # block's (run, value) pairs back to back.
+    last[eob] = False
+    run, value = token[last].reshape(-1, 2).T
+    del token       # the largest array here: the sums below reuse its memory
     if value.max(initial=0) > 0xFFFF:
         raise CorruptBitstreamError("coefficient outside int16")
     # A coefficient's index is its block's running sum of (run + 1), less
     # one: sum over all pairs at once (in intp, which no corrupt run wraps),
     # then shift each block's sums to its row of the flattened output.
     total = np.zeros(len(run) + 1, dtype=np.intp)
-    np.cumsum(run + 1, out=total[1:])
-    pairs = (eob - first[:-1]) // 2
-    through = np.cumsum(pairs)
+    (run + 1).cumsum(dtype=np.intp, out=total[1:])
+    through = pairs.cumsum()
     before = total.take(through - pairs)
     if (total.take(through) - before).max() > length:
         raise CorruptBitstreamError(f"coefficient index exceeds block length {length}")
-    total[1:] += np.repeat(np.arange(0, blocks * length, length) - 1 - before, pairs)
+    total[1:] += (np.arange(0, blocks * length, length) - 1 - before).repeat(pairs)
     coeffs = np.zeros((blocks, length), dtype=np.int16)
     value = value.astype(np.uint16)     # fits; zig-zag unsigning wraps in 16 bits
     coeffs.reshape(-1)[total[1:]] = ((value >> 1) ^ -(value & 1)).view(np.int16)
     return coeffs
-
-
-def _varint_tokens(buf: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every varint of ``buf`` as an int32 token, the index of each block's
-    first token (and, last, the token count), the indices of the tokens of
-    three bytes or more, and of those of four or more: too long (the encoder
-    writes no token above 0xFFFF), they hold only their first three groups."""
-    # A block must end on a varint's last byte, or the varint would run on
-    # into the next block (this also rejects an empty block).
-    if (edges[1:] <= edges[:-1]).any() or (buf.take(edges[1:] - 1) & 0x80).any():
-        raise CorruptBitstreamError("truncated varint")
-    # A varint's last byte (continuation bit clear) is its high group, and
-    # for most the whole token.  Continuation bytes are few: the one at p is
-    # in token p - (continuation bytes before p), and begins it when the byte
-    # before p ends one (before p = 0 that reads the final byte, which does).
-    last = buf < 0x80
-    tokens = buf[last].astype(np.int32)
-    more = np.flatnonzero(~last)
-    begins = last.take(more - 1)
-    wide, at = (more - np.arange(len(more)))[begins], more[begins]
-    tokens[wide] = buf.take(at) & 0x7F | (buf.take(at + 1) & 0x7F).astype(np.int32) << 7
-    longer = ~last.take(at + 1)
-    three, at = wide[longer], at[longer]
-    tokens[three] |= (buf.take(at + 2) & 0x7F).astype(np.int32) << 14
-    first = edges - np.searchsorted(more, edges)
-    return tokens, first, three, three[~last.take(at + 2)]
 
 
 def pack_blocks(block_payloads: list[bytes]) -> bytes:

@@ -130,12 +130,12 @@ class JpegCodec:
         # is the same lines with every block touched.
         flat = entropy.decode_blocks(encoded.data, plan.block_indices, _BLOCK_LENGTH)
         samples = _samples(flat, plan)
-        np.clip(samples, 0, 255, out=samples)
-        # One cast-and-transpose: (channel, by, bx, 8, 8) samples land in the
-        # padded (H, W, channel) frame, seen as (by, 8, bx, 8, channel).
+        samples.clip(0, 255, out=samples)
+        # Each channel's (by, bx, 8, 8) samples land, in 8-sample runs, in its
+        # plane of the padded (H, W, channel) frame seen as (by, 8, bx, 8).
         pixels = np.empty((down, _SIZE, across, _SIZE, encoded.channels), dtype=np.uint8)
-        np.copyto(pixels, samples.reshape(-1, down, across, _SIZE, _SIZE).transpose(1, 3, 2, 4, 0),
-                  casting="unsafe")
+        for channel, plane in enumerate(samples.reshape(-1, down, across, _SIZE, _SIZE)):
+            pixels[..., channel] = plane.transpose(0, 2, 1, 3)
         # Clip to the frame: edge blocks may extend past the true image size.
         pixels = pixels.reshape(down * _SIZE, across * _SIZE, -1)
         pixels = pixels[:encoded.height - top * _SIZE, :encoded.width - left * _SIZE]
@@ -215,11 +215,11 @@ def _samples(flat: np.ndarray, plan: _DecodePlan) -> np.ndarray:
     margin *= 2.0 ** -40
     samples += 128.0
     rounded = np.rint(samples, out=coefficients)
-    np.abs(np.subtract(samples, rounded, out=samples), out=samples)
-    # One whole-array maximum rules out every block at once, as it does on
-    # natural images; a maximum per block costs five times as much.
-    if samples.max(initial=0.0) >= 0.5 - margin.max(initial=0.0):
-        near = (samples.max(axis=1) >= 0.5 - margin).nonzero()[0]
+    residual = np.subtract(samples, rounded, out=samples)
+    # The residual's whole-array extremes rule out every block at once, as
+    # they do on natural images; a maximum per block costs five times as much.
+    if max(residual.max(initial=0.0), -residual.min(initial=0.0)) >= 0.5 - margin.max(initial=0.0):
+        near = (np.abs(residual, out=residual).max(axis=1) >= 0.5 - margin).nonzero()[0]
         exact = blk.inverse_dct_blocks(
             blk.dequantize_blocks(blk.zigzag_unscan(flat[near]), plan.quant_table))
         exact += 128.0

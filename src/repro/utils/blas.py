@@ -6,7 +6,8 @@ pool competes with them for the same cores: its workers spin while they
 wait, so the multiply gets no faster and every other thread gets slower.
 The rule is therefore fixed by the program, not by an environment variable:
 the first GEMM issued through :func:`gemm` tells the BLAS numpy has already
-loaded to use one thread, for the life of the process.
+loaded to use one thread, for the life of the process, and sets
+``OPENBLAS_NUM_THREADS=1`` for one mapped later (scipy's, on first import).
 
 numpy exposes no call for this, so the library is found among the process's
 mapped files and its own entry point is called through :mod:`ctypes`.  When
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
+import os
 import threading
 
 import numpy as np
@@ -65,6 +67,7 @@ def _pin() -> int:
     global _threads
     with _lock:
         if _threads is None:
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
             pinned = [_pin_library(path) for path in _loaded_blas_paths()]
             _threads = 1 if pinned and all(pinned) else 0
             if not _threads:

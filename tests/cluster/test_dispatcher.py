@@ -184,6 +184,48 @@ class TestFailureTrips:
         assert tripped["worker_id"] == "worker-0"
 
 
+class TestPoppedItemsResolve:
+    """Once ``_handle_outcome`` has popped an item, nothing else can reach
+    it: whatever raises before its future resolves must fail the future,
+    not leave the caller waiting (the collector swallows the error)."""
+
+    def test_a_raising_trace_fails_the_future(self, scripted_factory,
+                                              monkeypatch):
+        from repro.obs import FlightRecorder, Observability
+
+        def broken(self, entry, outcome):
+            raise RuntimeError("trace export broke")
+
+        monkeypatch.setattr(Dispatcher, "_trace_execution", broken)
+        obs = Observability(recorder=FlightRecorder())
+        with Dispatcher(scripted_factory, num_workers=1, obs=obs) as dispatcher:
+            future = dispatcher.submit(_requests("img-0"))
+            with pytest.raises(RuntimeError, match="trace export broke"):
+                future.result(timeout=5.0)
+            dispatcher.drain(timeout=5.0)
+            assert dispatcher.stats().completed == 1
+
+    def test_a_raising_trip_fails_an_exhausted_items_future(self, monkeypatch):
+        from repro.obs import FlightRecorder, Observability
+
+        def factory(worker_id, results):
+            return ThreadWorker(worker_id,
+                                ScriptedSession(fail_times=10_000), results)
+
+        def broken(reason, **context):
+            raise RuntimeError(f"recorder broke on {reason}")
+
+        obs = Observability(recorder=FlightRecorder())
+        monkeypatch.setattr(obs, "trip", broken)
+        with Dispatcher(factory, num_workers=2, max_attempts=2,
+                        breaker_threshold=100, obs=obs) as dispatcher:
+            future = dispatcher.submit(_requests("img-0"))
+            with pytest.raises(RuntimeError, match="broke on item_failed"):
+                future.result(timeout=5.0)
+            dispatcher.drain(timeout=5.0)
+            assert dispatcher.stats().failed == 1
+
+
 class TestFailover:
     def test_killing_one_replica_completes_every_request(self,
                                                          scripted_factory):

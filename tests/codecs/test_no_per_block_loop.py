@@ -23,14 +23,18 @@ from repro.utils import blas
 # blocks with a sample near a rounding tie.
 COUNTED = [(blk, "forward_dct_blocks"), (blk, "inverse_dct_blocks"), (blas, "gemm"),
            (entropy, "encode_blocks"), (entropy, "decode_blocks")]
-# Python-level function calls one encode / decode / ROI decode may make,
-# numpy's and scipy's Python wrappers included.  The array program makes 93
-# (encode), 117 (a decode that builds its geometry's plan, 98 with the plan
-# cached) and 95 (ROI decode); with scipy's idctn in place of the basis
-# product a decode made 136 and 118, and 141 before the decoder's passes were
-# halved.  The per-block loop it replaced made over 2 000 on a 12-block
-# image.  The count must not grow.
-MAX_PYTHON_CALLS = 120
+# Python-level function calls one decode or ROI decode may make, numpy's
+# and scipy's Python wrappers included, and one encode.  The array program
+# makes 59 (a decode that builds its geometry's plan, 40 with the plan
+# cached), 57 (an ROI decode off the left edge, which gathers its blocks'
+# bytes and builds its own plan) and 94 (encode, one more for its scipy
+# import).  Before the entropy decoder's one compaction and contiguous-run
+# edges a decode made 117 and 98, and the encode 93; with scipy's
+# idctn in place of the basis product a decode made 136 and 118, and 141
+# before the decoder's passes were halved.  The per-block loop it replaced
+# made over 2 000 on a 12-block image.  The counts must not grow.
+MAX_PYTHON_CALLS = 64
+MAX_ENCODE_CALLS = 100
 
 
 def image_of_blocks(side: int) -> Image:
@@ -79,7 +83,7 @@ def test_calls_do_not_grow_with_the_block_count(counters):
     per_size = {}
     for side in (2, 16):        # 4 and 256 blocks per channel
         image = image_of_blocks(side)
-        roi = RegionOfInterest(3, 3, 8 * side - 6, 8 * side - 6)
+        roi = RegionOfInterest(9, 3, 8 * side - 12, 8 * side - 6)     # not one run of blocks
         for name in counters:
             counters[name] = 0
         _decode_plan.cache_clear()      # the decode builds its plan, whatever ran before
@@ -91,7 +95,7 @@ def test_calls_do_not_grow_with_the_block_count(counters):
                             "inverse_dct_blocks": 0, "decode_blocks": 2}
         per_size[side] = (encode_calls, decode_calls, roi_calls)
     assert per_size[2] == per_size[16]
-    assert max(per_size[16]) <= MAX_PYTHON_CALLS
+    assert per_size[16][0] <= MAX_ENCODE_CALLS and max(per_size[16][1:]) <= MAX_PYTHON_CALLS
 
 
 def test_only_a_tie_runs_the_transforms(counters):

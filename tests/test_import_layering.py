@@ -77,6 +77,57 @@ def test_the_codecs_load_only_their_own_modules_and_their_resize():
         assert [module for module in loaded if not allowed(module)] == []
 
 
+DC_DECODE = """
+import json, sys
+import numpy as np
+from repro.codecs import entropy
+from repro.codecs.jpeg import JpegCodec, JpegEncoded
+rows = np.zeros((3 * 4 * 4, 64), np.int16)
+rows[:, 0] = %d
+encoded = JpegEncoded(width=32, height=32, channels=3, quality=90, blocks_x=4,
+                      blocks_y=4, data=entropy.encode_blocks(rows))
+pixels = JpegCodec(quality=90).decode(encoded).pixels
+print(json.dumps([int(pixels.min()), int(pixels.max()), "scipy" in sys.modules]))
+"""
+
+
+def test_only_the_rounding_tie_fallback_loads_scipy():
+    """A decode-only process never imports scipy: ``scipy.fftpack`` loads
+    where the encoder's DCT or the decoder's tie fallback first runs.  DC 8
+    at quality 90 (DC step 3) decodes to 131 exactly; DC 4 puts every
+    sample on the tie 129.5, which the transforms recompute."""
+    assert fresh("import json, sys\nimport repro.codecs\n"
+                 "print(json.dumps('scipy' in sys.modules))") is False
+    assert fresh(DC_DECODE % 8) == [131, 131, False]
+    assert fresh(DC_DECODE % 4) == [130, 130, True]
+
+
+BLAS_AFTER_ENCODE = """
+import ctypes, json, sys
+import numpy as np
+from repro.codecs.image import Image
+from repro.codecs.jpeg import JpegCodec
+from repro.utils import blas
+blas.gemm(np.ones((2, 2)), np.ones((2, 2)), np.empty((2, 2)))
+loaded = "scipy" in sys.modules
+JpegCodec().encode(Image(pixels=np.zeros((8, 8, 3), np.uint8)))
+counts = []
+for path in blas._loaded_blas_paths():
+    library = ctypes.CDLL(path)
+    getters = [getattr(library, form.format("openblas_get_num_threads"), None)
+               for form in blas._SYMBOL_FORMS]
+    counts += [getter() for getter in getters if getter is not None][:1]
+print(json.dumps([loaded, counts]))
+"""
+
+
+def test_a_blas_mapped_after_the_first_gemm_is_pinned_too():
+    """scipy maps its own OpenBLAS when the first transform imports it,
+    which may come after the first GEMM pinned numpy's: it starts with one
+    thread all the same."""
+    loaded, counts = fresh(BLAS_AFTER_ENCODE)
+    assert not loaded and counts == [1] * len(counts)
+
 SURFACE = """
 import importlib, json, sys, types
 problems = []
