@@ -119,15 +119,12 @@ _EXPORTS = {
     "Plan": "repro.core.plans",
     "PlanConstraints": "repro.core.plans",
     "SmolCostModel": "repro.core.costmodel",
-    "ExecutionOnlyCostModel": "repro.core.costmodel",
-    "SerialSumCostModel": "repro.core.costmodel",
     "SmolServer": "repro.serving.server",
     "BatchPolicy": "repro.serving.scheduler",
     "InferenceRequest": "repro.serving.request",
     "LoadGenerator": "repro.serving.loadgen",
     "AutoscalePolicy": "repro.cluster.autoscaler",
     "Autoscaler": "repro.cluster.autoscaler",
-    "ClusterResult": "repro.cluster.dispatcher",
     "Dispatcher": "repro.cluster.dispatcher",
     "LabeledExample": "repro.cluster.runner",
     "ProcessWorker": "repro.cluster.worker",

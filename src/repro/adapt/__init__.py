@@ -31,24 +31,18 @@ from repro import _lazy_exports
 
 _EXPORTS = {
     "AdaptiveController": "repro.adapt.replanner",
-    "ControllerStats": "repro.adapt.replanner",
     "DriftDetector": "repro.adapt.drift",
-    "DriftSnapshot": "repro.adapt.drift",
     "DriftableSession": "repro.adapt.session",
     "DriftEnvironment": "repro.adapt.session",
     "ObservationKey": "repro.adapt.calibrator",
     "ObservedCosts": "repro.adapt.calibrator",
     "OnlineCalibrator": "repro.adapt.calibrator",
-    "PhaseReport": "repro.adapt.scenario",
-    "ReplanDecision": "repro.adapt.replanner",
     "Replanner": "repro.adapt.replanner",
     "ScanDriftConfig": "repro.adapt.scenario",
     "ScanPaceTarget": "repro.adapt.replanner",
-    "ScenarioReport": "repro.adapt.scenario",
     "ServerSwapTarget": "repro.adapt.replanner",
     "ServingDriftConfig": "repro.adapt.scenario",
     "StageObservation": "repro.adapt.calibrator",
-    "plan_baselines": "repro.adapt.session",
     "register_plan_baselines": "repro.adapt.session",
     "run_scan_drift_scenario": "repro.adapt.scenario",
     "run_serving_drift_scenario": "repro.adapt.scenario",

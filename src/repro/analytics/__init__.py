@@ -14,20 +14,12 @@ from repro import _lazy_exports
 
 _EXPORTS = {
     "LimitQuery": "repro.analytics.limit_queries",
-    "LimitQueryResult": "repro.analytics.limit_queries",
     "LimitQueryEngine": "repro.analytics.limit_queries",
-    "SamplingResult": "repro.analytics.sampling",
     "adaptive_mean_estimate": "repro.analytics.sampling",
-    "uniform_sample_mean": "repro.analytics.sampling",
-    "control_variate_mean": "repro.analytics.sampling",
-    "required_sample_size": "repro.analytics.sampling",
-    "ExactSum": "repro.analytics.stats",
     "MomentSketch": "repro.analytics.stats",
-    "PairedMomentSketch": "repro.analytics.stats",
     "Z_95": "repro.analytics.stats",
     "ci_half_width": "repro.analytics.stats",
     "exact_mean": "repro.analytics.stats",
-    "exact_sum": "repro.analytics.stats",
     "ScanCosts": "repro.analytics.scan",
     "TwoPassEngine": "repro.analytics.scan",
     "compute_scan_costs": "repro.analytics.scan",
@@ -38,7 +30,6 @@ _EXPORTS = {
     "AggregationEngine": "repro.analytics.aggregation",
     "CascadeClassifier": "repro.analytics.classification",
     "CascadeEvaluation": "repro.analytics.classification",
-    "ClassificationQuery": "repro.analytics.classification",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -24,21 +24,6 @@ from repro.utils.rng import deterministic_rng
 
 
 @dataclass(frozen=True)
-class ClassificationQuery:
-    """A classification query: assign each image one of ``num_classes`` labels."""
-
-    dataset_name: str
-    num_classes: int
-    accuracy_floor: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise QueryError("num_classes must be at least 2")
-        if self.accuracy_floor is not None and not 0 <= self.accuracy_floor <= 1:
-            raise QueryError("accuracy_floor must be in [0, 1]")
-
-
-@dataclass(frozen=True)
 class CascadeEvaluation:
     """Accuracy/throughput of one cascade configuration."""
 

@@ -15,8 +15,6 @@ module provides sufficient statistics whose merges are *exact*:
 * :class:`MomentSketch` -- count plus exact first and second moments of one
   variable; supports associative :meth:`merge` and derives mean, sample
   variance, and 95% CI half-widths deterministically from the merged sums.
-* :class:`PairedMomentSketch` -- joint moments of (value, proxy) pairs for
-  control-variate estimation from merged shard statistics.
 
 Integer statistics (counts, confusion matrices) merge exactly by int64
 addition and live in :mod:`repro.cluster.runner`'s ``ShardAggregate``; this
@@ -196,79 +194,3 @@ class MomentSketch:
     def half_width(self, z: float = Z_95) -> float:
         """CI half-width for the mean at level ``z``."""
         return ci_half_width(self.variance, self.count, z=z)
-
-
-@dataclass
-class PairedMomentSketch:
-    """Mergeable joint moments of (value, proxy) observation pairs.
-
-    Carries everything a control-variate estimator needs -- per-variable
-    moments plus the exact cross-product sum -- so per-shard sketches merge
-    into globally exact covariance and control coefficients.
-    """
-
-    values: MomentSketch = field(default_factory=MomentSketch)
-    proxies: MomentSketch = field(default_factory=MomentSketch)
-    cross: ExactSum = field(default_factory=ExactSum)
-
-    @classmethod
-    def from_pairs(cls, values: np.ndarray,
-                   proxies: np.ndarray) -> "PairedMomentSketch":
-        """Build a sketch from parallel value/proxy arrays."""
-        value_array = np.asarray(values, dtype=np.float64).ravel()
-        proxy_array = np.asarray(proxies, dtype=np.float64).ravel()
-        if value_array.shape != proxy_array.shape:
-            raise QueryError("values and proxies must have the same shape")
-        sketch = cls()
-        for value, proxy in zip(value_array, proxy_array):
-            sketch.observe(float(value), float(proxy))
-        return sketch
-
-    def observe(self, value: float, proxy: float) -> None:
-        """Fold in one (value, proxy) pair."""
-        self.values.observe(value)
-        self.proxies.observe(proxy)
-        self.cross.add(float(value) * float(proxy))
-
-    @property
-    def count(self) -> int:
-        """Number of pairs observed."""
-        return self.values.count
-
-    def merge(self, other: "PairedMomentSketch") -> "PairedMomentSketch":
-        """Exact associative merge (returns a new sketch)."""
-        merged = PairedMomentSketch(
-            values=self.values.merge(other.values),
-            proxies=self.proxies.merge(other.proxies),
-            cross=self.cross.copy(),
-        )
-        merged.cross.merge(other.cross)
-        return merged
-
-    @classmethod
-    def merge_all(
-        cls, sketches: Sequence["PairedMomentSketch"]
-    ) -> "PairedMomentSketch":
-        """Merge any number of paired sketches into one total."""
-        total = cls()
-        for sketch in sketches:
-            total = total.merge(sketch)
-        return total
-
-    @property
-    def covariance(self) -> float:
-        """Sample covariance (ddof=1) from the exact moments."""
-        if self.count < 2:
-            return 0.0
-        cross = self.cross.value
-        centered = (cross
-                    - self.values.total.value * self.proxies.total.value
-                    / self.count)
-        return centered / (self.count - 1)
-
-    def control_coefficient(self, variance_floor: float = 1e-12) -> float:
-        """Optimal control-variate coefficient ``cov(v, p) / var(p)``."""
-        proxy_variance = self.proxies.variance
-        if self.count <= 2 or proxy_variance <= variance_floor:
-            return 0.0
-        return self.covariance / proxy_variance

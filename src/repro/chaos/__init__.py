@@ -11,8 +11,8 @@ single modules.  This package is the regression net over those paths:
   recipes, drift schedules, store op sequences, and a
   :class:`~repro.chaos.faults.FaultPlan`;
 * :mod:`~repro.chaos.faults` -- the injection layer: NULL-by-default
-  :class:`FaultHook` seams in ``MpmcQueue``, ``ThreadWorker``,
-  ``Dispatcher``, and ``RenditionStore`` through which a
+  :class:`~repro.chaos.faults.FaultHook` seams in ``MpmcQueue``,
+  ``ThreadWorker``, ``Dispatcher``, and ``RenditionStore`` through which a
   :class:`FaultInjector` fires kills, stalls, injected failures, and torn
   manifest writes;
 * :mod:`~repro.chaos.runner` -- :class:`ChaosRunner` executes one
@@ -31,24 +31,16 @@ from repro import _lazy_exports
 
 _EXPORTS = {
     "ChaosFault": "repro.chaos.faults",
-    "ChaosReport": "repro.chaos.runner",
     "ChaosRunner": "repro.chaos.runner",
-    "DriftPhase": "repro.chaos.scenario",
     "Fault": "repro.chaos.faults",
-    "FaultClock": "repro.chaos.faults",
-    "FaultHook": "repro.chaos.faults",
     "FaultInjector": "repro.chaos.faults",
     "FaultPlan": "repro.chaos.faults",
-    "HashSession": "repro.chaos.runner",
     "InvariantViolation": "repro.chaos.invariants",
     "NULL_FAULTS": "repro.chaos.faults",
     "Scenario": "repro.chaos.scenario",
     "ScenarioGen": "repro.chaos.scenario",
-    "ShrinkResult": "repro.chaos.shrink",
-    "VirtualFaultClock": "repro.chaos.faults",
     "dump_report": "repro.chaos.runner",
     "shrink": "repro.chaos.shrink",
-    "shrink_candidates": "repro.chaos.shrink",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -26,31 +26,20 @@ offline corpus runs share one execution tier.
 from repro import _lazy_exports
 
 _EXPORTS = {
-    "ROUTER_POLICIES": "repro.cluster.router",
-    "SHARD_POLICIES": "repro.cluster.runner",
     "AutoscalePolicy": "repro.cluster.autoscaler",
     "Autoscaler": "repro.cluster.autoscaler",
     "BreakerSnapshot": "repro.cluster.health",
-    "BreakerState": "repro.cluster.health",
     "CircuitBreaker": "repro.cluster.health",
-    "ClusterResult": "repro.cluster.dispatcher",
-    "ConsistentHashRouter": "repro.cluster.router",
     "CorpusRunReport": "repro.cluster.runner",
     "Dispatcher": "repro.cluster.dispatcher",
-    "DispatcherStats": "repro.cluster.dispatcher",
     "LabeledExample": "repro.cluster.runner",
     "ProcessWorker": "repro.cluster.worker",
-    "RoundRobinRouter": "repro.cluster.router",
-    "ScaleEvent": "repro.cluster.autoscaler",
-    "ShardAggregate": "repro.cluster.runner",
     "ShardRouter": "repro.cluster.router",
     "ShardedCorpusRunner": "repro.cluster.runner",
     "ThreadWorker": "repro.cluster.worker",
     "WorkItem": "repro.cluster.worker",
     "WorkOutcome": "repro.cluster.worker",
     "Worker": "repro.cluster.worker",
-    "WorkerStats": "repro.cluster.worker",
-    "assign_shards": "repro.cluster.runner",
     "split_frame_ranges": "repro.cluster.runner",
     "make_router": "repro.cluster.router",
     "run_single_process": "repro.cluster.runner",

@@ -19,6 +19,7 @@ sessions are deterministic, so duplicated execution is harmless.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import time
@@ -393,11 +394,11 @@ class Dispatcher:
                 continue
             try:
                 self._handle_outcome(outcome)
-            except Exception:
-                # The collector must outlive any single bad outcome: a
-                # re-dispatch failure here is retried by the monitor
-                # (parked items) or surfaces at drain timeout.
-                continue
+            except Exception as error:
+                # The collector outlives any single bad outcome, and the
+                # outcome's item does not stay in flight: the error fails it.
+                with contextlib.suppress(Exception):
+                    self._fail(outcome.item_id, error, outcome.attempts)
 
     def _handle_outcome(self, outcome: WorkOutcome) -> None:
         with self._lock:
@@ -430,7 +431,8 @@ class Dispatcher:
                 # count, trace, and resolve -- anything else would retire
                 # the item twice and double-count telemetry.  Popped, it is
                 # reachable from here alone: an error before it resolves
-                # fails its future (the collector would swallow it).
+                # fails its future here, since the collector's _fail
+                # would find nothing left to fail.
                 entry = self._inflight.pop(outcome.item_id, None)
                 if entry is None:
                     return  # lost the race: the item already resolved
@@ -456,6 +458,22 @@ class Dispatcher:
                              worker=outcome.worker_id,
                              attempt=outcome.attempts, error=outcome.error)
         self._dispatch(retried, exclude={outcome.worker_id})
+
+    def _fail(self, item_id: int, error: Exception, attempts: int) -> None:
+        """Fail an in-flight item with ``error``, unless another path
+        resolved it first (the same atomic pop-and-recheck)."""
+        with self._lock:
+            entry = self._inflight.pop(item_id, None)
+            if entry is None:
+                return
+            self._failed += 1
+        self._failed_metric.inc()
+        try:
+            if entry.span is not None:
+                entry.span.set(error=type(error).__name__, attempts=attempts)
+                entry.span.finish()
+        finally:
+            entry.future.set_exception(error)
 
     def _resolve(self, entry: _Inflight, outcome: WorkOutcome) -> None:
         """Publish, trace and resolve an item this thread popped: with its
@@ -564,23 +582,15 @@ class Dispatcher:
                 trace_id=trace[0] if trace is not None else None,
             )
         for item in orphans:
+            if item.attempts >= self._max_attempts:
+                self._fail(item.item_id, WorkerCrashedError(
+                    f"item {item.item_id} lost to {item.attempts} "
+                    "worker crashes"), item.attempts)
+                continue
             with self._lock:
                 entry = self._inflight.get(item.item_id)
                 if entry is None:
                     continue  # outcome raced the death check; already done
-                if item.attempts >= self._max_attempts:
-                    self._inflight.pop(item.item_id, None)
-                    self._failed += 1
-                    self._failed_metric.inc()
-                    if entry.span is not None:
-                        entry.span.set(error="WorkerCrashedError",
-                                       attempts=item.attempts)
-                        entry.span.finish()
-                    entry.future.set_exception(WorkerCrashedError(
-                        f"item {item.item_id} lost to {item.attempts} "
-                        "worker crashes"
-                    ))
-                    continue
                 retried = item.retried()
                 entry.item = retried
                 self._failovers += 1

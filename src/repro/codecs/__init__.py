@@ -18,8 +18,6 @@ exactly those hooks:
 from repro import _lazy_exports
 
 _EXPORTS = {
-    "ProgressiveCodec": "repro.codecs.progressive",
-    "ProgressiveEncoded": "repro.codecs.progressive",
     "Image": "repro.codecs.image",
     "ImageFormat": "repro.codecs.image",
     "Resolution": "repro.codecs.image",
@@ -28,10 +26,7 @@ _EXPORTS = {
     "PngCodec": "repro.codecs.png",
     "PngEncoded": "repro.codecs.png",
     "VideoCodec": "repro.codecs.video",
-    "EncodedVideo": "repro.codecs.video",
-    "VideoFrameRef": "repro.codecs.video",
     "FormatCapability": "repro.codecs.registry",
-    "FORMAT_REGISTRY": "repro.codecs.registry",
     "get_format": "repro.codecs.registry",
     "list_formats": "repro.codecs.registry",
     "RegionOfInterest": "repro.codecs.roi",

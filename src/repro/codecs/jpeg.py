@@ -112,8 +112,8 @@ class JpegCodec:
 
     def decode(self, encoded: JpegEncoded) -> Image:
         """Fully decode an encoded image."""
-        roi = RegionOfInterest(0, 0, encoded.width, encoded.height)
-        return self.decode_roi(encoded, roi)
+        return _decode_window(encoded, 0, 0, -(-encoded.width // _SIZE),
+                              -(-encoded.height // _SIZE))
 
     def decode_roi(self, encoded: JpegEncoded, roi: RegionOfInterest) -> Image:
         """Decode only the macroblocks intersecting ``roi``.
@@ -122,24 +122,7 @@ class JpegCodec:
         image's size is the block-aligned expansion of the request clipped to
         the frame, which is what the downstream crop consumes.
         """
-        left, top, across, down = window = _block_window(encoded, roi)
-        plan = _decode_plan(
-            encoded.quality, encoded.channels, encoded.blocks_x, encoded.blocks_y, *window)
-        # One array program over the touched blocks of every channel: stream
-        # indices (channel, by, bx) -> coefficients -> pixels.  A full decode
-        # is the same lines with every block touched.
-        flat = entropy.decode_blocks(encoded.data, plan.block_indices, _BLOCK_LENGTH)
-        samples = _samples(flat, plan)
-        samples.clip(0, 255, out=samples)
-        # Each channel's (by, bx, 8, 8) samples land, in 8-sample runs, in its
-        # plane of the padded (H, W, channel) frame seen as (by, 8, bx, 8).
-        pixels = np.empty((down, _SIZE, across, _SIZE, encoded.channels), dtype=np.uint8)
-        for channel, plane in enumerate(samples.reshape(-1, down, across, _SIZE, _SIZE)):
-            pixels[..., channel] = plane.transpose(0, 2, 1, 3)
-        # Clip to the frame: edge blocks may extend past the true image size.
-        pixels = pixels.reshape(down * _SIZE, across * _SIZE, -1)
-        pixels = pixels[:encoded.height - top * _SIZE, :encoded.width - left * _SIZE]
-        return Image(pixels=np.ascontiguousarray(pixels))
+        return _decode_window(encoded, *_block_window(encoded, roi))
 
     def decoded_block_fraction(self, encoded: JpegEncoded, roi: RegionOfInterest) -> float:
         """Fraction of macroblocks an ROI decode touches (cost proxy)."""
@@ -153,6 +136,28 @@ def _block_window(encoded: JpegEncoded, roi: RegionOfInterest) -> tuple[int, int
     aligned = expand_to_blocks(roi, encoded.resolution)
     return (aligned.left // _SIZE, aligned.top // _SIZE,
             -(-aligned.width // _SIZE), -(-aligned.height // _SIZE))
+
+
+def _decode_window(encoded: JpegEncoded, left: int, top: int, across: int,
+                   down: int) -> Image:
+    """The pixels of one channel-block window, clipped to the frame."""
+    plan = _decode_plan(encoded.quality, encoded.channels, encoded.blocks_x,
+                        encoded.blocks_y, left, top, across, down)
+    # One array program over the touched blocks of every channel: stream
+    # indices (channel, by, bx) -> coefficients -> pixels.  A full decode is
+    # the same lines with every block touched.
+    flat = entropy.decode_blocks(encoded.data, plan.block_indices, _BLOCK_LENGTH)
+    samples = _samples(flat, plan)
+    samples.clip(0, 255, out=samples)
+    # Each channel's (by, bx, 8, 8) samples land, in 8-sample runs, in its
+    # plane of the padded (H, W, channel) frame seen as (by, 8, bx, 8).
+    pixels = np.empty((down, _SIZE, across, _SIZE, encoded.channels), dtype=np.uint8)
+    for channel, plane in enumerate(samples.reshape(-1, down, across, _SIZE, _SIZE)):
+        pixels[..., channel] = plane.transpose(0, 2, 1, 3)
+    # Clip to the frame: edge blocks may extend past the true image size.
+    pixels = pixels.reshape(down * _SIZE, across * _SIZE, -1)
+    pixels = pixels[:encoded.height - top * _SIZE, :encoded.width - left * _SIZE]
+    return Image(pixels=np.ascontiguousarray(pixels))
 
 
 class _DecodePlan(NamedTuple):

@@ -15,14 +15,10 @@ _EXPORTS = {
     "PlanEstimate": "repro.core.plans",
     "CostModel": "repro.core.costmodel",
     "SmolCostModel": "repro.core.costmodel",
-    "ExecutionOnlyCostModel": "repro.core.costmodel",
-    "SerialSumCostModel": "repro.core.costmodel",
     "AccuracyEstimator": "repro.core.accuracy",
-    "AccuracyEstimate": "repro.core.accuracy",
     "PlanGenerator": "repro.core.planner",
     "PlannerFeatures": "repro.core.planner",
     "LowResolutionTrainer": "repro.core.training",
-    "FineTuneResult": "repro.core.training",
     "Smol": "repro.core.smol",
 }
 __all__ = list(_EXPORTS)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from repro.codecs.formats import InputFormatSpec, list_input_formats
 from repro.core.accuracy import AccuracyEstimator
-from repro.core.costmodel import CostModel, SmolCostModel
+from repro.core.costmodel import CostModel
 from repro.core.plans import Plan, PlanConstraints, PlanEstimate
 from repro.errors import InfeasibleConstraintError, PlanError
 from repro.nn.zoo import ModelProfile, resnet_profile
@@ -236,30 +236,3 @@ class PlanGenerator:
         if constraints.throughput_floor is not None:
             return max(feasible, key=lambda e: (e.accuracy, e.throughput))
         return max(feasible, key=lambda e: (e.throughput, e.accuracy))
-
-
-def default_planner(cost_model: CostModel | None = None,
-                    dataset_name: str = "imagenet",
-                    features: PlannerFeatures | None = None,
-                    performance_model=None,
-                    catalog=None, observations=None) -> PlanGenerator:
-    """Convenience constructor wiring a Smol cost model to a planner.
-
-    Pass ``catalog`` (e.g. ``RenditionStore.catalog()``) for cache-aware
-    costing: plans whose rendition is already materialized in the store are
-    priced with decode collapsed to a chunk read.  Pass ``observations``
-    (e.g. ``OnlineCalibrator.observed_costs()``) for feedback-aware
-    costing: candidates are priced against measured runtime stage costs
-    instead of the calibrated constants alone.
-    """
-    if cost_model is None:
-        if performance_model is None:
-            raise PlanError("provide either a cost model or a performance model")
-        cost_model = SmolCostModel(performance_model)
-    return PlanGenerator(
-        cost_model=cost_model,
-        accuracy=AccuracyEstimator(dataset_name),
-        features=features,
-        catalog=catalog,
-        observations=observations,
-    )

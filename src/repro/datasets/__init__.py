@@ -12,13 +12,9 @@ from repro import _lazy_exports
 
 _EXPORTS = {
     "SyntheticImageGenerator": "repro.datasets.synthetic",
-    "render_class_image": "repro.datasets.synthetic",
-    "ImageDataset": "repro.datasets.images",
-    "DatasetStats": "repro.datasets.images",
     "load_image_dataset": "repro.datasets.images",
     "list_image_datasets": "repro.datasets.images",
     "MultiResolutionStore": "repro.datasets.store",
-    "StoredRendition": "repro.datasets.store",
     "VideoDataset": "repro.datasets.video",
     "load_video_dataset": "repro.datasets.video",
     "list_video_datasets": "repro.datasets.video",

@@ -30,10 +30,6 @@ class InvalidDAGError(PreprocessingError):
     entry, an unknown device, a device list of the wrong length)."""
 
 
-class PlacementError(PreprocessingError):
-    """Raised when operator placement constraints cannot be satisfied."""
-
-
 class ModelError(ReproError):
     """Raised for invalid neural-network definitions or shape mismatches."""
 

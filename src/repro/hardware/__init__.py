@@ -15,14 +15,10 @@ _EXPORTS = {
     "get_gpu": "repro.hardware.devices",
     "get_cpu": "repro.hardware.devices",
     "list_gpus": "repro.hardware.devices",
-    "GPU_CATALOG": "repro.hardware.devices",
     "CloudInstance": "repro.hardware.instance",
     "get_instance": "repro.hardware.instance",
-    "list_instances": "repro.hardware.instance",
     "estimate_core_price": "repro.hardware.instance",
     "PowerModel": "repro.hardware.power",
-    "PowerBreakdown": "repro.hardware.power",
-    "SimClock": "repro.hardware.clock",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -122,8 +122,3 @@ def get_instance(name: str) -> CloudInstance:
             f"unknown instance {name!r}; known: {sorted(INSTANCE_CATALOG)}"
         )
     return INSTANCE_CATALOG[name]
-
-
-def list_instances() -> list[CloudInstance]:
-    """Return all known instances ordered by vCPU count."""
-    return sorted(INSTANCE_CATALOG.values(), key=lambda i: i.vcpus)

@@ -20,8 +20,6 @@ Components:
 from repro import _lazy_exports
 
 _EXPORTS = {
-    "PreprocessingCalibrator": "repro.inference.calibrator",
-    "FormatProfile": "repro.inference.calibrator",
     "MpmcQueue": "repro.inference.mpmc",
     "QueueClosed": "repro.inference.mpmc",
     "MemoryStats": "repro.inference.memory",
@@ -31,8 +29,6 @@ _EXPORTS = {
     "EngineConfig": "repro.inference.perfmodel",
     "StageEstimate": "repro.inference.perfmodel",
     "PerformanceModel": "repro.inference.perfmodel",
-    "PreprocessingCostModel": "repro.inference.perfmodel",
-    "DnnCostModel": "repro.inference.perfmodel",
     "PipelineSimulator": "repro.inference.pipeline_sim",
     "PipelineRunStats": "repro.inference.pipeline_sim",
     "SmolRuntimeEngine": "repro.inference.engine",

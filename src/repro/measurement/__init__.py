@@ -11,10 +11,7 @@ from repro import _lazy_exports
 
 _EXPORTS = {
     "MeasurementStudy": "repro.measurement.study",
-    "InferenceBreakdown": "repro.measurement.study",
-    "BackendComparison": "repro.measurement.study",
     "CostAnalysis": "repro.measurement.costs",
-    "CostBreakdown": "repro.measurement.costs",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

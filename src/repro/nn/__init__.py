@@ -25,22 +25,15 @@ _EXPORTS = {
     "BatchNorm2d": "repro.nn.layers",
     "MaxPool2d": "repro.nn.layers",
     "GlobalAvgPool2d": "repro.nn.layers",
-    "Flatten": "repro.nn.layers",
     "Sequential": "repro.nn.model",
-    "MiniConvNet": "repro.nn.model",
     "build_mini_resnet": "repro.nn.model",
     "PLAN_STATS": "repro.nn.plan",
     "Trainer": "repro.nn.train",
     "TrainingConfig": "repro.nn.train",
-    "TrainingResult": "repro.nn.train",
     "SpecializedNN": "repro.nn.specialized",
     "make_specialized_family": "repro.nn.specialized",
     "ModelProfile": "repro.nn.zoo",
     "get_model_profile": "repro.nn.zoo",
-    "list_model_profiles": "repro.nn.zoo",
-    "GraphProto": "repro.nn.onnx_like",
-    "export_graph": "repro.nn.onnx_like",
-    "import_graph": "repro.nn.onnx_like",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -9,7 +9,6 @@ accurate, which is the property the planner exploits.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,17 +131,6 @@ class Sequential:
                         f"{saved.shape} vs {value.shape}"
                     )
                 value[...] = saved
-
-
-@dataclass(frozen=True)
-class MiniConvNet:
-    """Descriptor of a mini convolutional network configuration."""
-
-    name: str
-    stage_channels: tuple[int, ...]
-    blocks_per_stage: int
-    num_classes: int
-    input_size: int = 32
 
 
 def build_mini_resnet(depth: int, num_classes: int, input_size: int = 32,

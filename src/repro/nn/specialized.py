@@ -4,7 +4,7 @@ NoScope, BlazeIt and Tahoma train small, cheap networks that approximate a
 large target DNN for a specific query (e.g. "is there a car in this frame?").
 Tahoma considers a family of 24 such architectures of varying width and depth;
 BlazeIt uses one "tiny ResNet".  This module provides a parametric family of
-such models: each member is a :class:`MiniConvNet`-style descriptor with a
+such models: each member is a small convnet descriptor with a
 trainable numpy implementation and an analytic throughput profile derived from
 its FLOPs relative to the calibrated ResNet anchors.
 """

@@ -134,11 +134,6 @@ def get_model_profile(name: str) -> ModelProfile:
     return _PROFILES[key]
 
 
-def list_model_profiles() -> list[ModelProfile]:
-    """All calibrated model profiles, smallest first."""
-    return sorted(_PROFILES.values(), key=lambda p: p.gflops)
-
-
 def resnet_profile(depth: int) -> ModelProfile:
     """Convenience lookup for standard ResNet depths (18, 34, 50, 101, 152)."""
     return get_model_profile(f"resnet-{depth}")

@@ -50,7 +50,6 @@ from repro.obs.trace import Span, TraceContext, Tracer
 # loads on first use; the hot path takes only the null object, metrics
 # and trace.
 _EXPORTS = {
-    "chrome_trace": "repro.obs.export",
     "write_chrome_trace": "repro.obs.export",
     "write_spans_jsonl": "repro.obs.export",
     "read_spans_jsonl": "repro.obs.export",
@@ -58,14 +57,12 @@ _EXPORTS = {
     "summarize_spans": "repro.obs.export",
     "validate_span_tree": "repro.obs.export",
     "analyze_critical_path": "repro.obs.analyze",
-    "CriticalPathReport": "repro.obs.analyze",
     "bench_diff": "repro.obs.analyze",
     "SloSpec": "repro.obs.slo",
     "SloWindow": "repro.obs.slo",
     "SloEngine": "repro.obs.slo",
     "replay_spans": "repro.obs.slo",
     "FlightRecorder": "repro.obs.recorder",
-    "PostmortemBundle": "repro.obs.recorder",
     "load_postmortem": "repro.obs.recorder",
 }
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

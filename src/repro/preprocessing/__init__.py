@@ -8,10 +8,9 @@ Standard DNN inference preprocessing (Section 2 of the paper):
 4. reorder pixels to channels-first.
 
 This package provides the operators as executable numpy functions, the
-operator chain a preprocessing pipeline runs, a rule-based + cost-based DAG
-optimizer (fusion, reordering, dtype-aware resizing, Section 6.2), and an
-operator placement pass that assigns operators to the CPU or the accelerator
-(Section 6.3).
+operator chain a preprocessing pipeline runs (each operator on the CPU or the
+accelerator, Section 6.3), and a rule-based + cost-based DAG optimizer
+(fusion, reordering, dtype-aware resizing, Section 6.2).
 """
 
 from repro import _lazy_exports
@@ -25,14 +24,8 @@ _EXPORTS = {
     "NormalizeOp": "repro.preprocessing.ops",
     "ChannelReorderOp": "repro.preprocessing.ops",
     "FusedNormalizeReorderOp": "repro.preprocessing.ops",
-    "standard_pipeline_ops": "repro.preprocessing.ops",
     "PreprocessingDAG": "repro.preprocessing.dag",
     "DagOptimizer": "repro.preprocessing.optimizer",
-    "OptimizationReport": "repro.preprocessing.optimizer",
-    "Placement": "repro.preprocessing.placement",
-    "PlacementDecision": "repro.preprocessing.placement",
-    "PlacementOptimizer": "repro.preprocessing.placement",
-    "arithmetic_ops": "repro.preprocessing.cost",
     "pipeline_arithmetic_ops": "repro.preprocessing.cost",
 }
 __all__ = list(_EXPORTS)

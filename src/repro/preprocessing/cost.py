@@ -32,14 +32,3 @@ def pipeline_arithmetic_ops(ops: Sequence[PreprocessingOp],
         total += op.arithmetic_ops(spec)
         spec = op.output_spec(spec)
     return total
-
-
-def per_stage_arithmetic_ops(ops: Sequence[PreprocessingOp],
-                             input_spec: TensorSpec) -> dict[str, float]:
-    """Per-operator arithmetic-op counts keyed by operator name."""
-    breakdown: dict[str, float] = {}
-    spec = input_spec
-    for op in ops:
-        breakdown[op.name] = breakdown.get(op.name, 0.0) + op.arithmetic_ops(spec)
-        spec = op.output_spec(spec)
-    return breakdown

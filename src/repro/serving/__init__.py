@@ -13,8 +13,7 @@ Turns the offline batch engine into an online inference service:
 * :mod:`repro.serving.server` -- the :class:`SmolServer` facade
   (``submit() -> Future``, ``stats()``, ``close()``).
 * :mod:`repro.serving.loadgen` -- open-loop Poisson/burst/diurnal/flash
-  load generation (single- and multi-tenant mixes) with p50/p95/p99
-  latency reporting.
+  load generation with p50/p95/p99 latency reporting.
 
 Latency percentile accounting (:class:`LatencySummary`,
 :class:`LatencyRecorder`) lives in :mod:`repro.obs.metrics` and is
@@ -28,7 +27,6 @@ selection) layers on top via :mod:`repro.tenant`; pass a
 from repro import _lazy_exports
 
 _EXPORTS = {
-    "ArrivalTrace": "repro.serving.loadgen",
     "BatchPolicy": "repro.serving.scheduler",
     "BatchResult": "repro.serving.session",
     "BatcherStats": "repro.serving.scheduler",
@@ -40,22 +38,11 @@ _EXPORTS = {
     "LatencyRecorder": "repro.obs.metrics",
     "LatencySummary": "repro.obs.metrics",
     "LoadGenerator": "repro.serving.loadgen",
-    "LoadReport": "repro.serving.loadgen",
-    "LruCache": "repro.serving.cache",
-    "MultiTenantLoadGenerator": "repro.serving.loadgen",
-    "MultiTenantLoadReport": "repro.serving.loadgen",
     "PredictionCache": "repro.serving.cache",
-    "ServerStats": "repro.serving.server",
     "SessionManager": "repro.serving.session",
     "SimulatedSession": "repro.serving.session",
     "SmolServer": "repro.serving.server",
-    "TenantLoadSpec": "repro.serving.loadgen",
-    "TenantServingStats": "repro.serving.server",
-    "burst_arrivals": "repro.serving.loadgen",
-    "diurnal_arrivals": "repro.serving.loadgen",
-    "flash_crowd_arrivals": "repro.serving.loadgen",
     "functional_session_for_plan": "repro.serving.session",
-    "poisson_arrivals": "repro.serving.loadgen",
     "serving_pipeline_ops": "repro.serving.session",
     "simulated_session_for_format": "repro.serving.session",
 }

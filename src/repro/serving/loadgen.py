@@ -135,13 +135,6 @@ class ArrivalTrace:
         Arrival times in seconds from the start of the run.
     choices:
         Index into the generator's image pool for each arrival.
-    tenant:
-        Originating tenant of every arrival ("" for single-tenant runs).
-        A non-empty tenant is part of the RNG key, so each tenant of a
-        multi-tenant mix draws from its own independent stream -- two
-        tenants offered the same (pattern, rate, seed) no longer replay
-        byte-identical schedules, and adding a tenant to a mix never
-        perturbs another tenant's trace.
     """
 
     pattern: str
@@ -150,7 +143,6 @@ class ArrivalTrace:
     seed: int
     offsets: tuple[float, ...]
     choices: tuple[int, ...]
-    tenant: str = ""
 
     #: Arrival patterns :meth:`build` understands.
     PATTERNS = ("poisson", "burst", "diurnal", "flash")
@@ -160,21 +152,15 @@ class ArrivalTrace:
 
     @classmethod
     def build(cls, pattern: str, rate_per_s: float, duration_s: float,
-              pool_size: int, seed: int = 0, burst_size: int = 8,
-              tenant: str = "") -> "ArrivalTrace":
+              pool_size: int, seed: int = 0,
+              burst_size: int = 8) -> "ArrivalTrace":
         """Draw one trace; identical inputs always yield identical traces."""
         if pattern not in cls.PATTERNS:
             raise ServingError(f"unknown arrival pattern {pattern!r}")
         if pool_size <= 0:
             raise ServingError("pool_size must be positive")
-        # The empty tenant keeps the legacy key so existing single-tenant
-        # traces replay bit-identically across this change.
-        if tenant:
-            rng = deterministic_rng("loadgen", "tenant", tenant, pattern,
-                                    rate_per_s, duration_s, seed=seed)
-        else:
-            rng = deterministic_rng("loadgen", pattern, rate_per_s,
-                                    duration_s, seed=seed)
+        rng = deterministic_rng("loadgen", pattern, rate_per_s, duration_s,
+                                seed=seed)
         if pattern == "poisson":
             offsets = poisson_arrivals(rate_per_s, duration_s, rng)
         elif pattern == "burst":
@@ -187,7 +173,7 @@ class ArrivalTrace:
         return cls(
             pattern=pattern, rate_per_s=rate_per_s, duration_s=duration_s,
             seed=seed, offsets=tuple(offsets),
-            choices=tuple(int(c) for c in choices), tenant=tenant,
+            choices=tuple(int(c) for c in choices),
         )
 
 
@@ -313,152 +299,3 @@ class LoadGenerator:
                 [r.latency_s for r in responses]
             ),
         )
-
-
-@dataclass(frozen=True)
-class TenantLoadSpec:
-    """One tenant's offered traffic in a multi-tenant mix."""
-
-    tenant: str
-    rate_per_s: float
-    pattern: str = "poisson"
-    deadline_s: float | None = None
-    burst_size: int = 8
-
-    def __post_init__(self) -> None:
-        if not self.tenant:
-            raise ServingError("tenant must be non-empty")
-        if self.rate_per_s <= 0:
-            raise ServingError("rate_per_s must be positive")
-        if self.pattern not in ArrivalTrace.PATTERNS:
-            raise ServingError(f"unknown arrival pattern {self.pattern!r}")
-
-
-@dataclass(frozen=True)
-class MultiTenantLoadReport:
-    """Scorecard of one multi-tenant run: one :class:`LoadReport` per tenant."""
-
-    tenants: dict[str, LoadReport]
-    duration_s: float
-
-    @property
-    def offered(self) -> int:
-        """Total requests offered across all tenants."""
-        return sum(r.offered for r in self.tenants.values())
-
-    @property
-    def completed(self) -> int:
-        """Total requests completed across all tenants."""
-        return sum(r.completed for r in self.tenants.values())
-
-    def describe(self) -> str:
-        """One summary line per tenant."""
-        lines = [f"mixed load: {self.offered} offered over "
-                 f"{self.duration_s:.2f}s"]
-        for tenant in sorted(self.tenants):
-            report = self.tenants[tenant]
-            lines.append(
-                f"  {tenant:<12} {report.pattern:<8} "
-                f"completed {report.completed:>6} "
-                f"(shed {report.rejected}), {report.latency.describe()}")
-        return "\n".join(lines)
-
-
-class MultiTenantLoadGenerator:
-    """Replays several tenants' independent traces against one server.
-
-    Each :class:`TenantLoadSpec` draws its own :class:`ArrivalTrace`
-    (tenant-keyed RNG stream); the merged schedule interleaves them by
-    arrival time with the tenant name as a deterministic tiebreak, so a
-    mix replays identically run to run.
-    """
-
-    def __init__(self, server: SmolServer,
-                 image_pool: Sequence[tuple[str, np.ndarray | None]],
-                 specs: Sequence[TenantLoadSpec],
-                 format_name: str = "full-jpeg", seed: int = 0) -> None:
-        if not image_pool:
-            raise ServingError("image_pool must be non-empty")
-        if not specs:
-            raise ServingError("specs must be non-empty")
-        names = [spec.tenant for spec in specs]
-        if len(set(names)) != len(names):
-            raise ServingError(f"duplicate tenants in mix: {sorted(names)}")
-        self._server = server
-        self._pool = list(image_pool)
-        self._specs = list(specs)
-        self._format_name = format_name
-        self._seed = seed
-
-    def traces(self, duration_s: float) -> dict[str, ArrivalTrace]:
-        """The deterministic per-tenant schedules :meth:`run` replays."""
-        return {
-            spec.tenant: ArrivalTrace.build(
-                spec.pattern, spec.rate_per_s, duration_s,
-                pool_size=len(self._pool), seed=self._seed,
-                burst_size=spec.burst_size, tenant=spec.tenant,
-            )
-            for spec in self._specs
-        }
-
-    def run(self, duration_s: float, time_scale: float = 1.0,
-            shed_on_full: bool = True) -> MultiTenantLoadReport:
-        """Offer every tenant's trace concurrently and wait the mix out.
-
-        Quota throttles (:class:`~repro.errors.QuotaExceededError` is an
-        :class:`AdmissionError`) and queue sheds both count as rejected
-        for the tenant that offered the request.
-        """
-        if time_scale <= 0:
-            raise ServingError("time_scale must be positive")
-        traces = self.traces(duration_s)
-        deadlines = {spec.tenant: spec.deadline_s for spec in self._specs}
-        merged = sorted(
-            (offset, trace.tenant, int(choice))
-            for trace in traces.values()
-            for offset, choice in zip(trace.offsets, trace.choices)
-        )
-        futures: dict[str, list[Future]] = {t: [] for t in traces}
-        rejected = {t: 0 for t in traces}
-        start = time.monotonic()
-        for offset, tenant, choice in merged:
-            target = start + offset * time_scale
-            delay = target - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            image_id, payload = self._pool[choice]
-            request = InferenceRequest(
-                image_id=image_id, payload=payload,
-                format_name=self._format_name,
-                deadline_s=deadlines[tenant], tenant=tenant,
-            )
-            try:
-                futures[tenant].append(
-                    self._server.submit(request, block=not shed_on_full)
-                )
-            except AdmissionError:
-                rejected[tenant] += 1
-        responses = {
-            tenant: [future.result(timeout=60.0) for future in pending]
-            for tenant, pending in futures.items()
-        }
-        elapsed = time.monotonic() - start
-        reports = {}
-        for spec in self._specs:
-            tenant = spec.tenant
-            answered = responses[tenant]
-            reports[tenant] = LoadReport(
-                pattern=spec.pattern,
-                offered=len(traces[tenant]),
-                submitted=len(futures[tenant]),
-                rejected=rejected[tenant],
-                completed=len(answered),
-                cache_hits=sum(1 for r in answered if r.cached),
-                deadline_missed=sum(
-                    1 for r in answered if r.deadline_missed),
-                duration_s=elapsed,
-                latency=LatencySummary.from_seconds(
-                    [r.latency_s for r in answered]
-                ),
-            )
-        return MultiTenantLoadReport(tenants=reports, duration_s=elapsed)

@@ -27,8 +27,6 @@ from repro import _lazy_exports
 _EXPORTS = {
     "ByteLruCache": "repro.store.lru",
     "ChunkCacheStats": "repro.store.lru",
-    "ChunkedReader": "repro.store.store",
-    "GcReport": "repro.store.store",
     "Manifest": "repro.store.manifest",
     "ManifestEntry": "repro.store.manifest",
     "ManifestVersion": "repro.store.manifest",
@@ -37,11 +35,8 @@ _EXPORTS = {
     "RenditionStore": "repro.store.store",
     "ScoreKey": "repro.store.store",
     "StoreCatalog": "repro.store.catalog",
-    "StoreEvent": "repro.store.store",
-    "StoreStats": "repro.store.store",
     "dag_fingerprint": "repro.preprocessing.dag",
     "fingerprint_of": "repro.store.store",
-    "materialized_discount": "repro.store.catalog",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

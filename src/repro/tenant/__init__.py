@@ -21,13 +21,10 @@ from repro import _lazy_exports
 
 _EXPORTS = {
     "PRIORITY_CLASSES": "repro.tenant.spec",
-    "DEFAULT_CLASSES": "repro.tenant.spec",
     "ClassPolicy": "repro.serving.scheduler",
     "TenantSpec": "repro.tenant.spec",
     "TenantConfig": "repro.tenant.spec",
-    "TokenBucket": "repro.tenant.quota",
     "QuotaGate": "repro.tenant.quota",
-    "TenantQuotaStats": "repro.tenant.quota",
     "LadderRung": "repro.tenant.deadline",
     "PlanLadder": "repro.tenant.deadline",
     "TenantSloBoard": "repro.tenant.slo",

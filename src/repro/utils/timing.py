@@ -1,98 +1,29 @@
-"""Timing helpers: a simulated timer for the performance models and a wall
-clock timer for the functional (real numpy) paths.
+"""A wall-clock timer for the functional (real numpy) paths.
 
-Units are deliberately different and the naming enforces it:
-
-* :class:`SimTimer` accumulates **microseconds** of *modelled* time -- the
-  cost models all speak per-image microseconds (see
-  :mod:`repro.utils.units`).  Every accessor carries the ``_us`` suffix or
-  says "microseconds" in its docstring; :meth:`SimTimer.add_seconds` and
-  :meth:`SimTimer.total_seconds` are the sanctioned conversion boundary for
-  callers that think in seconds (span exporters, stage-event consumers).
-* :func:`wall_timer` measures **seconds** of real elapsed time and yields
-  them under the ``"seconds"`` key.
-
-Never mix the two without going through :func:`repro.utils.units.us_to_s` /
-:func:`~repro.utils.units.s_to_us` or the ``*_seconds`` helpers here.
+:func:`wall_timer` measures **seconds** of real elapsed time and yields them
+under the ``"seconds"`` key; the cost models speak per-image
+**microseconds**.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Iterator
-
-from repro.utils.units import s_to_us, us_to_s
-
-#: Documentation aliases: annotate values with their unit at API boundaries.
-Microseconds = float
-Seconds = float
-
-
-@dataclass
-class SimTimer:
-    """Accumulates simulated time per named stage, in **microseconds**.
-
-    The runtime engine advances this timer with modelled operation costs; the
-    measurement study then reads per-stage totals to build breakdowns such as
-    Figure 1 of the paper.  Wall-clock measurements (seconds) belong in
-    :func:`wall_timer`; convert at the boundary with :meth:`add_seconds` /
-    :meth:`total_seconds`.
-    """
-
-    totals_us: dict[str, Microseconds] = field(default_factory=dict)
-
-    def add(self, stage: str, microseconds: Microseconds) -> None:
-        """Record ``microseconds`` of simulated work attributed to ``stage``."""
-        if microseconds < 0:
-            raise ValueError("cannot record negative time")
-        self.totals_us[stage] = self.totals_us.get(stage, 0.0) + microseconds
-
-    def add_seconds(self, stage: str, seconds: Seconds) -> None:
-        """Record simulated work given in seconds (converted to microseconds).
-
-        The one sanctioned seconds -> microseconds call boundary: callers
-        holding wall-clock or stage-event durations use this instead of
-        multiplying by 1e6 inline.
-        """
-        self.add(stage, s_to_us(seconds))
-
-    def total(self) -> Microseconds:
-        """Total simulated **microseconds** across all stages."""
-        return sum(self.totals_us.values())
-
-    def total_seconds(self) -> Seconds:
-        """Total simulated time converted to **seconds**."""
-        return us_to_s(self.total())
-
-    def breakdown(self) -> dict[str, Microseconds]:
-        """Return a copy of the per-stage totals in **microseconds**."""
-        return dict(self.totals_us)
-
-    def breakdown_seconds(self) -> dict[str, Seconds]:
-        """Return the per-stage totals converted to **seconds**."""
-        return {stage: us_to_s(us) for stage, us in self.totals_us.items()}
-
-    def reset(self) -> None:
-        """Clear all recorded stage totals."""
-        self.totals_us.clear()
 
 
 @contextmanager
-def wall_timer() -> Iterator[dict[str, Seconds]]:
+def wall_timer() -> Iterator[dict[str, float]]:
     """Context manager measuring elapsed wall-clock **seconds**.
 
     Yields a dict whose ``"seconds"`` key holds the elapsed wall time on
-    exit.  Use :func:`repro.utils.units.s_to_us` (or
-    :meth:`SimTimer.add_seconds`) before comparing against simulated
-    microsecond totals.
+    exit.
 
     >>> with wall_timer() as elapsed:
     ...     do_work()
     >>> elapsed["seconds"]  # doctest: +SKIP
     """
-    result: dict[str, Seconds] = {"seconds": 0.0}
+    result: dict[str, float] = {"seconds": 0.0}
     start = time.perf_counter()
     try:
         yield result

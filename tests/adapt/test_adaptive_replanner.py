@@ -16,7 +16,8 @@ from repro.adapt.replanner import (
 )
 from repro.adapt.session import register_plan_baselines
 from repro.core.costmodel import SmolCostModel
-from repro.core.planner import default_planner
+from repro.core.accuracy import AccuracyEstimator
+from repro.core.planner import PlanGenerator
 from repro.core.plans import PlanConstraints
 from repro.errors import AdaptError
 from repro.hardware.instance import get_instance
@@ -41,8 +42,9 @@ def engine_config(perf):
 
 def make_factory(perf, engine_config):
     def factory(observations=None):
-        return default_planner(
+        return PlanGenerator(
             cost_model=SmolCostModel(perf, engine_config),
+            accuracy=AccuracyEstimator("imagenet"),
             observations=observations,
         )
     return factory

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analytics.classification import CascadeClassifier, ClassificationQuery
+from repro.analytics.classification import CascadeClassifier
 from repro.codecs.formats import FULL_JPEG
 from repro.errors import QueryError
 from repro.inference.perfmodel import EngineConfig
@@ -68,10 +68,3 @@ class TestCascadeEvaluation:
             num_classes=2,
         )
         assert len(evaluations) == 2 * 5
-
-    def test_query_validation(self):
-        with pytest.raises(QueryError):
-            ClassificationQuery(dataset_name="x", num_classes=1)
-        with pytest.raises(QueryError):
-            ClassificationQuery(dataset_name="x", num_classes=2,
-                                accuracy_floor=1.2)

@@ -1,6 +1,7 @@
 """Tests for the greedy scenario shrinker."""
 
-from repro.chaos import Scenario, ScenarioGen, shrink, shrink_candidates
+from repro.chaos import Scenario, ScenarioGen, shrink
+from repro.chaos.shrink import shrink_candidates
 from repro.chaos.faults import Fault, FaultPlan
 
 

@@ -4,10 +4,18 @@ import threading
 
 import pytest
 
-from repro.chaos.faults import Fault, FaultHook, FaultInjector, FaultPlan
-from repro.cluster import BreakerState, Dispatcher, ThreadWorker
+from repro.chaos.faults import (
+    ChaosFault,
+    Fault,
+    FaultHook,
+    FaultInjector,
+    FaultPlan,
+)
+from repro.cluster import Dispatcher, ThreadWorker
+from repro.cluster.health import BreakerState
 from repro.cluster.worker import Worker, WorkOutcome
 from repro.errors import ClusterError, WorkerCrashedError
+from repro.obs import NullObservability
 from repro.serving.request import InferenceRequest
 
 from cluster_testlib import (
@@ -224,6 +232,100 @@ class TestPoppedItemsResolve:
                 future.result(timeout=5.0)
             dispatcher.drain(timeout=5.0)
             assert dispatcher.stats().failed == 1
+
+
+class TestOutcomeErrorsFailTheirItem:
+    """An error ``_handle_outcome`` raises before the pop (the fault seam,
+    the breaker, the ``circuit_open`` trip, a retry's re-dispatch) fails
+    the outcome's item instead of leaving it in flight until drain."""
+
+    def test_a_raise_at_the_outcome_seam_fails_the_future(self,
+                                                          scripted_factory):
+        injector = FaultInjector(FaultPlan(faults=(
+            Fault(site="dispatcher.outcome", action="raise", at_hit=1),
+        )))
+        with Dispatcher(scripted_factory, num_workers=1, monitor_interval_s=0.0,
+                        faults=injector) as dispatcher:
+            future = dispatcher.submit(_requests("img-0"))
+            with pytest.raises(ChaosFault, match="dispatcher.outcome"):
+                future.result(timeout=2.0)
+            dispatcher.drain(timeout=2.0)
+            stats = dispatcher.stats()
+        assert stats.completed + stats.failed == stats.submitted == 1
+        assert stats.failed == 1
+        assert stats.inflight == 0
+
+    def test_a_raise_at_the_seam_fails_a_failed_outcome_without_a_retry(self):
+        def factory(worker_id, results):
+            return ThreadWorker(worker_id, ScriptedSession(fail_times=1),
+                                results)
+
+        injector = FaultInjector(FaultPlan(faults=(
+            Fault(site="dispatcher.outcome", action="raise", at_hit=1),
+        )))
+        with Dispatcher(factory, num_workers=1, monitor_interval_s=0.0,
+                        breaker_threshold=100, faults=injector) as dispatcher:
+            future = dispatcher.submit(_requests("img-0"))
+            with pytest.raises(ChaosFault, match="dispatcher.outcome"):
+                future.result(timeout=2.0)
+            stats = dispatcher.stats()
+        assert (stats.failed, stats.retried, stats.inflight) == (1, 0, 0)
+
+    def test_the_collector_serves_on_after_a_failed_item(self,
+                                                         scripted_factory):
+        injector = FaultInjector(FaultPlan(faults=(
+            Fault(site="dispatcher.outcome", action="raise", at_hit=1),
+        )))
+        with Dispatcher(scripted_factory, num_workers=1,
+                        monitor_interval_s=0.0, faults=injector) as dispatcher:
+            with pytest.raises(ChaosFault):
+                dispatcher.submit(_requests("img-0")).result(timeout=2.0)
+            result = dispatcher.submit(_requests("img-1")).result(timeout=2.0)
+            stats = dispatcher.stats()
+        assert result.predictions[0] == expected_prediction("img-1")
+        assert (stats.submitted, stats.completed, stats.failed) == (2, 1, 1)
+        assert stats.inflight == 0
+
+    def test_a_raise_in_the_circuit_open_trip_fails_the_item(self):
+        class TripRaises(NullObservability):
+            __slots__ = ()
+
+            def trip(self, reason, **context):
+                if reason == "circuit_open":
+                    raise RuntimeError("trip failed")
+
+        def factory(worker_id, results):
+            return ThreadWorker(worker_id, ScriptedSession(fail_times=1),
+                                results)
+
+        with Dispatcher(factory, num_workers=1, monitor_interval_s=0.0,
+                        breaker_threshold=1, breaker_cooldown_s=60.0,
+                        obs=TripRaises()) as dispatcher:
+            future = dispatcher.submit(_requests("img-0"))
+            with pytest.raises(RuntimeError, match="trip failed"):
+                future.result(timeout=2.0)
+            stats = dispatcher.stats()
+        assert (stats.failed, stats.retried, stats.inflight) == (1, 0, 0)
+        assert stats.breakers["worker-0"].state is BreakerState.OPEN
+
+    def test_a_raise_in_the_retry_dispatch_fails_the_item(self):
+        class RefusesRetries(ThreadWorker):
+            def submit(self, item):
+                if item.attempts > 1:
+                    raise RuntimeError("re-dispatch failed")
+                super().submit(item)
+
+        def factory(worker_id, results):
+            return RefusesRetries(worker_id, ScriptedSession(fail_times=1),
+                                  results)
+
+        with Dispatcher(factory, num_workers=1, monitor_interval_s=0.0,
+                        breaker_threshold=100) as dispatcher:
+            future = dispatcher.submit(_requests("img-0"))
+            with pytest.raises(RuntimeError, match="re-dispatch failed"):
+                future.result(timeout=2.0)
+            stats = dispatcher.stats()
+        assert (stats.failed, stats.retried, stats.inflight) == (1, 1, 0)
 
 
 class TestFailover:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cluster import BreakerState, CircuitBreaker
+from repro.cluster import CircuitBreaker
+from repro.cluster.health import BreakerState
 from repro.errors import ClusterError
 
 

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.cluster import (
-    ConsistentHashRouter,
-    RoundRobinRouter,
-    ShardRouter,
-    make_router,
-)
+from repro.cluster import ShardRouter, make_router
+from repro.cluster.router import ConsistentHashRouter, RoundRobinRouter
 from repro.errors import ClusterError
 
 

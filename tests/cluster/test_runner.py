@@ -6,12 +6,11 @@ import pytest
 from repro.cluster import (
     Dispatcher,
     LabeledExample,
-    ShardAggregate,
     ShardedCorpusRunner,
     ThreadWorker,
-    assign_shards,
     run_single_process,
 )
+from repro.cluster.runner import ShardAggregate, assign_shards
 from repro.errors import ClusterError
 
 from cluster_testlib import ScriptedSession

@@ -17,7 +17,7 @@ from repro.cluster import (
     WorkOutcome,
 )
 from repro.errors import ClusterError
-from repro.fuse import FUSE_STATS
+from repro.fuse.kernel import FUSE_STATS
 from repro.inference.mpmc import MpmcQueue
 from repro.nn import PLAN_STATS, build_mini_resnet
 from repro.preprocessing import PreprocessingDAG

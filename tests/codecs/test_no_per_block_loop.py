@@ -25,15 +25,17 @@ COUNTED = [(blk, "forward_dct_blocks"), (blk, "inverse_dct_blocks"), (blas, "gem
            (entropy, "encode_blocks"), (entropy, "decode_blocks")]
 # Python-level function calls one decode or ROI decode may make, numpy's
 # and scipy's Python wrappers included, and one encode.  The array program
-# makes 59 (a decode that builds its geometry's plan, 40 with the plan
-# cached), 57 (an ROI decode off the left edge, which gathers its blocks'
+# makes 45 (a decode that builds its geometry's plan, 26 with the plan
+# cached), 58 (an ROI decode off the left edge, which gathers its blocks'
 # bytes and builds its own plan) and 94 (encode, one more for its scipy
-# import).  Before the entropy decoder's one compaction and contiguous-run
-# edges a decode made 117 and 98, and the encode 93; with scipy's
-# idctn in place of the basis product a decode made 136 and 118, and 141
-# before the decoder's passes were halved.  The per-block loop it replaced
-# made over 2 000 on a 12-block image.  The counts must not grow.
-MAX_PYTHON_CALLS = 64
+# import).  While a full decode built its whole-frame window as an ROI it
+# made 59 and 40; before the entropy decoder's one compaction and
+# contiguous-run edges a decode made 117 and 98, and the encode 93; with
+# scipy's idctn in place of the basis product a decode made 136 and 118,
+# and 141 before the decoder's passes were halved.  The per-block loop it
+# replaced made over 2 000 on a 12-block image.  The counts must not grow.
+MAX_DECODE_CALLS = 48
+MAX_ROI_CALLS = 64
 MAX_ENCODE_CALLS = 100
 
 
@@ -95,7 +97,10 @@ def test_calls_do_not_grow_with_the_block_count(counters):
                             "inverse_dct_blocks": 0, "decode_blocks": 2}
         per_size[side] = (encode_calls, decode_calls, roi_calls)
     assert per_size[2] == per_size[16]
-    assert per_size[16][0] <= MAX_ENCODE_CALLS and max(per_size[16][1:]) <= MAX_PYTHON_CALLS
+    encode_calls, decode_calls, roi_calls = per_size[16]
+    assert encode_calls <= MAX_ENCODE_CALLS
+    assert decode_calls <= MAX_DECODE_CALLS
+    assert roi_calls <= MAX_ROI_CALLS
 
 
 def test_only_a_tie_runs_the_transforms(counters):

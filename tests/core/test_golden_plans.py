@@ -25,8 +25,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.accuracy import AccuracyEstimator
 from repro.core.costmodel import SmolCostModel
-from repro.core.planner import PlannerFeatures, default_planner
+from repro.core.planner import PlanGenerator, PlannerFeatures
 from repro.core.plans import PlanConstraints
 from repro.hardware.instance import get_instance
 from repro.inference.perfmodel import PerformanceModel
@@ -109,9 +110,9 @@ def plan_trace(config: GoldenConfig) -> dict:
     if config.slow_preprocessing or config.slow_dnn:
         observations = FakeObservations(dict(config.slow_preprocessing),
                                         dict(config.slow_dnn))
-    planner = default_planner(
+    planner = PlanGenerator(
         cost_model=SmolCostModel(perf),
-        dataset_name=config.dataset,
+        accuracy=AccuracyEstimator(config.dataset),
         features=features,
         catalog=catalog,
         observations=observations,

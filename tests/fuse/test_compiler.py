@@ -21,7 +21,6 @@ from repro.preprocessing.ops import (
     ResizeOp,
     standard_pipeline_ops,
 )
-from repro.preprocessing.placement import PlacementDecision, PlacementOptimizer
 from repro.serving.session import serving_pipeline_ops
 
 
@@ -69,8 +68,8 @@ class TestFingerprint:
          "f0cc14a169bd0ebd"),
         # decode, resize, crop on the CPU; convert, normalize, reorder on
         # the accelerator.
-        (lambda: PlacementOptimizer(None, None).apply(
-            _dag(standard_pipeline_ops()), PlacementDecision(3, 1.0, 1.0)),
+        (lambda: PreprocessingDAG.from_ops(
+            standard_pipeline_ops(), ["cpu"] * 3 + ["accelerator"] * 3),
          "5adce4d150d91cc8"),
     ], ids=["serving", "standard", "accelerator", "mixed-placement"])
     def test_digest_of_an_unchanged_dag_is_stable(self, build, digest):

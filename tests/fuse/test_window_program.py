@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chaos.faults import FaultHook
 from repro.errors import PreprocessingError
-from repro.fuse import FUSE_STATS, compile_dag
+from repro.fuse.compiler import compile_dag
+from repro.fuse.kernel import FUSE_STATS
 from repro.fuse import kernel as kernel_module
 from repro.obs import Observability
 from repro.preprocessing import ops as ops_module

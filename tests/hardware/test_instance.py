@@ -3,11 +3,7 @@
 import pytest
 
 from repro.errors import HardwareError
-from repro.hardware.instance import (
-    estimate_core_price,
-    get_instance,
-    list_instances,
-)
+from repro.hardware.instance import estimate_core_price, get_instance
 
 
 class TestCorePriceRegression:
@@ -31,10 +27,6 @@ class TestCloudInstance:
     def test_unknown_instance_rejected(self):
         with pytest.raises(HardwareError):
             get_instance("m5.large")
-
-    def test_instances_sorted_by_vcpus(self):
-        vcpus = [i.vcpus for i in list_instances()]
-        assert vcpus == sorted(vcpus)
 
     def test_price_per_million_images(self):
         instance = get_instance("g4dn.xlarge")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import HardwareError
 from repro.hardware.devices import get_cpu, get_gpu
-from repro.hardware.power import PowerModel
+from repro.hardware.power import PowerBreakdown, PowerModel
 
 
 @pytest.fixture()
@@ -41,3 +41,15 @@ class TestPowerModel:
             power_model.vcpus_to_sustain(0.0, 100.0)
         with pytest.raises(HardwareError):
             power_model.vcpus_to_sustain(100.0, -5.0)
+
+    def test_vcpus_to_sustain_inverts_the_cpu_scaling_model(self):
+        cpu = get_cpu(4)
+        model = PowerModel(cpu, get_gpu("T4"))
+        vcpus = model.vcpus_to_sustain(150.0, 1200.0)
+        assert 150.0 * vcpus ** cpu.scaling_exponent == pytest.approx(1200.0)
+
+    def test_power_ratio_needs_positive_dnn_power(self):
+        breakdown = PowerBreakdown(target_throughput=100.0, preproc_watts=50.0,
+                                   dnn_watts=0.0, preproc_vcpus=2.0)
+        with pytest.raises(HardwareError):
+            _ = breakdown.power_ratio

@@ -23,7 +23,8 @@ from repro.errors import EngineError
 from repro.inference import engine as engine_module
 from repro.inference.engine import SmolRuntimeEngine
 from repro.inference.perfmodel import EngineConfig
-from repro.nn import PLAN_STATS, Flatten, Linear, Sequential, build_mini_resnet
+from repro.nn import PLAN_STATS, Linear, Sequential, build_mini_resnet
+from repro.nn.layers import Flatten
 from repro.preprocessing.dag import PreprocessingDAG
 from repro.preprocessing.ops import (
     CenterCropOp,

@@ -36,7 +36,6 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn.model import Sequential, build_mini_resnet
-from repro.nn.onnx_like import GraphProto, export_graph, import_graph
 from repro.nn.specialized import make_specialized_family
 
 # NaN/inf payloads legitimately trip numpy's invalid-value warnings.
@@ -147,8 +146,6 @@ def repo_models() -> dict[str, Sequential]:
     for model in models.values():       # keeps the seeded weights
         randomize(model.layers, np.random.default_rng(len(model.layers)),
                   parameters=False)
-    models["flatten-head-onnx"] = import_graph(GraphProto.deserialize(
-        export_graph(models["flatten-head"]).serialize()))
     return models
 
 
@@ -170,12 +167,6 @@ def test_plan_equals_the_allocating_forward_on_repo_models(name, batch):
     special = with_specials(inputs.copy(), np.random.default_rng(batch))
     assert_same_bits(model.forward(special),
                      allocating_forward(model.layers, special))
-
-
-def test_onnx_round_trip_computes_the_original_logits():
-    inputs = batch_for(MODELS["flatten-head"], 5)
-    assert_same_bits(MODELS["flatten-head-onnx"].forward(inputs),
-                     MODELS["flatten-head"].forward(inputs))
 
 
 def compute_logits() -> dict[str, list]:

@@ -7,7 +7,6 @@ from repro.hardware.devices import get_gpu
 from repro.nn.zoo import (
     get_model_profile,
     imagenet_accuracy,
-    list_model_profiles,
     resnet_profile,
 )
 
@@ -26,10 +25,6 @@ class TestModelProfiles:
     def test_unknown_model_rejected(self):
         with pytest.raises(ModelError):
             get_model_profile("vgg-16")
-
-    def test_list_sorted_by_flops(self):
-        gflops = [p.gflops for p in list_model_profiles()]
-        assert gflops == sorted(gflops)
 
     def test_throughput_scales_across_gpus(self):
         profile = resnet_profile(50)

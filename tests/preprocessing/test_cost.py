@@ -1,12 +1,6 @@
 """Tests for arithmetic-operation cost accounting."""
 
-import pytest
-
-from repro.preprocessing.cost import (
-    arithmetic_ops,
-    per_stage_arithmetic_ops,
-    pipeline_arithmetic_ops,
-)
+from repro.preprocessing.cost import arithmetic_ops, pipeline_arithmetic_ops
 from repro.preprocessing.ops import (
     CenterCropOp,
     NormalizeOp,
@@ -45,13 +39,11 @@ class TestCostAccounting:
             ops, FULL
         )
 
-    def test_per_stage_breakdown_sums_to_total(self):
+    def test_pipeline_cost_is_each_op_on_its_propagated_spec(self):
         ops = standard_pipeline_ops()
-        breakdown = per_stage_arithmetic_ops(ops, FULL)
-        assert sum(breakdown.values()) == pytest.approx(
-            pipeline_arithmetic_ops(ops, FULL)
-        )
-
-    def test_decode_dominates_standard_pipeline(self):
-        breakdown = per_stage_arithmetic_ops(standard_pipeline_ops(), FULL)
-        assert breakdown["decode"] == max(breakdown.values())
+        spec, expected = FULL, 0.0
+        for op in ops:
+            expected += arithmetic_ops(op, spec)
+            spec = op.output_spec(spec)
+        assert pipeline_arithmetic_ops(ops, FULL) == expected
+        assert pipeline_arithmetic_ops([], FULL) == 0.0

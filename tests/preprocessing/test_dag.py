@@ -29,6 +29,15 @@ class TestDagConstruction:
         with pytest.raises(TypeError):
             PreprocessingDAG()
 
+    def test_anything_but_an_op_is_rejected(self):
+        with pytest.raises(InvalidDAGError, match="not a preprocessing op"):
+            PreprocessingDAG.from_ops([ResizeOp(64), "normalize"])
+
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_one_device_per_op(self, count):
+        with pytest.raises(InvalidDAGError, match=f"{count} devices for 6 ops"):
+            PreprocessingDAG.from_ops(standard_pipeline_ops(), ["cpu"] * count)
+
 
 class TestDagExecution:
     def test_execute_matches_manual_application(self, small_image):

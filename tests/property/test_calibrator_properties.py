@@ -26,7 +26,8 @@ from repro.adapt.calibrator import (
 )
 from repro.adapt.replanner import Replanner
 from repro.core.costmodel import SmolCostModel
-from repro.core.planner import PlanGenerator, default_planner
+from repro.core.accuracy import AccuracyEstimator
+from repro.core.planner import PlanGenerator
 from repro.hardware.instance import get_instance
 from repro.inference.perfmodel import PerformanceModel
 
@@ -142,8 +143,9 @@ class TestReplanIdempotence:
         perf = PerformanceModel(get_instance("g4dn.xlarge"))
 
         def factory(observations=None) -> PlanGenerator:
-            return default_planner(cost_model=SmolCostModel(perf),
-                                   observations=observations)
+            return PlanGenerator(cost_model=SmolCostModel(perf),
+                                 accuracy=AccuracyEstimator("imagenet"),
+                                 observations=observations)
         return factory
 
     def test_replan_without_drift_is_idempotent(self):

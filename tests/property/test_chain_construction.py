@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import InvalidDAGError
-from repro.fuse import DEFAULT_KERNEL_CACHE, compile_dag
+from repro.fuse import DEFAULT_KERNEL_CACHE
+from repro.fuse.compiler import compile_dag
 from repro.preprocessing.dag import DEVICES, PreprocessingDAG
 from repro.preprocessing.ops import (
     CenterCropOp,

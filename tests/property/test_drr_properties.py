@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.serving.scheduler import BatchPolicy
 from repro.serving.scheduler import ClassPolicy, DrrScheduler
-from repro.tenant import TokenBucket
+from repro.tenant.quota import TokenBucket
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Golden merge-exactness tests: sharded merges are bit-identical.
 
-Sharded aggregates -- means, variances, CI half-widths, confusion matrices,
-control-variate coefficients -- merged from *arbitrary* random shard splits
+Sharded aggregates -- means, variances, CI half-widths, confusion matrices
+-- merged from *arbitrary* random shard splits
 (including empty and size-1 shards) must equal the unsharded computation bit
 for bit.  Every assertion routes through :func:`assert_bit_identical`, whose
 failure message names the diverging statistic and prints both values in full
@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.analytics.stats import (
     ExactSum,
     MomentSketch,
-    PairedMomentSketch,
     exact_sum,
 )
 from repro.cluster.runner import ShardAggregate, split_frame_ranges
@@ -124,31 +123,6 @@ class TestMomentSketchMerges:
         assert MomentSketch.from_values([5.0]).variance == 0.0
         with pytest.raises(QueryError):
             _ = MomentSketch().mean
-
-
-class TestPairedMomentMerges:
-    @given(seed=st.integers(0, 10_000), num_shards=st.integers(1, 8))
-    @settings(max_examples=40, deadline=None)
-    def test_control_coefficient_bit_identical(self, seed, num_shards):
-        rng = np.random.default_rng(seed)
-        size = int(rng.integers(3, 300))
-        proxies = rng.normal(5.0, 2.0, size=size)
-        values = proxies + rng.normal(0, 0.5, size=size)
-        unsharded = PairedMomentSketch.from_pairs(values, proxies)
-        shards = random_split(rng, size, num_shards)
-        merged = PairedMomentSketch.merge_all([
-            PairedMomentSketch.from_pairs(values[shard], proxies[shard])
-            for shard in shards
-        ])
-        assert_bit_identical("covariance", merged.covariance,
-                             unsharded.covariance)
-        assert_bit_identical("control_coefficient",
-                             merged.control_coefficient(),
-                             unsharded.control_coefficient())
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(QueryError):
-            PairedMomentSketch.from_pairs(np.zeros(3), np.zeros(4))
 
 
 class TestConfusionMatrixMerges:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import QueryError
-from repro.query import QUERY_KINDS, QuerySpec
+from repro.query import QuerySpec
+from repro.query.spec import QUERY_KINDS
 
 
 class TestSpecConstructors:

@@ -13,8 +13,8 @@ from repro.store import (
     MATERIALIZED_DECODE_FRACTION,
     RenditionKey,
     RenditionStore,
-    materialized_discount,
 )
+from repro.store.catalog import materialized_discount
 
 
 @pytest.fixture()

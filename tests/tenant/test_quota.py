@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import AdmissionError, QuotaExceededError, TenantError
-from repro.tenant import QuotaGate, TenantConfig, TenantSpec, TokenBucket
+from repro.tenant import QuotaGate, TenantConfig, TenantSpec
+from repro.tenant.quota import TokenBucket
 
 
 class FakeClock:

@@ -4,12 +4,12 @@ import pytest
 
 from repro.errors import TenantError
 from repro.tenant import (
-    DEFAULT_CLASSES,
     PRIORITY_CLASSES,
     ClassPolicy,
     TenantConfig,
     TenantSpec,
 )
+from repro.tenant.spec import DEFAULT_CLASSES
 
 
 class TestClassPolicy:

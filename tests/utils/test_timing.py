@@ -1,42 +1,10 @@
-"""Tests for the simulated timer and wall timer."""
+"""Tests for the wall timer."""
+
+import time
 
 import pytest
 
-from repro.utils.timing import SimTimer, wall_timer
-
-
-class TestSimTimer:
-    def test_accumulates_per_stage(self):
-        timer = SimTimer()
-        timer.add("decode", 100.0)
-        timer.add("decode", 50.0)
-        timer.add("resize", 25.0)
-        assert timer.breakdown() == {"decode": 150.0, "resize": 25.0}
-        assert timer.total() == pytest.approx(175.0)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            SimTimer().add("x", -1.0)
-
-    def test_reset_clears(self):
-        timer = SimTimer()
-        timer.add("x", 10.0)
-        timer.reset()
-        assert timer.total() == 0.0
-
-    def test_add_seconds_converts_at_the_boundary(self):
-        timer = SimTimer()
-        timer.add_seconds("decode", 0.25)
-        timer.add("decode", 500.0)
-        assert timer.breakdown() == {"decode": 250_500.0}
-        assert timer.total_seconds() == pytest.approx(0.2505)
-        assert timer.breakdown_seconds() == {
-            "decode": pytest.approx(0.2505)
-        }
-
-    def test_add_seconds_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SimTimer().add_seconds("x", -0.1)
+from repro.utils.timing import wall_timer
 
 
 class TestWallTimer:
@@ -44,3 +12,15 @@ class TestWallTimer:
         with wall_timer() as elapsed:
             sum(range(1000))
         assert elapsed["seconds"] >= 0.0
+
+    def test_covers_at_least_the_time_slept(self):
+        with wall_timer() as elapsed:
+            time.sleep(0.01)
+        assert elapsed["seconds"] >= 0.01
+
+    def test_records_the_elapsed_time_when_the_body_raises(self):
+        with pytest.raises(RuntimeError):
+            with wall_timer() as elapsed:
+                time.sleep(0.01)
+                raise RuntimeError("body failed")
+        assert elapsed["seconds"] >= 0.01
