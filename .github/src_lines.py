@@ -31,7 +31,8 @@ from pathlib import Path
 # Smol-Cold lowered it 26 499 -> 26 237: package re-exports are one lazy {name: module} map each.
 # Smol-Lean-Decode lowered it 26 237 -> 26 235: one entropy compaction, one outcome resolver.
 # Smol-Reach lowered it 26 235 -> 25 046: what only tests reached is deleted.
-CEILING = 25_046
+# Smol-One-Route lowered it 25 046 -> 24 512: one server path, no batch hold.
+CEILING = 24_512
 ROADMAP_GATE = 24_500  # ROADMAP item 15, Smol-Core IV: the 24 500 gate
 
 

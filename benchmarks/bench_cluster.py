@@ -5,8 +5,10 @@ repo adds on top of the paper's single-process engine.  The same labeled
 corpus is executed at 1/2/4/8 replicas, reporting the modelled (simulated
 accelerator) throughput of the busiest replica -- the honest parallel
 makespan -- plus the online latency scorecard under Poisson and burst
-arrivals at each pool size.  Near-linear scaling is the acceptance bar:
-two workers must deliver at least 1.7x the single-worker throughput.
+arrivals at each pool size, served by a ``SmolServer`` whose session is
+the pool (``ClusterSession``: one serving lane per replica).  Near-linear
+scaling is the acceptance bar: two workers must deliver at least 1.7x the
+single-worker throughput.
 
 The sweep is also recorded as ``BENCH_cluster.json`` at the repo root so
 the performance trajectory is machine-trackable.
@@ -17,6 +19,7 @@ from pathlib import Path
 from benchlib import emit
 
 from repro.cluster import (
+    ClusterSession,
     Dispatcher,
     LabeledExample,
     ShardedCorpusRunner,
@@ -72,7 +75,7 @@ def run_scaling() -> tuple[Table, list[dict]]:
             corpus = runner.run(examples, dispatcher=dispatcher)
             online = {}
             for pattern in ("poisson", "burst"):
-                with SmolServer(cluster=dispatcher,
+                with SmolServer(ClusterSession(dispatcher),
                                 policy=BatchPolicy.latency(),
                                 cache_capacity=0) as server:
                     generator = LoadGenerator(server, pool, seed=11)

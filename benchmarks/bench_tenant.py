@@ -72,8 +72,7 @@ def run_mixed_load(session, pool):
                  TenantSpec(name="backfill", priority="batch")),
         classes=CLASSES,
     )
-    policy = BatchPolicy(name="bench-tenant", max_batch_size=MAX_BATCH,
-                         max_wait_ms=1.0)
+    policy = BatchPolicy(name="bench-tenant", max_batch_size=MAX_BATCH)
     with SmolServer(session, policy=policy,
                     queue_capacity=3 * REQUESTS_PER_TENANT + 8,
                     cache_capacity=0, tenants=config) as server:
@@ -101,8 +100,7 @@ def run_isolation(session, pool, with_flood):
                             rate_per_s=200.0, burst=16, max_in_flight=8)),
         classes=CLASSES,
     )
-    policy = BatchPolicy(name="bench-tenant", max_batch_size=MAX_BATCH,
-                         max_wait_ms=1.0)
+    policy = BatchPolicy(name="bench-tenant", max_batch_size=MAX_BATCH)
     with SmolServer(session, policy=policy, queue_capacity=4096,
                     cache_capacity=0, tenants=config,
                     block_on_full=False) as server:

@@ -13,7 +13,8 @@ lifts that cap:
 4. Let the queue-depth autoscaler grow and shrink the pool.
 5. Shard an offline labeled corpus across the pool and verify the merged
    aggregates match a single-process run exactly.
-6. Plug the same dispatcher into :class:`SmolServer` as a drop-in backend.
+6. Serve the pool online: :class:`SmolServer` runs a
+   :class:`ClusterSession` like any other session, one lane per replica.
 
 Run with:  python examples/cluster_quickstart.py
 """
@@ -30,6 +31,7 @@ import numpy as np
 from repro import (
     AutoscalePolicy,
     Autoscaler,
+    ClusterSession,
     Dispatcher,
     InferenceRequest,
     LabeledExample,
@@ -123,10 +125,11 @@ def main() -> None:
           f"({single.makespan_seconds / sharded.makespan_seconds:.1f}x)")
     print()
 
-    # 6. The dispatcher as a SmolServer backend: same submit() -> Future
-    #    API, micro-batches now fan out across the pool.
+    # 6. The pool as a SmolServer session: same submit() -> Future API,
+    #    one serving lane per replica, micro-batches fan out across the pool.
     with Dispatcher(worker_factory, num_workers=4) as cluster:
-        with SmolServer(cluster=cluster, cache_capacity=256) as server:
+        with SmolServer(ClusterSession(cluster),
+                        cache_capacity=256) as server:
             futures = [server.submit(InferenceRequest(image_id=f"img-{i % 16}"))
                        for i in range(200)]
             responses = [future.result(timeout=10.0) for future in futures]

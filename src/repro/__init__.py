@@ -125,6 +125,7 @@ _EXPORTS = {
     "LoadGenerator": "repro.serving.loadgen",
     "AutoscalePolicy": "repro.cluster.autoscaler",
     "Autoscaler": "repro.cluster.autoscaler",
+    "ClusterSession": "repro.cluster.dispatcher",
     "Dispatcher": "repro.cluster.dispatcher",
     "LabeledExample": "repro.cluster.runner",
     "ProcessWorker": "repro.cluster.worker",

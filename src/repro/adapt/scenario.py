@@ -323,8 +323,7 @@ def run_serving_drift_scenario(adaptive: bool,
             controller.watch_store(store)
 
         phases: list[PhaseReport] = []
-        policy = BatchPolicy(name="adapt", max_batch_size=config.max_batch,
-                             max_wait_ms=0.5)
+        policy = BatchPolicy(name="adapt", max_batch_size=config.max_batch)
         with SmolServer(session_factory(initial), policy=policy,
                         cache_capacity=0, obs=obs) as server:
             if controller is not None:

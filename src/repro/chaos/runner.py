@@ -315,9 +315,9 @@ class ChaosRunner:
         ``multi_tenant``, once more with each scenario tenant a
         :class:`TenantSpec` in the class ``scenario.tenant_classes``
         assigns it (quotas unlimited and class deadlines off, so every
-        divergence is the scheduler's fault, not throttling or
-        downgrades).  Either way requests take the server's one route, so
-        the same seams fire from the scenario's plan: ``serving.admit`` on
+        divergence is the scheduler's fault, not throttling).  Either way
+        requests take the server's one route, so the same seams fire from
+        the scenario's plan: ``serving.admit`` on
         the submitting thread (a raise is a clean shed -- the request
         never entered a queue), ``serving.batch`` on the serving thread
         (absorbed by the loop; no request was dequeued), and
@@ -366,8 +366,7 @@ class ChaosRunner:
         server = SmolServer(
             session=HashSession(plan_key=f"chaos-{label}"),
             policy=BatchPolicy(name=f"chaos-{label}",
-                               max_batch_size=max(1, scenario.batch),
-                               max_wait_ms=1.0),
+                               max_batch_size=max(1, scenario.batch)),
             queue_capacity=max(4, len(by_id)),
             cache_capacity=0, obs=obs, faults=injector, tenants=config,
         )

@@ -11,16 +11,17 @@ pool of plan-warmed replicas:
 * :mod:`repro.cluster.health` -- per-replica circuit breakers.
 * :mod:`repro.cluster.dispatcher` -- the replica-aware :class:`Dispatcher`:
   heartbeat health checks, circuit breaking, and automatic failover of
-  in-flight work when a replica dies.
+  in-flight work when a replica dies; and :class:`ClusterSession`, the pool
+  as one engine session.
 * :mod:`repro.cluster.autoscaler` -- queue-depth-driven pool scaling
   between min/max bounds.
 * :mod:`repro.cluster.runner` -- sharded offline corpus runs whose
   per-shard aggregates (counts, means, confusion matrices) merge into
   exact global results.
 
-The dispatcher plugs into :class:`~repro.serving.server.SmolServer` as a
-drop-in backend (``SmolServer(cluster=dispatcher)``), so online traffic and
-offline corpus runs share one execution tier.
+A :class:`~repro.serving.server.SmolServer` serves the pool like any other
+session (``SmolServer(ClusterSession(dispatcher))``, one lane per replica),
+so online traffic and offline corpus runs share one execution tier.
 """
 
 from repro import _lazy_exports
@@ -30,6 +31,7 @@ _EXPORTS = {
     "Autoscaler": "repro.cluster.autoscaler",
     "BreakerSnapshot": "repro.cluster.health",
     "CircuitBreaker": "repro.cluster.health",
+    "ClusterSession": "repro.cluster.dispatcher",
     "CorpusRunReport": "repro.cluster.runner",
     "Dispatcher": "repro.cluster.dispatcher",
     "LabeledExample": "repro.cluster.runner",

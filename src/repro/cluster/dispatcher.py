@@ -15,6 +15,9 @@ threads:
 Execution is at-least-once (a worker may crash after computing but before
 reporting), resolution is exactly-once (the first outcome per item wins);
 sessions are deterministic, so duplicated execution is harmless.
+
+A :class:`ClusterSession` serves the pool online: it is the engine session
+a :class:`~repro.serving.server.SmolServer` runs the dispatcher as.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.errors import ClusterError, NoHealthyWorkerError, WorkerCrashedError
 from repro.inference.mpmc import MpmcQueue, QueueClosed
 from repro.obs import NULL_OBS
 from repro.serving.request import InferenceRequest
+from repro.serving.session import EngineSession
 
 
 @dataclass(frozen=True)
@@ -696,3 +700,27 @@ class Dispatcher:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class ClusterSession(EngineSession):
+    """A dispatcher's replica pool as one engine session.
+
+    ``SmolServer(ClusterSession(dispatcher))`` runs one serving lane per
+    replica live when the session is built (:attr:`streams`); a lane's
+    :meth:`execute` submits its batch and waits for the
+    :class:`ClusterResult`.  The dispatcher publishes each batch's stage
+    costs (source ``cluster``) once, as it resolves, so
+    :meth:`stage_events` is empty.  The server borrows the dispatcher --
+    the caller closes it, which fails whatever it still holds.
+    """
+
+    def __init__(self, dispatcher: Dispatcher) -> None:
+        super().__init__(dispatcher.plan_key)
+        self._dispatcher = dispatcher
+        self.streams = max(1, len(dispatcher.live_workers()))
+
+    def execute(self, requests: Sequence[InferenceRequest]) -> ClusterResult:
+        return self._dispatcher.submit(requests).result()
+
+    def stage_events(self, result, images: int, source: str) -> tuple:
+        return ()

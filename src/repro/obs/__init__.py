@@ -60,7 +60,6 @@ _EXPORTS = {
     "bench_diff": "repro.obs.analyze",
     "SloSpec": "repro.obs.slo",
     "SloWindow": "repro.obs.slo",
-    "SloEngine": "repro.obs.slo",
     "replay_spans": "repro.obs.slo",
     "FlightRecorder": "repro.obs.recorder",
     "load_postmortem": "repro.obs.recorder",

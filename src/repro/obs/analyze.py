@@ -74,7 +74,6 @@ _EXACT_CATEGORIES = {
     "cluster.dispatch": "dispatch",
     "cluster.retry": "dispatch",
     "cluster.failover": "dispatch",
-    "serving.query": "query",
 }
 
 _PREFIX_CATEGORIES = (

@@ -19,9 +19,10 @@ Latency percentile accounting (:class:`LatencySummary`,
 :class:`LatencyRecorder`) lives in :mod:`repro.obs.metrics` and is
 exported from here too.
 
-Multi-tenant serving (quotas, priority classes, deadline-aware plan
-selection) layers on top via :mod:`repro.tenant`; pass a
-:class:`~repro.tenant.spec.TenantConfig` as ``SmolServer(tenants=...)``.
+Multi-tenant serving (quotas, priority classes) layers on top via
+:mod:`repro.tenant`; pass a :class:`~repro.tenant.spec.TenantConfig` as
+``SmolServer(tenants=...)``.  A replica pool is served the same way, as a
+:class:`~repro.cluster.dispatcher.ClusterSession`.
 """
 
 from repro import _lazy_exports

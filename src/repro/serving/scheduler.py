@@ -2,30 +2,30 @@
 
 The accelerator wants large batches; interactive traffic wants low latency.
 The scheduler mediates with the classic serving policy (Clipper, and the
-dynamic batching of production serving systems): a batch opens on the
-first queued request and ships once ``max_batch_size`` requests are in
-hand -- or at once, unless its executor is busy.  Holding a partial batch
-open for stragglers (up to ``max_wait_ms``) pays only while nothing could
-run it anyway, so ``next_batch`` is told whether the executor is ``busy``:
-an idle one gets whatever queued while its last batch ran, at no wait.
+dynamic batching of production serving systems) in its work-conserving
+form: a serving lane asks for a batch only when it is idle, and gets
+whatever queued while it was busy -- up to ``max_batch_size`` requests, at
+once.  Nothing is ever held open for stragglers: an idle executor waiting
+on company it could already be serving only adds latency.
 
 Requests wait in one bounded queue per priority class, drained by a
 deficit-round-robin (DRR) scan.  Each class holds a *deficit* counter;
 when the scan reaches a backlogged class it adds the class's *quantum*
 (proportional to its weight, normalized so the heaviest class earns one
 full micro-batch per round) and serves up to ``floor(deficit)`` requests,
-carrying any fraction to the class's next turn.  A class's deficit resets
-when its queue empties, so idle classes cannot bank credit.  With a
-single class the quantum is one full batch, so the scheduler is exactly a
-FIFO micro-batcher -- which is how a server without tenants runs it.
+carrying any fraction to the class's next turn.  A class that is the only
+one with queued work fills the batch regardless of its quantum.  A class's
+deficit resets when its queue empties, so idle classes cannot bank credit.
+With a single class the quantum is one full batch, so the scheduler is
+exactly a FIFO micro-batcher -- which is how a server without tenants runs
+it.
 
 Two properties the test net enforces fall straight out of the
 arithmetic:
 
 * **work conservation** -- the scan always lands on *some* backlogged
   class and ``deficit >= quantum >= 1`` after the top-up, so a
-  ``next_batch`` call never returns empty while any queue holds work
-  (nor, by the ``busy`` rule, sleeps on work an idle executor could run);
+  ``next_batch`` call never returns empty while any queue holds work;
 * **bounded unfairness** -- under saturation the residual deficit after
   a serve is the fractional part (< 1 request), so over any window a
   class's served count stays within one micro-batch of its weighted
@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Generic, Sequence, TypeVar
+from typing import Generic, Sequence, TypeVar
 
 from repro.chaos.faults import NULL_FAULTS
 from repro.errors import AdmissionError, ServingError, TenantError
@@ -62,7 +62,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """One (max-batch-size, max-wait) micro-batching policy.
+    """One micro-batching policy: a named cap on requests per batch.
 
     Attributes
     ----------
@@ -70,45 +70,33 @@ class BatchPolicy:
         Label used in reports and benchmarks.
     max_batch_size:
         Hard cap on requests per micro-batch (the engine batch size).
-    max_wait_ms:
-        Bound on holding a partial batch open for stragglers -- a hold
-        only a busy executor permits (``DrrScheduler.next_batch``).
     """
 
     name: str
     max_batch_size: int
-    max_wait_ms: float
 
     def __post_init__(self) -> None:
         if self.max_batch_size <= 0:
             raise ServingError("max_batch_size must be positive")
-        if self.max_wait_ms < 0:
-            raise ServingError("max_wait_ms must be non-negative")
 
     @classmethod
     def latency(cls) -> "BatchPolicy":
-        """Small batches, short holds: optimize tail latency."""
-        return cls(name="latency", max_batch_size=8, max_wait_ms=2.0)
+        """Small batches: optimize tail latency."""
+        return cls(name="latency", max_batch_size=8)
 
     @classmethod
     def throughput(cls) -> "BatchPolicy":
-        """Engine-sized batches, longer holds: optimize images/second."""
-        return cls(name="throughput", max_batch_size=64, max_wait_ms=25.0)
+        """Engine-sized batches: optimize images/second."""
+        return cls(name="throughput", max_batch_size=64)
 
 
 @dataclass
 class BatcherStats:
-    """Lifetime micro-batch counters.
-
-    A batch closes full, timed out (``max_wait_ms`` ran out during a hold)
-    or, counted as neither, partial to an executor that was free to run it.
-    """
+    """Lifetime micro-batch counters (a batch is full or partial)."""
 
     batches: int = 0
     items: int = 0
     full_batches: int = 0
-    timeout_batches: int = 0
-    hold_s: float = 0.0  # seconds partial batches were held open
     size_histogram: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -157,7 +145,7 @@ class ClassBatch(list):
 
     A plain ``list`` subclass so session execution handles it like any
     sequence of requests; the ``class_name`` attribute rides along for
-    per-class telemetry and deadline-aware plan selection.
+    per-class telemetry.
     """
 
     def __init__(self, class_name: str, items: Sequence) -> None:
@@ -189,15 +177,10 @@ class DrrScheduler(Generic[T]):
     classes:
         The priority classes (visited in ``rank`` order each round).
     policy:
-        Micro-batching shape: ``max_batch_size`` caps every batch and
-        ``max_wait_ms`` bounds how long a partial batch is held for
-        company (only while *every* queue is empty and the executor is
-        busy, so a hold never idles past available work or capacity).
+        Micro-batching shape: ``max_batch_size`` caps every batch.
     capacity:
-        Bound on queued items per class (backpressure depth).
-    class_of:
-        Maps an admitted item to its class name; defaults to reading the
-        item's ``class_name`` attribute.
+        Bound on queued items per class (backpressure depth); an admitted
+        item names its class in its ``class_name`` attribute.
     obs / faults:
         Observability + chaos seams (``serving.admit`` /
         ``serving.batch``).
@@ -205,7 +188,6 @@ class DrrScheduler(Generic[T]):
 
     def __init__(self, classes: Sequence[ClassPolicy], policy: BatchPolicy,
                  capacity: int = 256,
-                 class_of: Callable[[T], str] | None = None,
                  obs=NULL_OBS, faults=NULL_FAULTS) -> None:
         if not classes:
             raise TenantError("DrrScheduler needs at least one class")
@@ -213,7 +195,6 @@ class DrrScheduler(Generic[T]):
             raise TenantError("capacity must be at least 1")
         self._policy = policy
         self._capacity = capacity
-        self._class_of = class_of or (lambda item: item.class_name)
         self._faults = faults if faults is not None else NULL_FAULTS
         ordered = sorted(classes, key=lambda c: (c.rank, c.name))
         max_weight = max(c.weight for c in ordered)
@@ -237,7 +218,6 @@ class DrrScheduler(Generic[T]):
         self._depth_metric = obs.gauge("serving_queue_depth")
         self._batches_metric = obs.counter("serving_batches_total",
                                            policy=policy.name)
-        self._hold_metric = obs.counter("serving_batch_hold_seconds")
 
     # ------------------------------------------------------------------
     # Producer side
@@ -270,7 +250,7 @@ class DrrScheduler(Generic[T]):
         immediately (``block=False``, load shedding); :class:`QueueClosed`
         propagates once the scheduler is closed.
         """
-        name = self._class_of(item)
+        name = item.class_name
         # Chaos seam: before the enqueue, so a raise is a clean shed (the
         # item never entered a queue) and a stall backpressures the
         # submitting thread.
@@ -313,23 +293,15 @@ class DrrScheduler(Generic[T]):
             self._closed = True
             self._cond.notify_all()
 
-    def wake(self) -> None:
-        """Make a held batch ask ``busy`` again (an executor just freed)."""
-        with self._cond:
-            self._cond.notify_all()
-
     # ------------------------------------------------------------------
     # Consumer side
     # ------------------------------------------------------------------
-    def next_batch(self, poll_timeout: float = 0.1,
-                   busy=lambda: False) -> ClassBatch | None:
+    def next_batch(self, poll_timeout: float = 0.1) -> ClassBatch | None:
         """Form the next micro-batch by deficit round-robin.
 
         Returns ``None`` once closed and fully drained, an empty list when
         ``poll_timeout`` expires with every queue empty, and otherwise a
-        :class:`ClassBatch` from the chosen class.  A partial batch is held
-        open only while ``busy()`` says no executor could start it now; it is
-        called under the scheduler lock, and :meth:`wake` re-asks it early.
+        :class:`ClassBatch` from the chosen class, formed at once.
         """
         # Chaos seam: before any dequeue, so an injected raise aborts the
         # attempt with no request in hand (the serving loop retries).
@@ -350,12 +322,13 @@ class DrrScheduler(Generic[T]):
             state.deficit = min(
                 state.deficit + state.quantum,
                 state.quantum + self._policy.max_batch_size)
-            allowance = min(int(state.deficit),
-                            self._policy.max_batch_size)
+            allowance = self._policy.max_batch_size
+            if self._depth > len(state.queue):
+                # Another class has work: serve only the earned credit.
+                allowance = min(int(state.deficit), allowance)
             take = min(allowance, len(state.queue))
             batch: list[T] = [state.queue.popleft() for _ in range(take)]
             self._depth -= take
-            batch += self._wait_fill(state, len(batch), busy)
             state.deficit = max(0.0, state.deficit - len(batch))
             if not state.queue:
                 # An emptied class banks nothing: credit accrues only
@@ -375,36 +348,6 @@ class DrrScheduler(Generic[T]):
                 self._cursor = (index + 1) % len(self._order)
                 return name
         return None
-
-    def _wait_fill(self, state: _ClassState[T], have: int, busy) -> list[T]:
-        """Top the batch up from its class; hold it open while ``busy()``.
-
-        Only waits while *every* queue is empty and the executor is busy:
-        the moment any class has work or the executor frees the batch
-        ships, so the wait never idles past available work or capacity
-        (the work-conservation property).  Called with the lock held.
-        """
-        extras: list[T] = []
-        room = self._policy.max_batch_size - have
-        if room <= 0 or self._policy.max_wait_ms <= 0:
-            return extras
-        deadline = monotonic() + self._policy.max_wait_ms / 1000.0
-        while self._depth == len(state.queue):  # else another class has work
-            while state.queue and len(extras) < room:
-                extras.append(state.queue.popleft())
-                self._depth -= 1
-            if len(extras) == room or self._closed or not busy():
-                break  # full (perhaps only just), or nobody to wait for
-            now = monotonic()
-            if now >= deadline:
-                self._stats.timeout_batches += 1
-                break
-            self._cond.notify_all()  # the drain above freed queue space
-            self._cond.wait(deadline - now)
-            held = monotonic() - now
-            self._stats.hold_s += held
-            self._hold_metric.inc(held)
-        return extras
 
     def _record(self, batch: list[T]) -> None:
         self._stats.batches += 1

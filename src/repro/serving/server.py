@@ -13,30 +13,16 @@ preprocesses the whole batch on its compiled fused kernel):
 
 There is one route: a server without ``tenants=`` runs the same scheduler
 with a single weight-1 class (exactly a FIFO micro-batcher), and
-``tenants=`` / ``ladder=`` / ``tenant_slo=`` configure that route rather
-than select another.
+``tenants=`` configures that route rather than selects another.
 
-Both functional sessions (real pixels, real numpy model) and simulated
-sessions (calibrated performance model) plug in unchanged, so the same load
-generator drives correctness tests and accelerator-scale latency studies.
-
-Besides point lookups, the server answers whole-corpus analytics queries
-online: :meth:`SmolServer.query` accepts a declarative
-:class:`~repro.query.spec.QuerySpec` (aggregation, limit, cascade) and
-executes it on a dedicated pool of plan-warmed scan replicas without
-blocking the serving loop.
-
-The execution backend is pluggable: pass ``session=`` for the classic
-single-session path, or ``cluster=`` (a
-:class:`~repro.cluster.dispatcher.Dispatcher`) to fan micro-batches out
-across a replica pool.  In cluster mode the one serving lane hands each
-micro-batch to the dispatcher asynchronously and keeps batching while
-replicas execute in parallel, so one slow batch no longer serializes the
-pipeline.  The server borrows the dispatcher -- the caller closes it.
-
-Batching is work-conserving on either backend: a partial batch is held
-open (up to ``max_wait_ms``) only while every executor slot has a batch
-outstanding -- never by a session lane, which asks only when it is idle.
+There is one execution path too.  Every backend is an engine session run
+the same way by the lanes: functional sessions (real pixels, real numpy
+model), simulated sessions (calibrated performance model), and a replica
+pool -- a :class:`~repro.cluster.dispatcher.Dispatcher` served as a
+:class:`~repro.cluster.dispatcher.ClusterSession`, one lane per replica,
+each submitting its batch and waiting for the result.  A lane asks for a
+batch only when it is idle, so batching is work-conserving and nothing is
+ever held open.
 """
 
 from __future__ import annotations
@@ -93,14 +79,12 @@ class TenantServingStats:
 
     ``class_latency`` / ``class_served`` are keyed by priority class;
     ``quotas`` is keyed by tenant spec name (including the default
-    spec); ``downgrades`` counts batches the deadline ladder moved to a
-    cheaper plan.
+    spec).
     """
 
     class_latency: dict[str, LatencySummary]
     class_served: dict[str, int]
     quotas: dict
-    downgrades: int
 
     def describe(self) -> str:
         """Multi-line per-class / per-tenant summary."""
@@ -116,7 +100,6 @@ class TenantServingStats:
                 f"throttled {quota.throttled} "
                 f"(rate {quota.throttled_rate} / "
                 f"in-flight {quota.throttled_in_flight})")
-        lines.append(f"downgrades  {self.downgrades}")
         return "\n".join(lines)
 
 
@@ -136,7 +119,6 @@ class ServerStats:
     latency: LatencySummary
     batcher: BatcherStats
     cache: CacheStats | None
-    queries: int = 0
     tenants: TenantServingStats | None = None
 
     def describe(self) -> str:
@@ -147,9 +129,7 @@ class ServerStats:
             f"{self.cancelled} cancelled",
             f"batches:    {self.batcher.batches} "
             f"(mean size {self.batcher.mean_batch_size:.1f}, "
-            f"{self.batcher.full_batches} full / "
-            f"{self.batcher.timeout_batches} timed out, "
-            f"held {self.batcher.hold_s * 1000.0:.1f} ms)",
+            f"{self.batcher.full_batches} full)",
             f"latency:    {self.latency.describe()}",
             f"deadlines:  {self.deadline_missed} missed",
             f"plan swaps: {self.plan_swaps}",
@@ -160,8 +140,6 @@ class ServerStats:
                 f"hits ({self.cache.hit_rate * 100:.1f}%), "
                 f"{self.cache.size}/{self.cache.capacity} entries"
             )
-        if self.queries:
-            lines.append(f"queries:    {self.queries} analytics queries")
         if self.tenants is not None:
             lines.append(self.tenants.describe())
         return "\n".join(lines)
@@ -174,7 +152,7 @@ class SmolServer:
     ----------
     session:
         The initial engine session (or a prebuilt :class:`SessionManager`),
-        served on its ``streams`` lanes.  Mutually exclusive with ``cluster``.
+        served on its ``streams`` lanes.
     policy:
         Micro-batching policy; defaults to the latency preset.
     queue_capacity:
@@ -186,30 +164,18 @@ class SmolServer:
         Default admission behavior at capacity: block the submitter (True)
         or shed the request with :class:`AdmissionError` (False).  Each
         ``submit`` call may override.
-    cluster:
-        A :class:`~repro.cluster.dispatcher.Dispatcher` to execute
-        micro-batches on instead of a local session.  The dispatcher's
-        replicas must all run the plan the server advertises
-        (``cluster.plan_key``).  The server does not close the dispatcher.
-    store:
-        Optional :class:`~repro.store.store.RenditionStore`.  Analytics
-        queries answered via :meth:`query` then warm their scan sessions
-        from the store (repeat queries hit persisted score tables instead
-        of rescanning) and are planned cache-aware against the store's
-        materialized renditions.
     obs:
         Optional :class:`~repro.obs.Observability`.  Each submitted request
         then opens a ``serving.request`` span (parented to the caller's
         ambient trace context, if any), executed micro-batches emit
         ``serving.batch`` spans with modelled per-stage child spans, and
-        session-mode stage costs are published on the stage-event bus
+        the session's stage events are published on the stage-event bus
         (source ``serving``, or ``serving/<class>`` with ``tenants=``) --
-        where the adaptive loop (:mod:`repro.adapt`) reads them; in cluster
-        mode the dispatcher publishes each batch's costs as it resolves
-        (source ``cluster``).  Both name subjects through
-        :meth:`~repro.serving.session.EngineSession.stage_events`.  The
-        default :data:`~repro.obs.NULL_OBS` keeps the hot loop
-        allocation-free.
+        where the adaptive loop (:mod:`repro.adapt`) reads them
+        (:meth:`~repro.serving.session.EngineSession.stage_events`; a
+        cluster session has none, its dispatcher publishes under
+        ``cluster``).  The default :data:`~repro.obs.NULL_OBS` keeps the
+        hot loop allocation-free.
     slo:
         Optional :class:`~repro.obs.slo.SloEngine`.  Every resolved
         request is then observed (latency + deadline verdict) and every
@@ -228,59 +194,21 @@ class SmolServer:
         and queued under its priority class, and the scheduler shares
         micro-batch capacity between the config's classes by weight.
         Requests without a deadline inherit their class's default.
-    ladder:
-        Optional :class:`~repro.tenant.deadline.PlanLadder`.  Before each
-        session-mode batch executes, the ladder is consulted with the
-        batch's tightest remaining deadline budget and may substitute a
-        cheaper pre-warmed plan rendition rather than knowingly miss the
-        deadline.
-    tenant_slo:
-        Optional :class:`~repro.tenant.slo.TenantSloBoard`.  Every
-        resolved or failed request is then also observed on its tenant's
-        own burn-rate board (the shared ``slo`` engine keeps tracking the
-        aggregate).
     """
 
-    def __init__(self, session: EngineSession | SessionManager | None = None,
+    def __init__(self, session: EngineSession | SessionManager,
                  policy: BatchPolicy | None = None,
                  queue_capacity: int = 256,
                  cache_capacity: int = 2048,
                  block_on_full: bool = True,
-                 cluster=None, store=None, obs=NULL_OBS, slo=None,
-                 faults=NULL_FAULTS, tenants=None, ladder=None,
-                 tenant_slo=None) -> None:
-        if (session is None) == (cluster is None):
-            raise ServingError(
-                "provide exactly one of session= or cluster="
-            )
-        self._cluster = cluster
-        # The cluster's plan is immutable for the server's lifetime; cache
-        # the key so the per-submit cache lookup never touches the
-        # dispatcher's lock.
-        self._cluster_plan_key = cluster.plan_key if cluster else None
-        self._sessions: SessionManager | None
-        if session is None:
-            self._sessions = None
-        elif isinstance(session, SessionManager):
-            self._sessions = session
-        else:
-            self._sessions = SessionManager(session)
+                 obs=NULL_OBS, slo=None,
+                 faults=NULL_FAULTS, tenants=None) -> None:
+        self._sessions = (session if isinstance(session, SessionManager)
+                          else SessionManager(session))
         self._policy = policy or BatchPolicy.latency()
         self._obs = obs if obs is not None else NULL_OBS
         self._faults = faults if faults is not None else NULL_FAULTS
         self._tenants = tenants
-        self._ladder = ladder
-        self._tenant_slo = tenant_slo
-        if tenant_slo is not None:
-            tenant_slo.attach(self._obs)
-        if ladder is not None and cluster is not None:
-            raise ServingError(
-                "the deadline ladder applies to session-backed servers"
-            )
-        # One lane per session stream; a cluster's replicas are its lanes.
-        self._streams = self._sessions.lanes if cluster is None else 1
-        for rung in ladder.rungs if ladder is not None else ():
-            self._sessions.check(rung.session)
         # Tenants configure the one request path: their classes replace
         # the sole class, a quota gate sits in front of admission, and
         # per-class books are kept (tenant_stats).
@@ -308,18 +236,14 @@ class SmolServer:
         self._deadline_missed = 0
         self._errors = 0
         self._cancelled = 0
-        self._queries = 0
-        self._store = store
         self._slo = slo
         if slo is not None:
             slo.attach(self._obs)
-        self._query_engine = None
         self._closed = False
-        self._outstanding = 0
-        self._outstanding_drained = threading.Condition(self._counters_lock)
+        # One lane per stream the session declares.
         self._lanes = [threading.Thread(target=self._serve_loop,
                                         name=f"smol-serve-{i}", daemon=True)
-                       for i in range(self._streams)]
+                       for i in range(self._sessions.lanes)]
         for lane in self._lanes:
             lane.start()
 
@@ -333,23 +257,8 @@ class SmolServer:
 
     @property
     def sessions(self) -> SessionManager:
-        """The session manager (for plan hot-swaps); session mode only."""
-        if self._sessions is None:
-            raise ServingError(
-                "a cluster-backed server has no session manager"
-            )
+        """The session manager (for plan hot-swaps)."""
         return self._sessions
-
-    @property
-    def clustered(self) -> bool:
-        """True when micro-batches execute on a cluster dispatcher."""
-        return self._cluster is not None
-
-    def _plan_key(self) -> str:
-        """The plan key of the active backend (session or cluster)."""
-        if self._sessions is not None:
-            return self._sessions.current().plan_key
-        return self._cluster_plan_key
 
     def submit(self, request: InferenceRequest,
                block: bool | None = None) -> Future:
@@ -387,7 +296,7 @@ class SmolServer:
                 span.set(tenant=tenant_name, priority=class_name)
         future: Future = Future()
         if self._cache is not None:
-            plan_key = self._plan_key()
+            plan_key = self._sessions.current().plan_key
             key = PredictionCache.key(request.image_id, request.format_name,
                                       plan_key)
             hit = self._cache.get(key)
@@ -421,79 +330,6 @@ class SmolServer:
             raise
         return future
 
-    def query(self, spec, num_workers: int = 1, seed: int = 0,
-              engine=None) -> Future:
-        """Answer one analytics query online; resolves to its result.
-
-        ``spec`` is a :class:`~repro.query.spec.QuerySpec` and the future
-        resolves to the matching result type of
-        :class:`~repro.query.engine.QueryEngine`.  The query runs on its own
-        daemon thread against a dedicated pool of ``num_workers`` plan-warmed
-        scan replicas -- analytics scans need scan sessions, not the serving
-        plan's classification replicas, so the server's own backend keeps
-        serving point requests untouched while the query executes.
-
-        Pass ``engine`` (a prebuilt :class:`QueryEngine`) to control frame
-        limits and batch sizes; one default engine is built lazily and
-        reused across queries otherwise.
-        """
-        if self._closed:
-            raise ServingError("cannot query a closed server")
-        if engine is None:
-            with self._counters_lock:
-                engine = self._query_engine
-            if engine is None:
-                # Build outside the lock: engine construction is slow and
-                # _counters_lock sits on the request hot path.  First
-                # finished build wins; a concurrent loser is discarded.
-                # Cost queries against the same modelled hardware as the
-                # serving session when it exposes one (simulated sessions
-                # do); otherwise fall back to the engine default.
-                from repro.query.engine import QueryEngine
-
-                performance_model = None
-                if self._sessions is not None:
-                    performance_model = (
-                        self._sessions.current().performance_model)
-                built = QueryEngine(performance_model=performance_model,
-                                    store=self._store, obs=self._obs)
-                with self._counters_lock:
-                    if self._query_engine is None:
-                        self._query_engine = built
-                    engine = self._query_engine
-        future: Future = Future()
-        # The query runs on its own thread; capture the submitter's ambient
-        # trace context here so the query's spans parent into it.
-        parent_ctx = self._obs.current() if self._obs.enabled else None
-
-        def run() -> None:
-            if not future.set_running_or_notify_cancel():
-                return
-            span = None
-            if self._obs.enabled:
-                span = self._obs.span("serving.query", parent=parent_ctx,
-                                      kind=spec.kind, dataset=spec.dataset)
-            try:
-                with self._obs.activate(span.context if span else None):
-                    result = engine.execute(spec, num_workers=num_workers,
-                                            seed=seed)
-            except Exception as exc:
-                if span is not None:
-                    span.set(error=type(exc).__name__)
-                    span.finish()
-                future.set_exception(
-                    ServingError(f"analytics query failed: {exc}")
-                )
-                return
-            if span is not None:
-                span.finish()
-            with self._counters_lock:
-                self._queries += 1
-            future.set_result(result)
-
-        threading.Thread(target=run, name="smol-query", daemon=True).start()
-        return future
-
     def swap_plan(self, session: EngineSession) -> None:
         """Hot-swap the live plan session (in-flight batches finish first).
 
@@ -501,11 +337,6 @@ class SmolServer:
         refused (:meth:`SessionManager.check`): it is never entered from
         two lanes at once.
         """
-        if self._sessions is None:
-            raise ServingError(
-                "plan swaps apply to session-backed servers; rebuild the "
-                "cluster's workers to change plans"
-            )
         self._sessions.swap(session)
 
     def stats(self) -> ServerStats:
@@ -518,7 +349,6 @@ class SmolServer:
             deadline_missed = self._deadline_missed
             errors = self._errors
             cancelled = self._cancelled
-            queries = self._queries
         return ServerStats(
             submitted=submitted,
             completed=completed,
@@ -528,11 +358,10 @@ class SmolServer:
             cancelled=cancelled,
             deadline_missed=deadline_missed,
             errors=errors,
-            plan_swaps=self._sessions.swaps if self._sessions else 0,
+            plan_swaps=self._sessions.swaps,
             latency=self._latency.summary(),
             batcher=self._scheduler.batch_stats(),
             cache=self._cache.stats() if self._cache is not None else None,
-            queries=queries,
             tenants=self.tenant_stats(),
         )
 
@@ -547,16 +376,10 @@ class SmolServer:
                            for name, recorder in self._class_latency.items()},
             class_served=served,
             quotas=self._gate.stats(),
-            downgrades=(self._ladder.downgrades
-                        if self._ladder is not None else 0),
         )
 
     def close(self, timeout: float = 30.0) -> None:
-        """Stop accepting requests, drain the queue, and join every lane.
-
-        In cluster mode this also waits for every micro-batch already handed
-        to the dispatcher to resolve (the dispatcher itself stays open).
-        """
+        """Stop accepting requests, drain the queue, and join every lane."""
         if self._closed:
             return
         self._closed = True
@@ -568,13 +391,6 @@ class SmolServer:
         if alive:
             raise ServingError(f"{alive} of {len(self._lanes)} serving lanes "
                                "did not drain in time")
-        with self._outstanding_drained:
-            if not self._outstanding_drained.wait_for(
-                lambda: self._outstanding == 0, timeout=timeout
-            ):
-                raise ServingError(
-                    "cluster batches did not resolve in time"
-                )
 
     def __enter__(self) -> "SmolServer":
         return self
@@ -588,15 +404,10 @@ class SmolServer:
     def _serve_loop(self) -> None:
         failures = 0
         while True:
-            # The one hold rule: a partial batch waits only while every
-            # executor slot has a batch outstanding -- never for a session
-            # (this lane executes it, and is idle whenever it asks), per
-            # live replica for a cluster (counted here: ``busy`` runs under
-            # the scheduler's lock).
-            slots = len(self._cluster.live_workers()) if self._cluster else 1
+            # This lane executes the batch it asks for, so it asks only when
+            # idle and takes whatever queued meanwhile.
             try:
-                batch = self._scheduler.next_batch(
-                    busy=lambda: self._outstanding >= slots)
+                batch = self._scheduler.next_batch()
             except Exception:
                 # A failure forming a batch (injected or organic) must not
                 # take the serving thread down: the ``serving.batch`` seam
@@ -634,13 +445,7 @@ class SmolServer:
             return
         batch_class = batch.class_name
         batch = live
-        if self._cluster is not None:
-            self._dispatch_to_cluster(batch)
-            return
         session = self._sessions.current()
-        if self._ladder is not None:
-            session = self._ladder.select(
-                session, self._batch_budget(batch), len(batch))
         try:
             result = session.execute([item.request for item in batch])
         except Exception as exc:
@@ -679,59 +484,6 @@ class SmolServer:
             self._obs.emit_stage(event.stage, event.subject, event.images,
                                  event.seconds, source=event.source)
 
-    def _dispatch_to_cluster(self, batch: list[_Pending]) -> None:
-        # Hand the batch to the dispatcher and return to batching; the
-        # done-callback (a dispatcher thread) resolves the futures, so
-        # replicas execute in parallel with batch formation.
-        plan_key = self._cluster_plan_key
-        with self._counters_lock:
-            self._outstanding += 1
-        try:
-            cluster_future = self._cluster.submit(
-                [item.request for item in batch]
-            )
-        except Exception as exc:
-            self._finish_outstanding()
-            self._fail_batch(batch, exc)
-            return
-        cluster_future.add_done_callback(
-            lambda done: self._on_cluster_batch(batch, plan_key, done)
-        )
-
-    def _on_cluster_batch(self, batch: list[_Pending], plan_key: str,
-                          done) -> None:
-        try:
-            error = done.exception()
-            if error is not None:
-                self._fail_batch(batch, error)
-                return
-            result = done.result()
-            self._resolve_batch(batch, result.predictions,
-                                result.modelled_seconds, plan_key)
-        finally:
-            self._finish_outstanding()
-
-    def _finish_outstanding(self) -> None:
-        with self._outstanding_drained:
-            self._outstanding -= 1
-            if self._outstanding == 0:
-                self._outstanding_drained.notify_all()
-        # A replica freed: a batch held for it ships now, not at the bound.
-        self._scheduler.wake()
-
-    def _batch_budget(self, batch: list[_Pending]) -> float | None:
-        """Tightest remaining deadline across ``batch`` (None: no deadlines)."""
-        now = monotonic()
-        budget = None
-        for item in batch:
-            deadline = item.request.deadline_s
-            if deadline is None:
-                continue
-            remaining = item.request.arrival_s + deadline - now
-            if budget is None or remaining < budget:
-                budget = remaining
-        return budget
-
     def _release_gate(self, item: _Pending) -> None:
         """Return the item's quota in-flight slot, if it holds one."""
         if item.gated and self._gate is not None:
@@ -749,10 +501,6 @@ class SmolServer:
                 item.span.finish()
             if self._slo is not None:
                 self._slo.observe(item.request.age(monotonic()), error=True)
-            if self._tenant_slo is not None and item.tenant:
-                self._tenant_slo.observe(item.tenant,
-                                         item.request.age(monotonic()),
-                                         error=True)
             item.future.set_exception(
                 ServingError(f"batch execution failed: {exc}")
             )
@@ -801,8 +549,6 @@ class SmolServer:
                 self._class_served[item.class_name] += 1
         if self._slo is not None:
             self._slo.observe(latency, error=missed)
-        if self._tenant_slo is not None and item.tenant:
-            self._tenant_slo.observe(item.tenant, latency, error=missed)
         self._completed_metric.inc()
         if cached:
             self._cache_hits_metric.inc()

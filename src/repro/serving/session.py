@@ -68,10 +68,8 @@ class EngineSession:
     """Base class: a warmed, reusable execution context for one plan.
 
     ``format_name`` / ``model_name`` are the telemetry subjects of the
-    session's decode and inference costs, ``performance_model`` the
-    modelled hardware it is priced on, and ``modelled_throughput`` its
-    images/second under that model (None: the session cannot be priced);
-    sessions that know them override the declared defaults.
+    session's decode and inference costs; sessions that know them override
+    the declared defaults.
 
     ``streams`` is how many threads may be inside :meth:`execute` at once
     (``EngineConfig.num_streams``): a ``SmolServer`` serves it on that many
@@ -80,8 +78,6 @@ class EngineSession:
 
     format_name = ""
     model_name = ""
-    performance_model = None
-    modelled_throughput = None
     streams = EngineConfig.num_streams
 
     def __init__(self, plan_key: str) -> None:
@@ -248,11 +244,6 @@ class SimulatedSession(EngineSession):
     def model_name(self) -> str:
         """Primary-model name of the plan (telemetry subject for inference)."""
         return self._plan.primary_model.name
-
-    @property
-    def performance_model(self) -> PerformanceModel:
-        """The calibrated performance model this session charges against."""
-        return self._performance_model
 
     @property
     def config(self) -> EngineConfig:

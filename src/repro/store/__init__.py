@@ -16,10 +16,9 @@ worth persisting and reusing.  This package provides:
   that lets the cost model discount decode for materialized renditions.
 
 Integration points: :class:`~repro.query.scan.ScanSession` read/writes
-through the store, :class:`~repro.query.engine.QueryEngine` and
-:class:`~repro.serving.server.SmolServer` accept ``store=``, the core
-:class:`~repro.core.costmodel.CostModel` accepts ``catalog=``, and the
-``smol-repro store`` CLI exposes stats/gc/warm.
+through the store, :class:`~repro.query.engine.QueryEngine` accepts
+``store=``, the core :class:`~repro.core.costmodel.CostModel` accepts
+``catalog=``, and the ``smol-repro store`` CLI exposes stats/gc/warm.
 """
 
 from repro import _lazy_exports

@@ -304,7 +304,8 @@ class TestAdaptiveController:
         assert controller.stats().catalog_events == 1  # unsubscribed
 
     def _burning_engine(self, obs):
-        from repro.obs import SloEngine, SloSpec, SloWindow
+        from repro.obs import SloSpec, SloWindow
+        from repro.obs.slo import SloEngine
 
         engine = SloEngine([SloSpec(
             name="latency", latency_target_s=0.010, objective=0.9,

@@ -160,6 +160,49 @@ class TestInvariantChecks:
                                         allow_failures=False)
         assert any("never resolved" in v.detail for v in violations)
 
+    def test_items_left_in_flight_are_flagged(self):
+        # Counters that balance and futures that all resolved still hide a
+        # leak if the dispatcher holds an entry after the drain.
+        stats = self._Stats(submitted=1, completed=1, failed=0, inflight=1)
+        violations = check_exactly_once(stats, [("ok", (1,))],
+                                        allow_failures=False)
+        assert [(v.invariant, v.detail) for v in violations] == [
+            ("resolution.exactly_once", "1 items still in flight after drain")]
+        stats.inflight = 0
+        assert check_exactly_once(stats, [("ok", (1,))],
+                                  allow_failures=False) == []
+
+    def test_a_clean_drain_has_no_violations(self):
+        stats = self._Stats(submitted=3, completed=2, failed=1)
+        outcomes = [("ok", (1,)), ("ok", (2,)), ("failed", "boom")]
+        assert check_exactly_once(stats, outcomes, allow_failures=True) == []
+
+    def test_a_dropped_item_is_flagged(self):
+        stats = self._Stats(submitted=2, completed=1, failed=0)
+        [violation] = check_exactly_once(stats, [("ok", (1,))],
+                                         allow_failures=False)
+        assert violation.invariant == "resolution.exactly_once"
+        assert "completed (1) + failed (0) != submitted (2)" \
+            in violation.detail
+
+    def test_every_broken_contract_is_reported_in_one_pass(self):
+        stats = self._Stats(submitted=3, completed=1, failed=1, inflight=1)
+        outcomes = [("ok", (1,)), ("failed", "boom"), ("lost", None)]
+        violations = check_exactly_once(stats, outcomes,
+                                        allow_failures=False)
+        assert [v.invariant for v in violations] == [
+            "resolution.exactly_once", "resolution.exactly_once",
+            "resolution.exactly_once", "resolution.spurious_failure"]
+        assert violations[0].detail == "1 of 3 futures never resolved"
+        assert violations[3].detail.endswith("(first: boom)")
+
+    def test_a_violation_renders_as_invariant_and_detail(self):
+        stats = self._Stats(submitted=1, completed=1, failed=0, inflight=2)
+        [violation] = check_exactly_once(stats, [("ok", (1,))],
+                                         allow_failures=False)
+        assert str(violation) == ("resolution.exactly_once: "
+                                  "2 items still in flight after drain")
+
     def test_spurious_failure_is_flagged_only_without_faults(self):
         stats = self._Stats(submitted=1, completed=0, failed=1)
         outcomes = [("failed", "boom")]
@@ -178,6 +221,25 @@ class TestInvariantChecks:
         assert violations and \
             violations[0].invariant == "predictions.bit_identical"
         assert not check_predictions(reference, [("ok", (1, 2))])
+
+    def test_a_shape_mismatch_is_a_divergence(self):
+        reference = [np.array([1, 2], dtype=np.int64)]
+        [violation] = check_predictions(reference, [("ok", (1,))])
+        assert violation.detail == ("item 0 predicted [1] but the serial "
+                                    "engine predicted [1, 2]")
+
+    def test_only_completed_items_are_compared(self):
+        reference = [np.array([1], dtype=np.int64),
+                     np.array([2], dtype=np.int64)]
+        outcomes = [("failed", "boom"), ("ok", (2,))]
+        assert check_predictions(reference, outcomes) == []
+
+    def test_a_connected_trace_passes(self):
+        spans = [{"trace_id": 7, "span_id": 1, "parent_id": None,
+                  "name": "query.run"},
+                 {"trace_id": 7, "span_id": 2, "parent_id": 1,
+                  "name": "query.shard"}]
+        assert check_span_tree(spans) == []
 
     def test_empty_span_list_is_flagged(self):
         assert check_span_tree([])[0].invariant == "trace.connected"

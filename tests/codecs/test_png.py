@@ -1,5 +1,7 @@
 """Tests for the PNG-like lossless codec and early stopping."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,15 @@ class TestLosslessRoundtrip:
     def test_strip_count(self, small_image):
         encoded = PngCodec(strip_rows=16).encode(small_image)
         assert encoded.num_strips == 3  # 48 rows / 16
+
+    @pytest.mark.parametrize("strip_rows", [1, 7, 16, 48])
+    def test_every_strip_is_zlib_level_6(self, small_image, strip_rows):
+        # The level is a constant, not an option: re-compressing each
+        # strip's payload at level 6 reproduces its bytes exactly.
+        encoded = PngCodec(strip_rows=strip_rows).encode(small_image)
+        assert encoded.num_strips == -(-48 // strip_rows)
+        for strip in encoded.strips:
+            assert zlib.compress(zlib.decompress(strip), 6) == strip
 
     def test_invalid_strip_rows_rejected(self):
         with pytest.raises(CodecError):

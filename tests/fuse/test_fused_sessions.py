@@ -81,7 +81,7 @@ class TestServer:
         dag, model = _stack()
         return SmolServer(
             session=FunctionalSession("plan", dag, model),
-            policy=BatchPolicy(name="t", max_batch_size=4, max_wait_ms=1.0),
+            policy=BatchPolicy(name="t", max_batch_size=4),
             queue_capacity=32, cache_capacity=0,
         )
 

@@ -13,6 +13,7 @@ import pytest
 
 from cluster_testlib import ScriptedSession, simulated_session
 from repro.cluster import (
+    ClusterSession,
     Dispatcher,
     LabeledExample,
     ShardedCorpusRunner,
@@ -38,7 +39,7 @@ class TestFailoverUnderTraffic:
     def test_loadgen_traffic_survives_a_replica_death(self, plan_key):
         with Dispatcher(_factory, num_workers=3,
                         heartbeat_timeout_s=0.5) as dispatcher:
-            with SmolServer(cluster=dispatcher, cache_capacity=0,
+            with SmolServer(ClusterSession(dispatcher), cache_capacity=0,
                             policy=BatchPolicy.latency()) as server:
                 pool = [(f"img-{i}", None) for i in range(24)]
                 generator = LoadGenerator(server, pool, seed=13)
@@ -61,7 +62,7 @@ class TestFailoverUnderTraffic:
                                                                   plan_key):
         with Dispatcher(_factory, num_workers=3,
                         heartbeat_timeout_s=0.5) as dispatcher:
-            with SmolServer(cluster=dispatcher, cache_capacity=0) as server:
+            with SmolServer(ClusterSession(dispatcher), cache_capacity=0) as server:
                 futures = [
                     server.submit(InferenceRequest(image_id=f"img-{i}"))
                     for i in range(150)

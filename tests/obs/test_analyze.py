@@ -29,7 +29,6 @@ class TestCategoryOf:
         assert category_of("serving.batch") == "batching"
         assert category_of("cluster.execute") == "batching"
         assert category_of("cluster.dispatch") == "dispatch"
-        assert category_of("serving.query") == "query"
 
     def test_prefixes(self):
         assert category_of("store.read_batch") == "store"

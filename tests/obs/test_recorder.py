@@ -9,10 +9,10 @@ from repro.obs import (
     FlightRecorder,
     Observability,
     RecorderObservability,
-    SloEngine,
     load_postmortem,
     validate_span_tree,
 )
+from repro.obs.slo import SloEngine
 from repro.obs.metrics import StageEvent
 from tests.obs.test_slo import _spec
 

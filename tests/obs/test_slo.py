@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import Observability, SloEngine, SloSpec, SloWindow
+from repro.obs import Observability, SloSpec, SloWindow
+from repro.obs.slo import SloEngine
 from repro.obs.slo import DEFAULT_WINDOWS, replay_spans
 
 

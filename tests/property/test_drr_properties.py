@@ -8,8 +8,8 @@ Four theorems the serving layer rests on:
   batch size (why a server without tenants needs no queue+batcher of
   its own);
 * **work conservation** -- a ``next_batch`` call never comes back empty
-  while any class queue holds work, for every backlog shape, and waits
-  on work in hand only while told its executor is busy;
+  while any class queue holds work, for every backlog shape, and a class
+  alone with work fills its batch;
 * **bounded unfairness** -- under saturation each class's served count
   stays within one micro-batch of its weighted share, for every weight
   vector;
@@ -34,13 +34,12 @@ class Item:
     index: int = 0
 
 
-def make_scheduler(weights, max_batch, max_wait_ms=0.0):
+def make_scheduler(weights, max_batch):
     classes = tuple(
         ClassPolicy(f"class-{i}", weight=weight, rank=i)
         for i, weight in enumerate(weights)
     )
-    policy = BatchPolicy(name="drr-prop", max_batch_size=max_batch,
-                        max_wait_ms=max_wait_ms)
+    policy = BatchPolicy(name="drr-prop", max_batch_size=max_batch)
     return classes, DrrScheduler(classes, policy, capacity=100_000)
 
 
@@ -52,19 +51,13 @@ weights_strategy = st.lists(
 
 @settings(max_examples=100, deadline=None)
 @given(arrivals=st.lists(st.integers(0, 20), min_size=1, max_size=12),
-       max_batch=st.integers(1, 16),
-       max_wait_ms=st.sampled_from([0.0, 0.5]),
-       busy=st.booleans())
-def test_one_class_scheduler_is_a_fifo_micro_batcher(
-        arrivals, max_batch, max_wait_ms, busy):
+       max_batch=st.integers(1, 16))
+def test_one_class_scheduler_is_a_fifo_micro_batcher(arrivals, max_batch):
     # Each step admits a burst, then forms one batch.  The reference FIFO
-    # micro-batcher takes the oldest min(max_batch, depth) requests; with
-    # nothing arriving mid-batch the wait bound only delays a partial one
-    # -- and only when the executor is busy.
+    # micro-batcher takes the oldest min(max_batch, depth) requests.
     scheduler = DrrScheduler(
         (ClassPolicy("only", weight=1.0, rank=0),),
-        BatchPolicy(name="fifo-prop", max_batch_size=max_batch,
-                    max_wait_ms=max_wait_ms),
+        BatchPolicy(name="fifo-prop", max_batch_size=max_batch),
         capacity=100_000)
     reference: deque[int] = deque()
     admitted = 0
@@ -75,18 +68,16 @@ def test_one_class_scheduler_is_a_fifo_micro_batcher(
             admitted += 1
         want = [reference.popleft()
                 for _ in range(min(max_batch, len(reference)))]
-        got = scheduler.next_batch(poll_timeout=0.0, busy=lambda: busy)
+        got = scheduler.next_batch(poll_timeout=0.0)
         assert [item.index for item in got] == want
     # Draining the backlog keeps emitting consecutive full chunks.
     while reference:
         want = [reference.popleft()
                 for _ in range(min(max_batch, len(reference)))]
-        got = scheduler.next_batch(poll_timeout=0.0, busy=lambda: busy)
+        got = scheduler.next_batch(poll_timeout=0.0)
         assert [item.index for item in got] == want
     assert len(scheduler) == 0
     assert scheduler.stats()["classes"]["only"]["served"] == admitted
-    if not busy:
-        assert scheduler.batch_stats().hold_s == 0.0
 
 
 @settings(max_examples=80, deadline=None)
@@ -114,33 +105,25 @@ def test_work_conservation_for_every_backlog_shape(
 @given(weights=weights_strategy,
        arrivals=st.lists(st.lists(st.integers(0, 12), min_size=1,
                                   max_size=5), min_size=1, max_size=6),
-       max_batch=st.integers(1, 16),
-       max_wait_ms=st.sampled_from([0.0, 0.3]),
-       busy=st.booleans())
-def test_a_batch_is_held_only_for_a_busy_executor(
-        weights, arrivals, max_batch, max_wait_ms, busy):
-    # Each step admits a burst per class, then drains.  Idle executor:
-    # next_batch never waits while any queue is non-empty.  Busy: exactly
-    # the old wait-fill -- the bound runs out once per partial batch that
-    # emptied every queue (nothing arrives mid-hold here), and never else.
-    classes, scheduler = make_scheduler(weights, max_batch, max_wait_ms)
-    holds = 0
+       max_batch=st.integers(1, 16))
+def test_a_class_alone_with_work_fills_its_batch(
+        weights, arrivals, max_batch):
+    # Each step admits a burst per class, then drains.  A batch drawn
+    # while no other class has work takes min(max_batch, backlog) at
+    # once -- its quantum bounds it only against competing classes.
+    classes, scheduler = make_scheduler(weights, max_batch)
     for burst in arrivals:
         for policy, count in zip(classes, burst):
             for _ in range(count):
                 scheduler.admit(Item(policy.name))
         while len(scheduler) > 0:
-            batch = scheduler.next_batch(poll_timeout=0.0,
-                                         busy=lambda: busy)
+            depths = {name: state["depth"] for name, state
+                      in scheduler.stats()["classes"].items()}
+            batch = scheduler.next_batch(poll_timeout=0.0)
             assert batch, "empty batch despite backlog (work conservation)"
-            holds += (busy and max_wait_ms > 0 and len(batch) < max_batch
-                      and len(scheduler) == 0)
-    stats = scheduler.batch_stats()
-    assert stats.timeout_batches == holds
-    if holds:
-        assert stats.hold_s >= holds * max_wait_ms / 1000.0 * 0.5
-    else:
-        assert stats.hold_s == 0.0
+            own = depths[batch.class_name]
+            if sum(depths.values()) == own:
+                assert len(batch) == min(max_batch, own)
 
 
 @settings(max_examples=60, deadline=None)

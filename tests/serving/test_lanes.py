@@ -19,7 +19,6 @@ from repro.serving.request import InferenceRequest
 from repro.serving.scheduler import BatchPolicy
 from repro.serving.server import SmolServer
 from repro.serving.session import SessionManager
-from repro.tenant import LadderRung, PlanLadder
 from repro.utils.rng import stable_hash
 
 from test_server import GateSession, build_functional_session
@@ -116,7 +115,7 @@ class TestLanes:
 
     def test_lanes_execute_side_by_side(self):
         session = CountingSession(streams=2)
-        with SmolServer(session, policy=BatchPolicy("one", 1, 0.0),
+        with SmolServer(session, policy=BatchPolicy("one", 1),
                         cache_capacity=0) as server:
             responses = drive(server)
         assert len(responses) == 80
@@ -124,7 +123,7 @@ class TestLanes:
 
     def test_a_one_stream_session_is_never_entered_twice(self):
         session = CountingSession(streams=1)
-        with SmolServer(session, policy=BatchPolicy("one", 1, 0.0),
+        with SmolServer(session, policy=BatchPolicy("one", 1),
                         cache_capacity=0) as server:
             responses = drive(server)
         assert len(responses) == 80
@@ -152,17 +151,6 @@ class TestLanes:
             with pytest.raises(ServingError, match="for 2 serving lanes"):
                 manager.swap(CountingSession("one", streams=1))
             assert server.sessions.current().plan_key == "two"
-
-    def test_a_ladder_rung_with_fewer_streams_is_refused_before_a_lane(
-            self):
-        ladder = PlanLadder([
-            LadderRung(CountingSession("fast", streams=1), 0.001),
-            LadderRung(CountingSession("slow", streams=2), 0.01),
-        ])
-        before = lanes()
-        with pytest.raises(ServingError, match="'fast'"):
-            SmolServer(CountingSession(streams=2), ladder=ladder)
-        assert new_lane_names(before) == []
 
     def test_a_batch_runs_on_the_session_current_when_it_formed(self):
         inner = build_functional_session("plan-a")
@@ -194,7 +182,7 @@ class TestLanes:
         begun = [0]
         finished = [0]
         records: list = []
-        with SmolServer(plans[0], policy=BatchPolicy("small", 4, 0.0),
+        with SmolServer(plans[0], policy=BatchPolicy("small", 4),
                         cache_capacity=0) as server:
             stop = threading.Event()
 

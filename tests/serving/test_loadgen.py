@@ -169,8 +169,7 @@ class TestLoadGenerator:
         from repro.codecs.formats import FULL_JPEG
 
         session = simulated_session_for_format(resnet50, FULL_JPEG, perf_model)
-        with SmolServer(session, policy=BatchPolicy(name="t", max_batch_size=4,
-                                                    max_wait_ms=0.0),
+        with SmolServer(session, policy=BatchPolicy(name="t", max_batch_size=4),
                         cache_capacity=0) as server:
             generator = LoadGenerator(server, [(f"img-{i}", None)
                                                for i in range(8)], seed=6)

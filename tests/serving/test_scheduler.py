@@ -34,10 +34,8 @@ class Item:
     index: int
 
 
-def make_scheduler(max_batch=8, max_wait_ms=0.0, capacity=256,
-                   classes=THREE_CLASSES):
-    policy = BatchPolicy(name="drr-test", max_batch_size=max_batch,
-                        max_wait_ms=max_wait_ms)
+def make_scheduler(max_batch=8, capacity=256, classes=THREE_CLASSES):
+    policy = BatchPolicy(name="drr-test", max_batch_size=max_batch)
     return DrrScheduler(classes, policy, capacity=capacity)
 
 
@@ -63,13 +61,10 @@ class TestBatchPolicy:
         latency = BatchPolicy.latency()
         throughput = BatchPolicy.throughput()
         assert latency.max_batch_size < throughput.max_batch_size
-        assert latency.max_wait_ms < throughput.max_wait_ms
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ServingError):
-            BatchPolicy(name="bad", max_batch_size=0, max_wait_ms=1.0)
-        with pytest.raises(ServingError):
-            BatchPolicy(name="bad", max_batch_size=4, max_wait_ms=-1.0)
+            BatchPolicy(name="bad", max_batch_size=0)
 
 
 class TestShape:
@@ -131,80 +126,69 @@ class TestDrrArithmetic:
 
     def test_lone_class_gets_full_batches(self):
         # No contention: a lone backlogged class is not starved down to
-        # its quantum; the wait-fill tops its batches up to full size.
-        scheduler = make_scheduler(max_batch=8, max_wait_ms=5.0)
+        # its quantum; the top-up fills its batches to full size.
+        scheduler = make_scheduler(max_batch=8)
         preload(scheduler, {"batch": 24})
         sizes = [len(scheduler.next_batch(poll_timeout=0.0))
                  for _ in range(4)]
         assert sum(sizes) == 24
         assert max(sizes) == 8
 
-    @pytest.mark.parametrize("max_wait_ms", [0.0, 50.0])
-    def test_one_class_backlog_drains_in_full_arrival_order_batches(
-            self, max_wait_ms):
+    def test_one_class_backlog_drains_in_full_arrival_order_batches(self):
         # The sole class's quantum is one full batch, so a deep queue
-        # ships full batches at once whatever the wait bound.
-        scheduler = make_scheduler(max_batch=4, max_wait_ms=max_wait_ms,
-                                   classes=ONE_CLASS)
+        # ships full batches at once.
+        scheduler = make_scheduler(max_batch=4, classes=ONE_CLASS)
         preload(scheduler, {"standard": 10})
         batches = [[item.index for item in scheduler.next_batch()]
                    for _ in range(2)]
         assert batches == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
+    @pytest.mark.parametrize("queued", [1, 6, 13])
+    @pytest.mark.parametrize("name", ["interactive", "standard", "batch"])
+    def test_a_lone_class_takes_what_queued_up_to_the_cap(self, name,
+                                                          queued):
+        # Quanta are 8 / 4 / 1, but a class alone with work is topped up:
+        # its first batch is everything queued, capped at max_batch_size,
+        # whatever its weight.
+        scheduler = make_scheduler(max_batch=8)
+        preload(scheduler, {name: queued})
+        batch = scheduler.next_batch(poll_timeout=0.0)
+        assert batch.class_name == name
+        assert [item.index for item in batch] == list(range(min(queued, 8)))
+        assert len(scheduler) == max(0, queued - 8)
+
+    def test_the_top_up_starts_once_the_other_classes_empty(self):
+        # While interactive has work, batch may serve only its 1-request
+        # credit; the interactive request ships first, and batch, alone
+        # from then on, gets full batches.
+        scheduler = make_scheduler(max_batch=8)
+        preload(scheduler, {"batch": 13, "interactive": 1})
+        sizes = [(b.class_name, len(b)) for b in drain(scheduler)]
+        assert sizes == [("interactive", 1), ("batch", 8), ("batch", 5)]
+
+    def test_fractional_credit_carries_to_the_next_turn(self):
+        # Weights 8:3 at max_batch 4 give the light class a 1.5 quantum:
+        # under contention it serves 1, banks 0.5, then serves 2.
+        scheduler = make_scheduler(
+            max_batch=4,
+            classes=(ClassPolicy("heavy", weight=8.0, rank=0),
+                     ClassPolicy("light", weight=3.0, rank=1)))
+        preload(scheduler, {"heavy": 64, "light": 64})
+        light = [len(b) for b in (scheduler.next_batch(poll_timeout=0.0)
+                                  for _ in range(4))
+                 if b.class_name == "light"]
+        assert light == [1, 2]
+        assert scheduler.stats()["classes"]["light"]["deficit"] == 0.0
+
     @both_shapes
-    @pytest.mark.parametrize("busy", [True, False], ids=["busy", "idle"])
-    def test_wait_bound_closes_partial_batch(self, classes, busy):
-        # A partial batch is held to the bound only for a busy executor;
-        # an idle one gets it at once, and that is not a timeout.
-        scheduler = make_scheduler(max_batch=64, max_wait_ms=5.0,
-                                   classes=classes)
+    def test_a_partial_batch_ships_at_once(self, classes):
+        # Nothing is held for stragglers: the poll bound (30 s) would fail
+        # the test if the one queued request waited for company.
+        scheduler = make_scheduler(max_batch=64, classes=classes)
         preload(scheduler, {"standard": 1})
-        assert len(scheduler.next_batch(busy=lambda: busy)) == 1
+        assert len(scheduler.next_batch(poll_timeout=30.0)) == 1
         stats = scheduler.batch_stats()
-        assert stats.timeout_batches == busy and stats.full_batches == 0
-        assert (stats.hold_s >= 0.004) if busy else (stats.hold_s == 0.0)
-
-    def test_a_batch_topped_up_to_full_is_not_held(self):
-        # The 1x class's quantum takes one request and the top-up the other
-        # seven, emptying the queue exactly: full, so there is nothing to
-        # wait for even though the executor is busy (it used to sleep out
-        # the bound here -- 2 s would fail the hold_s check).
-        scheduler = make_scheduler(max_batch=8, max_wait_ms=2000.0)
-        preload(scheduler, {"batch": 8})
-        assert len(scheduler.next_batch(busy=lambda: True)) == 8
-        stats = scheduler.batch_stats()
-        assert (stats.full_batches, stats.timeout_batches) == (1, 0)
-        assert stats.hold_s == 0.0
-
-    def test_held_batch_takes_stragglers_and_ships_when_executor_frees(self):
-        # The bound (30 s) would fail the test: only the executor freeing,
-        # announced by wake(), can ship the held batch.
-        scheduler = make_scheduler(max_batch=64, max_wait_ms=30_000.0,
-                                   classes=ONE_CLASS)
-        preload(scheduler, {"standard": 1})
-        busy = threading.Event()
-        busy.set()
-        holding = threading.Event()
-
-        def executor_busy():
-            holding.set()
-            return busy.is_set()
-
-        got = []
-        consumer = threading.Thread(
-            target=lambda: got.append(
-                scheduler.next_batch(busy=executor_busy)), daemon=True)
-        consumer.start()
-        assert holding.wait(5.0)
-        scheduler.admit(Item("standard", 1))  # a straggler joins the hold
-        busy.clear()
-        scheduler.wake()
-        consumer.join(5.0)
-        assert not consumer.is_alive()
-        assert [item.index for item in got[0]] == [0, 1]
-        stats = scheduler.batch_stats()
-        assert stats.timeout_batches == 0 and stats.full_batches == 0
-        assert 0.0 < stats.hold_s < 5.0
+        assert (stats.batches, stats.full_batches) == (1, 0)
 
     def test_work_conserving_while_backlogged(self):
         scheduler = make_scheduler(max_batch=8)
@@ -277,36 +261,28 @@ class TestQueueSurface:
 
 
 class TestStats:
-    def test_hold_seconds_are_published_and_described(self):
+    def test_batches_are_published_and_described(self):
         from repro.obs import Observability
         from repro.obs.metrics import LatencySummary
         from repro.serving.server import ServerStats
 
         obs = Observability()
         scheduler = DrrScheduler(
-            ONE_CLASS, BatchPolicy(name="held", max_batch_size=8,
-                                   max_wait_ms=3.0), obs=obs)
-        preload(scheduler, {"standard": 1})
-        scheduler.next_batch(busy=lambda: True)   # held to the bound
-        preload(scheduler, {"standard": 8})
-        scheduler.next_batch(busy=lambda: True)   # full: no hold
-        preload(scheduler, {"standard": 2})
-        scheduler.next_batch()                    # idle executor: no hold
+            ONE_CLASS, BatchPolicy(name="shaped", max_batch_size=8), obs=obs)
+        for count in (1, 8, 2):
+            preload(scheduler, {"standard": count})
+            scheduler.next_batch()
         stats = scheduler.batch_stats()
-        assert (stats.batches, stats.full_batches,
-                stats.timeout_batches) == (3, 1, 1)
-        published = obs.counter("serving_batch_hold_seconds").value
-        assert published == pytest.approx(stats.hold_s) and published > 0
+        assert (stats.batches, stats.full_batches) == (3, 1)
         assert obs.counter("serving_batches_total",
-                           policy="held").value == 3
+                           policy="shaped").value == 3
         described = ServerStats(
             submitted=11, completed=11, executed=11, cache_hits=0,
             rejected=0, cancelled=0, deadline_missed=0, errors=0,
             plan_swaps=0, latency=LatencySummary.empty(), batcher=stats,
             cache=None,
         ).describe()
-        assert (f"1 full / 1 timed out, held {stats.hold_s * 1000.0:.1f} ms"
-                in described)
+        assert "batches:    3 (mean size 3.7, 1 full)" in described
 
     def test_stats_count_admissions_and_per_class_service(self):
         scheduler = make_scheduler()

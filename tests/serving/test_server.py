@@ -87,8 +87,7 @@ class TestEndToEnd:
 
         rng = deterministic_rng("serve-e2e", seed=1)
         with SmolServer(session, policy=BatchPolicy(name="t",
-                                                    max_batch_size=16,
-                                                    max_wait_ms=2.0),
+                                                    max_batch_size=16),
                         queue_capacity=128, cache_capacity=256) as server:
             responses = []
             # Four waves of 250; waves after the first re-request seen images,
@@ -148,8 +147,7 @@ class TestServerBehavior:
     def test_load_shedding_at_capacity(self, image_pool):
         session = build_functional_session()
         with SmolServer(session, policy=BatchPolicy(name="tiny",
-                                                    max_batch_size=4,
-                                                    max_wait_ms=0.0),
+                                                    max_batch_size=4),
                         queue_capacity=2, cache_capacity=0,
                         block_on_full=False) as server:
             rejected = 0
@@ -169,16 +167,15 @@ class TestServerBehavior:
         assert stats.rejected == rejected
         assert stats.completed == 60 - rejected
 
-    def test_closed_loop_windows_never_wait_out_the_bound(self, image_pool):
+    def test_closed_loop_windows_never_wait_for_stragglers(self, image_pool):
         # Two closed-loop clients of window 8 cannot fill two batches of
         # 8 between them while one is executing, so the stragglers a held
         # batch would wait for are blocked on that very batch: a server
-        # that holds pays the full 200 ms bound in every window.
+        # that held partial batches would pay its bound in every window.
         windows_per_client = 6
         durations: list[float] = []
         with SmolServer(build_functional_session(),
-                        policy=BatchPolicy(name="closed", max_batch_size=8,
-                                           max_wait_ms=200.0),
+                        policy=BatchPolicy(name="closed", max_batch_size=8),
                         cache_capacity=0) as server:
             def client(name: str) -> None:
                 for window in range(windows_per_client):
@@ -200,8 +197,6 @@ class TestServerBehavior:
             stats = server.stats()
         assert len(durations) == 2 * windows_per_client
         assert stats.completed == 16 * windows_per_client
-        assert stats.batcher.hold_s == 0.0
-        assert stats.batcher.timeout_batches == 0
         # A window is ~5 ms of numpy; the median forgives a host stall.
         assert statistics.median(durations) < 0.1
 
@@ -222,8 +217,7 @@ class TestServerBehavior:
 
     def test_deadline_missed_is_flagged(self, perf_model, resnet50):
         session = simulated_session_for_format(resnet50, FULL_JPEG, perf_model)
-        with SmolServer(session, policy=BatchPolicy(name="t", max_batch_size=4,
-                                                    max_wait_ms=0.0),
+        with SmolServer(session, policy=BatchPolicy(name="t", max_batch_size=4),
                         cache_capacity=0) as server:
             # The modelled per-image service time on full-res JPEG is ~1ms;
             # a 1 microsecond deadline cannot be met.
@@ -268,7 +262,7 @@ class TestServerBehavior:
         full = simulated_session_for_format(resnet50, FULL_JPEG, perf_model)
         thumb = simulated_session_for_format(resnet50, THUMB_PNG_161,
                                              perf_model)
-        policy = BatchPolicy(name="one", max_batch_size=1, max_wait_ms=0.0)
+        policy = BatchPolicy(name="one", max_batch_size=1)
         # Thumbnails are modelled much faster than full decode ...
         assert thumb.batch_costs(1)[0] < full.batch_costs(1)[0]
         for session in (full, thumb):
@@ -284,7 +278,8 @@ class TestServerBehavior:
 
 class TestServerSlo:
     def _engine(self, latency_target_s=10.0):
-        from repro.obs import SloEngine, SloSpec, SloWindow
+        from repro.obs import SloSpec, SloWindow
+        from repro.obs.slo import SloEngine
 
         return SloEngine([SloSpec(
             name="latency", latency_target_s=latency_target_s,
@@ -326,8 +321,7 @@ class TestServerSlo:
                                                perf_model)
         engine = self._engine()
         with SmolServer(session, policy=BatchPolicy(name="t",
-                                                    max_batch_size=4,
-                                                    max_wait_ms=0.0),
+                                                    max_batch_size=4),
                         cache_capacity=0, slo=engine) as server:
             response = server.submit(InferenceRequest(
                 image_id="late", deadline_s=1e-6,
@@ -335,79 +329,3 @@ class TestServerSlo:
         assert response.deadline_missed
         (status,) = engine.evaluate()
         assert status.windows[0].bad == 1
-
-
-class TestOnlineAnalyticsQueries:
-    def test_query_resolves_to_the_engine_result(self):
-        from repro.query import QueryEngine, QuerySpec
-
-        engine = QueryEngine(frame_limit=1500, batch_size=128)
-        spec = QuerySpec.aggregate("amsterdam", error_bound=0.05)
-        reference = engine.execute_single(spec)
-        session = build_functional_session()
-        with SmolServer(session, cache_capacity=0) as server:
-            result = server.query(spec, num_workers=2,
-                                  engine=engine).result(timeout=60.0)
-            stats = server.stats()
-        assert result.estimate == reference.estimate
-        assert result.ci_half_width == reference.ci_half_width
-        assert stats.queries == 1
-        assert "queries" in stats.describe()
-
-    def test_query_warms_from_an_attached_store(self, tmp_path):
-        from repro.query import QuerySpec
-        from repro.store import RenditionStore
-
-        store = RenditionStore(tmp_path / "store", chunk_frames=500)
-        spec = QuerySpec.aggregate("amsterdam", error_bound=0.05)
-        session = build_functional_session()
-        with SmolServer(session, cache_capacity=0, store=store) as server:
-            first = server.query(spec, num_workers=2).result(timeout=60.0)
-            second = server.query(spec, num_workers=1).result(timeout=60.0)
-        # The server's lazily-built engine writes through the store on the
-        # first query; the second is a warm hit -- and answers match.
-        assert second.estimate == first.estimate
-        assert second.ci_half_width == first.ci_half_width
-        stats = store.stats()
-        assert stats.score_entries == 1
-        assert stats.read_through_misses == 1
-        assert stats.read_through_hits >= 1
-
-    def test_query_failure_surfaces_as_serving_error(self):
-        from repro.query import QueryEngine, QuerySpec
-
-        engine = QueryEngine(frame_limit=1500, batch_size=128)
-        spec = QuerySpec.aggregate("not-a-dataset", error_bound=0.05)
-        session = build_functional_session()
-        with SmolServer(session, cache_capacity=0) as server:
-            future = server.query(spec, engine=engine)
-            with pytest.raises(ServingError):
-                future.result(timeout=60.0)
-            assert server.stats().queries == 0
-
-    def test_query_after_close_rejected(self):
-        from repro.query import QuerySpec
-
-        server = SmolServer(build_functional_session(), cache_capacity=0)
-        server.close()
-        with pytest.raises(ServingError):
-            server.query(QuerySpec.aggregate("taipei", error_bound=0.05))
-
-    def test_point_requests_keep_serving_while_a_query_runs(self, image_pool):
-        from repro.query import QueryEngine, QuerySpec
-
-        engine = QueryEngine(frame_limit=2000, batch_size=64)
-        session = build_functional_session()
-        with SmolServer(session, cache_capacity=0) as server:
-            query_future = server.query(
-                QuerySpec.aggregate("taipei", error_bound=0.05),
-                num_workers=2, engine=engine,
-            )
-            responses = [
-                server.submit(InferenceRequest(image_id=image_id,
-                                               payload=payload))
-                for image_id, payload in image_pool[:16]
-            ]
-            for future in responses:
-                assert future.result(timeout=30.0).prediction in (0, 1)
-            assert query_future.result(timeout=60.0).estimate > 0

@@ -1,10 +1,7 @@
 """End-to-end tests for SmolServer in multi-tenant mode.
 
 Covers the full wiring: quota gate before the DRR scheduler, per-class
-telemetry, deadline stamping, per-tenant SLO boards, and the golden-trace
-deadline-downgrade contract (a tight deadline moves the batch to a
-cheaper rendition whose predictions are bit-identical to that plan's
-serial oracle).
+telemetry, and deadline stamping.
 """
 
 import pytest
@@ -17,14 +14,7 @@ from repro.serving.scheduler import BatchPolicy
 from repro.serving.request import InferenceRequest
 from repro.serving.server import SmolServer
 from repro.serving.session import FunctionalSession, serving_pipeline_ops
-from repro.tenant import (
-    ClassPolicy,
-    LadderRung,
-    PlanLadder,
-    TenantConfig,
-    TenantSloBoard,
-    TenantSpec,
-)
+from repro.tenant import ClassPolicy, TenantConfig, TenantSpec
 
 POOL_SIZE = 24
 
@@ -62,9 +52,8 @@ def build_session(plan_key="tenant-test", seed=3):
     return session
 
 
-def policy(max_batch=8, wait_ms=1.0):
-    return BatchPolicy(name="tenant-test", max_batch_size=max_batch,
-                       max_wait_ms=wait_ms)
+def policy(max_batch=8):
+    return BatchPolicy(name="tenant-test", max_batch_size=max_batch)
 
 
 class TestMixedTenantServing:
@@ -209,106 +198,45 @@ class TestQuotaEnforcement:
         assert quotas["api"].admitted == 1
 
 
-class TestTenantSloWiring:
-    def test_server_routes_latency_to_the_tenant_board(self, image_pool):
-        session = build_session()
-        board = TenantSloBoard(MIXED_CONFIG)
-        with SmolServer(session, policy=policy(),
-                        cache_capacity=0, tenants=MIXED_CONFIG,
-                        tenant_slo=board) as server:
-            for i in range(6):
-                image_id, payload = image_pool[i]
-                server.submit(InferenceRequest(
-                    image_id=image_id, payload=payload,
-                    tenant="api")).result(timeout=30.0)
+class TestTenantSlo:
+    @staticmethod
+    def engine():
+        from repro.obs import SloSpec, SloWindow
+        from repro.obs.slo import SloEngine
 
-        api_windows = board.state()["api"]["specs"][0]["windows"]
-        assert api_windows[0]["events"] == 6
-        backfill = board.state()["backfill"]["specs"][0]["windows"]
-        assert backfill[0]["events"] == 0
+        return SloEngine([SloSpec(
+            name="latency", latency_target_s=10.0, objective=0.9,
+            windows=(SloWindow(seconds=60.0, max_burn_rate=1.0),),
+            min_events=1)])
 
+    def test_every_tenants_requests_feed_the_server_slo(self, image_pool):
+        engine = self.engine()
+        tenants = ("dashboard", "api", "backfill")
+        with SmolServer(build_session(), policy=policy(), cache_capacity=0,
+                        tenants=MIXED_CONFIG, slo=engine) as server:
+            futures = [server.submit(InferenceRequest(
+                image_id=image_id, payload=payload, tenant=tenants[i % 3]))
+                for i, (image_id, payload) in enumerate(image_pool[:9])]
+            for future in futures:
+                future.result(timeout=30.0)
+        (status,) = engine.evaluate()
+        assert (status.windows[0].events, status.windows[0].bad) == (9, 0)
 
-class GoldenOracle:
-    """Serial re-execution of a plan, the downgrade test's ground truth."""
-
-    def __init__(self, session):
-        self.session = session
-
-    def predictions(self, requests):
-        return [int(self.session.execute([request]).predictions[0])
-                for request in requests]
-
-
-class TestDeadlineDowngrade:
-    def run_tight_deadline_workload(self, image_pool):
-        """One golden-trace run; returns (responses, ladder, fast oracle)."""
-        accurate = build_session("plan-accurate", seed=3)
-        fast = build_session("plan-fast", seed=9)
-        ladder = PlanLadder(rungs=(
-            # The accurate plan can never fit a 100ms budget; the fast
-            # rendition always fits.  Costs are explicit so the selection
-            # arithmetic is exact and schedule-independent.
-            LadderRung(accurate, per_image_s=10.0),
-            LadderRung(fast, per_image_s=1e-6),
-        ))
-        config = TenantConfig(
-            tenants=(TenantSpec(name="dashboard",
-                                priority="interactive"),),
-            classes=(ClassPolicy("interactive", weight=8.0, rank=0,
-                                 default_deadline_s=0.1),),
-            default_spec=TenantSpec(name="*", priority="interactive"),
-        )
-        requests = [
-            InferenceRequest(image_id=image_id, payload=payload,
-                             tenant="dashboard")
-            for image_id, payload in image_pool[:8]
-        ]
-        with SmolServer(accurate, policy=policy(),
-                        cache_capacity=0, tenants=config,
-                        ladder=ladder) as server:
-            responses = [server.submit(request).result(timeout=30.0)
-                         for request in requests]
-        return responses, ladder, GoldenOracle(fast).predictions(requests)
-
-    def test_tight_deadline_downgrades_to_the_cheaper_rendition(
+    def test_a_missed_class_default_deadline_spends_the_budget(
             self, image_pool):
-        responses, ladder, oracle = \
-            self.run_tight_deadline_workload(image_pool)
-        # Every batch moved off the unaffordable plan...
-        assert all(r.plan_key == "plan-fast" for r in responses)
-        assert ladder.downgrades > 0
-        # ...and the served predictions are bit-identical to the chosen
-        # plan's serial oracle (the downgrade swapped plans, not math).
-        assert [r.prediction for r in responses] == oracle
-
-    def test_downgrade_decision_is_deterministic(self, image_pool):
-        first, _, _ = self.run_tight_deadline_workload(image_pool)
-        second, _, _ = self.run_tight_deadline_workload(image_pool)
-        assert [r.plan_key for r in first] == [r.plan_key for r in second]
-        assert [r.prediction for r in first] \
-            == [r.prediction for r in second]
-
-    def test_loose_deadline_keeps_the_accurate_plan(self, image_pool):
-        accurate = build_session("plan-accurate", seed=3)
-        fast = build_session("plan-fast", seed=9)
-        ladder = PlanLadder(rungs=(
-            LadderRung(accurate, per_image_s=1e-6),
-            LadderRung(fast, per_image_s=1e-7),
-        ))
+        engine = self.engine()
         config = TenantConfig(
-            tenants=(TenantSpec(name="dashboard",
-                                priority="interactive"),),
-            classes=(ClassPolicy("interactive", weight=8.0, rank=0,
-                                 default_deadline_s=30.0),),
+            tenants=(TenantSpec(name="dashboard", priority="interactive"),),
+            classes=(ClassPolicy("interactive", weight=1.0, rank=0,
+                                 default_deadline_s=1e-9),),
             default_spec=TenantSpec(name="*", priority="interactive"),
         )
-        with SmolServer(accurate, policy=policy(),
-                        cache_capacity=0, tenants=config,
-                        ladder=ladder) as server:
+        with SmolServer(build_session(), policy=policy(), cache_capacity=0,
+                        tenants=config, slo=engine) as server:
             image_id, payload = image_pool[0]
             response = server.submit(InferenceRequest(
                 image_id=image_id, payload=payload,
                 tenant="dashboard")).result(timeout=30.0)
-
-        assert response.plan_key == "plan-accurate"
-        assert ladder.downgrades == 0
+        assert response.deadline_missed
+        (status,) = engine.evaluate()
+        assert status.windows[0].bad == 1 and status.burning

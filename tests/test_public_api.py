@@ -56,7 +56,7 @@ REMOVED_EXPORTS = {
         "Flatten GraphProto MiniConvNet TrainingResult export_graph "
         "import_graph list_model_profiles"),
     "repro.obs": (
-        "CriticalPathReport PostmortemBundle chrome_trace"),
+        "CriticalPathReport PostmortemBundle SloEngine chrome_trace"),
     "repro.preprocessing": (
         "OptimizationReport Placement PlacementDecision "
         "PlacementOptimizer arithmetic_ops standard_pipeline_ops"),
@@ -73,7 +73,8 @@ REMOVED_EXPORTS = {
         "ChunkedReader GcReport StoreEvent StoreStats "
         "materialized_discount"),
     "repro.tenant": (
-        "DEFAULT_CLASSES TenantQuotaStats TokenBucket"),
+        "DEFAULT_CLASSES LadderRung PlanLadder TenantQuotaStats "
+        "TenantSloBoard TokenBucket"),
     "repro.utils": (
         "SimTimer Throughput bench_payload dominates format_table "
         "images_per_second megapixels per_image_us s_to_us us_to_s"),

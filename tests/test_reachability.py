@@ -26,10 +26,6 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     "module repro._version":
         "the version pyproject.toml reads and repro.__version__ re-exports",
-    "module repro.tenant.deadline":
-        "backs SmolServer(ladder=); ROADMAP item 4 decides its fate",
-    "module repro.tenant.slo":
-        "backs SmolServer(tenant_slo=); ROADMAP item 4 decides its fate",
     "def repro.nn.layers.Flatten":
         "the one layer without a plan step: a custom layer's forward fallback",
     "def repro.preprocessing.ops.standard_pipeline_ops":
